@@ -5,8 +5,8 @@
 //! The paper's evaluation is a grid of cells (app × ordering × granularity ×
 //! processor count), and overlapping sweeps recompute identical cells wholesale:
 //! `fig02_05` at its default processor ladder covers every cell a later
-//! `--procs 8` run needs, `table2` and `fig07` share their application set, and a
-//! serve session replays the same submissions again and again.  This module gives
+//! `--procs 8` run needs, `fig07` reduces exactly the substrate runs `table2` does,
+//! and a serve session replays the same submissions again and again.  This module gives
 //! every *deterministic* cell a stable 128-bit content address so the scheduler
 //! ([`crate::scheduler`]) can pay for each unique cell exactly once.
 //!
@@ -28,8 +28,10 @@
 //!   not the `Option`: a run with `--procs 8` and a default-ladder run that happens
 //!   to execute an 8-processor cell land on the same key (that overlap is the
 //!   measured win in EXPERIMENTS.md's `serve-dedup`).
-//! - **Domain separation.**  The spec id is part of the domain, so two specs with
-//!   coincidentally identical knobs can never alias each other's rows.
+//! - **Domain separation.**  The domain names the row shape, so two domains with
+//!   coincidentally identical knobs can never alias each other's rows.  It is the
+//!   spec id, or a substrate-run domain (`origin_run`, `dsm_run`) whose rows the
+//!   specs reducing the same runs share.
 //!
 //! # Memory budget
 //!

@@ -5,7 +5,7 @@
 //! [`runner::run_cells`].  The `xp` binary and the legacy `src/bin/` entry points both
 //! execute these specs; DESIGN.md §5 holds the table/figure → id index.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use dsm::{DsmConfig, HlrcSim, NetworkCostModel, PageHistorySink, PageWriteHistory, TreadMarksSim};
@@ -16,12 +16,12 @@ use molecular::{Moldyn, MoldynParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
 use reorder::permute::Permutation;
 use reorder::{compute_reordering_from_points, pack_keys, sort_keys, KeyWidth, Method, Quantizer};
-use smtrace::ObjectLayout;
+use smtrace::{ObjectLayout, ProgramTrace};
 use workloads::{cubic_lattice, two_plummer, UnstructuredMesh};
 
 use crate::cache::{CellKey, KeyBuilder};
 use crate::row;
-use crate::runner::{run_keyed_cells, ExperimentSpec, Format, Row, RunConfig};
+use crate::runner::{run_keyed_cells, ExperimentSpec, Format, Row, RunConfig, Value};
 use crate::{build_run, build_run_sized, AppKind, Ordering, Scale};
 
 /// Canonical name of a scale for cell keys (lowercase, stable).
@@ -375,92 +375,197 @@ fn run_table1(cfg: &RunConfig) -> Vec<Row> {
         .collect()
 }
 
-fn run_table2(cfg: &RunConfig) -> Vec<Row> {
-    let scale = cfg.scale;
-    let par_procs = cfg.procs_or(16);
-    let seed = cfg.seed_or(123);
-    let cost = CostModel::default();
-    // Key on the *effective* knobs (procs_or/seed_or applied): a `--procs 16` run
-    // and a default run describe the same cells, so they share cache entries.
-    let cells: Vec<(CellKey, (AppKind, Ordering))> = AppKind::ALL
+/// One substrate run: build `app` at the spec's scale and seed, apply `ordering`,
+/// trace it on `procs` virtual processors, and reduce the trace through a
+/// [`Substrate`] model.  Runs, not spec rows, are the keyed cells of `table2`/`fig07`
+/// and `table3`/`fig08_09`: a figure that needs a run its table already computed
+/// under the same seed is answered from the cache.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SubstrateRun {
+    app: AppKind,
+    ordering: Ordering,
+    procs: usize,
+}
+
+/// The model a [`SubstrateRun`]'s trace is reduced through.  The Origin 2000
+/// preset, `CostModel`, `DsmConfig::cluster` and `NetworkCostModel` are fixed per
+/// processor count, so the key domain stands for all of them.
+#[derive(Debug, Clone, Copy)]
+enum Substrate {
+    /// Origin 2000 model.  Row: app, ordering, procs, reorder_s, time_s,
+    /// l2_misses, tlb_misses.
+    Origin,
+    /// TreadMarks and HLRC models over one page history.  Row: app, ordering,
+    /// procs, reorder_s, tmk_seq_s, tmk_time_s, tmk_data_mb, tmk_messages,
+    /// hlrc_seq_s, hlrc_time_s, hlrc_data_mb, hlrc_messages.
+    Dsm,
+}
+
+impl Substrate {
+    fn domain(self) -> &'static str {
+        match self {
+            Substrate::Origin => "origin_run",
+            Substrate::Dsm => "dsm_run",
+        }
+    }
+
+    /// The model columns of one run (everything after `reorder_s`).
+    fn measure(self, run: &crate::AppRun, procs: usize) -> Vec<Value> {
+        match self {
+            Substrate::Origin => {
+                let mut machine = OriginPreset::origin2000(procs).build_machine();
+                let result = machine.run_trace_with_layout(&run.trace, &run.layout);
+                let time = CostModel::default().machine_time(&result);
+                vec![time.into(), result.l2_misses().into(), result.tlb_misses().into()]
+            }
+            Substrate::Dsm => {
+                let config = DsmConfig::cluster(procs);
+                let history = PageWriteHistory::build(&run.trace, &run.layout, config.page_bytes);
+                let cost = NetworkCostModel::default();
+                [
+                    TreadMarksSim::new(config).run_history(&history),
+                    HlrcSim::new(config).run_history(&history),
+                ]
+                .iter()
+                .flat_map(|result| {
+                    let est = cost.estimate(result);
+                    [
+                        est.sequential_seconds.into(),
+                        est.parallel_seconds.into(),
+                        result.stats.data_mbytes().into(),
+                        result.stats.messages.into(),
+                    ]
+                })
+                .collect()
+            }
+        }
+    }
+}
+
+/// Measured substrate rows, joined on (app, ordering, procs).  Each value is the
+/// row's tail from `reorder_s` on.
+struct SubstrateRows(BTreeMap<(String, String, usize), Vec<Value>>);
+
+impl SubstrateRows {
+    /// The measurements of `run`; `None` when its cell failed.
+    fn get(&self, run: SubstrateRun) -> Option<&[Value]> {
+        self.0.get(&(run.app.name().to_string(), run.ordering.name(), run.procs)).map(Vec::as_slice)
+    }
+}
+
+/// Compute every distinct run of `runs` through one [`run_keyed_cells`] call, keyed
+/// on (scale, seed, procs, app, ordering) in the substrate's domain.  A spec emits a
+/// row only when all of the runs it needs are present, so a failed cell drops
+/// exactly the rows that depend on it.
+fn run_substrate(
+    substrate: Substrate,
+    scale: Scale,
+    seed: u64,
+    runs: impl IntoIterator<Item = SubstrateRun>,
+) -> SubstrateRows {
+    let mut unique: Vec<SubstrateRun> = Vec::new();
+    for run in runs {
+        if !unique.contains(&run) {
+            unique.push(run);
+        }
+    }
+    let cells: Vec<(CellKey, SubstrateRun)> = unique
         .into_iter()
-        .flat_map(|app| orderings_for(app, false).into_iter().map(move |o| (app, o)))
-        .map(|(app, ordering)| {
-            let key = KeyBuilder::new("table2")
+        .map(|run| {
+            let key = KeyBuilder::new(substrate.domain())
                 .field_str("scale", scale_name(scale))
                 .field_u64("seed", seed)
-                .field_usize("procs", par_procs)
-                .field_str("app", app.name())
-                .field_str("ordering", &ordering.name())
+                .field_usize("procs", run.procs)
+                .field_str("app", run.app.name())
+                .field_str("ordering", &run.ordering.name())
                 .finish();
-            (key, (app, ordering))
+            (key, run)
         })
         .collect();
-    run_keyed_cells(cells, |(app, ordering)| {
-        let mut reorder_cost = 0.0f64;
-        let mut per_procs = Vec::new();
-        for procs in [1usize, par_procs] {
-            let run = build_run(app, ordering, scale, procs, seed);
-            reorder_cost = run.reorder_seconds.max(reorder_cost);
-            let mut machine = OriginPreset::origin2000(procs).build_machine();
-            let result = machine.run_trace_with_layout(&run.trace, &run.layout);
-            per_procs.push((cost.machine_time(&result), result.l2_misses(), result.tlb_misses()));
-        }
-        let (seq_t, seq_l2, seq_tlb) = per_procs[0];
-        let (par_t, par_l2, par_tlb) = per_procs[1];
-        vec![row![
-            app.name(),
-            ordering.name(),
-            reorder_cost,
-            seq_t,
-            seq_l2,
-            seq_tlb,
-            par_t,
-            par_l2,
-            par_tlb
-        ]]
-    })
+    let rows = run_keyed_cells(cells, |run| {
+        let app_run = build_run(run.app, run.ordering, scale, run.procs, seed);
+        let mut cells = vec![
+            run.app.name().into(),
+            run.ordering.name().into(),
+            run.procs.into(),
+            app_run.reorder_seconds.into(),
+        ];
+        cells.extend(substrate.measure(&app_run, run.procs));
+        vec![Row { cells }]
+    });
+    SubstrateRows(
+        rows.into_iter()
+            .map(|row| match &row.cells[..] {
+                [Value::Str(app), Value::Str(ordering), Value::Int(procs), tail @ ..] => {
+                    ((app.clone(), ordering.clone(), *procs as usize), tail.to_vec())
+                }
+                cells => panic!("malformed substrate row {cells:?}"),
+            })
+            .collect(),
+    )
+}
+
+/// A measurement cell as a float.
+fn float(value: &Value) -> f64 {
+    match value {
+        Value::Float(v) => *v,
+        Value::Int(v) => *v as f64,
+        Value::Str(s) => panic!("expected a number, found {s:?}"),
+    }
+}
+
+/// The (app, ordering) versions a table reports, in row order.
+fn table_versions(dsm_order: bool) -> Vec<(AppKind, Ordering)> {
+    AppKind::ALL
+        .into_iter()
+        .flat_map(|app| orderings_for(app, dsm_order).into_iter().map(move |o| (app, o)))
+        .collect()
+}
+
+fn run_table2(cfg: &RunConfig) -> Vec<Row> {
+    let par_procs = cfg.procs_or(16);
+    let versions = table_versions(false);
+    let run = |app, ordering, procs| SubstrateRun { app, ordering, procs };
+    let runs = run_substrate(
+        Substrate::Origin,
+        cfg.scale,
+        cfg.seed_or(123),
+        versions.iter().flat_map(|&(app, o)| [run(app, o, 1), run(app, o, par_procs)]),
+    );
+    versions
+        .into_iter()
+        .filter_map(|(app, ordering)| {
+            let seq = runs.get(run(app, ordering, 1))?;
+            let par = runs.get(run(app, ordering, par_procs))?;
+            let reorder_cost = float(&seq[0]).max(float(&par[0]));
+            let mut cells = vec![app.name().into(), ordering.name().into(), reorder_cost.into()];
+            cells.extend(seq[1..].iter().chain(&par[1..]).cloned());
+            Some(Row { cells })
+        })
+        .collect()
 }
 
 fn run_table3(cfg: &RunConfig) -> Vec<Row> {
-    let scale = cfg.scale;
     let procs = cfg.procs_or(16);
-    let seed = cfg.seed_or(99);
-    let config = DsmConfig::cluster(procs);
-    let cost = NetworkCostModel::default();
-    let cells: Vec<(CellKey, (AppKind, Ordering))> = AppKind::ALL
+    let versions = table_versions(true);
+    let run = |app, ordering| SubstrateRun { app, ordering, procs };
+    let runs = run_substrate(
+        Substrate::Dsm,
+        cfg.scale,
+        cfg.seed_or(99),
+        versions.iter().map(|&(app, o)| run(app, o)),
+    );
+    versions
         .into_iter()
-        .flat_map(|app| orderings_for(app, true).into_iter().map(move |o| (app, o)))
-        .map(|(app, ordering)| {
-            let key = KeyBuilder::new("table3")
-                .field_str("scale", scale_name(scale))
-                .field_u64("seed", seed)
-                .field_usize("procs", procs)
-                .field_str("app", app.name())
-                .field_str("ordering", &ordering.name())
-                .finish();
-            (key, (app, ordering))
+        .filter_map(|(app, ordering)| {
+            let m = runs.get(run(app, ordering))?;
+            // seq_time_s (TreadMarks' estimate), reorder_s, then each protocol's
+            // time, data and messages.
+            let mut cells = vec![app.name().into(), ordering.name().into()];
+            cells.extend([1, 0, 2, 3, 4, 6, 7, 8].map(|i| m[i].clone()));
+            Some(Row { cells })
         })
-        .collect();
-    run_keyed_cells(cells, |(app, ordering)| {
-        let run = build_run(app, ordering, scale, procs, seed);
-        let tmk = TreadMarksSim::new(config).run_with_layout(&run.trace, &run.layout);
-        let hlrc = HlrcSim::new(config).run_with_layout(&run.trace, &run.layout);
-        let tmk_est = cost.estimate(&tmk);
-        let hlrc_est = cost.estimate(&hlrc);
-        vec![row![
-            app.name(),
-            ordering.name(),
-            tmk_est.sequential_seconds,
-            run.reorder_seconds,
-            tmk_est.parallel_seconds,
-            tmk.stats.data_mbytes(),
-            tmk.stats.messages,
-            hlrc_est.parallel_seconds,
-            hlrc.stats.data_mbytes(),
-            hlrc.stats.messages
-        ]]
-    })
+        .collect()
 }
 
 /// Phase labels for the traced intervals of one FMM iteration (see `Fmm::step_traced`).
@@ -484,9 +589,12 @@ fn fmm_phase_costs(n: usize, reorder: bool, procs: usize, seed: u64) -> Vec<(Str
         if idx >= trace.intervals.len() {
             break;
         }
-        let mut sub = trace.clone();
-        sub.intervals = trace.intervals[..=idx].to_vec();
-        let history = PageWriteHistory::build(&sub, &trace.layout, config.page_bytes);
+        let prefix = ProgramTrace {
+            layout: trace.layout.clone(),
+            num_procs: trace.num_procs,
+            intervals: trace.intervals[..=idx].to_vec(),
+        };
+        let history = PageWriteHistory::build(&prefix, &trace.layout, config.page_bytes);
         let result = tmk.run_history(&history);
         let est = cost.estimate(&result);
         out.push((phase.to_string(), est.parallel_seconds));
@@ -696,89 +804,78 @@ fn run_fig06(cfg: &RunConfig) -> Vec<Row> {
 }
 
 fn run_fig07(cfg: &RunConfig) -> Vec<Row> {
-    let scale = cfg.scale;
     let procs = cfg.procs_or(16);
-    let seed = cfg.seed_or(321);
-    let cost = CostModel::default();
-    let cells: Vec<(CellKey, AppKind)> = AppKind::ALL
-        .iter()
-        .map(|&app| {
-            let key = KeyBuilder::new("fig07")
-                .field_str("scale", scale_name(scale))
-                .field_usize("procs", procs)
-                .field_u64("seed", seed)
-                .field_str("app", app.name())
-                .finish();
-            (key, app)
+    let run = |app, ordering, procs| SubstrateRun { app, ordering, procs };
+    // Sequential baseline: the original version on one processor.
+    let baseline = |app| run(app, Ordering::Original, 1);
+    let runs = run_substrate(
+        Substrate::Origin,
+        cfg.scale,
+        cfg.seed_or(123),
+        AppKind::ALL.into_iter().flat_map(|app| {
+            let parallel = orderings_for(app, false).into_iter().map(move |o| run(app, o, procs));
+            std::iter::once(baseline(app)).chain(parallel)
+        }),
+    );
+    AppKind::ALL
+        .into_iter()
+        .filter_map(|app| {
+            let seq_time = float(&runs.get(baseline(app))?[1]);
+            let speedup_of = |ordering| -> Option<Value> {
+                let m = runs.get(run(app, ordering, procs))?;
+                Some((seq_time / (float(&m[1]) + float(&m[0]))).into())
+            };
+            let column = if app.is_category2() {
+                speedup_of(Ordering::Reordered(Method::Column))?
+            } else {
+                "-".into()
+            };
+            Some(Row {
+                cells: vec![
+                    app.name().into(),
+                    speedup_of(Ordering::Original)?,
+                    speedup_of(Ordering::Reordered(Method::Hilbert))?,
+                    column,
+                ],
+            })
         })
-        .collect();
-    run_keyed_cells(cells, |app| {
-        // Sequential baseline: the original version on one processor.
-        let seq_run = build_run(app, Ordering::Original, scale, 1, seed);
-        let seq_time = {
-            let mut machine = OriginPreset::origin2000(1).build_machine();
-            let r = machine.run_trace_with_layout(&seq_run.trace, &seq_run.layout);
-            cost.machine_time(&r)
-        };
-        let speedup_of = |ordering: Ordering| -> f64 {
-            let run = build_run(app, ordering, scale, procs, seed);
-            let mut machine = OriginPreset::origin2000(procs).build_machine();
-            let r = machine.run_trace_with_layout(&run.trace, &run.layout);
-            seq_time / (cost.machine_time(&r) + run.reorder_seconds)
-        };
-        let original = speedup_of(Ordering::Original);
-        let hilbert = speedup_of(Ordering::Reordered(Method::Hilbert));
-        let column = if app.is_category2() {
-            crate::runner::Value::Float(speedup_of(Ordering::Reordered(Method::Column)))
-        } else {
-            crate::runner::Value::Str("-".to_string())
-        };
-        vec![Row { cells: vec![app.name().into(), original.into(), hilbert.into(), column] }]
-    })
+        .collect()
 }
 
 fn run_fig08_09(cfg: &RunConfig) -> Vec<Row> {
-    let scale = cfg.scale;
     let procs = cfg.procs_or(16);
-    let seed = cfg.seed_or(55);
-    let config = DsmConfig::cluster(procs);
-    let cost = NetworkCostModel::default();
-    let cells: Vec<(CellKey, AppKind)> = AppKind::ALL
-        .iter()
-        .map(|&app| {
-            let key = KeyBuilder::new("fig08_09")
-                .field_str("scale", scale_name(scale))
-                .field_usize("procs", procs)
-                .field_u64("seed", seed)
-                .field_str("app", app.name())
-                .finish();
-            (key, app)
+    let run = |app, ordering| SubstrateRun { app, ordering, procs };
+    let reordered = |app: AppKind| Ordering::Reordered(app.dsm_reordering());
+    let runs = run_substrate(
+        Substrate::Dsm,
+        cfg.scale,
+        cfg.seed_or(99),
+        AppKind::ALL
+            .into_iter()
+            .flat_map(|app| [run(app, Ordering::Original), run(app, reordered(app))]),
+    );
+    // (TreadMarks, HLRC) speedups: modelled sequential time over modelled parallel
+    // time plus the measured reorder cost.
+    let speedups = |m: &[Value]| {
+        let reorder = float(&m[0]);
+        (float(&m[1]) / (float(&m[2]) + reorder), float(&m[5]) / (float(&m[6]) + reorder))
+    };
+    AppKind::ALL
+        .into_iter()
+        .filter_map(|app| {
+            let (tmk_orig, hlrc_orig) = speedups(runs.get(run(app, Ordering::Original))?);
+            let (tmk_reord, hlrc_reord) = speedups(runs.get(run(app, reordered(app)))?);
+            Some(row![
+                app.name(),
+                tmk_orig,
+                hlrc_orig,
+                tmk_reord,
+                hlrc_reord,
+                (tmk_reord / tmk_orig - 1.0) * 100.0,
+                (hlrc_reord / hlrc_orig - 1.0) * 100.0
+            ])
         })
-        .collect();
-    run_keyed_cells(cells, |app| {
-        let speedups = |ordering: Ordering| -> (f64, f64) {
-            let run = build_run(app, ordering, scale, procs, seed);
-            let tmk = TreadMarksSim::new(config).run_with_layout(&run.trace, &run.layout);
-            let hlrc = HlrcSim::new(config).run_with_layout(&run.trace, &run.layout);
-            let tmk_est = cost.estimate(&tmk);
-            let hlrc_est = cost.estimate(&hlrc);
-            (
-                tmk_est.sequential_seconds / (tmk_est.parallel_seconds + run.reorder_seconds),
-                hlrc_est.sequential_seconds / (hlrc_est.parallel_seconds + run.reorder_seconds),
-            )
-        };
-        let (tmk_orig, hlrc_orig) = speedups(Ordering::Original);
-        let (tmk_reord, hlrc_reord) = speedups(Ordering::Reordered(app.dsm_reordering()));
-        vec![row![
-            app.name(),
-            tmk_orig,
-            hlrc_orig,
-            tmk_reord,
-            hlrc_reord,
-            (tmk_reord / tmk_orig - 1.0) * 100.0,
-            (hlrc_reord / hlrc_orig - 1.0) * 100.0
-        ]]
-    })
+        .collect()
 }
 
 fn run_ablation_reorder_frequency(cfg: &RunConfig) -> Vec<Row> {
@@ -1625,6 +1722,43 @@ mod tests {
                     assert!(*bpa < 4.0, "{app}: {bpa} bytes/access");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn dsm_run_rows_match_per_protocol_run_with_layout() {
+        // One shared page history per dsm_run cell must give exactly what each
+        // protocol computes when it reduces the trace on its own.
+        let (scale, seed, procs) = (Scale::Tiny, 3, 4);
+        let versions = table_versions(true);
+        let run = |app, ordering| SubstrateRun { app, ordering, procs };
+        let runs = run_substrate(
+            Substrate::Dsm,
+            scale,
+            seed,
+            versions.iter().map(|&(app, o)| run(app, o)),
+        );
+        let config = DsmConfig::cluster(procs);
+        let cost = NetworkCostModel::default();
+        for (app, ordering) in versions {
+            let traced = build_run(app, ordering, scale, procs, seed);
+            let want: Vec<Value> = [
+                TreadMarksSim::new(config).run_with_layout(&traced.trace, &traced.layout),
+                HlrcSim::new(config).run_with_layout(&traced.trace, &traced.layout),
+            ]
+            .iter()
+            .flat_map(|result| {
+                let est = cost.estimate(result);
+                [
+                    Value::Float(est.sequential_seconds),
+                    Value::Float(est.parallel_seconds),
+                    Value::Float(result.stats.data_mbytes()),
+                    Value::from(result.stats.messages),
+                ]
+            })
+            .collect();
+            let got = runs.get(run(app, ordering)).expect("every cell succeeds");
+            assert_eq!(got[1..], want[..], "{} {}", app.name(), ordering.name());
         }
     }
 

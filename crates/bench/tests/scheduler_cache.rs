@@ -95,6 +95,34 @@ const KEYED_SPECS: &[&str] = &[
     "ablation_unit_sweep",
 ];
 
+/// Cells a keyed spec's first run finds cached when the registry runs in order at
+/// default seeds: `fig07` and `fig08_09` reduce exactly the substrate runs that
+/// `table2` and `table3` computed before them.
+fn runs_shared_with_an_earlier_table(id: &str) -> u64 {
+    match id {
+        "fig07" => 17,
+        "fig08_09" => 10,
+        _ => 0,
+    }
+}
+
+#[test]
+fn figures_settle_every_run_from_their_tables_under_a_shared_seed() {
+    let config = RunConfig { scale: Scale::Tiny, procs: None, seed: Some(5) };
+    for (table, figure, runs) in [("table2", "fig07", 17), ("table3", "fig08_09", 10)] {
+        let scheduler = Scheduler::new(2);
+        let cache = Arc::new(CellCache::new());
+        let table_spec = experiments::find(table).expect("registered");
+        let (tabled, _, computed) = run_cached(&scheduler, &cache, table_spec, &config);
+        assert!(tabled.cell_faults.is_empty() && computed > 0, "{table}: a clean cold run");
+        let figure_spec = experiments::find(figure).expect("registered");
+        let (figured, hits, computed) = run_cached(&scheduler, &cache, figure_spec, &config);
+        assert_eq!((computed, hits), (0, runs), "{figure}: every run comes from {table}");
+        assert_eq!(figured.rows.len(), 5, "{figure}: one row per application");
+        assert!(figured.cell_faults.is_empty(), "{figure}: hits are clean");
+    }
+}
+
 #[test]
 fn overlapping_sweep_computes_each_unique_cell_exactly_once() {
     let spec = experiments::find("fig6").expect("fig6 registered");
@@ -130,7 +158,12 @@ fn warm_cache_reproduces_every_registered_spec_bit_identically() {
         let lookups_before = cache.stats().lookups();
         let (cold, cold_hits, _) = run_cached(&scheduler, &cache, spec, &config);
         assert!(cold.cell_faults.is_empty(), "{}: cold faults", spec.id);
-        assert_eq!(cold_hits, 0, "{}: first run of a spec cannot hit", spec.id);
+        assert_eq!(
+            cold_hits,
+            runs_shared_with_an_earlier_table(spec.id),
+            "{}: a first run hits only the runs an earlier table computed",
+            spec.id
+        );
         if keyed {
             // Warm pass: every cell answered from the cache, artifact unchanged.
             let (mut warm, hits, computed) = run_cached(&scheduler, &cache, spec, &config);
@@ -187,7 +220,11 @@ fn a_tiny_memory_budget_forces_constant_eviction_but_never_changes_results() {
         let spec = experiments::find(id).expect("registered");
         let (cold, cold_hits, _) = run_cached(&scheduler, &cache, spec, &config);
         assert!(cold.cell_faults.is_empty(), "{id}: cold faults under a tiny budget");
-        assert_eq!(cold_hits, 0, "{id}: first run of a spec cannot hit");
+        assert_eq!(
+            cold_hits,
+            runs_shared_with_an_earlier_table(id),
+            "{id}: a first run hits only the runs an earlier table computed"
+        );
         let (mut warm, _, computed) = run_cached(&scheduler, &cache, spec, &config);
         assert!(warm.cell_faults.is_empty(), "{id}: warm faults under a tiny budget");
         assert_eq!(computed, 0, "{id}: disk backs every evicted entry");

@@ -92,6 +92,71 @@ fn overlapping_sweep_reports_reused_cells() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Data rows of a CSV artifact (the header and `#` fault trailer skipped).
+fn csv_rows(csv: &str) -> Vec<&str> {
+    csv.lines().skip(1).filter(|line| !line.starts_with('#')).collect()
+}
+
+#[test]
+fn procs_one_computes_one_cell_per_unique_run() {
+    // At --procs 1, table2's parallel runs and fig07's sequential baselines are the
+    // runs they sit next to: 12 distinct (app, ordering) runs on one processor.
+    for (spec, artifact, rows) in [("table2", "table2.csv", 12), ("fig7", "fig07.csv", 5)] {
+        let dir = std::env::temp_dir().join(format!("xp-procs1-{spec}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = xp()
+            .args(["sweep", spec, "--procs", "1", "--scale", "tiny", "--format", "csv", "--out"])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("0 cache hits / 12 cell lookups"), "{spec}: {stderr}");
+        let csv = std::fs::read_to_string(dir.join(artifact)).unwrap();
+        assert_eq!(csv_rows(&csv).len(), rows, "{spec}: {csv}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A substrate cell that fails terminally drops exactly the rows built on it, in
+/// every spec that needs the run.  With one worker the failpoint's seeded 2-of-25
+/// schedule is a fixed function of evaluation order: it fires on table2's cell 11
+/// (Water-Spatial, hilbert, 16 processors) and on the one cell fig07 is left to
+/// compute, which is that same run (fig07's cell 8).
+#[cfg(feature = "failpoints")]
+#[test]
+fn a_failed_substrate_cell_drops_only_its_dependent_rows() {
+    let dir = std::env::temp_dir().join(format!("xp-substrate-fault-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = xp()
+        .env("FAILPOINTS", "runner/cell=2/25@27*return(injected failure)")
+        .env("XP_CELL_ATTEMPTS", "1")
+        .args(["sweep", "table2", "fig07", "--scale", "tiny", "--jobs", "1", "--format", "csv"])
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "a failed cell must make xp exit nonzero");
+
+    let table2 = std::fs::read_to_string(dir.join("table2.csv")).unwrap();
+    let rows = csv_rows(&table2);
+    assert_eq!(rows.len(), 11, "{table2}");
+    assert!(!rows.iter().any(|r| r.starts_with("Water-Spatial,hilbert,")), "{table2}");
+    let faults: Vec<&str> = table2.lines().filter(|l| l.starts_with("# cell-fault")).collect();
+    assert_eq!(faults.len(), 1, "{table2}");
+    assert!(faults[0].starts_with("# cell-fault,cell=11,status=failed,"), "{table2}");
+    assert!(faults[0].contains("injected failure"), "{table2}");
+
+    let fig07 = std::fs::read_to_string(dir.join("fig07.csv")).unwrap();
+    let rows = csv_rows(&fig07);
+    assert_eq!(rows.len(), 4, "{fig07}");
+    assert!(!rows.iter().any(|r| r.starts_with("Water-Spatial,")), "{fig07}");
+    let faults: Vec<&str> = fig07.lines().filter(|l| l.starts_with("# cell-fault")).collect();
+    assert_eq!(faults.len(), 1, "{fig07}");
+    assert!(faults[0].starts_with("# cell-fault,cell=8,status=failed,"), "{fig07}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn sweep_rejects_unknown_experiment_ids() {
     let out = xp().args(["sweep", "fig3", "nonsense"]).output().unwrap();
