@@ -1,6 +1,6 @@
 //! Content-addressed cell cache: canonical keys, a budgeted LRU memory store, an
-//! optional crash-safe on-disk layer, and opt-in single-flight claims with
-//! lease-based liveness.
+//! optional crash-safe on-disk layer, and opt-in single-flight claims backed by
+//! kernel file locks.
 //!
 //! The paper's evaluation is a grid of cells (app × ordering × granularity ×
 //! processor count), and overlapping sweeps recompute identical cells wholesale:
@@ -45,8 +45,10 @@
 //! # Crash safety
 //!
 //! The disk layer stores one file per key (`<hex key>.cell`) written through
-//! [`smtrace::AtomicFile`]: bytes stage into a `.tmp` sibling and rename onto the
-//! final path only after an fsync.  The `serve/cache-commit` failpoint sits between
+//! [`smtrace::AtomicFile`]: bytes stage into a `.tmp` sibling named uniquely per
+//! writer (`<hex key>.cell.<pid>.<seq>.tmp`, so two processes committing the same
+//! key never share a staging file) and rename onto the final path only after an
+//! fsync.  The `serve/cache-commit` failpoint sits between
 //! encode and commit, and `tests/failpoints_cache.rs` proves a crash there leaves
 //! *no* partial entry — the final path is absent and the temp is cleaned up (or,
 //! after SIGKILL, ignored by lookups and reaped by [`gc_dir`]), mirroring the PR 8
@@ -55,7 +57,7 @@
 //! absence) are classified: the offending path is named on stderr and counted in
 //! [`CacheStats::disk_errors`], and the lookup degrades to a miss.
 //!
-//! # Single-flight and leases
+//! # Single-flight and lock files
 //!
 //! [`CellCache::acquire`] is the opt-in dedup point for *in-flight* work: the
 //! first caller to reach a missing key gets [`Flight::Claimed`] (a [`ClaimGuard`])
@@ -65,30 +67,28 @@
 //!
 //! - **In-process**, the claim lives exactly as long as the guard — panic,
 //!   cancellation, or a failed cell drops the guard and wakes waiters.
-//! - **Cross-process**, a claim is a lease file (`<hex key>.lease`, single line
-//!   `xp-lease v1 pid=<pid> nonce=<hex> expires_unix_ms=<ms>`) created atomically
-//!   *with its content* by staging to a unique `.tmp` and `hard_link`ing onto the
-//!   lease path (link onto an existing path fails, so exactly one creator wins).
-//!   A background renewer thread extends the expiry every third of the lease
-//!   period ([`default_lease`], `XP_CACHE_LEASE_MS`) via rename-replace, so a
-//!   *live* claimant never expires — but a SIGKILLed one stops renewing and any
-//!   waiter steals the lease after expiry and computes.  Stolen or duplicated
-//!   compute is safe by construction: publishing is the existing idempotent
+//! - **Cross-process**, the claim is also an exclusive kernel lock
+//!   ([`fs::File::try_lock`], `flock` on Linux) on a zero-byte `<hex key>.lock`
+//!   beside the entry.  The kernel drops the lock the moment its holder exits,
+//!   `kill -9` included, so a dead claimant's cell is free again at once; a
+//!   lock file left behind by one is simply locked by the next claimant (counted
+//!   in [`CacheStats::flight_steals`]).  A releasing claimant unlinks the file
+//!   while still holding the lock, and a new claimant checks that the path still
+//!   names the inode it locked, so a lock on an unlinked file never counts.
+//!   Duplicated compute is safe by construction: publishing is the idempotent
 //!   complete-or-absent commit, so the worst case is wasted work, never wrong or
 //!   partial rows.
 //!
-//! Every transition is failpoint-instrumented (`cache/claim`, `cache/lease-renew`,
-//! `cache/lease-steal`, `cache/evict`, `cache/gc`) and exercised by the chaos
-//! battery in `tests/failpoints_flight.rs`.
+//! Every transition is failpoint-instrumented (`cache/claim`, `cache/evict`,
+//! `cache/gc`) and exercised by the chaos battery in `tests/failpoints_flight.rs`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::fs;
+use std::fs::{self, File, OpenOptions, TryLockError};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use smtrace::AtomicFile;
@@ -128,9 +128,9 @@ impl CellKey {
         format!("{self}.cell")
     }
 
-    /// File name of this key's single-flight lease.
-    pub fn lease_file_name(&self) -> String {
-        format!("{self}.lease")
+    /// File name of this key's single-flight lock.
+    pub fn lock_file_name(&self) -> String {
+        format!("{self}.lock")
     }
 }
 
@@ -215,14 +215,14 @@ pub struct CacheStats {
     pub misses: u64,
     /// Memory entries dropped to restore the [`MemBudget`].
     pub evictions: u64,
-    /// Disk-layer I/O failures (read, commit, or lease) — absence is a miss,
+    /// Disk-layer I/O failures (read, commit, or lock) — absence is a miss,
     /// not an error.  Surfaced in the serve `done`/`bye` summaries so a sick
     /// cache dir is visible to operators.
     pub disk_errors: u64,
     /// Cells settled by parking on another job's in-flight claim instead of
     /// recomputing (single-flight wins).
     pub flight_waits: u64,
-    /// Claims taken over from an expired lease (crashed or stalled claimant).
+    /// Claims taken over from a dead process.
     pub flight_steals: u64,
 }
 
@@ -260,20 +260,18 @@ impl MemBudget {
 pub struct CacheConfig {
     /// Disk layer directory (created if absent).
     pub disk: Option<PathBuf>,
-    /// Enable in-flight claim/lease coordination ([`CellCache::acquire`]).
+    /// Enable in-flight claim coordination ([`CellCache::acquire`]).
     pub single_flight: bool,
     /// Memory-layer LRU budget.
     pub mem_budget: MemBudget,
     /// Disk-layer byte budget: triggers [`gc_dir`] at open and periodically as
     /// writes accumulate.
     pub disk_budget: Option<u64>,
-    /// Lease period override; defaults to [`default_lease`].
-    pub lease: Option<Duration>,
 }
 
 /// The content-addressed cell store: an LRU in-memory layer, optionally backed
 /// by a directory of crash-safe `.cell` files, optionally coordinating
-/// in-flight work through claims and lease files.
+/// in-flight work through claims and lock files.
 #[derive(Debug)]
 pub struct CellCache {
     inner: Mutex<CacheState>,
@@ -284,7 +282,6 @@ pub struct CellCache {
     single_flight: bool,
     mem_budget: MemBudget,
     disk_budget: Option<u64>,
-    lease: Duration,
     /// Bytes written to disk since the last GC (auto-GC trigger accumulator).
     since_gc: AtomicU64,
     /// Serializes auto-GC runs (skipped, not queued, when one is in progress).
@@ -298,8 +295,8 @@ struct CacheState {
     recency: BTreeMap<u64, CellKey>,
     mem_bytes: u64,
     tick: u64,
-    /// In-flight claims held by this process: key → owner nonce.
-    flight: HashMap<CellKey, u64>,
+    /// Keys claimed by a live [`ClaimGuard`] of this process.
+    flight: HashSet<CellKey>,
     stats: CacheStats,
 }
 
@@ -326,15 +323,9 @@ pub fn entry_cost(rows: &[Row]) -> u64 {
     cost
 }
 
-/// The lease period: `XP_CACHE_LEASE_MS` (default 2000 ms, clamped to ≥ 25 ms so
-/// a renewer always gets several renewal windows before expiry).
-pub fn default_lease() -> Duration {
-    let ms = std::env::var("XP_CACHE_LEASE_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(2000);
-    Duration::from_millis(ms.max(25))
-}
+/// Age past which [`gc_dir`] treats a staging `*.tmp` as abandoned: a live
+/// writer stages and commits one cell in milliseconds.
+pub const STALE_TMP_AGE: Duration = Duration::from_secs(60);
 
 /// Outcome of [`CellCache::acquire`].
 #[derive(Debug)]
@@ -376,7 +367,6 @@ impl CellCache {
                 io::Error::new(e.kind(), format!("cache dir {}: {e}", dir.display()))
             })?;
         }
-        let lease = config.lease.unwrap_or_else(default_lease);
         let cache = CellCache {
             inner: Mutex::new(CacheState::default()),
             wake: Condvar::new(),
@@ -384,12 +374,11 @@ impl CellCache {
             single_flight: config.single_flight,
             mem_budget: config.mem_budget,
             disk_budget: config.disk_budget,
-            lease,
             since_gc: AtomicU64::new(0),
             gc_running: Mutex::new(()),
         };
         if let (Some(dir), Some(budget)) = (cache.disk.as_deref(), cache.disk_budget) {
-            gc_dir(dir, Some(budget), cache.lease)?;
+            gc_dir(dir, Some(budget))?;
         }
         Ok(cache)
     }
@@ -403,11 +392,6 @@ impl CellCache {
     /// [`CellCache::acquire`] iff so).
     pub fn single_flight(&self) -> bool {
         self.single_flight
-    }
-
-    /// The lease period claims are renewed against.
-    pub fn lease_period(&self) -> Duration {
-        self.lease
     }
 
     /// Current memory-layer occupancy: `(entries, charged bytes)`.
@@ -502,20 +486,26 @@ impl CellCache {
         }
     }
 
+    /// Memory, then disk, under the lock; a hit is counted, a miss is not.
+    fn lookup_locked(&self, st: &mut CacheState, key: CellKey) -> Option<Arc<Vec<Row>>> {
+        if let Some(rows) = Self::touch_locked(st, key) {
+            st.stats.memory_hits += 1;
+            return Some(rows);
+        }
+        let rows = self.disk_lookup(st, key)?;
+        st.stats.disk_hits += 1;
+        Some(rows)
+    }
+
     /// Look `key` up: memory, then disk.  A disk hit is promoted into memory; a
     /// corrupt disk entry counts as a miss.
     pub fn get(&self, key: CellKey) -> Option<Arc<Vec<Row>>> {
         let mut st = self.state();
-        if let Some(rows) = Self::touch_locked(&mut st, key) {
-            st.stats.memory_hits += 1;
-            return Some(rows);
+        let rows = self.lookup_locked(&mut st, key);
+        if rows.is_none() {
+            st.stats.misses += 1;
         }
-        if let Some(rows) = self.disk_lookup(&mut st, key) {
-            st.stats.disk_hits += 1;
-            return Some(rows);
-        }
-        st.stats.misses += 1;
-        None
+        rows
     }
 
     /// Store computed rows under `key` (memory always; disk when configured,
@@ -535,7 +525,7 @@ impl CellCache {
             let path = dir.join(key.file_name());
             let staged = (|| -> io::Result<u64> {
                 let bytes = encode_entry(key, &rows);
-                let mut file = AtomicFile::create(&path)?;
+                let mut file = AtomicFile::create_staged(&path, staging_path(dir, key))?;
                 file.write_all(&bytes)?;
                 // The crash window under test: the entry is fully staged but not
                 // yet durable.  Killed here, the final path must stay absent.
@@ -583,138 +573,60 @@ impl CellCache {
     /// exactly one hit or one miss (`Busy` counts nothing — the eventual
     /// re-acquire that settles it does).
     pub fn acquire(self: &Arc<Self>, key: CellKey) -> Flight {
-        let nonce = next_nonce();
         {
             let mut st = self.state();
-            if let Some(rows) = Self::touch_locked(&mut st, key) {
-                st.stats.memory_hits += 1;
+            if let Some(rows) = self.lookup_locked(&mut st, key) {
                 return Flight::Hit(rows);
-            }
-            if let Some(rows) = self.disk_lookup(&mut st, key) {
-                st.stats.disk_hits += 1;
-                return Flight::Hit(rows);
-            }
-            if st.flight.contains_key(&key) {
-                return Flight::Busy;
             }
             // Claim locally *before* releasing the lock so no second thread of
-            // this process races us to the lease file.
-            st.flight.insert(key, nonce);
-        }
-        // Until the ClaimGuard exists, *this* guard owns the rollback: any
-        // unwind below (e.g. an injected `cache/lease-steal` panic) must not
-        // leak the flight entry, or same-process waiters would wedge forever.
-        struct FlightRollback<'a> {
-            cache: &'a CellCache,
-            key: CellKey,
-            nonce: u64,
-            armed: bool,
-        }
-        impl Drop for FlightRollback<'_> {
-            fn drop(&mut self) {
-                if !self.armed {
-                    return;
-                }
-                let mut st = self.cache.state();
-                if st.flight.get(&self.key) == Some(&self.nonce) {
-                    st.flight.remove(&self.key);
-                }
-                drop(st);
-                self.cache.wake.notify_all();
+            // this process races us to the lock file.
+            if !st.flight.insert(key) {
+                return Flight::Busy;
             }
         }
-        let mut rollback = FlightRollback { cache: self, key, nonce, armed: true };
-        // Lease-file I/O happens outside the memory lock so hits on other keys
-        // never stall behind it.
-        let (file_lease, stole) = match self.try_disk_claim(key, nonce) {
-            DiskClaim::Won { lease, stole } => (lease, stole),
-            // The rollback guard removes the flight entry on return.
-            DiskClaim::Busy => return Flight::Busy,
-        };
-        if file_lease {
-            // Another process may have published between our lookup and the
-            // lease win (including a claimant that committed and then died
-            // before removing its lease — we just stole a finished cell).
-            let mut st = self.state();
-            if let Some(rows) = self.disk_lookup(&mut st, key) {
-                st.stats.disk_hits += 1;
-                st.flight.remove(&key);
-                drop(st);
-                self.release_lease(key, nonce);
-                self.wake.notify_all();
-                return Flight::Hit(rows);
-            }
-        }
-        {
-            let mut st = self.state();
-            st.stats.misses += 1;
-            if stole {
-                st.stats.flight_steals += 1;
-            }
-        }
-        let renewer = if file_lease {
-            self.disk.clone().map(|dir| spawn_renewer(dir, key, nonce, self.lease))
-        } else {
-            None
-        };
-        // The ClaimGuard takes over release duty from here.
-        rollback.armed = false;
-        let guard = ClaimGuard { cache: Arc::clone(self), key, nonce, file_lease, renewer };
-        // Fires after the guard exists: an injected panic here unwinds through
-        // the caller with the guard in scope, releasing the claim cleanly.
+        self.claim(key)
+    }
+
+    /// The claim half of [`CellCache::acquire`], for a key that missed and that
+    /// this thread has just entered in the flight table.
+    fn claim(self: &Arc<Self>, key: CellKey) -> Flight {
+        // The guard exists before any file I/O, so every exit below, unwinding
+        // included, releases the claim through its `Drop`.
+        let mut guard = ClaimGuard { cache: Arc::clone(self), key, lock: None };
         failpoint::point!("cache/claim");
+        let mut took_over = false;
+        if let Some(dir) = self.disk.as_deref() {
+            // Lock-file I/O happens outside the memory lock so hits on other keys
+            // never stall behind it.
+            let path = dir.join(key.lock_file_name());
+            match CellLock::try_take(&path) {
+                Ok(None) => return Flight::Busy,
+                Ok(Some((lock, existed))) => {
+                    guard.lock = Some(lock);
+                    took_over = existed;
+                    // Another process may have published between our lookup and
+                    // the lock, including a claimant that committed and then died
+                    // before unlinking its lock file.
+                    let mut st = self.state();
+                    if let Some(rows) = self.disk_lookup(&mut st, key) {
+                        st.stats.disk_hits += 1;
+                        return Flight::Hit(rows);
+                    }
+                }
+                Err(e) => {
+                    self.state().stats.disk_errors += 1;
+                    eprintln!(
+                        "xp: cannot lock cache claim {}: {e} (single-flighting in-process only)",
+                        path.display()
+                    );
+                }
+            }
+        }
+        let mut st = self.state();
+        st.stats.misses += 1;
+        st.stats.flight_steals += u64::from(took_over);
+        drop(st);
         Flight::Claimed(guard)
-    }
-
-    /// Try to take the cross-process lease for `key`.  No disk layer means the
-    /// in-process flight table is the only claim; a disk *error* degrades the
-    /// same way (named on stderr, `disk_errors` counted) rather than blocking.
-    fn try_disk_claim(&self, key: CellKey, nonce: u64) -> DiskClaim {
-        let Some(dir) = self.disk.as_deref() else {
-            return DiskClaim::Won { lease: false, stole: false };
-        };
-        let degraded = |e: io::Error| {
-            self.state().stats.disk_errors += 1;
-            eprintln!(
-                "xp: cannot write cache lease {}: {e} (single-flighting in-process only)",
-                dir.join(key.lease_file_name()).display()
-            );
-            DiskClaim::Won { lease: false, stole: false }
-        };
-        match write_lease_excl(dir, key, nonce, self.lease) {
-            Ok(true) => DiskClaim::Won { lease: true, stole: false },
-            Ok(false) => {
-                // Held.  Live holder → park; expired, corrupt, or vanished
-                // holder → steal.  A corrupt lease reads as stale on purpose:
-                // the idempotent publish makes a wrong steal cost only
-                // duplicated compute, never wrong rows.
-                let path = dir.join(key.lease_file_name());
-                let live = read_lease(&path).is_some_and(|l| l.expires_unix_ms > now_unix_ms());
-                if live {
-                    return DiskClaim::Busy;
-                }
-                failpoint::point!("cache/lease-steal");
-                match write_lease_replace(dir, key, nonce, self.lease) {
-                    Ok(true) => DiskClaim::Won { lease: true, stole: true },
-                    // A concurrent stealer's replace landed after ours: they own
-                    // the claim now, we park.
-                    Ok(false) => DiskClaim::Busy,
-                    Err(e) => degraded(e),
-                }
-            }
-            Err(e) => degraded(e),
-        }
-    }
-
-    /// Remove `key`'s lease file iff it still carries `nonce` (never clobber a
-    /// stealer's lease).
-    fn release_lease(&self, key: CellKey, nonce: u64) {
-        if let Some(dir) = &self.disk {
-            let path = dir.join(key.lease_file_name());
-            if read_lease(&path).is_some_and(|l| l.nonce == nonce) {
-                let _ = fs::remove_file(&path);
-            }
-        }
     }
 
     /// Auto-GC: once enough bytes have landed since the last pass, run
@@ -730,7 +642,7 @@ impl CellCache {
         }
         if let Ok(_running) = self.gc_running.try_lock() {
             self.since_gc.store(0, Ordering::Relaxed);
-            if let Err(e) = gc_dir(dir, Some(budget), self.lease) {
+            if let Err(e) = gc_dir(dir, Some(budget)) {
                 self.state().stats.disk_errors += 1;
                 eprintln!("xp: cache gc under {}: {e}", dir.display());
             }
@@ -738,25 +650,15 @@ impl CellCache {
     }
 }
 
-/// Outcome of the cross-process lease attempt.
-enum DiskClaim {
-    /// We own the claim; `lease` says a lease file (with renewer) backs it.
-    Won { lease: bool, stole: bool },
-    /// A live claimant (here or elsewhere) owns it.
-    Busy,
-}
-
 /// Ownership of one in-flight cell.  Publish by [`CellCache::insert`], then
 /// drop; dropping *without* publishing (panic, cancellation, terminal failure)
-/// releases the claim so a waiter can take over.  Never blocks on compute —
-/// the renewer thread is signalled and joined, not the cell.
+/// releases the claim so a waiter can take over.
 #[derive(Debug)]
 pub struct ClaimGuard {
     cache: Arc<CellCache>,
     key: CellKey,
-    nonce: u64,
-    file_lease: bool,
-    renewer: Option<Renewer>,
+    /// The cross-process half of the claim, when a disk layer backs it.
+    lock: Option<CellLock>,
 }
 
 impl ClaimGuard {
@@ -768,219 +670,94 @@ impl ClaimGuard {
 
 impl Drop for ClaimGuard {
     fn drop(&mut self) {
-        // Stop renewing first so the release below cannot race our own renewer
-        // re-creating the lease.
-        drop(self.renewer.take());
-        if self.file_lease {
-            self.cache.release_lease(self.key, self.nonce);
-        }
-        let mut st = self.cache.state();
-        if st.flight.get(&self.key) == Some(&self.nonce) {
-            st.flight.remove(&self.key);
-        }
-        drop(st);
+        drop(self.lock.take());
+        self.cache.state().flight.remove(&self.key);
         self.cache.wake.notify_all();
     }
 }
 
-/// Background lease-renewal thread handle; signalled and joined on drop.
+/// An exclusive kernel lock on a claim's lock file.  Dropping it unlinks the
+/// file while the lock is still held, then closes the file, which unlocks it.
 #[derive(Debug)]
-struct Renewer {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
+struct CellLock {
+    path: PathBuf,
+    _file: File,
 }
 
-impl Drop for Renewer {
-    fn drop(&mut self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        cv.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn spawn_renewer(dir: PathBuf, key: CellKey, nonce: u64, lease: Duration) -> Renewer {
-    let stop = Arc::new((Mutex::new(false), Condvar::new()));
-    let signal = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("xp-cache-lease".into())
-        .spawn(move || {
-            // A third of the period gives a live claimant several renewal
-            // windows before any waiter may legally steal.
-            let interval = (lease / 3).max(Duration::from_millis(10));
-            let (lock, cv) = &*signal;
-            loop {
-                {
-                    let stopped = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                    let (stopped, _timeout) =
-                        cv.wait_timeout(stopped, interval).unwrap_or_else(PoisonError::into_inner);
-                    if *stopped {
-                        return;
+impl CellLock {
+    /// Open or create `path` and try to lock it.  `Ok(None)` means another
+    /// process holds the lock; otherwise the flag says the file was already
+    /// there and unheld, i.e. left behind by a claimant that died.
+    fn try_take(path: &Path) -> io::Result<Option<(CellLock, bool)>> {
+        loop {
+            let (file, existed) = match OpenOptions::new().write(true).create_new(true).open(path) {
+                Ok(file) => (file, false),
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                    match OpenOptions::new().write(true).open(path) {
+                        Ok(file) => (file, true),
+                        // Its holder unlinked it since our create failed.
+                        Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                        Err(e) => return Err(e),
                     }
-                    // Guard dropped before the file I/O below: renewal must not
-                    // hold the stop lock (ClaimGuard::drop signals under it).
                 }
-                match renew_once(&dir, key, nonce, lease) {
-                    RenewOutcome::Lost => return,
-                    RenewOutcome::Renewed | RenewOutcome::Skipped => {}
-                }
+                Err(e) => return Err(e),
+            };
+            match file.try_lock() {
+                Ok(()) => {}
+                Err(TryLockError::WouldBlock) => return Ok(None),
+                Err(TryLockError::Error(e)) => return Err(e),
             }
-        })
-        .expect("spawn lease renewer");
-    Renewer { stop, handle: Some(handle) }
-}
-
-/// One renewal attempt.  `Lost` means another nonce owns the lease (we were
-/// stolen from — stop renewing, the computation still publishes idempotently);
-/// `Skipped` means a transient failure, retried next interval.
-enum RenewOutcome {
-    Renewed,
-    Skipped,
-    Lost,
-}
-
-fn renew_once(dir: &Path, key: CellKey, nonce: u64, lease: Duration) -> RenewOutcome {
-    failpoint::point!("cache/lease-renew", |_msg: String| RenewOutcome::Skipped);
-    let path = dir.join(key.lease_file_name());
-    match read_lease(&path) {
-        Some(l) if l.nonce != nonce => RenewOutcome::Lost,
-        Some(_ours) => match write_lease_replace(dir, key, nonce, lease) {
-            Ok(true) => RenewOutcome::Renewed,
-            Ok(false) => RenewOutcome::Lost,
-            Err(_) => RenewOutcome::Skipped,
-        },
-        // Missing or unreadable: self-heal by re-creating — if someone else
-        // beat us to it, the read-back tells us whether we were stolen from.
-        None => match write_lease_excl(dir, key, nonce, lease) {
-            Ok(true) => RenewOutcome::Renewed,
-            Ok(false) => match read_lease(&path) {
-                Some(l) if l.nonce == nonce => RenewOutcome::Renewed,
-                Some(_) => RenewOutcome::Lost,
-                None => RenewOutcome::Skipped,
-            },
-            Err(_) => RenewOutcome::Skipped,
-        },
-    }
-}
-
-/// A parsed lease file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Lease {
-    pid: u32,
-    nonce: u64,
-    expires_unix_ms: u128,
-}
-
-fn render_lease(nonce: u64, lease: Duration) -> String {
-    format!(
-        "xp-lease v1 pid={} nonce={:016x} expires_unix_ms={}\n",
-        std::process::id(),
-        nonce,
-        now_unix_ms() + lease.as_millis()
-    )
-}
-
-/// Tolerant token parser: unknown `k=v` pairs are ignored so the format can
-/// grow; any missing or malformed required field reads as corrupt (→ stale).
-fn parse_lease(text: &str) -> Option<Lease> {
-    let mut words = text.split_whitespace();
-    if words.next()? != "xp-lease" || words.next()? != "v1" {
-        return None;
-    }
-    let (mut pid, mut nonce, mut expires) = (None, None, None);
-    for word in words {
-        let (k, v) = word.split_once('=')?;
-        match k {
-            "pid" => pid = Some(v.parse::<u32>().ok()?),
-            "nonce" => nonce = Some(u64::from_str_radix(v, 16).ok()?),
-            "expires_unix_ms" => expires = Some(v.parse::<u128>().ok()?),
-            _ => {}
+            // A releaser unlinks before it unlocks, so a lock won on an inode the
+            // path no longer names guards nothing: retry on the current file.
+            if names_inode(path, &file)? {
+                return Ok(Some((CellLock { path: path.to_path_buf(), _file: file }, existed)));
+            }
         }
     }
-    Some(Lease { pid: pid?, nonce: nonce?, expires_unix_ms: expires? })
 }
 
-fn read_lease(path: &Path) -> Option<Lease> {
-    parse_lease(&fs::read_to_string(path).ok()?)
+impl Drop for CellLock {
+    fn drop(&mut self) {
+        // Unlinked under the lock: whoever locks this inode next finds that the
+        // path no longer names it and retries on a fresh file.
+        let _ = fs::remove_file(&self.path);
+    }
 }
 
-/// Stage a lease to a unique temp (fsync'd).  Unique per nonce so two processes
-/// renewing/stealing the same key never collide on a staging name.
-fn write_lease_tmp(dir: &Path, key: CellKey, nonce: u64, lease: Duration) -> io::Result<PathBuf> {
-    let tmp = dir.join(format!("{key}.lease.{nonce:016x}.tmp"));
-    let mut file = fs::File::create(&tmp)?;
-    file.write_all(render_lease(nonce, lease).as_bytes())?;
-    file.sync_all()?;
-    Ok(tmp)
-}
-
-/// Atomic create-*with-content*: `hard_link` publishes the staged bytes under
-/// the lease path only if nothing is there (link onto an existing path fails),
-/// so a competitor can never observe a created-but-empty lease and treat it as
-/// corrupt/stale.  `Ok(true)` = won, `Ok(false)` = already held.
-fn write_lease_excl(dir: &Path, key: CellKey, nonce: u64, lease: Duration) -> io::Result<bool> {
-    let tmp = write_lease_tmp(dir, key, nonce, lease)?;
-    let result = match fs::hard_link(&tmp, dir.join(key.lease_file_name())) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
+/// Whether `path` still names the file `file` has open.
+#[cfg(unix)]
+fn names_inode(path: &Path, file: &File) -> io::Result<bool> {
+    use std::os::unix::fs::MetadataExt;
+    let held = file.metadata()?;
+    match fs::metadata(path) {
+        Ok(named) => Ok((named.dev(), named.ino()) == (held.dev(), held.ino())),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
         Err(e) => Err(e),
-    };
-    let _ = fs::remove_file(&tmp);
-    result
-}
-
-/// Clobbering replace (steal or renew): rename onto the lease path, fsync the
-/// directory, then read back.  `Ok(true)` = our nonce survived; `Ok(false)` = a
-/// concurrent writer's rename landed after ours (they own the lease).
-fn write_lease_replace(dir: &Path, key: CellKey, nonce: u64, lease: Duration) -> io::Result<bool> {
-    let tmp = write_lease_tmp(dir, key, nonce, lease)?;
-    let path = dir.join(key.lease_file_name());
-    if let Err(e) = fs::rename(&tmp, &path) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
     }
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(read_lease(&path).is_some_and(|l| l.nonce == nonce))
 }
 
-fn now_unix_ms() -> u128 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis()).unwrap_or(0)
+/// Without inode numbers, assume it does: the race this check closes costs only
+/// a duplicated computation, which the complete-or-absent publish makes harmless.
+#[cfg(not(unix))]
+fn names_inode(_path: &Path, _file: &File) -> io::Result<bool> {
+    Ok(true)
 }
 
-/// Process-unique, collision-resistant claim nonces: a per-process random base
-/// (time ⊕ pid through splitmix) advanced by a counter.
-fn next_nonce() -> u64 {
-    static BASE: OnceLock<u64> = OnceLock::new();
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let base = *BASE.get_or_init(|| {
-        let nanos =
-            SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_nanos() as u64).unwrap_or(0);
-        splitmix(nanos ^ ((std::process::id() as u64) << 32))
-    });
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    splitmix(base.wrapping_add(n.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+/// A staging name no other writer uses: the pid separates processes, the
+/// counter separates writers within one.
+fn staging_path(dir: &Path, key: CellKey) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    dir.join(format!("{}.{}.{seq}.tmp", key.file_name(), std::process::id()))
 }
 
 /// What one [`gc_dir`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Stray staging files (older than one lease period) removed.
+    /// Stray staging files (older than [`STALE_TMP_AGE`]) removed.
     pub reaped_tmp: u64,
-    /// Expired or corrupt lease files removed.
-    pub reaped_leases: u64,
+    /// Lock files no live claimant held, removed.
+    pub reaped_locks: u64,
     /// `.cell` entries removed to meet the byte budget (oldest first).
     pub evicted_entries: u64,
     /// Bytes those entries held.
@@ -991,13 +768,13 @@ pub struct GcReport {
     pub kept_bytes: u64,
 }
 
-/// Garbage-collect a cache directory: reap stray `*.tmp` older than one lease
-/// period (a live writer stages and commits well within it), reap lease files
-/// expired for more than a lease period (a live claimant renews every third),
-/// and — with a byte budget — evict `.cell` entries oldest-first until the
-/// directory fits.  Safe to run concurrently with active processes: everything
-/// it removes is either provably abandoned or reproducible from recompute.
-pub fn gc_dir(dir: &Path, budget: Option<u64>, lease: Duration) -> io::Result<GcReport> {
+/// Garbage-collect a cache directory: reap stray `*.tmp` older than
+/// [`STALE_TMP_AGE`], reap the lock files of claimants that died (those it can
+/// lock), and — with a byte budget — evict `.cell` entries oldest-first until
+/// the directory fits.  Safe to run concurrently with active processes:
+/// everything it removes is either provably abandoned or reproducible from
+/// recompute.
+pub fn gc_dir(dir: &Path, budget: Option<u64>) -> io::Result<GcReport> {
     failpoint::point!("cache/gc", |msg: String| Err(io::Error::other(msg)));
     let mut report = GcReport::default();
     let now_sys = SystemTime::now();
@@ -1016,18 +793,13 @@ pub fn gc_dir(dir: &Path, budget: Option<u64>, lease: Duration) -> io::Result<Gc
         let modified = meta.modified().unwrap_or(UNIX_EPOCH);
         let age = now_sys.duration_since(modified).unwrap_or(Duration::ZERO);
         if name.ends_with(".tmp") {
-            if age >= lease && fs::remove_file(&path).is_ok() {
+            if age >= STALE_TMP_AGE && fs::remove_file(&path).is_ok() {
                 report.reaped_tmp += 1;
             }
-        } else if name.ends_with(".lease") {
-            let expired = match read_lease(&path) {
-                Some(l) => now_unix_ms() >= l.expires_unix_ms.saturating_add(lease.as_millis()),
-                // Unreadable/corrupt: reap once it is old enough that no live
-                // renewer can still be about to fix it.
-                None => age >= lease,
-            };
-            if expired && fs::remove_file(&path).is_ok() {
-                report.reaped_leases += 1;
+        } else if name.ends_with(".lock") {
+            // Dropping the taken lock unlinks the file.
+            if let Ok(Some((_lock, true))) = CellLock::try_take(&path) {
+                report.reaped_locks += 1;
             }
         } else if name.ends_with(".cell") {
             cells.push((path, modified, meta.len()));
@@ -1059,10 +831,10 @@ pub struct DiskInfo {
     pub bytes: u64,
     /// Staging `*.tmp` files present.
     pub staging: u64,
-    /// Lease files present.
-    pub leases: u64,
-    /// Leases whose expiry is still in the future.
-    pub live_leases: u64,
+    /// Claim lock files present.
+    pub locks: u64,
+    /// Lock files a live claimant holds.
+    pub held_locks: u64,
 }
 
 /// Census a cache directory without modifying it.
@@ -1080,11 +852,11 @@ pub fn disk_info(dir: &Path) -> io::Result<DiskInfo> {
         }
         if name.ends_with(".tmp") {
             info.staging += 1;
-        } else if name.ends_with(".lease") {
-            info.leases += 1;
-            if read_lease(&entry.path()).is_some_and(|l| l.expires_unix_ms > now_unix_ms()) {
-                info.live_leases += 1;
-            }
+        } else if name.ends_with(".lock") {
+            info.locks += 1;
+            let held = File::open(entry.path())
+                .is_ok_and(|f| matches!(f.try_lock(), Err(TryLockError::WouldBlock)));
+            info.held_locks += u64::from(held);
         } else if name.ends_with(".cell") {
             info.entries += 1;
             info.bytes += meta.len();
@@ -1351,20 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn lease_format_roundtrips_and_tolerates_unknown_fields() {
-        let text = render_lease(0xabcd, Duration::from_millis(500));
-        let lease = parse_lease(&text).expect("own format parses");
-        assert_eq!(lease.pid, std::process::id());
-        assert_eq!(lease.nonce, 0xabcd);
-        assert!(lease.expires_unix_ms > now_unix_ms());
-        let extended = text.trim_end().to_string() + " future_field=7\n";
-        assert_eq!(parse_lease(&extended), Some(lease), "unknown fields ignored");
-        assert!(parse_lease("xp-lease v2 pid=1 nonce=0 expires_unix_ms=1").is_none());
-        assert!(parse_lease("xp-lease v1 pid=1 nonce=zz expires_unix_ms=1").is_none());
-        assert!(parse_lease("garbage").is_none());
-    }
-
-    #[test]
     fn acquire_single_flights_within_a_process() {
         let cache = Arc::new(
             CellCache::with_config(CacheConfig { single_flight: true, ..CacheConfig::default() })
@@ -1388,60 +1146,60 @@ mod tests {
     }
 
     #[test]
-    fn acquire_steals_expired_leases_and_parks_on_live_ones() {
-        let dir = temp_dir("lease");
+    fn acquire_parks_on_held_locks_and_takes_over_dead_ones() {
+        let dir = temp_dir("lock");
         let mk = || {
             Arc::new(
                 CellCache::with_config(CacheConfig {
                     disk: Some(dir.clone()),
                     single_flight: true,
-                    lease: Some(Duration::from_millis(60_000)),
                     ..CacheConfig::default()
                 })
                 .unwrap(),
             )
         };
-        let key = KeyBuilder::new("steal").field_u64("i", 1).finish();
-        let lease_path = dir.join(key.lease_file_name());
+        let key = KeyBuilder::new("lock").field_u64("i", 1).finish();
+        let lock_path = dir.join(key.lock_file_name());
 
-        // A live, far-future lease held by "another process" parks us.
-        let cache = mk();
-        fs::write(
-            &lease_path,
-            format!(
-                "xp-lease v1 pid=1 nonce=00000000000000aa expires_unix_ms={}\n",
-                now_unix_ms() + 60_000
-            ),
-        )
-        .unwrap();
-        assert!(matches!(cache.acquire(key), Flight::Busy));
-        assert_eq!(cache.stats().flight_steals, 0);
-
-        // An expired lease (dead claimant) is stolen.
-        fs::write(&lease_path, "xp-lease v1 pid=1 nonce=00000000000000aa expires_unix_ms=1\n")
-            .unwrap();
-        let Flight::Claimed(guard) = cache.acquire(key) else { panic!("expired lease is stolen") };
-        assert_eq!(cache.stats().flight_steals, 1);
-        let stolen = read_lease(&lease_path).expect("our lease is in place");
-        assert_eq!(stolen.pid, std::process::id());
+        // A second cache on the same dir (another process, in effect) parks
+        // while the first holds the lock, and claims once it is released.
+        let (a, b) = (mk(), mk());
+        let Flight::Claimed(guard) = a.acquire(key) else { panic!("first acquire claims") };
+        assert!(lock_path.exists());
+        assert!(matches!(b.acquire(key), Flight::Busy), "b parks on a's lock");
         drop(guard);
-        assert!(!lease_path.exists(), "released claim removes its lease");
+        assert!(!lock_path.exists(), "a released claim unlinks its lock file");
+        let Flight::Claimed(guard) = b.acquire(key) else { panic!("a released lock is free") };
+        drop(guard);
+        assert_eq!(b.stats().flight_steals, 0);
 
-        // A corrupt lease reads as stale and is stolen too.
-        fs::write(&lease_path, "not a lease\n").unwrap();
-        assert!(matches!(cache.acquire(key), Flight::Claimed(_)));
+        // A leftover unheld lock file (its claimant died) is taken over at once.
+        fs::write(&lock_path, b"").unwrap();
+        let Flight::Claimed(guard) = b.acquire(key) else { panic!("a dead lock is taken over") };
+        assert_eq!(b.stats().flight_steals, 1);
+        drop(guard);
+        assert!(!lock_path.exists());
+
+        // A claimant that committed and died before unlinking: the entry lands
+        // between b's lookup and b's lock, so the re-check hits and the leftover
+        // lock file goes.
+        fs::write(&lock_path, b"").unwrap();
+        a.insert(key, Arc::new(demo_rows())).unwrap();
+        assert!(b.state().flight.insert(key));
+        assert!(matches!(b.claim(key), Flight::Hit(_)));
+        assert!(!lock_path.exists(), "the leftover lock file is removed");
+        assert!(b.state().flight.is_empty(), "the hit releases the claim");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn two_cache_instances_single_flight_against_each_other_via_lease_files() {
+    fn two_cache_instances_single_flight_against_each_other_via_lock_files() {
         let dir = temp_dir("xproc");
         let mk = || {
             Arc::new(
                 CellCache::with_config(CacheConfig {
                     disk: Some(dir.clone()),
                     single_flight: true,
-                    lease: Some(Duration::from_millis(60_000)),
                     ..CacheConfig::default()
                 })
                 .unwrap(),
@@ -1451,7 +1209,7 @@ mod tests {
         let b = mk();
         let key = KeyBuilder::new("xproc").field_u64("i", 1).finish();
         let Flight::Claimed(guard) = a.acquire(key) else { panic!() };
-        assert!(matches!(b.acquire(key), Flight::Busy), "b parks on a's lease");
+        assert!(matches!(b.acquire(key), Flight::Busy), "b parks on a's lock");
         a.insert(key, Arc::new(demo_rows())).unwrap();
         drop(guard);
         assert!(matches!(b.acquire(key), Flight::Hit(_)), "b reads a's published cell");
@@ -1478,44 +1236,40 @@ mod tests {
     }
 
     #[test]
-    fn gc_reaps_stale_tmp_and_expired_leases_and_bounds_cells() {
+    fn gc_reaps_stale_tmp_and_dead_locks_and_bounds_cells() {
         let dir = temp_dir("gc");
         let k = |i: u64| KeyBuilder::new("gc").field_u64("i", i).finish();
-        {
-            let cache = CellCache::with_disk(&dir).unwrap();
-            for i in 0..4 {
-                cache.insert(k(i), Arc::new(demo_rows())).unwrap();
-            }
+        let cache = Arc::new(
+            CellCache::with_config(CacheConfig {
+                disk: Some(dir.clone()),
+                single_flight: true,
+                ..CacheConfig::default()
+            })
+            .unwrap(),
+        );
+        for i in 0..4 {
+            cache.insert(k(i), Arc::new(demo_rows())).unwrap();
         }
-        fs::write(dir.join("stray.cell.tmp"), b"abandoned staging").unwrap();
-        fs::write(
-            dir.join(k(9).lease_file_name()),
-            "xp-lease v1 pid=1 nonce=0000000000000001 expires_unix_ms=1\n",
-        )
-        .unwrap();
-        let live_lease = dir.join(k(8).lease_file_name());
-        fs::write(
-            &live_lease,
-            format!(
-                "xp-lease v1 pid=1 nonce=0000000000000002 expires_unix_ms={}\n",
-                now_unix_ms() + 60_000
-            ),
-        )
-        .unwrap();
+        let stray = dir.join("stray.cell.tmp");
+        fs::write(&stray, b"abandoned staging").unwrap();
+        let aged = SystemTime::now() - STALE_TMP_AGE * 2;
+        File::options().write(true).open(&stray).unwrap().set_modified(aged).unwrap();
+        fs::write(dir.join("fresh.cell.tmp"), b"a live writer's staging").unwrap();
+        fs::write(dir.join(k(9).lock_file_name()), b"").unwrap();
+        let Flight::Claimed(guard) = cache.acquire(k(8)) else { panic!("fresh key claims") };
+        let held_lock = dir.join(k(8).lock_file_name());
         let cell_len = fs::metadata(dir.join(k(0).file_name())).unwrap().len();
-        // Zero lease period: every tmp is "older than a lease", the expired
-        // lease is reapable immediately, and the live one still is not.
         let budget = cell_len * 2;
-        let report = gc_dir(&dir, Some(budget), Duration::ZERO).unwrap();
-        assert_eq!(report.reaped_tmp, 1);
-        assert_eq!(report.reaped_leases, 1);
+        let report = gc_dir(&dir, Some(budget)).unwrap();
+        assert_eq!(report.reaped_tmp, 1, "only the aged staging file is reaped");
+        assert_eq!(report.reaped_locks, 1, "the dead claimant's lock is reaped");
         assert_eq!(report.evicted_entries, 2, "oldest cells evicted to budget");
         assert_eq!(report.kept_entries, 2);
         assert!(report.kept_bytes <= budget);
-        assert!(live_lease.exists(), "live leases survive gc");
+        assert!(held_lock.exists(), "held locks survive gc");
         let info = disk_info(&dir).unwrap();
-        assert_eq!((info.entries, info.staging, info.leases), (2, 0, 1));
-        assert_eq!(info.live_leases, 1);
+        assert_eq!((info.entries, info.staging, info.locks, info.held_locks), (2, 1, 1, 1));
+        drop(guard);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

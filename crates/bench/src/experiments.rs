@@ -2,8 +2,8 @@
 //!
 //! Each spec is an [`ExperimentSpec`]: metadata plus a `run` function that builds the
 //! independent cells of its method × workload × substrate matrix and fans them out via
-//! [`runner::run_cells`].  The `xp` binary and the legacy `src/bin/` entry points both
-//! execute these specs; DESIGN.md §5 holds the table/figure → id index.
+//! [`runner::run_cells`].  The `xp` binary executes these specs; DESIGN.md §5 holds
+//! the table/figure → id index.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -21,7 +21,7 @@ use workloads::{cubic_lattice, two_plummer, UnstructuredMesh};
 
 use crate::cache::{CellKey, KeyBuilder};
 use crate::row;
-use crate::runner::{run_keyed_cells, ExperimentSpec, Format, Row, RunConfig, Value};
+use crate::runner::{run_keyed_cells, ExperimentSpec, Row, RunConfig, Value};
 use crate::{build_run, build_run_sized, AppKind, Ordering, Scale};
 
 /// Canonical name of a scale for cell keys (lowercase, stable).
@@ -319,13 +319,6 @@ pub fn all() -> &'static [ExperimentSpec] {
 /// Look an experiment up by id or alias.
 pub fn find(name: &str) -> Option<&'static ExperimentSpec> {
     EXPERIMENTS.iter().find(|spec| spec.matches(name))
-}
-
-/// Entry point for the legacy `src/bin/` wrappers: run `id` with the environment
-/// configuration and print the text rendering (`xp <...>` is the full interface).
-pub fn print_legacy(id: &str) {
-    let spec = find(id).unwrap_or_else(|| panic!("unknown experiment id {id:?}"));
-    print!("{}", spec.execute(&RunConfig::from_env()).render(Format::Text));
 }
 
 fn orderings_for(app: AppKind, dsm_order: bool) -> Vec<Ordering> {
@@ -1601,6 +1594,7 @@ fn run_ablation_unit_sweep(cfg: &RunConfig) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Format;
 
     #[test]
     fn registry_ids_and_aliases_are_unique() {
@@ -1614,7 +1608,7 @@ mod tests {
         assert_eq!(
             all().len(),
             17,
-            "12 legacy specs + the reorder-cost, sim-, dsm-, gen- and trace-throughput benches"
+            "12 paper specs + the reorder-cost, sim-, dsm-, gen- and trace-throughput benches"
         );
     }
 

@@ -1,10 +1,9 @@
 //! # `repro-bench` — experiment harness for every table and figure of the paper
 //!
 //! Each table and figure of the evaluation section is a declarative spec in
-//! [`experiments`], executed by the parallel [`runner`] and reachable both through the
-//! unified `xp` binary (`xp table 2`, `xp fig 5 --format json`) and through the legacy
-//! per-experiment binaries in `src/bin/` (see DESIGN.md §5 for the index).  The shared
-//! application plumbing lives at the crate root:
+//! [`experiments`], executed by the parallel [`runner`] and reachable through the
+//! unified `xp` binary (`xp table 2`, `xp fig 5 --format json`; see DESIGN.md §5 for
+//! the index).  The shared application plumbing lives at the crate root:
 //!
 //! * [`AppKind`] / [`Ordering`] — the five benchmark applications and the data
 //!   orderings compared (original random order, Hilbert, Morton, column, row);
@@ -12,11 +11,8 @@
 //!   an access trace over a given number of virtual processors, and report the cost of
 //!   the reordering call itself (the "Cost of Reorder" columns of Tables 2 and 3);
 //! * [`Scale`] — problem sizes: `Paper` uses the sizes from Table 1 of the paper,
-//!   `Small` uses reduced sizes so every experiment binary finishes in seconds.  Select
+//!   `Small` uses reduced sizes so every experiment finishes in seconds.  Select
 //!   the paper sizes by setting the environment variable `REPRO_FULL=1`.
-//!
-//! All binaries print plain-text tables to stdout so their output can be diffed against
-//! EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
 
@@ -125,7 +121,7 @@ pub enum Scale {
     /// Smoke-test sizes: every experiment finishes in well under a second (used by
     /// the CI `xp bench reorder-cost --scale tiny` step).
     Tiny,
-    /// Reduced sizes so every binary runs in seconds (default).
+    /// Reduced sizes so every experiment runs in seconds (default).
     Small,
     /// The paper's Table 1 sizes (65 536 bodies, 32 768 molecules, …).
     Paper,
@@ -206,7 +202,7 @@ pub fn build_run(
 }
 
 /// Like [`build_run`] but with explicit object count and iteration count (used by the
-/// figure binaries that need specific sizes, e.g. 168 or 32 768 bodies).
+/// figure specs that need specific sizes, e.g. 168 or 32 768 bodies).
 pub fn build_run_sized(
     app: AppKind,
     ordering: Ordering,
@@ -356,30 +352,6 @@ pub fn fmt_f(v: f64) -> String {
     }
 }
 
-/// Print a simple aligned text table: a header row followed by data rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:width$}", c, width = widths.get(i).copied().unwrap_or(8) + 2))
-            .collect::<String>()
-    };
-    println!("{}", line(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
-    for row in rows {
-        println!("{}", line(row));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,12 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn table_formatting_does_not_panic() {
-        print_table(
-            "test",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["3".into(), "44444".into()]],
-        );
+    fn fmt_f_scales_precision_with_magnitude() {
         assert_eq!(fmt_f(0.0), "0");
         assert_eq!(fmt_f(123.4), "123");
         assert_eq!(fmt_f(1.5), "1.50");

@@ -4,8 +4,8 @@
 //! Every table, figure, and ablation of the paper is described by an
 //! [`ExperimentSpec`]: an id, a column list, a note block, and a `run` function that
 //! maps a [`RunConfig`] to data [`Row`]s.  The specs live in
-//! [`crate::experiments`]; the `xp` binary (crate `xp-cli`) and the legacy per-table
-//! binaries in `src/bin/` are both thin shells over this module.
+//! [`crate::experiments`]; the `xp` binary (crate `xp-cli`) is a thin shell over this
+//! module.
 //!
 //! Independent cells of an experiment's method × workload × substrate matrix are
 //! executed in parallel via [`run_cells`] (rayon worker threads, order-preserving),
@@ -49,8 +49,8 @@ pub enum Value {
 }
 
 impl Value {
-    /// Render for the aligned text table (floats use the engineering format the
-    /// legacy binaries used).
+    /// Render for the aligned text table (floats use the engineering format of
+    /// [`fmt_f`]).
     pub fn as_text(&self) -> String {
         match self {
             Value::Str(s) => s.clone(),
@@ -143,13 +143,13 @@ pub struct RunConfig {
     /// Override for the experiment's virtual-processor count (default: the count the
     /// paper uses for that experiment, usually 16).
     pub procs: Option<usize>,
-    /// Override for the workload seed (default: the per-experiment seed the legacy
-    /// binaries shipped with, so recorded outputs stay reproducible).
+    /// Override for the workload seed (default: each experiment's own seed, so
+    /// recorded outputs stay reproducible).
     pub seed: Option<u64>,
 }
 
 impl RunConfig {
-    /// Scale from `REPRO_FULL`, no overrides — the legacy binaries' behaviour.
+    /// Scale from `REPRO_FULL`, no overrides.
     pub fn from_env() -> Self {
         RunConfig { scale: Scale::from_env(), procs: None, seed: None }
     }
@@ -171,7 +171,7 @@ pub struct ExperimentSpec {
     pub id: &'static str,
     /// Alternative names accepted by lookup (`fig2`, `fig5`, ...).
     pub aliases: &'static [&'static str],
-    /// Human title (the legacy binary's table caption).
+    /// Human title (the text table's caption).
     pub title: &'static str,
     /// Column identifiers, snake_case, shared by all output formats.
     pub columns: &'static [&'static str],
@@ -227,7 +227,7 @@ impl ExperimentSpec {
 /// Output format selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
-    /// Aligned table plus notes (the legacy binaries' stdout shape).
+    /// Aligned table plus notes.
     Text,
     /// One self-describing JSON object.
     Json,

@@ -35,6 +35,10 @@ use rayon::prelude::*;
 use crate::cache::{CellCache, CellKey, ClaimGuard, Flight};
 use crate::runner::{ExperimentResult, ExperimentSpec, Row, RunConfig};
 
+/// How long a job with only parked cells sleeps between re-polls when nothing
+/// wakes it: another process's publish or release signals no condvar here.
+const PARK_POLL: Duration = Duration::from_millis(50);
+
 /// How one cell of an experiment ended up, after all retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellStatus {
@@ -645,7 +649,7 @@ where
         }
 
         // Cells still pending exhausted their retry budget: abandon their
-        // claims so a parked waiter (this process or another) steals and tries
+        // claims so a parked waiter (this process or another) claims and tries
         // for itself instead of wedging on a terminally failed claimant.
         for i in pending.drain(..) {
             guards.remove(&i);
@@ -674,7 +678,7 @@ where
                     progressed = true;
                 }
                 Flight::Claimed(guard) => {
-                    // The claimant died or gave up — we stole the claim; the
+                    // The claimant died or gave up — the claim is ours now; the
                     // cell re-enters the wave loop with a fresh retry budget.
                     guards.insert(i, guard);
                     pending.push(i);
@@ -686,11 +690,8 @@ where
         waiting = still_waiting;
         if !progressed {
             // Nothing to compute and nothing settled: park until a publish or
-            // release (or a fraction of the lease period, so an expired lease
-            // is noticed promptly even if its owner died without a wakeup).
-            let poll = (cache.lease_period() / 8)
-                .clamp(Duration::from_millis(10), Duration::from_millis(50));
-            cache.wait_change(poll);
+            // release in this process, or for one poll period.
+            cache.wait_change(PARK_POLL);
         }
     }
     let mut outcomes = Vec::new();

@@ -1,8 +1,8 @@
 //! Chaos battery for the single-flight transitions: a crash injected at every
-//! instrumented site (`cache/claim`, `cache/lease-renew`, `cache/lease-steal`,
-//! `cache/evict`, `cache/gc`, plus the `serve/cache-commit` publish) must
-//! leave no wedged waiter, no partial entry, and no budget overrun — the
-//! liveness half of the lease protocol (DESIGN.md §14).
+//! instrumented site (`cache/claim`, `cache/evict`, `cache/gc`, plus the
+//! `serve/cache-commit` publish) must leave no wedged waiter, no partial entry,
+//! and no budget overrun — the liveness half of the claim protocol (DESIGN.md
+//! §14).
 //!
 //! Compiled only under `--features failpoints`.
 #![cfg(feature = "failpoints")]
@@ -10,9 +10,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::SystemTime;
 
-use repro_bench::cache::{gc_dir, CacheConfig, CellCache, CellKey, Flight, KeyBuilder, MemBudget};
+use repro_bench::cache::{
+    gc_dir, CacheConfig, CellCache, CellKey, Flight, KeyBuilder, MemBudget, STALE_TMP_AGE,
+};
 use repro_bench::row;
 use repro_bench::runner::{ExperimentSpec, RunConfig};
 use repro_bench::scheduler::{run_keyed_cells, JobCounters, JobSession, Scheduler};
@@ -62,80 +64,6 @@ fn a_panic_at_the_claim_site_releases_the_claim() {
 }
 
 #[test]
-fn a_panic_at_the_lease_steal_site_leaves_no_wedged_waiter() {
-    let _serial = serialize();
-    let dir = temp_dir("steal");
-    let key = key("steal");
-    // A crashed process's expired lease: the steal path is the one that fires.
-    std::fs::write(
-        dir.join(key.lease_file_name()),
-        "xp-lease v1 pid=1 nonce=00000000deadbeef expires_unix_ms=1\n",
-    )
-    .unwrap();
-    let cache = flight_cache(CacheConfig { disk: Some(dir.clone()), ..CacheConfig::default() });
-
-    {
-        let _guard =
-            failpoint::configure_guard("cache/lease-steal", "1*panic(crashed stealer)").unwrap();
-        catch_unwind(AssertUnwindSafe(|| cache.acquire(key)))
-            .expect_err("the steal failpoint must panic");
-    }
-
-    // The crashed steal rolled its in-process flight entry back: the same
-    // cache claims (stealing the still-expired lease) instead of parking.
-    match cache.acquire(key) {
-        Flight::Claimed(guard) => {
-            cache.insert(key, Arc::new(vec![row![1u64]])).unwrap();
-            drop(guard);
-        }
-        other => panic!("no wedged waiter after a crashed steal, got {other:?}"),
-    }
-    assert_eq!(cache.stats().flight_steals, 1);
-    assert!(dir.join(key.file_name()).exists(), "publish landed");
-    assert!(!dir.join(key.lease_file_name()).exists(), "lease released after publish");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn a_stalled_renewer_lets_another_process_steal_within_the_lease_window() {
-    let _serial = serialize();
-    let dir = temp_dir("renew");
-    let key = key("renew");
-    let lease = Duration::from_millis(100);
-    let config =
-        || CacheConfig { disk: Some(dir.clone()), lease: Some(lease), ..CacheConfig::default() };
-
-    // Process A claims, but its renewer's writes all fail (a stalled disk).
-    let _stall = failpoint::configure_guard("cache/lease-renew", "return(io stall)").unwrap();
-    let a = flight_cache(config());
-    let guard_a = match a.acquire(key) {
-        Flight::Claimed(guard) => guard,
-        other => panic!("expected a fresh claim, got {other:?}"),
-    };
-
-    // Process B parks while the lease is live…
-    let b = flight_cache(config());
-    assert!(matches!(b.acquire(key), Flight::Busy), "a live lease parks the second process");
-
-    // …and steals once the unrenewed lease expires — within one lease window.
-    std::thread::sleep(lease * 2 + Duration::from_millis(50));
-    let guard_b = match b.acquire(key) {
-        Flight::Claimed(guard) => guard,
-        other => panic!("an unrenewed lease must be stealable, got {other:?}"),
-    };
-    assert_eq!(b.stats().flight_steals, 1);
-    b.insert(key, Arc::new(vec![row![2u64]])).unwrap();
-    drop(guard_b);
-
-    // A's late release must not clobber B's published work (nonce mismatch).
-    drop(guard_a);
-    let fresh = Arc::new(CellCache::with_disk(&dir).unwrap());
-    let rows = fresh.get(key).expect("the stolen cell was published");
-    assert_eq!(rows.len(), 1);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn a_panic_during_eviction_degrades_one_op_and_the_next_insert_restores_the_budget() {
     let _serial = serialize();
     let cache = flight_cache(CacheConfig {
@@ -168,11 +96,13 @@ fn an_injected_gc_failure_is_an_error_not_damage() {
     let cache = Arc::new(CellCache::with_disk(&dir).unwrap());
     cache.insert(key, Arc::new(vec![row![4u64]])).unwrap();
     std::fs::write(dir.join("stray.tmp"), b"leftover staging").unwrap();
-    std::thread::sleep(Duration::from_millis(10));
+    let aged = SystemTime::now() - STALE_TMP_AGE * 2;
+    let stray = std::fs::File::options().write(true).open(dir.join("stray.tmp")).unwrap();
+    stray.set_modified(aged).unwrap();
 
     {
         let _guard = failpoint::configure_guard("cache/gc", "1*return(disk offline)").unwrap();
-        let err = gc_dir(&dir, None, Duration::from_millis(1)).expect_err("injected gc failure");
+        let err = gc_dir(&dir, None).expect_err("injected gc failure");
         assert!(err.to_string().contains("disk offline"), "got {err}");
         // Nothing was touched: the entry and even the stray tmp are intact.
         assert!(dir.join(key.file_name()).exists());
@@ -180,7 +110,7 @@ fn an_injected_gc_failure_is_an_error_not_damage() {
     }
 
     // Disarmed, the same call reaps the stray staging file and keeps the entry.
-    let report = gc_dir(&dir, None, Duration::from_millis(1)).unwrap();
+    let report = gc_dir(&dir, None).unwrap();
     assert_eq!(report.reaped_tmp, 1);
     assert_eq!(report.kept_entries, 1);
     assert!(dir.join(key.file_name()).exists());

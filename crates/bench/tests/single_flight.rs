@@ -1,7 +1,7 @@
 //! Scheduler-level single-flight: concurrent identical jobs compute each cell
 //! exactly once with counters bit-identical to serial submission, parked jobs
-//! settle when the claimant publishes, expired leases from dead processes are
-//! stolen, and terminal failures (including `TimedOut` under the wave
+//! settle when the claimant publishes, lock files left by dead processes are
+//! taken over, and terminal failures (including `TimedOut` under the wave
 //! scheduler) release the claim instead of wedging the next job.
 //!
 //! Tests in this file serialize on one mutex: several mutate process-global
@@ -203,7 +203,7 @@ fn a_parked_job_settles_when_the_claimant_publishes() {
 }
 
 // ---------------------------------------------------------------------------
-// An expired lease left by a dead process is stolen, computed, and cleaned up.
+// A lock file left by a dead process is taken over, computed, and cleaned up.
 
 fn steal_key() -> CellKey {
     KeyBuilder::new("single-flight-steal").field_u64("cell", 0).finish()
@@ -213,7 +213,7 @@ fn steal_spec() -> ExperimentSpec {
     ExperimentSpec {
         id: "sf_steal",
         aliases: &[],
-        title: "Single-flight lease steal",
+        title: "Single-flight takeover",
         columns: &["x"],
         notes: &[],
         run: |_cfg| run_keyed_cells(vec![(steal_key(), 0usize)], |_| vec![row![7u64]]),
@@ -221,16 +221,12 @@ fn steal_spec() -> ExperimentSpec {
 }
 
 #[test]
-fn an_expired_lease_from_a_dead_process_is_stolen() {
+fn a_lock_file_left_by_a_dead_process_is_taken_over() {
     let _serial = serialize();
     let dir = temp_dir("steal");
-    // A crashed claimant's residue: a lease that expired long ago (epoch+1ms),
-    // written in the documented on-disk format.
-    std::fs::write(
-        dir.join(steal_key().lease_file_name()),
-        "xp-lease v1 pid=1 nonce=00000000deadbeef expires_unix_ms=1\n",
-    )
-    .unwrap();
+    // A crashed claimant's residue: its lock file, which the kernel unlocked
+    // when the process died.
+    std::fs::write(dir.join(steal_key().lock_file_name()), b"").unwrap();
 
     let config =
         CacheConfig { disk: Some(dir.clone()), single_flight: true, ..CacheConfig::default() };
@@ -241,9 +237,9 @@ fn an_expired_lease_from_a_dead_process_is_stolen() {
 
     assert_eq!(result.rows.len(), 1);
     assert_eq!(counters.computed_cells.load(Ordering::SeqCst), 1);
-    assert_eq!(cache.stats().flight_steals, 1, "the dead claimant's lease was stolen");
+    assert_eq!(cache.stats().flight_steals, 1, "the dead claimant's claim was taken over");
     assert!(dir.join(steal_key().file_name()).exists(), "publish committed the entry");
-    assert!(!dir.join(steal_key().lease_file_name()).exists(), "the stolen lease was released");
+    assert!(!dir.join(steal_key().lock_file_name()).exists(), "the lock file was released");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -62,10 +62,10 @@ OPTIONS:
     --cache-dir <path>        persist computed cells on disk (sweep, serve, cache)
     --single-flight           dedupe identical *in-flight* cells (sweep and serve):
                               the first job claims a cell, identical waiters park
-                              on a liveness lease instead of recomputing; with
-                              --cache-dir two processes single-flight against
-                              each other through lease files (period:
-                              XP_CACHE_LEASE_MS, default 2000 ms)
+                              instead of recomputing; with --cache-dir two
+                              processes single-flight against each other through
+                              kernel-locked files, freed the moment a claimant
+                              exits (kill -9 included)
     --cache-mem-budget <sz>   bound the in-memory cell cache (LRU eviction):
                               bytes with an optional k/m/g suffix, or an entry
                               count with an `e` suffix (e.g. 64m, 100e)
@@ -106,7 +106,7 @@ struct Options {
     jobs: Option<usize>,
     /// `--cache-dir PATH`: on-disk layer of the cell cache (sweep, serve, cache).
     cache_dir: Option<PathBuf>,
-    /// `--single-flight`: dedupe identical in-flight cells via claims + leases.
+    /// `--single-flight`: dedupe identical in-flight cells via claims + lock files.
     single_flight: bool,
     /// `--cache-mem-budget SZ`: LRU bound on the in-memory cell cache.
     cache_mem_budget: MemBudget,
@@ -388,7 +388,6 @@ fn open_cache(options: &Options) -> Result<Arc<CellCache>, String> {
         single_flight: options.single_flight,
         mem_budget: options.cache_mem_budget,
         disk_budget: options.cache_disk_budget,
-        lease: None,
     };
     let cache =
         CellCache::with_config(config).map_err(|e| format!("cannot open cell cache: {e}"))?;
@@ -412,25 +411,25 @@ fn run_cache(args: &[String]) -> Result<(), String> {
     };
     let rendered = match action {
         "gc" => {
-            let report = cache::gc_dir(dir, options.cache_disk_budget, cache::default_lease())
+            let report = cache::gc_dir(dir, options.cache_disk_budget)
                 .map_err(|e| format!("cache gc: {e}"))?;
             match options.format {
                 Format::Json => format!(
-                    "{{\"reaped_tmp\": {}, \"reaped_leases\": {}, \"evicted_entries\": {}, \
+                    "{{\"reaped_tmp\": {}, \"reaped_locks\": {}, \"evicted_entries\": {}, \
                      \"evicted_bytes\": {}, \"kept_entries\": {}, \"kept_bytes\": {}}}\n",
                     report.reaped_tmp,
-                    report.reaped_leases,
+                    report.reaped_locks,
                     report.evicted_entries,
                     report.evicted_bytes,
                     report.kept_entries,
                     report.kept_bytes
                 ),
                 _ => format!(
-                    "cache gc {}: reaped {} staging file(s) and {} lease(s), evicted {} \
+                    "cache gc {}: reaped {} staging file(s) and {} lock file(s), evicted {} \
                      entr(y/ies) ({} bytes), kept {} ({} bytes)\n",
                     dir.display(),
                     report.reaped_tmp,
-                    report.reaped_leases,
+                    report.reaped_locks,
                     report.evicted_entries,
                     report.evicted_bytes,
                     report.kept_entries,
@@ -442,19 +441,19 @@ fn run_cache(args: &[String]) -> Result<(), String> {
             let info = cache::disk_info(dir).map_err(|e| format!("cache info: {e}"))?;
             match options.format {
                 Format::Json => format!(
-                    "{{\"entries\": {}, \"bytes\": {}, \"staging\": {}, \"leases\": {}, \
-                     \"live_leases\": {}}}\n",
-                    info.entries, info.bytes, info.staging, info.leases, info.live_leases
+                    "{{\"entries\": {}, \"bytes\": {}, \"staging\": {}, \"locks\": {}, \
+                     \"held_locks\": {}}}\n",
+                    info.entries, info.bytes, info.staging, info.locks, info.held_locks
                 ),
                 _ => format!(
-                    "cache {}: {} entr(y/ies), {} bytes, {} staging file(s), {} lease(s) \
-                     ({} live)\n",
+                    "cache {}: {} entr(y/ies), {} bytes, {} staging file(s), {} lock file(s) \
+                     ({} held)\n",
                     dir.display(),
                     info.entries,
                     info.bytes,
                     info.staging,
-                    info.leases,
-                    info.live_leases
+                    info.locks,
+                    info.held_locks
                 ),
             }
         }
@@ -518,7 +517,7 @@ fn run_sweep(ids: &[String], options: &Options) -> Result<(), String> {
     );
     if stats.flight_waits > 0 || stats.flight_steals > 0 {
         eprintln!(
-            "  single-flight: {} cell(s) settled by waiting, {} lease(s) stolen",
+            "  single-flight: {} cell(s) settled by waiting, {} dead claimant(s) taken over",
             stats.flight_waits, stats.flight_steals
         );
     }

@@ -1,16 +1,16 @@
 //! Black-box tests of the cache-robustness surface: `xp cache gc|info`,
 //! two processes coordinating through a shared `--cache-dir`, and the crash
-//! smoke — a kill -9'd claimant whose leases a second process steals, with the
-//! final artifact bit-identical to a clean run.
+//! smoke — a kill -9'd claimant whose claims a second process takes over, with
+//! the final artifact bit-identical to a clean run.
 //!
 //! Built with `--features failpoints`, the kill test holds the first process
-//! mid-compute via `FAILPOINTS=runner/cell=delay(...)` so the steal path is
+//! mid-compute via `FAILPOINTS=runner/cell=delay(...)` so the takeover path is
 //! exercised deterministically; without the feature it degrades to a
 //! shared-dir warm-start check.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 fn xp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_xp"))
@@ -50,15 +50,12 @@ fn cache_gc_and_info_manage_a_cache_dir() {
     let cells = files_with_extension(&cache, "cell").len();
     assert!(cells > 0, "the sweep must commit cache entries");
 
-    // A stray staging file older than a lease period is reaped; entries stay.
-    std::fs::write(cache.join("stray.tmp"), b"leftover staging").unwrap();
-    std::thread::sleep(Duration::from_millis(120));
-    let gc = xp()
-        .env("XP_CACHE_LEASE_MS", "50")
-        .args(["cache", "gc", "--cache-dir"])
-        .arg(&cache)
-        .output()
-        .unwrap();
+    // A stray staging file an hour old is reaped; entries stay.
+    let stray = cache.join("stray.tmp");
+    std::fs::write(&stray, b"leftover staging").unwrap();
+    let an_hour_ago = SystemTime::now() - Duration::from_secs(3600);
+    std::fs::File::options().write(true).open(&stray).unwrap().set_modified(an_hour_ago).unwrap();
+    let gc = xp().args(["cache", "gc", "--cache-dir"]).arg(&cache).output().unwrap();
     assert!(gc.status.success(), "{}", String::from_utf8_lossy(&gc.stderr));
     let stdout = String::from_utf8_lossy(&gc.stdout);
     assert!(stdout.contains("reaped 1 staging file(s)"), "got: {stdout}");
@@ -129,8 +126,8 @@ fn two_processes_single_flight_through_a_shared_cache_dir() {
         std::fs::read(out2.join("fig03.csv")).unwrap(),
         "both processes must produce bit-identical artifacts"
     );
-    // Clean exit leaves no leases or staging behind.
-    assert_eq!(files_with_extension(&cache, "lease").len(), 0);
+    // Clean exit leaves no lock files or staging behind.
+    assert_eq!(files_with_extension(&cache, "lock").len(), 0);
     assert_eq!(files_with_extension(&cache, "tmp").len(), 0);
 
     for dir in [&cache, &out1, &out2] {
@@ -139,7 +136,7 @@ fn two_processes_single_flight_through_a_shared_cache_dir() {
 }
 
 #[test]
-fn a_killed_claimant_is_stolen_and_the_result_is_bit_identical() {
+fn a_killed_claimant_is_taken_over_and_the_result_is_bit_identical() {
     let cache = temp_dir("kill-cache");
     let (out_clean, out_b) = (temp_dir("kill-clean"), temp_dir("kill-b"));
 
@@ -159,7 +156,6 @@ fn a_killed_claimant_is_stolen_and_the_result_is_bit_identical() {
     // without the feature compiled in, FAILPOINTS is inert and A just runs.
     let mut a = xp()
         .env("FAILPOINTS", "runner/cell=delay(4000)")
-        .env("XP_CACHE_LEASE_MS", "300")
         .args(["sweep", "fig3", "--scale", "tiny", "--single-flight"])
         .arg("--cache-dir")
         .arg(&cache)
@@ -170,12 +166,12 @@ fn a_killed_claimant_is_stolen_and_the_result_is_bit_identical() {
         .spawn()
         .unwrap();
 
-    // Wait for A's leases to appear, then kill -9 the claimant.
+    // Wait for A's lock files to appear, then kill -9 the claimant.
     let deadline = Instant::now() + Duration::from_secs(10);
-    let mut saw_lease = false;
+    let mut saw_lock = false;
     while Instant::now() < deadline {
-        if !files_with_extension(&cache, "lease").is_empty() {
-            saw_lease = true;
+        if !files_with_extension(&cache, "lock").is_empty() {
+            saw_lock = true;
             break;
         }
         if a.try_wait().unwrap().is_some() {
@@ -186,15 +182,14 @@ fn a_killed_claimant_is_stolen_and_the_result_is_bit_identical() {
     let _ = a.kill();
     let _ = a.wait();
     if cfg!(feature = "failpoints") {
-        assert!(saw_lease, "a stalled claimant must be holding lease files");
+        assert!(saw_lock, "a stalled claimant must be holding lock files");
     }
 
-    // Process B over the same dir: parks on the live leases, steals them when
-    // they expire (the dead claimant cannot renew), computes, and produces an
-    // artifact bit-identical to the clean run.
+    // Process B over the same dir: the kernel released the dead claimant's
+    // locks, so B takes its leftover lock files over at once, computes, and
+    // produces an artifact bit-identical to the clean run.
     let b = xp()
         .env_remove("FAILPOINTS")
-        .env("XP_CACHE_LEASE_MS", "300")
         .args(["sweep", "fig3", "--scale", "tiny", "--single-flight", "--format", "csv"])
         .arg("--cache-dir")
         .arg(&cache)
@@ -203,14 +198,14 @@ fn a_killed_claimant_is_stolen_and_the_result_is_bit_identical() {
         .output()
         .unwrap();
     assert!(b.status.success(), "{}", String::from_utf8_lossy(&b.stderr));
-    if cfg!(feature = "failpoints") && saw_lease {
+    if cfg!(feature = "failpoints") && saw_lock {
         let stderr = String::from_utf8_lossy(&b.stderr);
-        assert!(stderr.contains("lease(s) stolen"), "B must report the steal: {stderr}");
+        assert!(stderr.contains("taken over"), "B must report the takeover: {stderr}");
     }
     assert_eq!(
         std::fs::read(out_clean.join("fig03.csv")).unwrap(),
         std::fs::read(out_b.join("fig03.csv")).unwrap(),
-        "the stolen run must be bit-identical to the clean run"
+        "the taken-over run must be bit-identical to the clean run"
     );
 
     for dir in [&cache, &clean_cache, &out_clean, &out_b] {

@@ -37,7 +37,13 @@ pub struct AtomicFile {
 impl AtomicFile {
     /// Start writing `dest` through its `.tmp` sibling (created truncating).
     pub fn create(dest: &Path) -> io::Result<AtomicFile> {
-        let tmp = tmp_path(dest);
+        AtomicFile::create_staged(dest, tmp_path(dest))
+    }
+
+    /// Start writing `dest` through the staging file `tmp` (created truncating), which
+    /// must sit in `dest`'s directory.  Writers that may race on one destination each
+    /// pass a unique `tmp`, so none truncates or renames another's staged bytes.
+    pub fn create_staged(dest: &Path, tmp: PathBuf) -> io::Result<AtomicFile> {
         let file = File::create(&tmp)?;
         Ok(AtomicFile {
             inner: Some(BufWriter::with_capacity(1 << 20, file)),

@@ -22,9 +22,8 @@
 //! ```
 //!
 //! and the unified `xp` experiment runner (`cargo run --release -p xp-cli -- list`),
-//! which regenerates every table and figure of the paper; the legacy one-binary-per-
-//! experiment entry points in `crates/bench/src/bin/` delegate to the same specs (see
-//! DESIGN.md for the index and EXPERIMENTS.md for recorded results).
+//! which regenerates every table and figure of the paper (see DESIGN.md for the index
+//! and EXPERIMENTS.md for recorded results).
 //!
 //! The paper's "one library call" experience, through the umbrella crate:
 //!
