@@ -1,9 +1,9 @@
 //! Declarative specs for every table, figure, and ablation of the paper.
 //!
 //! Each spec is an [`ExperimentSpec`]: metadata plus a `run` function that builds the
-//! independent cells of its method × workload × substrate matrix and fans them out via
-//! [`runner::run_cells`].  The `xp` binary executes these specs; DESIGN.md §5 holds
-//! the table/figure → id index.
+//! independent, content-addressed cells of its method × workload × substrate matrix
+//! and fans them out via [`run_keyed_cells`].  The `xp` binary executes these specs;
+//! DESIGN.md §5 holds the table/figure → id index.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -21,7 +21,8 @@ use workloads::{cubic_lattice, two_plummer, UnstructuredMesh};
 
 use crate::cache::{CellKey, KeyBuilder};
 use crate::row;
-use crate::runner::{run_keyed_cells, ExperimentSpec, Row, RunConfig, Value};
+use crate::runner::{ExperimentSpec, Row, RunConfig, Value};
+use crate::scheduler::run_keyed_cells;
 use crate::{build_run, build_run_sized, AppKind, Ordering, Scale};
 
 /// Canonical name of a scale for cell keys (lowercase, stable).
@@ -565,10 +566,10 @@ fn run_table3(cfg: &RunConfig) -> Vec<Row> {
 const FMM_INTERVAL_PHASES: [&str; 4] =
     ["Build tree", "Tree traversal (P2M)", "Inter/Intra particle", "Other (update)"];
 
-fn fmm_phase_costs(n: usize, reorder: bool, procs: usize, seed: u64) -> Vec<(String, f64)> {
+fn fmm_phase_costs(n: usize, ordering: Ordering, procs: usize, seed: u64) -> Vec<(String, f64)> {
     let mut sim = Fmm::two_plummer(n, seed, FmmParams::default());
-    if reorder {
-        sim.reorder(Method::Hilbert);
+    if let Ordering::Reordered(method) = ordering {
+        sim.reorder(method);
     }
     let trace = sim.trace_iterations(1, procs);
     let config = DsmConfig::cluster(procs);
@@ -604,19 +605,46 @@ fn run_table4(cfg: &RunConfig) -> Vec<Row> {
     let n = if cfg.scale == Scale::Paper { 16_384 } else { 4_096 };
     let procs = cfg.procs_or(16);
     let seed = cfg.seed_or(77);
-    let both = crate::runner::par_map(vec![false, true], |reorder| {
-        fmm_phase_costs(n, reorder, procs, seed)
-    });
-    let (original, reordered) = (&both[0], &both[1]);
-    let mut rows: Vec<Row> = original
-        .iter()
-        .zip(reordered)
-        .map(|((phase, orig), (_, reord))| row![phase.clone(), *orig, *reord])
+    let orderings = [Ordering::Original, Ordering::Reordered(Method::Hilbert)];
+    let cells: Vec<(CellKey, Ordering)> = orderings
+        .into_iter()
+        .map(|ordering| {
+            let key = KeyBuilder::new("table4")
+                .field_usize("bodies", n)
+                .field_usize("procs", procs)
+                .field_u64("seed", seed)
+                .field_str("ordering", &ordering.name())
+                .finish();
+            (key, ordering)
+        })
         .collect();
-    let total_orig: f64 = original.iter().map(|(_, t)| t).sum();
-    let total_reord: f64 = reordered.iter().map(|(_, t)| t).sum();
-    rows.push(row!["Total", total_orig, total_reord]);
-    rows
+    // Cell rows are (ordering, phase, seconds); a table row needs both orderings.
+    let rows = run_keyed_cells(cells, |ordering| {
+        fmm_phase_costs(n, ordering, procs, seed)
+            .into_iter()
+            .map(|(phase, seconds)| row![ordering.name(), phase, seconds])
+            .collect()
+    });
+    let costs = |ordering: Ordering| -> Vec<(&Value, f64)> {
+        let tag = Value::Str(ordering.name());
+        rows.iter()
+            .filter(|r| r.cells[0] == tag)
+            .map(|r| (&r.cells[1], float(&r.cells[2])))
+            .collect()
+    };
+    let (original, reordered) = (costs(orderings[0]), costs(orderings[1]));
+    if original.is_empty() || reordered.is_empty() {
+        return Vec::new();
+    }
+    let total = |costs: &[(&Value, f64)]| -> f64 { costs.iter().map(|(_, t)| t).sum() };
+    original
+        .iter()
+        .zip(&reordered)
+        .map(|(&(phase, orig), &(_, reord))| Row {
+            cells: vec![phase.clone(), orig.into(), reord.into()],
+        })
+        .chain(std::iter::once(row!["Total", total(&original), total(&reordered)]))
+        .collect()
 }
 
 fn run_fig01_04(cfg: &RunConfig) -> Vec<Row> {
@@ -1551,44 +1579,58 @@ fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
     rows
 }
 
+/// Consistency-unit ladder of the unit-size ablation, in bytes.
+const UNIT_SWEEP_BYTES: [usize; 6] = [128, 512, 1024, 4096, 8192, 16384];
+
 fn run_ablation_unit_sweep(cfg: &RunConfig) -> Vec<Row> {
     let n = if cfg.scale == Scale::Paper { 32_000 } else { 6_000 };
     let procs = cfg.procs_or(16);
     let seed = cfg.seed_or(31);
-    // Stage 1: trace the two reordered versions in parallel.
-    let traces = crate::runner::par_map(vec![Method::Hilbert, Method::Column], |method| {
-        let mut sim = Moldyn::lattice(n, seed, MoldynParams::default());
-        sim.reorder(method);
-        (sim.trace_steps(2, procs), sim.layout())
-    });
-    // Stage 2: sweep unit sizes in parallel over the shared traces.
-    let traces = &traces;
-    let keyed: Vec<(CellKey, usize)> = [128usize, 512, 1024, 4096, 8192, 16384]
+    let cells: Vec<(CellKey, Method)> = [Method::Hilbert, Method::Column]
         .into_iter()
-        .map(|unit| {
-            let key = KeyBuilder::new("ablation_unit_sweep")
+        .map(|method| {
+            let key = KeyBuilder::new("unit_sweep_run")
                 .field_usize("molecules", n)
                 .field_usize("procs", procs)
                 .field_u64("seed", seed)
-                .field_usize("unit", unit)
+                .field_str("ordering", method.name())
                 .finish();
-            (key, unit)
+            (key, method)
         })
         .collect();
-    run_keyed_cells(keyed, move |unit| {
-        let mut message_counts = Vec::new();
-        let mut cells: Vec<crate::runner::Value> = vec![unit.into()];
-        for (trace, layout) in traces {
-            let sim = TreadMarksSim::new(DsmConfig::new(unit, procs));
-            let r = sim.run_with_layout(trace, layout);
-            message_counts.push(r.stats.messages);
-            cells.push(r.stats.messages.into());
-            cells.push(r.stats.data_mbytes().into());
-        }
-        cells
-            .push(if message_counts[0] <= message_counts[1] { "hilbert" } else { "column" }.into());
-        vec![Row { cells }]
-    })
+    // One traced run per ordering, reduced to a page history at every unit size in a
+    // single streaming pass; cell rows are (ordering, unit, messages, data).
+    let rows = run_keyed_cells(cells, |method| {
+        let mut sim = Moldyn::lattice(n, seed, MoldynParams::default());
+        sim.reorder(method);
+        let mut sink = PageHistorySink::with_granularities(sim.layout(), procs, &UNIT_SWEEP_BYTES);
+        sim.stream_steps(2, &mut sink);
+        sink.finish_all()
+            .iter()
+            .map(|history| {
+                let config = DsmConfig::new(history.page_bytes, procs);
+                let stats = TreadMarksSim::new(config).run_history(history).stats;
+                row![method.name(), history.page_bytes, stats.messages, stats.data_mbytes()]
+            })
+            .collect()
+    });
+    // A unit's row needs both orderings' measurements.
+    let measured = |method: Method, unit: usize| {
+        let (tag, unit) = (Value::from(method.name()), Value::from(unit));
+        rows.iter().find(|r| r.cells[0] == tag && r.cells[1] == unit).map(|r| &r.cells[2..])
+    };
+    UNIT_SWEEP_BYTES
+        .into_iter()
+        .filter_map(|unit| {
+            let hilbert = measured(Method::Hilbert, unit)?;
+            let column = measured(Method::Column, unit)?;
+            let fewer = if float(&hilbert[0]) <= float(&column[0]) { "hilbert" } else { "column" };
+            let mut cells = vec![unit.into()];
+            cells.extend(hilbert.iter().chain(column).cloned());
+            cells.push(fewer.into());
+            Some(Row { cells })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1722,38 +1764,52 @@ mod tests {
     #[test]
     fn dsm_run_rows_match_per_protocol_run_with_layout() {
         // One shared page history per dsm_run cell must give exactly what each
-        // protocol computes when it reduces the trace on its own.
-        let (scale, seed, procs) = (Scale::Tiny, 3, 4);
-        let versions = table_versions(true);
-        let run = |app, ordering| SubstrateRun { app, ordering, procs };
-        let runs = run_substrate(
-            Substrate::Dsm,
-            scale,
-            seed,
-            versions.iter().map(|&(app, o)| run(app, o)),
-        );
-        let config = DsmConfig::cluster(procs);
-        let cost = NetworkCostModel::default();
-        for (app, ordering) in versions {
-            let traced = build_run(app, ordering, scale, procs, seed);
-            let want: Vec<Value> = [
-                TreadMarksSim::new(config).run_with_layout(&traced.trace, &traced.layout),
-                HlrcSim::new(config).run_with_layout(&traced.trace, &traced.layout),
-            ]
-            .iter()
-            .flat_map(|result| {
-                let est = cost.estimate(result);
-                [
-                    Value::Float(est.sequential_seconds),
-                    Value::Float(est.parallel_seconds),
-                    Value::Float(result.stats.data_mbytes()),
-                    Value::from(result.stats.messages),
+        // protocol computes when it reduces the trace on its own.  The check runs
+        // as a spec body, because cells only run inside a scheduled job.
+        fn check(_cfg: &RunConfig) -> Vec<Row> {
+            let (scale, seed, procs) = (Scale::Tiny, 3, 4);
+            let versions = table_versions(true);
+            let run = |app, ordering| SubstrateRun { app, ordering, procs };
+            let runs = run_substrate(
+                Substrate::Dsm,
+                scale,
+                seed,
+                versions.iter().map(|&(app, o)| run(app, o)),
+            );
+            let config = DsmConfig::cluster(procs);
+            let cost = NetworkCostModel::default();
+            for (app, ordering) in versions {
+                let traced = build_run(app, ordering, scale, procs, seed);
+                let want: Vec<Value> = [
+                    TreadMarksSim::new(config).run_with_layout(&traced.trace, &traced.layout),
+                    HlrcSim::new(config).run_with_layout(&traced.trace, &traced.layout),
                 ]
-            })
-            .collect();
-            let got = runs.get(run(app, ordering)).expect("every cell succeeds");
-            assert_eq!(got[1..], want[..], "{} {}", app.name(), ordering.name());
+                .iter()
+                .flat_map(|result| {
+                    let est = cost.estimate(result);
+                    [
+                        Value::Float(est.sequential_seconds),
+                        Value::Float(est.parallel_seconds),
+                        Value::Float(result.stats.data_mbytes()),
+                        Value::from(result.stats.messages),
+                    ]
+                })
+                .collect();
+                let got = runs.get(run(app, ordering)).expect("every cell succeeds");
+                assert_eq!(got[1..], want[..], "{} {}", app.name(), ordering.name());
+            }
+            Vec::new()
         }
+        let spec = ExperimentSpec {
+            id: "dsm_run_check",
+            aliases: &[],
+            title: "dsm_run rows against per-protocol replay",
+            columns: &[],
+            notes: &[],
+            run: check,
+        };
+        let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: None, seed: None });
+        assert!(result.cell_faults.is_empty(), "{:?}", result.cell_faults);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # `repro-bench` — experiment harness for every table and figure of the paper
 //!
 //! Each table and figure of the evaluation section is a declarative spec in
-//! [`experiments`], executed by the parallel [`runner`] and reachable through the
-//! unified `xp` binary (`xp table 2`, `xp fig 5 --format json`; see DESIGN.md §5 for
-//! the index).  The shared application plumbing lives at the crate root:
+//! [`experiments`] (described by [`runner`], executed by [`scheduler`]),
+//! reachable through the unified `xp` binary (`xp table 2`, `xp fig 5 --format
+//! json`; see DESIGN.md §5 for the index).  The shared application plumbing lives at the crate root:
 //!
 //! * [`AppKind`] / [`Ordering`] — the five benchmark applications and the data
 //!   orderings compared (original random order, Hilbert, Morton, column, row);

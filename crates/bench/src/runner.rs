@@ -1,41 +1,25 @@
-//! The experiment runner: declarative specs, parallel cell execution, and
-//! machine-readable output.
+//! The declarative side of the harness: specs, results, and machine-readable
+//! output.
 //!
 //! Every table, figure, and ablation of the paper is described by an
 //! [`ExperimentSpec`]: an id, a column list, a note block, and a `run` function that
 //! maps a [`RunConfig`] to data [`Row`]s.  The specs live in
 //! [`crate::experiments`]; the `xp` binary (crate `xp-cli`) is a thin shell over this
-//! module.
+//! module.  Results render as aligned text, JSON, or CSV via
+//! [`ExperimentResult::render`].
 //!
-//! Independent cells of an experiment's method × workload × substrate matrix are
-//! executed in parallel via [`run_cells`] (rayon worker threads, order-preserving),
-//! and results render as aligned text, JSON, or CSV via [`ExperimentResult::render`].
-//!
-//! # Fault isolation and scheduling
-//!
-//! Each cell attempt runs inside `catch_unwind` on a pool worker, so one panicking
-//! or failing cell can no longer abort a whole experiment: the runner classifies
-//! every cell into a [`CellOutcome`] (ok / failed / panicked / timed-out against a
-//! wall-clock watchdog), retries failures with bounded deterministic backoff
-//! ([`FaultPolicy`]), and ships the surviving rows plus a failure summary through
-//! every output format.  See DESIGN.md §13 for the full fault model.
-//!
-//! Since PR 9 the *execution* machinery lives in [`crate::scheduler`] (fair
-//! bounded dispatch across concurrent experiments, the content-addressed cell
-//! cache hook, streamed per-cell events for `xp serve`) — this module keeps the
-//! declarative side (specs, results, rendering) and re-exports the execution API
-//! under its historical paths, so `repro_bench::runner::run_cells` et al. keep
-//! working.
+//! Execution lives in [`crate::scheduler`]: a spec runs only under
+//! [`Scheduler::execute`] (plain [`ExperimentSpec::execute`] delegates to a
+//! pool-sized scheduler), and its cells run only through
+//! [`crate::scheduler::run_keyed_cells`] — guarded per attempt, retried under a
+//! [`FaultPolicy`](crate::scheduler::FaultPolicy), and classified into
+//! [`CellOutcome`]s that every output format ships alongside the surviving rows.
+//! See DESIGN.md §13 for the fault model.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use crate::scheduler::{CellOutcome, CellStatus, JobSession, Scheduler};
 use crate::{fmt_f, Scale};
-
-pub use crate::scheduler::{
-    par_map, run_cells, run_cells_with_policy, run_keyed_cells, CellOutcome, CellStatus,
-    FaultPolicy,
-};
 
 /// One cell value: a label, a count, or a measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,40 +171,11 @@ impl ExperimentSpec {
         self.id == name || self.aliases.contains(&name)
     }
 
-    /// Execute the spec, timing it, with the fault policy from the environment
-    /// (`XP_CELL_ATTEMPTS` / `XP_CELL_BACKOFF_MS` / `XP_CELL_TIMEOUT_MS`).
+    /// Execute the spec under a pool-sized [`Scheduler`] and a default session:
+    /// no cache, the fault policy from the environment (`XP_CELL_ATTEMPTS` /
+    /// `XP_CELL_BACKOFF_MS` / `XP_CELL_TIMEOUT_MS`).
     pub fn execute(&self, config: &RunConfig) -> ExperimentResult {
-        self.execute_with_policy(config, FaultPolicy::from_env())
-    }
-
-    /// Execute the spec under an explicit [`FaultPolicy`]: a fault collector is
-    /// installed around the `run` function, so every [`run_cells`] call inside it
-    /// retries under `policy` and reports its [`CellOutcome`]s into the result
-    /// instead of aborting the experiment.
-    pub fn execute_with_policy(&self, config: &RunConfig, policy: FaultPolicy) -> ExperimentResult {
-        let t0 = Instant::now();
-        let (rows, cell_faults) =
-            crate::scheduler::with_fault_collector(policy, || (self.run)(config));
-        for row in &rows {
-            assert_eq!(
-                row.cells.len(),
-                self.columns.len(),
-                "experiment {} produced a row with {} cells for {} columns",
-                self.id,
-                row.cells.len(),
-                self.columns.len()
-            );
-        }
-        ExperimentResult {
-            id: self.id,
-            title: self.title,
-            columns: self.columns,
-            notes: self.notes,
-            config: *config,
-            rows,
-            cell_faults,
-            elapsed_seconds: t0.elapsed().as_secs_f64(),
-        }
+        Scheduler::pool_sized().execute(self, config, JobSession::default())
     }
 }
 
@@ -504,6 +459,8 @@ fn csv_field(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::KeyBuilder;
+    use crate::scheduler::run_keyed_cells;
 
     fn demo_spec() -> ExperimentSpec {
         ExperimentSpec {
@@ -513,7 +470,9 @@ mod tests {
             columns: &["label", "count", "mean"],
             notes: &["note line"],
             run: |cfg| {
-                run_cells(vec![1usize, 2, 3], |i| {
+                let cells = [1usize, 2, 3]
+                    .map(|i| (KeyBuilder::new("demo").field_usize("cell", i).finish(), i));
+                run_keyed_cells(cells.to_vec(), |i| {
                     vec![row![format!("cell{i}"), i * 10, i as f64 / 2.0]]
                 })
                 .into_iter()

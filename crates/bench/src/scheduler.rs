@@ -1,17 +1,18 @@
-//! Guarded cell execution and the multi-experiment scheduler.
+//! The one execution path of the harness: guarded cell execution under the
+//! multi-experiment scheduler.
 //!
-//! This module owns the *execution* half of what used to be `runner.rs`: the
-//! fault model (retry / backoff / watchdog, unchanged from PR 8 — see DESIGN.md
-//! §13) plus the scheduling layer added for `xp serve`:
-//!
-//! - [`run_cells`] / [`run_cells_with_policy`]: guarded parallel cell execution,
-//!   exactly the PR 8 semantics (attempts under `catch_unwind`, deterministic
-//!   backoff rounds, classify-not-preempt watchdog).
-//! - [`run_keyed_cells`]: the cache-aware variant — each cell carries a
-//!   [`CellKey`] content address ([`crate::cache`]), and when the ambient job
-//!   context has a cache attached, hits skip computation entirely and terminal
-//!   successes are written back.  Without a context the keys are inert and the
-//!   function is byte-for-byte `run_cells`.
+//! - [`Scheduler::execute`] is the only way a spec runs.  It installs one
+//!   thread-local job context around the spec's `run` function; the context
+//!   carries the fault policy, the outcome list, the optional cache, event
+//!   stream, cancel flag and counters, and a handle on the fair slot queue.
+//!   Plain `ExperimentSpec::execute` delegates here with a pool-sized scheduler
+//!   and a default session.
+//! - [`run_keyed_cells`] is the only way a cell runs.  Every cell carries a
+//!   [`CellKey`] content address ([`crate::cache`]); when the job has a cache,
+//!   hits skip computation and terminal successes are written back.  Each
+//!   attempt runs under `catch_unwind` with deterministic backoff rounds and a
+//!   classify-not-preempt watchdog (DESIGN.md §13).  Called outside
+//!   `Scheduler::execute` it panics: there are no bare cells.
 //! - [`Scheduler`]: a bounded, *fair* slot queue shared by every in-flight
 //!   experiment.  Cell waves only fan out onto the rayon pool after acquiring
 //!   slots; experiments with waiting waves are granted slots round-robin, so one
@@ -19,12 +20,12 @@
 //!   supervising (job) thread — never on a pool worker — so the limiter cannot
 //!   deadlock the pool it meters.
 //!
-//! The declarative side (specs, results, rendering) stays in [`crate::runner`],
-//! which re-exports everything here under its old paths.
+//! The declarative side (specs, results, rendering) lives in [`crate::runner`].
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -76,7 +77,7 @@ impl CellStatus {
 /// attempt here — by construction it returns the same rows.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
-    /// Index of the cell in the `run_cells` input order.
+    /// Index of the cell in its `run_keyed_cells` call, in input order.
     pub cell: usize,
     /// Final classification after the last attempt.
     pub status: CellStatus,
@@ -135,51 +136,15 @@ fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 
-/// The per-experiment fault collector [`ExperimentSpec::execute`] installs around
-/// its `run` function.  Thread-local because specs call [`run_cells`] on the
-/// executing thread (the pool supervises *within* a `run_cells` call, never
-/// across one), so nested experiments on other threads cannot cross-contaminate.
-struct FaultLog {
-    policy: FaultPolicy,
-    outcomes: Vec<CellOutcome>,
-}
-
-thread_local! {
-    static FAULT_LOG: RefCell<Option<FaultLog>> = const { RefCell::new(None) };
-}
-
-/// Install a fault collector around `f` (the body of
-/// [`ExperimentSpec::execute_with_policy`]): every guarded cell run inside `f`
-/// retries under `policy` and reports into the returned outcome list.  The
-/// previous collector is restored even if `f` panics.
-pub(crate) fn with_fault_collector<R>(
-    policy: FaultPolicy,
-    f: impl FnOnce() -> R,
-) -> (R, Vec<CellOutcome>) {
-    struct Restore(Option<FaultLog>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let previous = self.0.take();
-            FAULT_LOG.with(|log| *log.borrow_mut() = previous);
-        }
-    }
-    let _restore = Restore(
-        FAULT_LOG.with(|log| log.borrow_mut().replace(FaultLog { policy, outcomes: Vec::new() })),
-    );
-    let result = f();
-    let outcomes =
-        FAULT_LOG.with(|log| log.borrow_mut().take()).map(|log| log.outcomes).unwrap_or_default();
-    (result, outcomes)
-}
-
 // ---------------------------------------------------------------------------
 // The scheduler: fair bounded slots shared by concurrent experiments.
 
-/// Payload of the cancellation unwind: [`run_keyed_cells`]/[`run_cells`] raise it
-/// via `panic_any` between waves when the job's cancel flag is set, and the serve
-/// front end's per-job `catch_unwind` classifies it as a cancellation rather than
-/// a crash.  Nothing below the wave boundary observes it — attempts in flight run
-/// to completion first (same classify-not-preempt stance as the watchdog).
+/// Payload of the cancellation unwind: [`run_keyed_cells`] raises it between
+/// waves, and [`Scheduler::execute`] once more after the spec returns, when the
+/// job's cancel flag is set; the serve front end's per-job `catch_unwind`
+/// classifies it as a cancellation rather than a crash.  Nothing below the wave
+/// boundary observes it — attempts in flight run to completion first (same
+/// classify-not-preempt stance as the watchdog).
 #[derive(Debug)]
 pub struct Cancelled {
     /// The cancelled job's id.
@@ -196,9 +161,9 @@ pub struct JobCounters {
     pub computed_cells: AtomicU64,
 }
 
-/// Everything a scheduled job carries into its cell runs; all fields optional so
-/// `Scheduler::execute` degrades to plain `ExperimentSpec::execute` when a
-/// feature (cache, events, cancellation) is unused.
+/// What one job brings to [`Scheduler::execute`]; every field is optional, and
+/// `JobSession::default()` is what plain `ExperimentSpec::execute` runs under
+/// (no cache, no events, no cancellation, the environment's fault policy).
 #[derive(Debug, Default, Clone)]
 pub struct JobSession {
     /// Job id for fairness, events, and [`Cancelled`].
@@ -223,7 +188,7 @@ pub struct JobSession {
 pub struct CellEvent {
     /// The owning job.
     pub job: u64,
-    /// Cell index within its `run_cells` call.
+    /// Cell index within its `run_keyed_cells` call.
     pub cell: usize,
     /// This attempt's classification.
     pub status: CellStatus,
@@ -272,57 +237,83 @@ impl Scheduler {
         self.next_job.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Execute `spec` under this scheduler: the job context is installed
-    /// thread-locally around the spec's `run` function, so every guarded cell run
-    /// inside it is metered, cached, streamed, and cancellable per `session`.
+    /// Execute `spec` under this scheduler: one job context is installed
+    /// thread-locally around the spec's `run` function, so every cell run inside
+    /// it is guarded under the session's fault policy, metered, cached, streamed
+    /// and cancellable, and reports its outcome into the returned result.
     ///
-    /// Cancellation surfaces as a [`Cancelled`] unwind out of this call — the
-    /// serve front end wraps it in `catch_unwind`; direct callers that never set
-    /// a cancel flag never see it.
+    /// Cancellation surfaces as a [`Cancelled`] unwind out of this call — between
+    /// waves, or after the spec returns if the flag was set during its last wave.
+    /// The serve front end wraps it in `catch_unwind`; callers that never set a
+    /// cancel flag never see it.
     pub fn execute(
         &self,
         spec: &ExperimentSpec,
         config: &RunConfig,
         session: JobSession,
     ) -> ExperimentResult {
-        struct Restore(Option<JobCtx>);
+        struct Restore(Option<Rc<JobCtx>>);
         impl Drop for Restore {
             fn drop(&mut self) {
                 let previous = self.0.take();
                 JOB_CTX.with(|ctx| *ctx.borrow_mut() = previous);
             }
         }
-        let ctx = JobCtx {
+        let ctx = Rc::new(JobCtx {
             job: session.job,
             queue: Arc::clone(&self.queue),
+            policy: session.policy.unwrap_or_else(FaultPolicy::from_env),
             cache: session.cache,
             events: session.events,
             cancel: session.cancel,
             counters: session.counters,
+            outcomes: RefCell::new(Vec::new()),
+        });
+        let t0 = Instant::now();
+        let rows = {
+            let _restore = Restore(JOB_CTX.with(|slot| slot.borrow_mut().replace(Rc::clone(&ctx))));
+            (spec.run)(config)
         };
-        let _restore = Restore(JOB_CTX.with(|slot| slot.borrow_mut().replace(ctx)));
-        match session.policy {
-            Some(policy) => spec.execute_with_policy(config, policy),
-            None => spec.execute(config),
+        check_cancelled(&ctx);
+        for row in &rows {
+            assert_eq!(
+                row.cells.len(),
+                spec.columns.len(),
+                "experiment {} produced a row with {} cells for {} columns",
+                spec.id,
+                row.cells.len(),
+                spec.columns.len()
+            );
+        }
+        ExperimentResult {
+            id: spec.id,
+            title: spec.title,
+            columns: spec.columns,
+            notes: spec.notes,
+            config: *config,
+            rows,
+            cell_faults: ctx.outcomes.take(),
+            elapsed_seconds: t0.elapsed().as_secs_f64(),
         }
     }
 }
 
-/// The ambient job context `Scheduler::execute` installs; `None` outside a
-/// scheduler (plain `xp table2` & friends), in which case guarded runs behave
-/// exactly as before this module existed.
-#[derive(Debug, Clone)]
+/// The job context `Scheduler::execute` installs around a spec's `run`.
+#[derive(Debug)]
 struct JobCtx {
     job: u64,
     queue: Arc<SlotQueue>,
+    policy: FaultPolicy,
     cache: Option<Arc<CellCache>>,
     events: Option<Sender<CellEvent>>,
     cancel: Option<Arc<AtomicBool>>,
     counters: Option<Arc<JobCounters>>,
+    /// Interesting cell outcomes of every `run_keyed_cells` call of the job.
+    outcomes: RefCell<Vec<CellOutcome>>,
 }
 
 thread_local! {
-    static JOB_CTX: RefCell<Option<JobCtx>> = const { RefCell::new(None) };
+    static JOB_CTX: RefCell<Option<Rc<JobCtx>>> = const { RefCell::new(None) };
 }
 
 #[derive(Debug)]
@@ -409,107 +400,41 @@ impl Drop for SlotGrant {
 /// Execute one experiment function per cell on rayon worker threads, flattening the
 /// produced rows in cell order.
 ///
-/// This is the parallelism point of the harness: a spec builds the independent cells
-/// of its method × workload × substrate matrix and the runner fans them out.  Every
-/// cell attempt is guarded (`catch_unwind` + watchdog + bounded retry — see
-/// [`run_cells_with_policy`]); a terminally failed cell contributes no rows.  Inside
-/// [`ExperimentSpec::execute`] the outcomes land in the result's fault list; for
-/// direct callers with no collector installed, a terminal failure panics with the
-/// cell's classification instead of silently dropping data — the legacy abort-loudly
-/// contract.
-pub fn run_cells<C, F>(cells: Vec<C>, f: F) -> Vec<Row>
-where
-    C: Clone + Send,
-    F: Fn(C) -> Vec<Row> + Sync,
-{
-    let policy = ambient_policy();
-    let (rows, outcomes) = run_guarded(cells, None, policy, &f);
-    report_or_abort(rows, outcomes)
-}
-
-/// [`run_cells`] for deterministic cells: each cell carries its content address,
-/// and when the ambient job has a cache the address is consulted before — and
-/// filled after — computation.  Outside a scheduler session (or with no cache
-/// attached) the keys are inert and this is exactly [`run_cells`].
+/// This is the parallelism point of the harness: a spec builds the independent,
+/// content-addressed cells of its method × workload × substrate matrix and the
+/// scheduler fans them out.  When the job has a cache, each key is consulted before
+/// — and filled after — computation.  Round structure: round 1 fans every pending
+/// cell out in slot-metered waves; each later round sleeps the policy's
+/// deterministic backoff, then retries only the cells that failed, panicked, or
+/// timed out.  Attempts run under `catch_unwind`, leaning on the executor's panic
+/// contract (DESIGN.md §7): a panicking cell's siblings run to completion and the
+/// pool survives for the next round.  A terminally failed cell contributes no
+/// rows; its outcome lands in the job's result.
+///
+/// # Panics
+/// Panics when called outside [`Scheduler::execute`]: there is no job to meter,
+/// guard or report the cells.
 pub fn run_keyed_cells<C, F>(cells: Vec<(CellKey, C)>, f: F) -> Vec<Row>
 where
     C: Clone + Send,
     F: Fn(C) -> Vec<Row> + Sync,
 {
-    let policy = ambient_policy();
+    let ctx = JOB_CTX.with(|slot| slot.borrow().clone()).expect(
+        "run_keyed_cells called outside Scheduler::execute: cells only run inside a scheduled job",
+    );
     let (keys, cells): (Vec<CellKey>, Vec<C>) = cells.into_iter().unzip();
-    let (rows, outcomes) = run_guarded(cells, Some(keys), policy, &f);
-    report_or_abort(rows, outcomes)
-}
-
-/// Guarded parallel cell execution with an explicit [`FaultPolicy`], returning the
-/// surviving rows (cell input order preserved) plus the interesting outcomes
-/// (anything that was not first-attempt-ok).
-///
-/// Round structure: round 1 fans every cell out across the pool; each later round
-/// sleeps the policy's deterministic backoff, then retries only the cells that
-/// failed, panicked, or timed out.  Attempts run under `catch_unwind`, leaning on
-/// the executor's panic contract (DESIGN.md §7): a panicking cell's siblings run to
-/// completion, the original payload is rethrown at the attempt boundary where the
-/// guard catches it, and the pool survives for the next round — proven by the
-/// nested `join`/`par_iter` tests in `tests/runner_faults.rs`.
-pub fn run_cells_with_policy<C, F>(
-    cells: Vec<C>,
-    policy: FaultPolicy,
-    f: F,
-) -> (Vec<Row>, Vec<CellOutcome>)
-where
-    C: Clone + Send,
-    F: Fn(C) -> Vec<Row> + Sync,
-{
-    run_guarded(cells, None, policy, &f)
-}
-
-fn ambient_policy() -> FaultPolicy {
-    FAULT_LOG
-        .with(|log| log.borrow().as_ref().map(|log| log.policy))
-        .unwrap_or_else(FaultPolicy::from_env)
-}
-
-/// Shared tail of [`run_cells`]/[`run_keyed_cells`]: hand outcomes to the
-/// installed collector, or uphold the abort-loudly contract without one.
-fn report_or_abort(rows: Vec<Row>, outcomes: Vec<CellOutcome>) -> Vec<Row> {
-    if outcomes.is_empty() {
-        return rows;
-    }
-    let collected = FAULT_LOG.with(|log| match log.borrow_mut().as_mut() {
-        Some(log) => {
-            log.outcomes.extend(outcomes.iter().cloned());
-            true
-        }
-        None => false,
-    });
-    if !collected {
-        if let Some(worst) = outcomes.iter().find(|o| o.status != CellStatus::Ok) {
-            panic!(
-                "cell {} {} after {} attempts: {}",
-                worst.cell,
-                worst.status.name(),
-                worst.attempts,
-                worst.error.as_deref().unwrap_or("no error message")
-            );
-        }
-    }
-    rows
+    run_guarded(cells, &keys, &ctx, &f)
 }
 
 /// The execution core: cache resolution, wave-metered rounds, retry bookkeeping.
-fn run_guarded<C, F>(
-    cells: Vec<C>,
-    keys: Option<Vec<CellKey>>,
-    policy: FaultPolicy,
-    f: &F,
-) -> (Vec<Row>, Vec<CellOutcome>)
+/// Returns the surviving rows (cell order preserved) and appends the interesting
+/// outcomes (anything not first-attempt-ok) to the job's list.
+fn run_guarded<C, F>(cells: Vec<C>, keys: &[CellKey], ctx: &JobCtx, f: &F) -> Vec<Row>
 where
     C: Clone + Send,
     F: Fn(C) -> Vec<Row> + Sync,
 {
-    let ctx = JOB_CTX.with(|slot| slot.borrow().clone());
+    let policy = ctx.policy;
     let n = cells.len();
     let mut slots: Vec<Option<Vec<Row>>> = (0..n).map(|_| None).collect();
     let mut last_failure: Vec<Option<(CellStatus, String)>> = vec![None; n];
@@ -524,32 +449,30 @@ where
     // we wait outside the wave queue and re-acquire below).
     let mut waiting: Vec<usize> = Vec::new();
     let mut guards: HashMap<usize, ClaimGuard> = HashMap::new();
-    if let (Some(keys), Some(ctx)) = (&keys, &ctx) {
-        if let Some(cache) = &ctx.cache {
-            if cache.single_flight() {
-                pending.retain(|&i| match cache.acquire(keys[i]) {
-                    Flight::Hit(rows) => {
-                        settle_cache_hit(ctx, &mut slots, i, &rows);
-                        false
-                    }
-                    Flight::Claimed(guard) => {
-                        guards.insert(i, guard);
-                        true
-                    }
-                    Flight::Busy => {
-                        waiting.push(i);
-                        false
-                    }
-                });
-            } else {
-                pending.retain(|&i| match cache.get(keys[i]) {
-                    Some(rows) => {
-                        settle_cache_hit(ctx, &mut slots, i, &rows);
-                        false
-                    }
-                    None => true,
-                });
-            }
+    if let Some(cache) = &ctx.cache {
+        if cache.single_flight() {
+            pending.retain(|&i| match cache.acquire(keys[i]) {
+                Flight::Hit(rows) => {
+                    settle_cache_hit(ctx, &mut slots, i, &rows);
+                    false
+                }
+                Flight::Claimed(guard) => {
+                    guards.insert(i, guard);
+                    true
+                }
+                Flight::Busy => {
+                    waiting.push(i);
+                    false
+                }
+            });
+        } else {
+            pending.retain(|&i| match cache.get(keys[i]) {
+                Some(rows) => {
+                    settle_cache_hit(ctx, &mut slots, i, &rows);
+                    false
+                }
+                None => true,
+            });
         }
     }
 
@@ -563,61 +486,45 @@ where
             let mut next_pending = Vec::new();
             let mut at = 0usize;
             while at < pending.len() {
-                check_cancelled(&ctx);
-                // Meter the wave: under a scheduler, take as many slots as the fair
-                // queue grants this turn; standalone, run the whole round at once
-                // (the pre-scheduler behaviour).
-                let (grant, width) = match &ctx {
-                    Some(ctx) => {
-                        let grant = ctx.queue.acquire_up_to(ctx.job, pending.len() - at);
-                        let width = grant.granted;
-                        (Some(grant), width)
-                    }
-                    None => (None, pending.len() - at),
-                };
-                // Clone the wave's cells on the supervising thread (cells stay
-                // `Clone + Send`, not `Sync`), then fan the attempts out.
-                let batch: Vec<(usize, C)> = pending[at..(at + width).min(pending.len())]
+                check_cancelled(ctx);
+                // Meter the wave: take as many slots as the fair queue grants
+                // this turn, then clone the wave's cells on the supervising
+                // thread (cells stay `Clone + Send`, not `Sync`) and fan the
+                // attempts out.
+                let grant = ctx.queue.acquire_up_to(ctx.job, pending.len() - at);
+                let batch: Vec<(usize, C)> = pending[at..(at + grant.granted).min(pending.len())]
                     .iter()
                     .map(|&i| (i, cells[i].clone()))
                     .collect();
                 at += batch.len();
-                let results = par_map(batch, |(i, cell)| (i, run_attempt(cell, f, policy.timeout)));
+                let results: Vec<_> = batch
+                    .into_par_iter()
+                    .map(|(i, cell)| (i, run_attempt(cell, f, policy.timeout)))
+                    .collect();
                 drop(grant);
                 for (i, (result, elapsed)) in results {
                     attempts[i] = round;
                     last_elapsed[i] = elapsed;
+                    let status = match &result {
+                        Ok(_) => CellStatus::Ok,
+                        Err((status, _)) => *status,
+                    };
                     match result {
                         Ok(rows) => {
-                            if let Some(ctx) = &ctx {
-                                if let (Some(keys), Some(cache)) = (&keys, &ctx.cache) {
-                                    // Write-back on the supervising thread: later
-                                    // lookups (same sweep or same serve session)
-                                    // already see it.  Persistence failures degrade
-                                    // to in-memory caching, loudly.
-                                    if let Err(error) =
-                                        cache.insert(keys[i], Arc::new(rows.clone()))
-                                    {
-                                        eprintln!(
-                                            "xp: cache write for cell {} failed: {error}",
-                                            keys[i]
-                                        );
-                                    }
+                            // Write-back on the supervising thread: later lookups
+                            // (same sweep or same serve session) already see it.
+                            // Persistence failures degrade to in-memory caching,
+                            // loudly.
+                            if let Some(cache) = &ctx.cache {
+                                if let Err(error) = cache.insert(keys[i], Arc::new(rows.clone())) {
+                                    eprintln!(
+                                        "xp: cache write for cell {} failed: {error}",
+                                        keys[i]
+                                    );
                                 }
-                                if let Some(counters) = &ctx.counters {
-                                    counters.computed_cells.fetch_add(1, Ordering::Relaxed);
-                                }
-                                emit(
-                                    ctx,
-                                    CellEvent {
-                                        job: ctx.job,
-                                        cell: i,
-                                        status: CellStatus::Ok,
-                                        attempt: round,
-                                        cache_hit: false,
-                                        elapsed_seconds: elapsed,
-                                    },
-                                );
+                            }
+                            if let Some(counters) = &ctx.counters {
+                                counters.computed_cells.fetch_add(1, Ordering::Relaxed);
                             }
                             slots[i] = Some(rows);
                             last_failure[i] = None;
@@ -625,24 +532,22 @@ where
                             // single-flight claim released, so waiters wake to a hit.
                             guards.remove(&i);
                         }
-                        Err((status, message)) => {
-                            if let Some(ctx) = &ctx {
-                                emit(
-                                    ctx,
-                                    CellEvent {
-                                        job: ctx.job,
-                                        cell: i,
-                                        status,
-                                        attempt: round,
-                                        cache_hit: false,
-                                        elapsed_seconds: elapsed,
-                                    },
-                                );
-                            }
-                            last_failure[i] = Some((status, message));
+                        Err(failure) => {
+                            last_failure[i] = Some(failure);
                             next_pending.push(i);
                         }
                     }
+                    emit(
+                        ctx,
+                        CellEvent {
+                            job: ctx.job,
+                            cell: i,
+                            status,
+                            attempt: round,
+                            cache_hit: false,
+                            elapsed_seconds: elapsed,
+                        },
+                    );
                 }
             }
             pending = next_pending;
@@ -661,11 +566,7 @@ where
         // Re-poll parked cells.  This happens on the supervising thread with
         // zero slots held — waiting never occupies the wave queue, so
         // cross-job blocking cannot deadlock the pool or starve the rotation.
-        check_cancelled(&ctx);
-        let (keys, ctx) = (
-            keys.as_ref().expect("waiting implies keyed cells"),
-            ctx.as_ref().expect("waiting implies a job context"),
-        );
+        check_cancelled(ctx);
         let cache = ctx.cache.as_ref().expect("waiting implies a cache");
         let mut progressed = false;
         let mut still_waiting = Vec::new();
@@ -694,11 +595,11 @@ where
             cache.wait_change(PARK_POLL);
         }
     }
-    let mut outcomes = Vec::new();
+    let mut outcomes = ctx.outcomes.borrow_mut();
     for i in 0..n {
-        let (status, error) = match &last_failure[i] {
+        let (status, error) = match last_failure[i].take() {
             None => (CellStatus::Ok, None),
-            Some((status, msg)) => (*status, Some(msg.clone())),
+            Some((status, msg)) => (status, Some(msg)),
         };
         if status != CellStatus::Ok || attempts[i] > 1 {
             outcomes.push(CellOutcome {
@@ -710,8 +611,7 @@ where
             });
         }
     }
-    let rows = slots.into_iter().flatten().flatten().collect();
-    (rows, outcomes)
+    slots.into_iter().flatten().flatten().collect()
 }
 
 /// Settle cell `i` from cached rows: count it as a hit and stream the attempt-0
@@ -742,16 +642,12 @@ fn emit(ctx: &JobCtx, event: CellEvent) {
     }
 }
 
-fn check_cancelled(ctx: &Option<JobCtx>) {
-    if let Some(ctx) = ctx {
-        if let Some(cancel) = &ctx.cancel {
-            if cancel.load(Ordering::SeqCst) {
-                // resume_unwind, not panic_any: cancellation is expected control
-                // flow, so it must not invoke the panic hook (which would dump a
-                // spurious backtrace on every cancel).
-                std::panic::resume_unwind(Box::new(Cancelled { job: ctx.job }));
-            }
-        }
+fn check_cancelled(ctx: &JobCtx) {
+    if ctx.cancel.as_ref().is_some_and(|cancel| cancel.load(Ordering::SeqCst)) {
+        // resume_unwind, not panic_any: cancellation is expected control flow, so
+        // it must not invoke the panic hook (which would dump a spurious
+        // backtrace on every cancel).
+        std::panic::resume_unwind(Box::new(Cancelled { job: ctx.job }));
     }
 }
 
@@ -808,17 +704,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Map one experiment function per cell on rayon worker threads, preserving order
-/// (for specs that need to combine cell outputs before forming rows).
-pub fn par_map<C, T, F>(cells: Vec<C>, f: F) -> Vec<T>
-where
-    C: Send,
-    T: Send,
-    F: Fn(C) -> T + Sync,
-{
-    cells.into_par_iter().map(f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,10 +716,20 @@ mod tests {
     }
 
     #[test]
-    fn keyed_cells_without_a_session_behave_like_run_cells() {
-        let rows = run_keyed_cells((0..4).map(keyed).collect(), |i| vec![row![i as u64 * 2]]);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[3].cells[0], crate::runner::Value::Int(6));
+    fn plain_execute_runs_keyed_cells_under_a_default_session() {
+        let spec = ExperimentSpec {
+            id: "sched_plain",
+            aliases: &[],
+            title: "Plain execute demo",
+            columns: &["x"],
+            notes: &[],
+            run: |_cfg| run_keyed_cells((0..4).map(keyed).collect(), |i| vec![row![i as u64 * 2]]),
+        };
+        let result =
+            spec.execute(&RunConfig { scale: crate::Scale::Tiny, procs: None, seed: None });
+        assert_eq!(result.rows.len(), 4);
+        assert_eq!(result.rows[3].cells[0], crate::runner::Value::Int(6));
+        assert!(result.cell_faults.is_empty());
     }
 
     #[test]
@@ -879,12 +774,10 @@ mod tests {
         // both experiments still complete.  (A lost wakeup or rotation bug hangs
         // this test instead of failing it.)
         let scheduler = Arc::new(Scheduler::new(1));
-        let cache = Arc::new(CellCache::new());
         let done = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
             for job in 1..=2u64 {
                 let scheduler = Arc::clone(&scheduler);
-                let cache = Arc::clone(&cache);
                 let done = Arc::clone(&done);
                 scope.spawn(move || {
                     let spec = ExperimentSpec {
@@ -893,10 +786,12 @@ mod tests {
                         title: "Fairness demo",
                         columns: &["x"],
                         notes: &[],
-                        run: |_cfg| run_cells((0..8usize).collect(), |i| vec![row![i as u64]]),
+                        run: |_cfg| {
+                            run_keyed_cells((0..8).map(keyed).collect(), |i| vec![row![i as u64]])
+                        },
                     };
                     let config = RunConfig { scale: crate::Scale::Tiny, procs: None, seed: None };
-                    let session = JobSession { job, cache: Some(cache), ..JobSession::default() };
+                    let session = JobSession { job, ..JobSession::default() };
                     let result = scheduler.execute(&spec, &config, session);
                     assert_eq!(result.rows.len(), 8);
                     done.fetch_add(1, Ordering::SeqCst);
@@ -914,7 +809,7 @@ mod tests {
             title: "Cancel demo",
             columns: &["x"],
             notes: &[],
-            run: |_cfg| run_cells((0..4usize).collect(), |i| vec![row![i as u64]]),
+            run: |_cfg| run_keyed_cells((0..4).map(keyed).collect(), |i| vec![row![i as u64]]),
         };
         let scheduler = Scheduler::new(2);
         let cancel = Arc::new(AtomicBool::new(true));

@@ -1,23 +1,55 @@
 //! Fault injection at the runner's registered site (`runner/cell`): injected
 //! errors, panics and delays at the attempt boundary are classified, retried and
 //! reported exactly like organic ones, and the seeded n-of-m mode produces a
-//! reproducible failure schedule.
+//! reproducible failure schedule.  A panicking trace drain (`trace/drain`) inside
+//! `table4` and the unit-size ablation is likewise contained by their cells.
+//! Cells run through a spec under `Scheduler::execute`, the only way cells run.
 //!
 //! Compiled only under `--features failpoints`.
 #![cfg(feature = "failpoints")]
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use repro_bench::cache::{CellCache, KeyBuilder};
+use repro_bench::experiments;
 use repro_bench::row;
-use repro_bench::runner::{run_cells_with_policy, CellStatus, FaultPolicy};
+use repro_bench::runner::{ExperimentResult, ExperimentSpec, Format, Row, RunConfig, Value};
+use repro_bench::scheduler::{
+    run_keyed_cells, CellOutcome, CellStatus, FaultPolicy, JobCounters, JobSession, Scheduler,
+};
+use repro_bench::Scale;
 
 fn quick(max_attempts: u32) -> FaultPolicy {
     FaultPolicy { max_attempts, backoff: Duration::ZERO, timeout: None }
 }
 
-/// Every test configures the same global `runner/cell` point, so they must not
-/// run concurrently with each other.
+/// Run cells `0..cells` (each emits its index) under `policy`, returning the
+/// surviving rows and the interesting outcomes.  The cell count rides in the
+/// config's `procs` override, which the fixture spec reads.
+fn run(cells: usize, policy: FaultPolicy) -> (Vec<Row>, Vec<CellOutcome>) {
+    let spec = ExperimentSpec {
+        id: "test_failpoints",
+        aliases: &[],
+        title: "Failpoint fixture",
+        columns: &["cell"],
+        notes: &[],
+        run: |cfg| {
+            let cells = (0..cfg.procs_or(0) as u64)
+                .map(|cell| (KeyBuilder::new("failpoints").field_u64("cell", cell).finish(), cell))
+                .collect();
+            run_keyed_cells(cells, |cell| vec![row![cell]])
+        },
+    };
+    let config = RunConfig { scale: Scale::Tiny, procs: Some(cells), seed: None };
+    let session = JobSession { policy: Some(policy), ..JobSession::default() };
+    let result = Scheduler::pool_sized().execute(&spec, &config, session);
+    (result.rows, result.cell_faults)
+}
+
+/// Every test configures a global point (`runner/cell` or `trace/drain`), so
+/// they must not run concurrently with each other.
 fn serialize() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -27,8 +59,7 @@ fn serialize() -> MutexGuard<'static, ()> {
 fn an_injected_transient_error_is_retried_and_recovers() {
     let _serial = serialize();
     let _guard = failpoint::configure_guard("runner/cell", "1*return(injected once)").unwrap();
-    let (rows, outcomes) =
-        run_cells_with_policy(vec![0u32, 1, 2], quick(3), |cell| vec![row![cell as u64]]);
+    let (rows, outcomes) = run(3, quick(3));
     assert_eq!(rows.len(), 3, "the injected failure is transient, every cell completes");
     assert_eq!(outcomes.len(), 1, "exactly one attempt drew the injected failure");
     let outcome = &outcomes[0];
@@ -40,8 +71,7 @@ fn an_injected_transient_error_is_retried_and_recovers() {
 fn an_injected_persistent_error_exhausts_retries_as_failed() {
     let _serial = serialize();
     let _guard = failpoint::configure_guard("runner/cell", "return(persistent fault)").unwrap();
-    let (rows, outcomes) =
-        run_cells_with_policy(vec![0u32, 1], quick(2), |cell| vec![row![cell as u64]]);
+    let (rows, outcomes) = run(2, quick(2));
     assert!(rows.is_empty(), "every attempt of every cell fails");
     assert_eq!(outcomes.len(), 2);
     for outcome in &outcomes {
@@ -59,8 +89,7 @@ fn an_injected_persistent_error_exhausts_retries_as_failed() {
 fn an_injected_panic_is_caught_at_the_attempt_boundary() {
     let _serial = serialize();
     let _guard = failpoint::configure_guard("runner/cell", "1*panic(injected crash)").unwrap();
-    let (rows, outcomes) =
-        run_cells_with_policy(vec![7u32], quick(2), |cell| vec![row![cell as u64]]);
+    let (rows, outcomes) = run(1, quick(2));
     assert_eq!(rows.len(), 1, "the panic was transient; the retry succeeds");
     assert_eq!(outcomes.len(), 1);
     assert_eq!(outcomes[0].status, CellStatus::Ok);
@@ -71,8 +100,7 @@ fn an_injected_panic_is_caught_at_the_attempt_boundary() {
 fn an_injected_delay_slows_but_never_fails_a_cell() {
     let _serial = serialize();
     let _guard = failpoint::configure_guard("runner/cell", "2*delay(5)").unwrap();
-    let (rows, outcomes) =
-        run_cells_with_policy(vec![0u32, 1], quick(2), |cell| vec![row![cell as u64]]);
+    let (rows, outcomes) = run(2, quick(2));
     assert_eq!(rows.len(), 2);
     assert!(outcomes.is_empty(), "a delay is not a fault");
 }
@@ -87,9 +115,7 @@ fn a_seeded_n_of_m_schedule_is_reproducible() {
         rayon::with_num_threads(1, || {
             let _guard =
                 failpoint::configure_guard("runner/cell", "2/4@1234*return(scheduled)").unwrap();
-            let (rows, outcomes) = run_cells_with_policy(vec![0u32, 1, 2, 3], quick(3), |cell| {
-                vec![row![cell as u64]]
-            });
+            let (rows, outcomes) = run(4, quick(3));
             let summary: Vec<(usize, &'static str, u32)> =
                 outcomes.iter().map(|o| (o.cell, o.status.name(), o.attempts)).collect();
             (rows.len(), summary)
@@ -104,4 +130,69 @@ fn a_seeded_n_of_m_schedule_is_reproducible() {
     // draw the short straw three times in a row and terminally fail unless the mask
     // says so; either way the classification above is pinned byte-for-byte.
     assert!(first.0 + first.1.iter().filter(|(_, status, _)| *status != "ok").count() >= 4 - 2);
+}
+
+/// Run `spec` under `scheduler` with an optional shared cache, returning the
+/// result and the (hits, computed) counters.
+fn run_spec(
+    scheduler: &Scheduler,
+    cache: Option<&Arc<CellCache>>,
+    spec: &ExperimentSpec,
+) -> (ExperimentResult, u64, u64) {
+    let config = RunConfig { scale: Scale::Tiny, procs: None, seed: None };
+    let counters = Arc::new(JobCounters::default());
+    let session = JobSession {
+        job: scheduler.next_job_id(),
+        cache: cache.cloned(),
+        counters: Some(Arc::clone(&counters)),
+        policy: Some(quick(3)),
+        ..JobSession::default()
+    };
+    let result = scheduler.execute(spec, &config, session);
+    let hits = counters.cache_hits.load(AtomicOrdering::Relaxed);
+    (result, hits, counters.computed_cells.load(AtomicOrdering::Relaxed))
+}
+
+#[test]
+fn a_cold_table4_recovers_a_cell_whose_trace_drain_panics() {
+    // table4's trace generation runs inside its two cells, so a drain that dies
+    // mid-stream costs one retried attempt, not the experiment.
+    let _serial = serialize();
+    let spec = experiments::find("table4").expect("registered");
+    let scheduler = Scheduler::new(2);
+    let (clean, _, _) = run_spec(&scheduler, None, spec);
+    assert!(clean.cell_faults.is_empty() && !clean.rows.is_empty());
+    let (faulty, hits, computed) = {
+        let _guard = failpoint::configure_guard("trace/drain", "1*panic").unwrap();
+        run_spec(&scheduler, None, spec)
+    };
+    assert_eq!((hits, computed), (0, 2), "a cold run computes both orderings");
+    assert_eq!(faulty.cell_faults.len(), 1, "{:?}", faulty.cell_faults);
+    let outcome = &faulty.cell_faults[0];
+    assert_eq!((outcome.status, outcome.attempts), (CellStatus::Ok, 2));
+    let cells = |result: &ExperimentResult| -> Vec<Vec<Value>> {
+        result.rows.iter().map(|row| row.cells.clone()).collect()
+    };
+    assert_eq!(cells(&faulty), cells(&clean), "the recovered run reproduces the clean rows");
+}
+
+#[test]
+fn a_warm_sweep_of_table4_and_the_unit_sweep_generates_no_trace() {
+    // Every trace of both specs is generated inside a keyed cell, so once the
+    // cache is warm no drain runs at all: a drain that always panics cannot
+    // touch the warm sweep.
+    let _serial = serialize();
+    let scheduler = Scheduler::new(2);
+    let cache = Arc::new(CellCache::new());
+    for id in ["table4", "ablation_unit_sweep"] {
+        let spec = experiments::find(id).expect("registered");
+        let (cold, _, computed) = run_spec(&scheduler, Some(&cache), spec);
+        assert!(cold.cell_faults.is_empty(), "{id}: clean cold run");
+        assert_eq!(computed, 2, "{id}: one cell per ordering");
+        let _guard = failpoint::configure_guard("trace/drain", "panic").unwrap();
+        let (warm, hits, computed) = run_spec(&scheduler, Some(&cache), spec);
+        assert_eq!((hits, computed), (2, 0), "{id}: every cell reused");
+        assert!(warm.cell_faults.is_empty(), "{id}: {:?}", warm.cell_faults);
+        assert_eq!(warm.render(Format::Csv), cold.render(Format::Csv), "{id}: same artifact");
+    }
 }

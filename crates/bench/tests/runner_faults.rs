@@ -1,7 +1,9 @@
-//! Fault-isolation contract of the guarded cell runner: a panicking, failing or
+//! Fault-isolation contract of guarded cell execution: a panicking, failing or
 //! over-budget cell never takes the experiment (or the worker pool) down with it —
 //! siblings complete, the cell is retried under a deterministic backoff schedule,
 //! and whatever remains terminally failed is reported per cell instead of aborting.
+//! Every fixture runs its cells the one way cells run: through `run_keyed_cells`
+//! inside a spec under `Scheduler::execute`, with the policy in the `JobSession`.
 //!
 //! The nested `join`/`par_iter` tests double as the proof obligation for the pool's
 //! panic contract (DESIGN.md §7): after a cell panics *inside* nested pool
@@ -11,30 +13,62 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
+use repro_bench::cache::{CellKey, KeyBuilder};
 use repro_bench::row;
-use repro_bench::runner::{
-    run_cells, run_cells_with_policy, CellStatus, ExperimentSpec, FaultPolicy, Format, Row,
-    RunConfig,
-};
+use repro_bench::runner::{ExperimentResult, ExperimentSpec, Format, Row, RunConfig, Value};
+use repro_bench::scheduler::{run_keyed_cells, CellStatus, FaultPolicy, JobSession, Scheduler};
+use repro_bench::Scale;
 
 /// A policy with no backoff sleeps, so the retry tests run in microseconds.
 fn quick(max_attempts: u32) -> FaultPolicy {
     FaultPolicy { max_attempts, backoff: Duration::ZERO, timeout: None }
 }
 
+/// Cells `cells`, each under its own content address.
+fn keyed(cells: impl IntoIterator<Item = u32>) -> Vec<(CellKey, u32)> {
+    cells
+        .into_iter()
+        .map(|cell| {
+            (KeyBuilder::new("runner-faults").field_u64("cell", cell.into()).finish(), cell)
+        })
+        .collect()
+}
+
+/// Execute `spec` under a pool-sized scheduler with `policy`.
+fn execute(spec: &ExperimentSpec, policy: FaultPolicy) -> ExperimentResult {
+    let config = RunConfig { scale: Scale::Tiny, procs: None, seed: None };
+    let session = JobSession { policy: Some(policy), ..JobSession::default() };
+    Scheduler::pool_sized().execute(spec, &config, session)
+}
+
+/// A one-column fixture spec around `run`.
+fn fixture(run: fn(&RunConfig) -> Vec<Row>) -> ExperimentSpec {
+    ExperimentSpec {
+        id: "test_faults",
+        aliases: &[],
+        title: "Fault fixture",
+        columns: &["cell"],
+        notes: &[],
+        run,
+    }
+}
+
 #[test]
 fn a_panicking_cell_is_isolated_and_its_siblings_complete() {
-    let (rows, outcomes) = run_cells_with_policy(vec![0u32, 1, 2, 3], quick(2), |cell| {
-        if cell == 2 {
-            panic!("cell two exploded");
-        }
-        vec![row![cell as u64]]
+    let spec = fixture(|_| {
+        run_keyed_cells(keyed(0..4), |cell| {
+            if cell == 2 {
+                panic!("cell two exploded");
+            }
+            vec![row![u64::from(cell)]]
+        })
     });
+    let result = execute(&spec, quick(2));
     // Three survivors, in cell order, with the failed cell's rows absent.
-    assert_eq!(rows.len(), 3);
-    assert_eq!(rows[2].cells[0], repro_bench::runner::Value::Int(3));
-    assert_eq!(outcomes.len(), 1);
-    let outcome = &outcomes[0];
+    assert_eq!(result.rows.len(), 3);
+    assert_eq!(result.rows[2].cells[0], Value::Int(3));
+    assert_eq!(result.cell_faults.len(), 1);
+    let outcome = &result.cell_faults[0];
     assert_eq!(outcome.cell, 2);
     assert_eq!(outcome.status, CellStatus::Panicked);
     assert_eq!(outcome.attempts, 2, "a deterministic panic exhausts every attempt");
@@ -47,19 +81,23 @@ fn a_panicking_cell_is_isolated_and_its_siblings_complete() {
 
 #[test]
 fn a_flaky_cell_recovers_on_retry_and_reports_ok() {
-    let first_attempt_done = AtomicU32::new(0);
-    let (rows, outcomes) = run_cells_with_policy(vec![10u32, 20], quick(3), |cell| {
-        if cell == 20 && first_attempt_done.fetch_add(1, Ordering::SeqCst) == 0 {
-            panic!("transient");
-        }
-        vec![row![cell as u64]]
+    static FIRST_ATTEMPT_DONE: AtomicU32 = AtomicU32::new(0);
+    let spec = fixture(|_| {
+        run_keyed_cells(keyed([10, 20]), |cell| {
+            if cell == 20 && FIRST_ATTEMPT_DONE.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("transient");
+            }
+            vec![row![u64::from(cell)]]
+        })
     });
-    assert_eq!(rows.len(), 2, "the recovered cell's rows are kept");
-    assert_eq!(outcomes.len(), 1, "only the interesting (retried) cell is reported");
-    let outcome = &outcomes[0];
+    let result = execute(&spec, quick(3));
+    assert_eq!(result.rows.len(), 2, "the recovered cell's rows are kept");
+    assert_eq!(result.cell_faults.len(), 1, "only the interesting (retried) cell is reported");
+    let outcome = &result.cell_faults[0];
     assert_eq!((outcome.cell, outcome.status), (1, CellStatus::Ok));
     assert_eq!(outcome.attempts, 2);
     assert!(outcome.error.is_none(), "a recovery clears the failure message");
+    assert!(result.failure_error().is_none(), "a recovered cell is not a failure");
 }
 
 #[test]
@@ -68,35 +106,41 @@ fn a_panic_inside_nested_join_and_par_iter_leaves_the_pool_usable_for_the_retry(
     // worker, on its first attempt only.  The retry round reuses the same
     // persistent pool — if the panic killed a worker or poisoned a lock, this
     // test hangs or fails instead of recovering.
+    static FAILED_ONCE: AtomicU32 = AtomicU32::new(0);
+    let spec = ExperimentSpec {
+        columns: &["cell", "sum"],
+        ..fixture(|_| {
+            run_keyed_cells(keyed(0..3), |cell| {
+                let (sum, _) = rayon::join(
+                    || {
+                        use rayon::prelude::*;
+                        (0..16u64)
+                            .collect::<Vec<_>>()
+                            .par_iter()
+                            .map(|&i| {
+                                if cell == 1 && i == 7 && FAILED_ONCE.swap(1, Ordering::SeqCst) == 0
+                                {
+                                    panic!("worker task died mid-interval");
+                                }
+                                i
+                            })
+                            .collect::<Vec<_>>()
+                            .iter()
+                            .sum::<u64>()
+                    },
+                    || (0..100u64).sum::<u64>(),
+                );
+                vec![row![u64::from(cell), sum]]
+            })
+        })
+    };
     rayon::with_num_threads(4, || {
-        let failed_once = AtomicU32::new(0);
-        let (rows, outcomes) = run_cells_with_policy(vec![0u32, 1, 2], quick(2), |cell| {
-            let (sum, _) = rayon::join(
-                || {
-                    use rayon::prelude::*;
-                    (0..16u64)
-                        .collect::<Vec<_>>()
-                        .par_iter()
-                        .map(|&i| {
-                            if cell == 1 && i == 7 && failed_once.load(Ordering::SeqCst) == 0 {
-                                failed_once.store(1, Ordering::SeqCst);
-                                panic!("worker task died mid-interval");
-                            }
-                            i
-                        })
-                        .collect::<Vec<_>>()
-                        .iter()
-                        .sum::<u64>()
-                },
-                || (0..100u64).sum::<u64>(),
-            );
-            vec![row![cell as u64, sum]]
-        });
-        assert_eq!(rows.len(), 3, "every cell completes once the flaky one is retried");
-        assert!(rows.iter().all(|r| r.cells[1] == repro_bench::runner::Value::Int(120)));
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].status, CellStatus::Ok);
-        assert_eq!(outcomes[0].attempts, 2);
+        let result = execute(&spec, quick(2));
+        assert_eq!(result.rows.len(), 3, "every cell completes once the flaky one is retried");
+        assert!(result.rows.iter().all(|r| r.cells[1] == Value::Int(120)));
+        assert_eq!(result.cell_faults.len(), 1);
+        assert_eq!(result.cell_faults[0].status, CellStatus::Ok);
+        assert_eq!(result.cell_faults[0].attempts, 2);
         // And the pool is still fully operational after the whole episode.
         use rayon::prelude::*;
         let check: u64 =
@@ -112,15 +156,18 @@ fn an_over_budget_cell_is_classified_timed_out_and_its_rows_discarded() {
         backoff: Duration::ZERO,
         timeout: Some(Duration::from_millis(1)),
     };
-    let (rows, outcomes) = run_cells_with_policy(vec![0u32, 1], policy, |cell| {
-        if cell == 1 {
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        vec![row![cell as u64]]
+    let spec = fixture(|_| {
+        run_keyed_cells(keyed(0..2), |cell| {
+            if cell == 1 {
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            vec![row![u64::from(cell)]]
+        })
     });
-    assert_eq!(rows.len(), 1, "the slow cell's rows are discarded, not half-kept");
-    assert_eq!(outcomes.len(), 1);
-    let outcome = &outcomes[0];
+    let result = execute(&spec, policy);
+    assert_eq!(result.rows.len(), 1, "the slow cell's rows are discarded, not half-kept");
+    assert_eq!(result.cell_faults.len(), 1);
+    let outcome = &result.cell_faults[0];
     assert_eq!(outcome.status, CellStatus::TimedOut);
     assert_eq!(outcome.attempts, 2);
     assert!(
@@ -133,11 +180,11 @@ fn an_over_budget_cell_is_classified_timed_out_and_its_rows_discarded() {
 /// A spec whose second cell always panics: the experiment still completes with the
 /// first cell's row plus a per-cell failure report.
 fn half_failing_run(_config: &RunConfig) -> Vec<Row> {
-    run_cells(vec![0u32, 1], |cell| {
+    run_keyed_cells(keyed(0..2), |cell| {
         if cell == 1 {
             panic!("simulated cell crash");
         }
-        vec![row!["survivor", cell as u64]]
+        vec![row!["survivor", u64::from(cell)]]
     })
 }
 
@@ -152,8 +199,7 @@ const HALF_FAILING: ExperimentSpec = ExperimentSpec {
 
 #[test]
 fn experiments_complete_with_partial_results_and_render_the_failures() {
-    let config = RunConfig::from_env();
-    let result = HALF_FAILING.execute_with_policy(&config, quick(2));
+    let result = execute(&HALF_FAILING, quick(2));
     assert_eq!(result.rows.len(), 1, "partial results survive");
     assert_eq!(result.failed_cells(), 1);
     let reason = result.failure_error().expect("a failed cell must surface");
@@ -180,7 +226,7 @@ fn experiments_complete_with_partial_results_and_render_the_failures() {
 #[test]
 fn clean_runs_render_byte_identically_to_the_pre_fault_harness() {
     fn clean_run(_config: &RunConfig) -> Vec<Row> {
-        run_cells(vec![1u32, 2], |cell| vec![row!["ok", cell as u64]])
+        run_keyed_cells(keyed(1..3), |cell| vec![row!["ok", u64::from(cell)]])
     }
     const CLEAN: ExperimentSpec = ExperimentSpec {
         id: "test_clean",
@@ -190,7 +236,7 @@ fn clean_runs_render_byte_identically_to_the_pre_fault_harness() {
         notes: &[],
         run: clean_run,
     };
-    let result = CLEAN.execute_with_policy(&RunConfig::from_env(), quick(3));
+    let result = execute(&CLEAN, quick(3));
     assert!(result.cell_faults.is_empty());
     assert!(result.failure_error().is_none());
     for format in [Format::Text, Format::Json, Format::Csv] {
@@ -201,15 +247,17 @@ fn clean_runs_render_byte_identically_to_the_pre_fault_harness() {
 }
 
 #[test]
-fn run_cells_without_a_collector_panics_loudly_on_terminal_failure() {
-    // Outside ExperimentSpec::execute there is nowhere to report a terminally
-    // failed cell, and silently dropping its rows would corrupt downstream
-    // aggregation — the legacy abort-loudly contract stands.
+fn cells_outside_a_scheduled_job_panic_naming_scheduler_execute() {
+    // There are no bare cells: outside a job there is no policy to retry under,
+    // no slot queue to meter and no result to report a failure into.
     let payload = std::panic::catch_unwind(|| {
-        run_cells(vec![0u32], |_| -> Vec<Row> { panic!("unrecoverable") })
+        run_keyed_cells(keyed([0]), |cell| vec![row![u64::from(cell)]])
     })
-    .expect_err("a terminal failure with no collector must panic");
-    let msg = payload.downcast_ref::<String>().expect("formatted message");
-    assert!(msg.contains("cell 0 panicked"), "got: {msg}");
-    assert!(msg.contains("unrecoverable"), "got: {msg}");
+    .expect_err("a cell outside Scheduler::execute must not run");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .expect("a message payload");
+    assert!(msg.contains("Scheduler::execute"), "got: {msg}");
 }

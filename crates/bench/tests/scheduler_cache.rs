@@ -79,13 +79,14 @@ fn assert_renders_bit_identical(a: &ExperimentResult, b: &mut ExperimentResult, 
 }
 
 /// The specs whose cells are pure functions of (config, cell) and therefore
-/// carry cache keys.  The wall-clock benches, `table1`/`table4` (layout prose
-/// and par_map summaries) and the reorder-frequency ablation measure elapsed
-/// time inside their rows, so caching them would fabricate measurements —
-/// they stay unkeyed by design.
+/// are looked up in the cache.  `table1` only formats the layout table, and the
+/// wall-clock benches and the reorder-frequency ablation measure elapsed time
+/// inside their rows, so caching them would fabricate measurements — they run
+/// no cells.
 const KEYED_SPECS: &[&str] = &[
     "table2",
     "table3",
+    "table4",
     "fig01_04",
     "fig02_05",
     "fig03",
@@ -193,7 +194,7 @@ fn warm_cache_reproduces_every_registered_spec_bit_identically() {
 /// for those, bit-identity under eviction is guaranteed by the disk layer
 /// (tested below), not by re-execution.
 const PURE_KEYED_SPECS: &[&str] =
-    &["fig01_04", "fig02_05", "fig03", "fig06", "ablation_unit_sweep"];
+    &["table4", "fig01_04", "fig02_05", "fig03", "fig06", "ablation_unit_sweep"];
 
 #[test]
 fn a_tiny_memory_budget_forces_constant_eviction_but_never_changes_results() {

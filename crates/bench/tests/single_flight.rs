@@ -13,8 +13,10 @@ use std::time::Duration;
 
 use repro_bench::cache::{CacheConfig, CellCache, CellKey, KeyBuilder};
 use repro_bench::row;
-use repro_bench::runner::{CellStatus, ExperimentSpec, RunConfig};
-use repro_bench::scheduler::{run_keyed_cells, FaultPolicy, JobCounters, JobSession, Scheduler};
+use repro_bench::runner::{ExperimentSpec, RunConfig};
+use repro_bench::scheduler::{
+    run_keyed_cells, CellStatus, FaultPolicy, JobCounters, JobSession, Scheduler,
+};
 use repro_bench::Scale;
 
 fn serialize() -> MutexGuard<'static, ()> {

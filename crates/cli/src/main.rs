@@ -6,7 +6,7 @@
 //! xp table <1|2|3|4>                  one table of the paper
 //! xp fig <1..9>                       one figure (paired figures share a spec)
 //! xp ablation <reorder-frequency|unit-sweep>
-//! xp bench <reorder-cost|sim-throughput|dsm-throughput|gen-throughput>
+//! xp bench <reorder-cost|sim-throughput|dsm-throughput|gen-throughput|trace-throughput>
 //!                                     performance benches
 //! xp run <id>                         any experiment by id or alias
 //! xp sweep                            every experiment (writes one artifact each)
@@ -40,7 +40,8 @@ USAGE:
     xp table <1|2|3|4>        [options]
     xp fig <1|2|...|9>        [options]
     xp ablation <name>        [options]   (reorder-frequency | unit-sweep)
-    xp bench <name>           [options]   (reorder-cost | sim-throughput | dsm-throughput | gen-throughput)
+    xp bench <name>           [options]   (reorder-cost | sim-throughput | dsm-throughput |
+                                           gen-throughput | trace-throughput)
     xp run <id-or-alias>      [options]
     xp sweep [id...]          [options]   run every (or the listed) experiment(s)
     xp serve                  [options]   NDJSON job server on stdin/stdout

@@ -164,3 +164,14 @@ fn sweep_rejects_unknown_experiment_ids() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no experiment named \"nonsense\""), "got: {stderr}");
 }
+
+#[test]
+fn help_names_every_registered_bench() {
+    let out = xp().arg("--help").output().unwrap();
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    let benches = repro_bench::experiments::all().iter().filter(|s| s.id.starts_with("bench_"));
+    for spec in benches {
+        assert!(help.contains(spec.aliases[0]), "`xp --help` omits `xp bench {}`", spec.aliases[0]);
+    }
+}
