@@ -5,7 +5,7 @@
 //! The paper's evaluation is a grid of cells (app × ordering × granularity ×
 //! processor count), and overlapping sweeps recompute identical cells wholesale:
 //! `fig02_05` at its default processor ladder covers every cell a later
-//! `--procs 8` run needs, `fig07` reduces exactly the substrate runs `table2` does,
+//! `--procs 8` run needs, `fig07` needs exactly the substrate cells `table2` does,
 //! and a serve session replays the same submissions again and again.  This module gives
 //! every *deterministic* cell a stable 128-bit content address so the scheduler
 //! ([`crate::scheduler`]) can pay for each unique cell exactly once.
@@ -30,8 +30,9 @@
 //!   measured win in EXPERIMENTS.md's `serve-dedup`).
 //! - **Domain separation.**  The domain names the row shape, so two domains with
 //!   coincidentally identical knobs can never alias each other's rows.  It is the
-//!   spec id, or a substrate-run domain (`origin_run`, `dsm_run`) whose rows the
-//!   specs reducing the same runs share.
+//!   spec id, or a substrate-run domain (`origin_seq_par`, whose cells answer a
+//!   run on N processors and on 1, and `dsm_run`) whose rows the specs reducing
+//!   the same runs share.
 //!
 //! # Memory budget
 //!

@@ -371,9 +371,9 @@ fn run_table1(cfg: &RunConfig) -> Vec<Row> {
 
 /// One substrate run: build `app` at the spec's scale and seed, apply `ordering`,
 /// trace it on `procs` virtual processors, and reduce the trace through a
-/// [`Substrate`] model.  Runs, not spec rows, are the keyed cells of `table2`/`fig07`
-/// and `table3`/`fig08_09`: a figure that needs a run its table already computed
-/// under the same seed is answered from the cache.
+/// [`Substrate`] model.  Substrate cells, not spec rows, are the keyed cells of
+/// `table2`/`fig07` and `table3`/`fig08_09`: a figure that needs a run its table
+/// already computed under the same seed is answered from the cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct SubstrateRun {
     app: AppKind,
@@ -386,8 +386,12 @@ struct SubstrateRun {
 /// processor count, so the key domain stands for all of them.
 #[derive(Debug, Clone, Copy)]
 enum Substrate {
-    /// Origin 2000 model.  Row: app, ordering, procs, reorder_s, time_s,
-    /// l2_misses, tlb_misses.
+    /// Origin 2000 model.  A cell traces its run once on `procs` processors and
+    /// reduces it twice: on the `procs`-processor machine and folded onto a
+    /// 1-processor one (every application's 1-processor trace is, interval by
+    /// interval, the processor-order concatenation of its P-processor streams), so
+    /// it answers the run on `procs` and on 1.  Row: app, ordering, procs,
+    /// reorder_s, time_s, l2_misses, tlb_misses.
     Origin,
     /// TreadMarks and HLRC models over one page history.  Row: app, ordering,
     /// procs, reorder_s, tmk_seq_s, tmk_time_s, tmk_data_mb, tmk_messages,
@@ -398,25 +402,55 @@ enum Substrate {
 impl Substrate {
     fn domain(self) -> &'static str {
         match self {
-            Substrate::Origin => "origin_run",
+            Substrate::Origin => "origin_seq_par",
             Substrate::Dsm => "dsm_run",
         }
     }
 
-    /// The model columns of one run (everything after `reorder_s`).
-    fn measure(self, run: &crate::AppRun, procs: usize) -> Vec<Value> {
+    /// The cell that answers `run` among the runs a spec `needs`: an Origin run on
+    /// one processor comes from the cell of a parallel run of the same version.
+    fn cell_of(self, run: SubstrateRun, needs: &[SubstrateRun]) -> SubstrateRun {
+        match self {
+            Substrate::Origin if run.procs == 1 => needs
+                .iter()
+                .filter(|n| (n.app, n.ordering) == (run.app, run.ordering))
+                .max_by_key(|n| n.procs)
+                .copied()
+                .unwrap_or(run),
+            _ => run,
+        }
+    }
+
+    /// The model columns (everything after `reorder_s`) of each run a cell on
+    /// `procs` processors answers, keyed by processor count.
+    fn measure(self, run: &crate::AppRun, procs: usize) -> Vec<(usize, Vec<Value>)> {
         match self {
             Substrate::Origin => {
-                let mut machine = OriginPreset::origin2000(procs).build_machine();
-                let result = machine.run_trace_with_layout(&run.trace, &run.layout);
-                let time = CostModel::default().machine_time(&result);
-                vec![time.into(), result.l2_misses().into(), result.tlb_misses().into()]
+                let columns = |result: SimulationResult| -> Vec<Value> {
+                    let time = CostModel::default().machine_time(&result);
+                    vec![time.into(), result.l2_misses().into(), result.tlb_misses().into()]
+                };
+                let parallel = || {
+                    OriginPreset::origin2000(procs)
+                        .build_machine()
+                        .run_trace_with_layout(&run.trace, &run.layout)
+                };
+                if procs == 1 {
+                    return vec![(1, columns(parallel()))];
+                }
+                let folded = || {
+                    OriginPreset::origin2000(1)
+                        .build_machine()
+                        .run_trace_folded(&run.trace, &run.layout)
+                };
+                let (seq, par) = rayon::join(folded, parallel);
+                vec![(1, columns(seq)), (procs, columns(par))]
             }
             Substrate::Dsm => {
                 let config = DsmConfig::cluster(procs);
                 let history = PageWriteHistory::build(&run.trace, &run.layout, config.page_bytes);
                 let cost = NetworkCostModel::default();
-                [
+                let columns = [
                     TreadMarksSim::new(config).run_history(&history),
                     HlrcSim::new(config).run_history(&history),
                 ]
@@ -430,7 +464,8 @@ impl Substrate {
                         result.stats.messages.into(),
                     ]
                 })
-                .collect()
+                .collect();
+                vec![(procs, columns)]
             }
         }
     }
@@ -447,20 +482,22 @@ impl SubstrateRows {
     }
 }
 
-/// Compute every distinct run of `runs` through one [`run_keyed_cells`] call, keyed
-/// on (scale, seed, procs, app, ordering) in the substrate's domain.  A spec emits a
-/// row only when all of the runs it needs are present, so a failed cell drops
-/// exactly the rows that depend on it.
+/// Compute every distinct cell that answers `runs` through one [`run_keyed_cells`]
+/// call, keyed on (scale, seed, procs, app, ordering) in the substrate's domain.  A
+/// spec emits a row only when all of the runs it needs are present, so a failed
+/// cell drops exactly the rows that depend on it.
 fn run_substrate(
     substrate: Substrate,
     scale: Scale,
     seed: u64,
     runs: impl IntoIterator<Item = SubstrateRun>,
 ) -> SubstrateRows {
+    let needs: Vec<SubstrateRun> = runs.into_iter().collect();
     let mut unique: Vec<SubstrateRun> = Vec::new();
-    for run in runs {
-        if !unique.contains(&run) {
-            unique.push(run);
+    for &run in &needs {
+        let cell = substrate.cell_of(run, &needs);
+        if !unique.contains(&cell) {
+            unique.push(cell);
         }
     }
     let cells: Vec<(CellKey, SubstrateRun)> = unique
@@ -478,14 +515,20 @@ fn run_substrate(
         .collect();
     let rows = run_keyed_cells(cells, |run| {
         let app_run = build_run(run.app, run.ordering, scale, run.procs, seed);
-        let mut cells = vec![
-            run.app.name().into(),
-            run.ordering.name().into(),
-            run.procs.into(),
-            app_run.reorder_seconds.into(),
-        ];
-        cells.extend(substrate.measure(&app_run, run.procs));
-        vec![Row { cells }]
+        substrate
+            .measure(&app_run, run.procs)
+            .into_iter()
+            .map(|(procs, columns)| {
+                let mut cells = vec![
+                    run.app.name().into(),
+                    run.ordering.name().into(),
+                    procs.into(),
+                    app_run.reorder_seconds.into(),
+                ];
+                cells.extend(columns);
+                Row { cells }
+            })
+            .collect()
     });
     SubstrateRows(
         rows.into_iter()
@@ -529,10 +572,10 @@ fn run_table2(cfg: &RunConfig) -> Vec<Row> {
     versions
         .into_iter()
         .filter_map(|(app, ordering)| {
+            // One cell answers both runs, so they carry the same reorder_s.
             let seq = runs.get(run(app, ordering, 1))?;
             let par = runs.get(run(app, ordering, par_procs))?;
-            let reorder_cost = float(&seq[0]).max(float(&par[0]));
-            let mut cells = vec![app.name().into(), ordering.name().into(), reorder_cost.into()];
+            let mut cells = vec![app.name().into(), ordering.name().into(), par[0].clone()];
             cells.extend(seq[1..].iter().chain(&par[1..]).cloned());
             Some(Row { cells })
         })
@@ -1804,6 +1847,57 @@ mod tests {
             id: "dsm_run_check",
             aliases: &[],
             title: "dsm_run rows against per-protocol replay",
+            columns: &[],
+            notes: &[],
+            run: check,
+        };
+        let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: None, seed: None });
+        assert!(result.cell_faults.is_empty(), "{:?}", result.cell_faults);
+    }
+
+    #[test]
+    fn origin_cell_rows_match_a_separately_traced_run_on_each_machine() {
+        // The 1-processor row of an Origin cell comes from its P-processor trace
+        // folded onto one processor; it must equal tracing the run on one processor
+        // and replaying that, and the P-processor row must equal the plain replay.
+        fn check(_cfg: &RunConfig) -> Vec<Row> {
+            let (scale, seed, procs) = (Scale::Tiny, 3, 4);
+            let versions: Vec<(AppKind, Ordering)> = AppKind::ALL
+                .into_iter()
+                .flat_map(|app| {
+                    std::iter::once(Ordering::Original)
+                        .chain(Method::ALL.map(Ordering::Reordered))
+                        .map(move |o| (app, o))
+                })
+                .collect();
+            let run = |app, ordering, procs| SubstrateRun { app, ordering, procs };
+            let runs = run_substrate(
+                Substrate::Origin,
+                scale,
+                seed,
+                versions.iter().flat_map(|&(app, o)| [run(app, o, 1), run(app, o, procs)]),
+            );
+            for (app, ordering) in versions {
+                for p in [1, procs] {
+                    let traced = build_run(app, ordering, scale, p, seed);
+                    let result = OriginPreset::origin2000(p)
+                        .build_machine()
+                        .run_trace_with_layout(&traced.trace, &traced.layout);
+                    let want = [
+                        Value::Float(CostModel::default().machine_time(&result)),
+                        Value::from(result.l2_misses()),
+                        Value::from(result.tlb_misses()),
+                    ];
+                    let got = runs.get(run(app, ordering, p)).expect("every cell succeeds");
+                    assert_eq!(got[1..], want[..], "{} {} P={p}", app.name(), ordering.name());
+                }
+            }
+            Vec::new()
+        }
+        let spec = ExperimentSpec {
+            id: "origin_cell_check",
+            aliases: &[],
+            title: "origin cell rows against separately traced runs",
             columns: &[],
             notes: &[],
             run: check,

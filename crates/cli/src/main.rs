@@ -499,8 +499,8 @@ fn run_sweep(ids: &[String], options: &Options) -> Result<(), String> {
         let path = out_dir.join(format!("{}.{}", spec.id, options.format.extension()));
         emit(&result.render(options.format), Some(&path))?;
         let hits = counters.cache_hits.load(std::sync::atomic::Ordering::Relaxed);
-        if hits > 0 {
-            let computed = counters.computed_cells.load(std::sync::atomic::Ordering::Relaxed);
+        let computed = counters.computed_cells.load(std::sync::atomic::Ordering::Relaxed);
+        if hits + computed > 0 {
             eprintln!("  cache: {hits} cell(s) reused, {computed} computed");
         }
         if let Some(reason) = result.failure_error() {

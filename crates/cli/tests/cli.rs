@@ -119,17 +119,18 @@ fn procs_one_computes_one_cell_per_unique_run() {
 }
 
 /// A substrate cell that fails terminally drops exactly the rows built on it, in
-/// every spec that needs the run.  With one worker the failpoint's seeded 2-of-25
-/// schedule is a fixed function of evaluation order: it fires on table2's cell 11
-/// (Water-Spatial, hilbert, 16 processors) and on the one cell fig07 is left to
-/// compute, which is that same run (fig07's cell 8).
+/// every spec that needs the run.  table2 evaluates its 12 cells, and fig07 takes
+/// 11 of its 12 from the cache and evaluates the one table2 failed.  With one
+/// worker the failpoint's seeded 2-of-13 schedule is a fixed function of that
+/// evaluation order: it fires on table2's cell 5 (Water-Spatial, hilbert, on 16
+/// processors and on 1) and on fig07's recomputation of it (fig07's cell 5).
 #[cfg(feature = "failpoints")]
 #[test]
 fn a_failed_substrate_cell_drops_only_its_dependent_rows() {
     let dir = std::env::temp_dir().join(format!("xp-substrate-fault-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = xp()
-        .env("FAILPOINTS", "runner/cell=2/25@27*return(injected failure)")
+        .env("FAILPOINTS", "runner/cell=2/13@63*return(injected failure)")
         .env("XP_CELL_ATTEMPTS", "1")
         .args(["sweep", "table2", "fig07", "--scale", "tiny", "--jobs", "1", "--format", "csv"])
         .arg("--out")
@@ -144,7 +145,7 @@ fn a_failed_substrate_cell_drops_only_its_dependent_rows() {
     assert!(!rows.iter().any(|r| r.starts_with("Water-Spatial,hilbert,")), "{table2}");
     let faults: Vec<&str> = table2.lines().filter(|l| l.starts_with("# cell-fault")).collect();
     assert_eq!(faults.len(), 1, "{table2}");
-    assert!(faults[0].starts_with("# cell-fault,cell=11,status=failed,"), "{table2}");
+    assert!(faults[0].starts_with("# cell-fault,cell=5,status=failed,"), "{table2}");
     assert!(faults[0].contains("injected failure"), "{table2}");
 
     let fig07 = std::fs::read_to_string(dir.join("fig07.csv")).unwrap();
@@ -153,7 +154,7 @@ fn a_failed_substrate_cell_drops_only_its_dependent_rows() {
     assert!(!rows.iter().any(|r| r.starts_with("Water-Spatial,")), "{fig07}");
     let faults: Vec<&str> = fig07.lines().filter(|l| l.starts_with("# cell-fault")).collect();
     assert_eq!(faults.len(), 1, "{fig07}");
-    assert!(faults[0].starts_with("# cell-fault,cell=8,status=failed,"), "{fig07}");
+    assert!(faults[0].starts_with("# cell-fault,cell=5,status=failed,"), "{fig07}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

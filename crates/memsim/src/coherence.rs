@@ -227,6 +227,28 @@ impl MultiprocessorSim {
         self.result()
     }
 
+    /// Replay a P-processor trace folded onto this 1-processor machine: each
+    /// interval's streams run one after another in processor order.  The
+    /// applications split a processor-count-independent work order into contiguous
+    /// per-processor chunks, so this is the access sequence a 1-processor trace of
+    /// the same run would record, and the counters are those of replaying it.
+    ///
+    /// # Panics
+    /// Panics unless the machine has exactly one processor.
+    pub fn run_trace_folded(
+        &mut self,
+        trace: &ProgramTrace,
+        layout: &ObjectLayout,
+    ) -> SimulationResult {
+        assert_eq!(self.num_procs(), 1, "a folded replay runs on a 1-processor machine");
+        for interval in &trace.intervals {
+            for stream in &interval.accesses {
+                self.run_interval(std::slice::from_ref(stream), layout);
+            }
+        }
+        self.result()
+    }
+
     /// Replay one synchronization interval: `streams[p]` is processor `p`'s ordered
     /// access stream.  Produces the identical interleaving (and therefore identical
     /// counters) as the original one-access-at-a-time loop, but batched: intervals

@@ -94,6 +94,45 @@ proptest! {
         }
     }
 
+    /// Folding a P-processor trace onto one processor equals replaying the trace whose
+    /// every interval is the processor-order concatenation of the P streams, recorded
+    /// through a 1-processor `TraceBuilder` — for any P, with empty streams and empty
+    /// intervals (a barrier draws one event in five, so many intervals are short or
+    /// empty and most of their streams are empty).
+    #[test]
+    fn folded_replay_matches_the_concatenated_one_processor_trace(
+        procs in 1usize..=8,
+        size_pick in 0usize..4,
+        events in prop::collection::vec((0usize..100, 0usize..8, 0usize..64, any::<bool>()), 0..400),
+    ) {
+        let object_size = [32usize, 96, 136, 680][size_pick];
+        let layout = ObjectLayout::new(64, object_size);
+        let mut builder = TraceBuilder::new(layout.clone(), procs);
+        for (kind, proc, object, write) in events {
+            match kind {
+                0..=79 if write => builder.write(proc % procs, object),
+                0..=79 => builder.read(proc % procs, object),
+                _ => builder.barrier(),
+            }
+        }
+        let trace = builder.finish();
+
+        let mut concatenated = TraceBuilder::new(layout.clone(), 1);
+        for interval in &trace.intervals {
+            for stream in &interval.accesses {
+                concatenated.record_many(0, stream);
+            }
+            concatenated.barrier();
+        }
+        let concatenated = concatenated.finish();
+
+        for (cache, tlb) in machines() {
+            let expected = MultiprocessorSim::new(1, cache, tlb).run_trace(&concatenated);
+            let folded = MultiprocessorSim::new(1, cache, tlb).run_trace_folded(&trace, &layout);
+            prop_assert_eq!(&expected, &folded);
+        }
+    }
+
     /// The 4-byte packed `Access` round-trips every (object, kind) pair, and ordering
     /// on the packed form preserves equality semantics.
     #[test]

@@ -104,6 +104,7 @@ impl CellGrid {
 
     /// [`CellGrid::partition_slabs`] into a caller-provided buffer (cleared first), so
     /// per-step partitions reuse one allocation.
+    /// Invariant: a 1-processor trace is the processor-order concatenation of a P-processor one.
     pub fn partition_slabs_into(&self, num_procs: usize, owner: &mut Vec<usize>) {
         assert!(num_procs > 0);
         let s = self.cells_per_side;

@@ -118,6 +118,7 @@ impl Moldyn {
 
     /// Block partition: molecule `i` is owned by processor `i * P / n` — the simple
     /// static partition Category-2 applications use.
+    /// Invariant: a 1-processor trace is the processor-order concatenation of a P-processor one.
     pub fn owner_of(&self, molecule: usize, num_procs: usize) -> usize {
         molecule * num_procs / self.molecules.len()
     }

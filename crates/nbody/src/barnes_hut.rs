@@ -135,6 +135,7 @@ impl BarnesHut {
 
     /// [`BarnesHut::partition`] into caller-provided buffers (`order` is traversal
     /// scratch), so per-iteration partitions reuse their allocations.
+    /// Invariant: a 1-processor trace is the processor-order concatenation of a P-processor one.
     fn partition_into(
         &self,
         tree: &Octree,

@@ -194,6 +194,7 @@ impl Fmm {
 
     /// [`Fmm::partition`] into a caller-provided buffer, so per-iteration partitions
     /// reuse their allocations.
+    /// Invariant: a 1-processor trace is the processor-order concatenation of a P-processor one.
     fn partition_into(&self, tree: &QuadTree, num_procs: usize, out: &mut FmmPartition) {
         let num_leaves = tree.leaf_bodies.len();
         let total: usize = tree.leaf_bodies.iter().map(Vec::len).sum();

@@ -130,6 +130,7 @@ impl Unstructured {
     }
 
     /// Block owner of node `i` among `num_procs` processors.
+    /// Invariant: a 1-processor trace is the processor-order concatenation of a P-processor one.
     pub fn node_owner(&self, i: usize, num_procs: usize) -> usize {
         i * num_procs / self.nodes.len()
     }
@@ -330,6 +331,7 @@ impl Unstructured {
         let num_procs = shards.num_procs();
         assert_eq!(sink.num_procs(), num_procs, "sink must match the processor count");
         let n = self.nodes.len();
+        // Block partitions of every loop: a 1-processor trace concatenates a P-processor one.
         // Interval 1: edge loop.
         let edges_per_proc = self.edges.len().div_ceil(num_procs).max(1);
         let num_edge_chunks = self.edges.chunks(edges_per_proc).len();
