@@ -4,9 +4,8 @@
 //!
 //! The paper's evaluation is a grid of cells (app × ordering × granularity ×
 //! processor count), and overlapping sweeps recompute identical cells wholesale:
-//! `fig02_05` at its default processor ladder covers every cell a later
-//! `--procs 8` run needs, `fig07` needs exactly the substrate cells `table2` does,
-//! and a serve session replays the same submissions again and again.  This module gives
+//! `fig07` needs exactly the substrate cells `table2` does, and a serve session
+//! replays the same submissions again and again.  This module gives
 //! every *deterministic* cell a stable 128-bit content address so the scheduler
 //! ([`crate::scheduler`]) can pay for each unique cell exactly once.
 //!
@@ -25,14 +24,15 @@
 //!   refactoring order.  The field *count* is hashed into the finalizer, so adding
 //!   a field always changes the key.
 //! - **Effective values, not overrides.**  Specs hash `config.procs_or(default)`,
-//!   not the `Option`: a run with `--procs 8` and a default-ladder run that happens
-//!   to execute an 8-processor cell land on the same key (that overlap is the
-//!   measured win in EXPERIMENTS.md's `serve-dedup`).
+//!   not the `Option`: a `--procs 16` run and a default run of `table2` land on the
+//!   same keys.
 //! - **Domain separation.**  The domain names the row shape, so two domains with
 //!   coincidentally identical knobs can never alias each other's rows.  It is the
 //!   spec id, or a substrate-run domain (`origin_seq_par`, whose cells answer a
 //!   run on N processors and on 1, and `dsm_run`) whose rows the specs reducing
-//!   the same runs share.
+//!   the same runs share.  `fig02_05_folded` replaced `fig02_05` when one cell
+//!   began answering a whole processor ladder, so entries of the old one-row shape
+//!   are never read back.
 //!
 //! # Memory budget
 //!

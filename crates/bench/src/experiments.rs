@@ -10,7 +10,8 @@ use std::time::Instant;
 
 use dsm::{DsmConfig, HlrcSim, NetworkCostModel, PageHistorySink, PageWriteHistory, TreadMarksSim};
 use memsim::{
-    page_sharing, page_update_map, CostModel, OriginPreset, ReferenceSim, SimSink, SimulationResult,
+    page_sharing, page_update_map, processor_unit_sets, CostModel, OriginPreset, PageSharingReport,
+    ReferenceSim, SimSink, SimulationResult,
 };
 use molecular::{Moldyn, MoldynParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
@@ -719,7 +720,7 @@ fn run_fig01_04(cfg: &RunConfig) -> Vec<Row> {
             .enumerate()
             .map(|(p, pages)| {
                 let marks: String =
-                    (0..num_pages).map(|pg| if pages.contains(&pg) { 'X' } else { '.' }).collect();
+                    (0..num_pages).map(|pg| if pages.contains(pg) { 'X' } else { '.' }).collect();
                 row![label, format!("P{p}"), marks, pages.len()]
             })
             .collect()
@@ -732,50 +733,65 @@ fn run_fig02_05(cfg: &RunConfig) -> Vec<Row> {
     let page_bytes = 8 * 1024;
     let seed = cfg.seed_or(7);
     // --procs narrows the sweep to one processor count; default is the paper's 2-16.
-    let proc_counts = cfg.procs.map(|p| vec![p]).unwrap_or_else(|| vec![2, 4, 8, 16]);
+    let ladder = cfg.procs.map(|p| vec![p]).unwrap_or_else(|| vec![2, 4, 8, 16]);
+    let traced = ladder.iter().copied().max().expect("a non-empty ladder");
     let dump = std::env::var("REPRO_DUMP_PAGES").map(|v| v == "1").unwrap_or(false);
-    // Keyed on (bodies, procs, seed, ordering): a narrowed `--procs 8` run shares
-    // cache entries with the default 2-16 ladder, and tiny/small share `bodies`.
-    // REPRO_DUMP_PAGES is stderr-only diagnostics, so it stays out of the key.
-    let cells: Vec<(CellKey, (usize, &str, Ordering))> = proc_counts
-        .into_iter()
-        .flat_map(|procs| {
-            [
-                (procs, "original", Ordering::Original),
-                (procs, "hilbert", Ordering::Reordered(Method::Hilbert)),
-            ]
-        })
-        .map(|(procs, label, ordering)| {
-            let key = KeyBuilder::new("fig02_05")
-                .field_usize("bodies", bodies)
-                .field_usize("page_bytes", page_bytes)
-                .field_u64("seed", seed)
-                .field_usize("procs", procs)
-                .field_str("label", label)
-                .field_str("ordering", &ordering.name())
-                .finish();
-            (key, (procs, label, ordering))
-        })
-        .collect();
-    run_keyed_cells(cells, |(procs, label, ordering)| {
-        let run = build_run_sized(AppKind::BarnesHut, ordering, bodies, 1, procs, seed);
-        let report = page_sharing(&run.trace, &run.layout, page_bytes);
-        if dump {
-            // Per-page series for plotting the paper's histograms (stderr keeps the
-            // table / JSON / CSV artifact on stdout clean).
-            eprintln!("# pages P={procs} {label}: {:?}", report.sharers);
-        }
-        let max = report.sharers.iter().copied().max().unwrap_or(0);
-        vec![row![
-            procs,
-            label,
-            report.num_units,
-            report.mean_sharers(),
-            report.mean_writers(),
-            u64::from(max),
-            report.falsely_shared_units
-        ]]
-    })
+    // One cell per ordering traces Barnes-Hut once on the largest ladder P and folds
+    // that trace onto every ladder P that divides it: with one iteration, the Q-processor
+    // stream k is the concatenation of P-processor streams k·P/Q .. (k+1)·P/Q
+    // (crates/bench/tests/seq_trace_is_par_concatenation.rs pins it).  The key names the
+    // ladder because the rows do; tiny and small share `bodies`.  REPRO_DUMP_PAGES is
+    // stderr-only diagnostics, so it stays out of the key.
+    let ladder_name = ladder.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
+    let cells: Vec<(CellKey, (&str, Ordering))> =
+        [("original", Ordering::Original), ("hilbert", Ordering::Reordered(Method::Hilbert))]
+            .into_iter()
+            .map(|(label, ordering)| {
+                let key = KeyBuilder::new("fig02_05_folded")
+                    .field_usize("bodies", bodies)
+                    .field_usize("page_bytes", page_bytes)
+                    .field_u64("seed", seed)
+                    .field_usize("procs", traced)
+                    .field_str("ladder", &ladder_name)
+                    .field_str("label", label)
+                    .field_str("ordering", &ordering.name())
+                    .finish();
+                (key, (label, ordering))
+            })
+            .collect();
+    let mut rows = run_keyed_cells(cells, |(label, ordering)| {
+        let run = build_run_sized(AppKind::BarnesHut, ordering, bodies, 1, traced, seed);
+        let per_proc = processor_unit_sets(&run.trace, &run.layout, page_bytes);
+        let num_units = run.layout.num_units(page_bytes);
+        ladder
+            .iter()
+            .filter(|&&procs| traced.is_multiple_of(procs))
+            .map(|&procs| {
+                let report = PageSharingReport::folded(&per_proc, procs, num_units, page_bytes);
+                if dump {
+                    // Per-page series for plotting the paper's histograms (stderr keeps
+                    // the table / JSON / CSV artifact on stdout clean).
+                    eprintln!("# pages P={procs} {label}: {:?}", report.sharers);
+                }
+                let max = report.sharers.iter().copied().max().unwrap_or(0);
+                row![
+                    procs,
+                    label,
+                    report.num_units,
+                    report.mean_sharers(),
+                    report.mean_writers(),
+                    u64::from(max),
+                    report.falsely_shared_units
+                ]
+            })
+            .collect()
+    });
+    // Cells come back per ordering; the figure lists both orderings per P.
+    rows.sort_by_key(|row| match row.cells[0] {
+        Value::Int(procs) => procs,
+        _ => unreachable!("procs is the first column"),
+    });
+    rows
 }
 
 fn run_fig03(_cfg: &RunConfig) -> Vec<Row> {

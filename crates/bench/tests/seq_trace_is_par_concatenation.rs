@@ -4,10 +4,17 @@
 //! contiguous per-processor chunks (costzones for Barnes-Hut and FMM, block or slab
 //! partitions for the others), and its physics does not depend on P — so one trace
 //! on P processors, folded onto one processor, gives Table 2's sequential columns.
+//!
+//! Figures 2 and 5 rest on a stronger form for one-iteration Barnes-Hut: its
+//! Q-processor stream k is the concatenation of P-processor streams k·P/Q through
+//! (k+1)·P/Q−1 whenever Q divides P by a power of two, because the costzones
+//! thresholds `total/P·(i+1)` then scale exactly in f64.  FMM and Unstructured do not
+//! nest this way (their Q-processor chunks cut the work order at other points), so
+//! only `fig02_05` folds onto intermediate processor counts.
 
 use rayon::prelude::*;
 use reorder::Method;
-use repro_bench::{build_run, AppKind, Ordering, Scale};
+use repro_bench::{build_run, build_run_sized, AppKind, Ordering, Scale};
 use smtrace::ProgramTrace;
 
 const ORDERINGS: [Ordering; 5] = [
@@ -18,14 +25,18 @@ const ORDERINGS: [Ordering; 5] = [
     Ordering::Reordered(Method::Row),
 ];
 
-/// Assert that `seq` (traced on one processor) is `par` with each interval's streams
-/// concatenated in processor order.
-fn assert_concatenation(seq: &ProgramTrace, par: &ProgramTrace, case: &str) {
-    assert_eq!(seq.num_procs, 1, "{case}");
-    assert_eq!(seq.intervals.len(), par.intervals.len(), "{case}: interval counts differ");
-    for (k, (one, many)) in seq.intervals.iter().zip(&par.intervals).enumerate() {
-        let concatenated: Vec<_> = many.accesses.iter().flatten().copied().collect();
-        assert!(one.accesses[0] == concatenated, "{case}: interval {k} differs");
+/// Assert that every stream of `coarse` is the processor-order concatenation of its
+/// group of `par`'s streams, interval by interval: Q = `coarse.num_procs` contiguous
+/// groups of P/Q processors each.
+fn assert_concatenation(coarse: &ProgramTrace, par: &ProgramTrace, case: &str) {
+    assert!(par.num_procs.is_multiple_of(coarse.num_procs), "{case}");
+    let group = par.num_procs / coarse.num_procs;
+    assert_eq!(coarse.intervals.len(), par.intervals.len(), "{case}: interval counts differ");
+    for (k, (few, many)) in coarse.intervals.iter().zip(&par.intervals).enumerate() {
+        for (q, streams) in many.accesses.chunks(group).enumerate() {
+            let concatenated: Vec<_> = streams.iter().flatten().copied().collect();
+            assert!(few.accesses[q] == concatenated, "{case}: interval {k} stream {q} differs");
+        }
     }
 }
 
@@ -53,4 +64,22 @@ fn every_tiny_one_processor_trace_concatenates_its_parallel_streams() {
 #[test]
 fn a_small_one_processor_trace_concatenates_its_parallel_streams() {
     check(AppKind::BarnesHut, Ordering::Reordered(Method::Hilbert), Scale::Small, 123, &[16]);
+}
+
+#[test]
+fn fig02_05_barnes_hut_folds_from_16_processors_onto_every_smaller_ladder_count() {
+    // fig02_05's body count at tiny and small scale, one iteration, as its cells trace.
+    const BODIES: usize = 8_192;
+    let cases: Vec<(Ordering, u64)> = [Ordering::Original, Ordering::Reordered(Method::Hilbert)]
+        .into_iter()
+        .flat_map(|ordering| [7, 5, 123].map(|seed| (ordering, seed)))
+        .collect();
+    cases.into_par_iter().for_each(|(ordering, seed)| {
+        let trace = |procs| build_run_sized(AppKind::BarnesHut, ordering, BODIES, 1, procs, seed);
+        let par = trace(16).trace;
+        for q in [8, 4, 2, 1] {
+            let case = format!("Barnes-Hut {} seed {seed} P=16 onto Q={q}", ordering.name());
+            assert_concatenation(&trace(q).trace, &par, &case);
+        }
+    });
 }

@@ -66,5 +66,5 @@ pub use coherence::{MultiprocessorSim, ProcessorStats, SimSink, SimulationResult
 pub use directory::Directory;
 pub use origin::{CostModel, OriginPreset};
 pub use reference::ReferenceSim;
-pub use sharing::{page_sharing, page_update_map, PageSharingReport};
+pub use sharing::{page_sharing, page_update_map, processor_unit_sets, PageSharingReport};
 pub use tlb::{Tlb, TlbConfig, TlbStats};

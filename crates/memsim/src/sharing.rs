@@ -6,9 +6,7 @@
 //! Hilbert reordering.  Both are pure functions of the trace and the object layout,
 //! computed here.
 
-use std::collections::BTreeSet;
-
-use smtrace::{ObjectLayout, ProgramTrace, SharingHistogram, UnitAccessSets};
+use smtrace::{DenseSet, ObjectLayout, ProgramTrace, SharingHistogram, UnitAccessSets};
 
 /// The per-page sharing report for one trace at one consistency-unit size.
 #[derive(Debug, Clone)]
@@ -53,6 +51,67 @@ impl PageSharingReport {
     pub fn shared_units(&self) -> usize {
         self.sharers.iter().filter(|&&s| s >= 2).count()
     }
+
+    /// The report for the `procs`-processor machine whose processor `k` runs, one after
+    /// the other, the streams of processors `k·P/procs .. (k+1)·P/procs` of the
+    /// `P = per_proc.len()` processors [`processor_unit_sets`] reduced: each machine
+    /// processor's sets are the union of its group's.  It equals [`page_sharing`] of the
+    /// `procs`-processor trace whenever that trace's streams are those concatenations —
+    /// a property of the application's partition, which callers must establish.
+    /// Units at or beyond `num_units` are ignored.
+    ///
+    /// # Panics
+    /// Panics unless `procs` is positive and divides `per_proc.len()`.
+    pub fn folded(
+        per_proc: &[UnitAccessSets],
+        procs: usize,
+        num_units: usize,
+        unit_bytes: usize,
+    ) -> PageSharingReport {
+        assert!(
+            procs > 0 && per_proc.len().is_multiple_of(procs),
+            "cannot fold {} processors onto {procs}",
+            per_proc.len()
+        );
+        let folded: Vec<UnitAccessSets> = per_proc
+            .chunks(per_proc.len() / procs)
+            .map(|group| {
+                let mut sets = group[0].clone();
+                for other in &group[1..] {
+                    sets.union_with(other);
+                }
+                sets
+            })
+            .collect();
+        let hist = SharingHistogram::from_unit_sets(&folded, num_units);
+        PageSharingReport {
+            unit_bytes,
+            num_units,
+            sharers: hist.sharers,
+            writers: hist.writers,
+            falsely_shared_units: hist.falsely_shared.iter().filter(|&&f| f).count(),
+        }
+    }
+}
+
+/// Each processor's unit and written-object sets over the whole trace: one pass over
+/// its stream across every interval, straight into one set.
+pub fn processor_unit_sets(
+    trace: &ProgramTrace,
+    layout: &ObjectLayout,
+    unit_bytes: usize,
+) -> Vec<UnitAccessSets> {
+    (0..trace.num_procs)
+        .map(|p| {
+            let mut sets = UnitAccessSets::default();
+            for interval in &trace.intervals {
+                for &a in &interval.accesses[p] {
+                    sets.add(a, layout, unit_bytes);
+                }
+            }
+            sets
+        })
+        .collect()
 }
 
 /// Compute the aggregate sharing report over the whole trace: a processor counts as
@@ -63,25 +122,8 @@ pub fn page_sharing(
     layout: &ObjectLayout,
     unit_bytes: usize,
 ) -> PageSharingReport {
-    let num_units = layout.num_units(unit_bytes);
-    // Aggregate each processor's sets over all intervals first, then count sharers.
-    let mut per_proc: Vec<UnitAccessSets> = vec![UnitAccessSets::default(); trace.num_procs];
-    for interval in &trace.intervals {
-        for (p, sets) in interval.unit_sets(layout, unit_bytes).into_iter().enumerate() {
-            per_proc[p].read_units.extend(sets.read_units.iter().copied());
-            per_proc[p].write_units.extend(sets.write_units.iter().copied());
-            per_proc[p].read_objects.extend(sets.read_objects.iter().copied());
-            per_proc[p].written_objects.extend(sets.written_objects.iter().copied());
-        }
-    }
-    let hist = SharingHistogram::from_unit_sets(&per_proc, num_units);
-    PageSharingReport {
-        unit_bytes,
-        num_units,
-        sharers: hist.sharers,
-        writers: hist.writers,
-        falsely_shared_units: hist.falsely_shared.iter().filter(|&&f| f).count(),
-    }
+    let per_proc = processor_unit_sets(trace, layout, unit_bytes);
+    PageSharingReport::folded(&per_proc, trace.num_procs, layout.num_units(unit_bytes), unit_bytes)
 }
 
 /// For each processor, the set of units it *writes* anywhere in the trace — the data
@@ -90,14 +132,8 @@ pub fn page_update_map(
     trace: &ProgramTrace,
     layout: &ObjectLayout,
     unit_bytes: usize,
-) -> Vec<BTreeSet<usize>> {
-    let mut per_proc = vec![BTreeSet::new(); trace.num_procs];
-    for interval in &trace.intervals {
-        for (p, sets) in interval.unit_sets(layout, unit_bytes).into_iter().enumerate() {
-            per_proc[p].extend(sets.write_units.iter().copied());
-        }
-    }
-    per_proc
+) -> Vec<DenseSet> {
+    processor_unit_sets(trace, layout, unit_bytes).into_iter().map(|s| s.write_units).collect()
 }
 
 #[cfg(test)]

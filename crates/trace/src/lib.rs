@@ -29,8 +29,8 @@
 //!   acquisitions), kept for analyses that re-read the trace under several layouts;
 //! * [`UnitAccessSets`] / [`UnitSetsSink`] — reduction of an interval's accesses to
 //!   per-consistency-unit read/write sets (the quantity false sharing is defined
-//!   over), available both from a materialized interval and incrementally from the
-//!   stream;
+//!   over) held as [`DenseSet`] bitsets, available both from a materialized interval
+//!   and incrementally from the stream;
 //! * [`CorpusWriter`] / [`CorpusReader`] — the on-disk form of the stream: a
 //!   delta/varint-encoded, checksummed block format ([`codec`]) that records a run
 //!   once and replays it into any sink at decode bandwidth, event-for-event identical
@@ -81,7 +81,7 @@ pub use access::{Access, AccessKind};
 pub use codec::{CodecError, CorpusReader, CorpusSummary, CorpusWriter, SalvageOutcome};
 pub use durable::AtomicFile;
 pub use layout::{ConsistencyGranularity, ObjectLayout};
-pub use sets::{SharingHistogram, UnitAccessSets};
+pub use sets::{DenseSet, SharingHistogram, UnitAccessSets};
 pub use shard::{Shard, ShardSet};
 pub use sink::{IntervalUnitSets, NullSink, TeeSink, TraceSink, UnitSetsSink};
 pub use trace::{IntervalTrace, ProgramTrace, SyncEvent, TraceBuilder};

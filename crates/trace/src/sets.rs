@@ -8,26 +8,122 @@
 //! each page") are the per-unit counts of processors whose read or write set contains
 //! the unit.
 
-use std::collections::BTreeSet;
-
 use crate::access::Access;
 use crate::layout::ObjectLayout;
 
-/// The set of consistency units a single processor read and wrote during one interval.
+/// A dense set of small indices — consistency units or object ids — stored one bit per
+/// index in `u64` words that grow on demand.
 ///
-/// Units are kept in sorted order (BTreeSet) so that set operations and deterministic
-/// iteration are cheap; unit counts are small (hundreds to a few thousand pages) even
-/// for the largest workloads in the paper.
+/// Unit and object indices are dense and bounded by the object array (a few hundred
+/// pages and tens of thousands of objects even at paper scale), so a bitset makes
+/// every insert a shift and an OR, and unions and intersections run a word at a time.
+/// Equality ignores trailing zero words: two sets with the same members are equal
+/// however far either has grown.
+#[derive(Debug, Clone, Default)]
+pub struct DenseSet {
+    words: Vec<u64>,
+}
+
+impl DenseSet {
+    /// Add `index` to the set.
+    #[inline]
+    pub fn insert(&mut self, index: usize) {
+        let word = index / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (index % 64);
+    }
+
+    /// Whether `index` is in the set.
+    #[inline]
+    pub fn contains(&self, index: usize) -> bool {
+        self.words.get(index / 64).is_some_and(|w| w & (1 << (index % 64)) != 0)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The members, in increasing order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(i * 64 + bit)
+            })
+        })
+    }
+
+    /// Add every member of `other` to the set.
+    pub fn union_with(&mut self, other: &DenseSet) {
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
+    /// The members of both sets.
+    pub fn intersection(&self, other: &DenseSet) -> DenseSet {
+        DenseSet { words: self.words.iter().zip(&other.words).map(|(&a, &b)| a & b).collect() }
+    }
+
+    /// Add one to `counts[i]` for every member `i`; members at or beyond
+    /// `counts.len()` are ignored.
+    pub fn count_into(&self, counts: &mut [u32]) {
+        let len = counts.len();
+        for i in self.iter().take_while(|&i| i < len) {
+            counts[i] += 1;
+        }
+    }
+}
+
+impl PartialEq for DenseSet {
+    fn eq(&self, other: &DenseSet) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for DenseSet {}
+
+impl FromIterator<usize> for DenseSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut set = DenseSet::default();
+        for index in iter {
+            set.insert(index);
+        }
+        set
+    }
+}
+
+/// The consistency units a single processor read and wrote, and the objects it wrote,
+/// over some span of its access stream (one interval, or a whole trace).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UnitAccessSets {
     /// Units from which the processor read at least once.
-    pub read_units: BTreeSet<usize>,
+    pub read_units: DenseSet,
     /// Units to which the processor wrote at least once.
-    pub write_units: BTreeSet<usize>,
+    pub write_units: DenseSet,
     /// Objects the processor wrote (used for distinguishing true from false sharing).
-    pub written_objects: BTreeSet<u32>,
-    /// Objects the processor read.
-    pub read_objects: BTreeSet<u32>,
+    pub written_objects: DenseSet,
 }
 
 impl UnitAccessSets {
@@ -46,32 +142,40 @@ impl UnitAccessSets {
     #[inline]
     pub fn add(&mut self, a: Access, layout: &ObjectLayout, unit_bytes: usize) {
         let (first, last) = layout.units_of(a.object(), unit_bytes);
-        if a.is_write() {
-            self.written_objects.insert(a.object_u32());
-            for u in first..=last {
-                self.write_units.insert(u);
-            }
+        let units = if a.is_write() {
+            self.written_objects.insert(a.object());
+            &mut self.write_units
         } else {
-            self.read_objects.insert(a.object_u32());
-            for u in first..=last {
-                self.read_units.insert(u);
-            }
+            &mut self.read_units
+        };
+        for u in first..=last {
+            units.insert(u);
         }
     }
 
+    /// Add everything `other` read and wrote: the sets of a processor that ran both
+    /// streams one after the other.
+    pub fn union_with(&mut self, other: &UnitAccessSets) {
+        self.read_units.union_with(&other.read_units);
+        self.write_units.union_with(&other.write_units);
+        self.written_objects.union_with(&other.written_objects);
+    }
+
     /// Every unit the processor touched (read or write).
-    pub fn touched_units(&self) -> BTreeSet<usize> {
-        self.read_units.union(&self.write_units).copied().collect()
+    pub fn touched_units(&self) -> DenseSet {
+        let mut touched = self.read_units.clone();
+        touched.union_with(&self.write_units);
+        touched
     }
 
     /// Whether the processor wrote unit `unit`.
     pub fn wrote_unit(&self, unit: usize) -> bool {
-        self.write_units.contains(&unit)
+        self.write_units.contains(unit)
     }
 
     /// Whether the processor read unit `unit`.
     pub fn read_unit(&self, unit: usize) -> bool {
-        self.read_units.contains(&unit)
+        self.read_units.contains(unit)
     }
 }
 
@@ -95,61 +199,35 @@ pub struct SharingHistogram {
 
 impl SharingHistogram {
     /// Build the histogram from every processor's per-unit access sets for one interval.
+    /// Units at or beyond `num_units` are ignored.
     pub fn from_unit_sets(per_proc: &[UnitAccessSets], num_units: usize) -> Self {
         let mut sharers = vec![0u32; num_units];
         let mut writers = vec![0u32; num_units];
         for sets in per_proc {
-            for &u in sets.touched_units().iter() {
-                if u < num_units {
-                    sharers[u] += 1;
-                }
-            }
-            for &u in &sets.write_units {
-                if u < num_units {
-                    writers[u] += 1;
-                }
-            }
+            sets.touched_units().count_into(&mut sharers);
+            sets.write_units.count_into(&mut writers);
         }
         // A unit is falsely (write-)shared when at least two processors write it but no
         // object is written by more than one processor: the writers only conflict
         // because unrelated objects were co-located in the unit.  If some object is
         // written by two processors, the unit carries true communication regardless of
         // layout and is not counted.
-        let mut write_conflict_objects = std::collections::BTreeSet::new();
-        {
-            let mut writer_count: std::collections::BTreeMap<u32, u32> =
-                std::collections::BTreeMap::new();
-            for sets in per_proc {
-                for &o in &sets.written_objects {
-                    *writer_count.entry(o).or_insert(0) += 1;
-                }
-            }
-            for (&o, &c) in &writer_count {
-                if c >= 2 {
-                    write_conflict_objects.insert(o);
-                }
+        let mut written_once = DenseSet::default();
+        let mut written_twice = DenseSet::default();
+        for sets in per_proc {
+            written_twice.union_with(&written_once.intersection(&sets.written_objects));
+            written_once.union_with(&sets.written_objects);
+        }
+        // Conservative: a writer that wrote any conflicted object makes every unit it
+        // wrote layout-independent, even if the conflicted object lives elsewhere.
+        let mut truly_shared = DenseSet::default();
+        for sets in per_proc {
+            if !sets.written_objects.intersection(&written_twice).is_empty() {
+                truly_shared.union_with(&sets.write_units);
             }
         }
-        let mut falsely_shared = vec![false; num_units];
-        for u in 0..num_units {
-            if writers[u] < 2 {
-                continue;
-            }
-            // Does any write-conflicted object live in (or straddle into) this unit?
-            let mut truly_shared = false;
-            for sets in per_proc {
-                if !sets.wrote_unit(u) {
-                    continue;
-                }
-                if sets.written_objects.iter().any(|o| write_conflict_objects.contains(o)) {
-                    // Conservative: the conflicted object may be in another unit, but a
-                    // conflicted writer makes the unit's traffic layout-independent.
-                    truly_shared = true;
-                    break;
-                }
-            }
-            falsely_shared[u] = !truly_shared;
-        }
+        let falsely_shared =
+            (0..num_units).map(|u| writers[u] >= 2 && !truly_shared.contains(u)).collect();
         SharingHistogram { num_units, sharers, writers, falsely_shared }
     }
 
@@ -186,6 +264,36 @@ mod tests {
     fn layout() -> ObjectLayout {
         // 8 objects of 64 bytes per 512-byte unit.
         ObjectLayout::new(64, 64)
+    }
+
+    #[test]
+    fn dense_set_equality_ignores_trailing_zero_words() {
+        let mut grown: DenseSet = [3, 200].into_iter().collect();
+        let small: DenseSet = [3].into_iter().collect();
+        assert_ne!(grown, small);
+        grown = grown.intersection(&small);
+        assert_eq!(grown, small);
+        assert_eq!(DenseSet::default(), grown.intersection(&DenseSet::default()));
+    }
+
+    #[test]
+    fn dense_set_iterates_members_in_order() {
+        let set: DenseSet = [130, 0, 63, 64, 63].into_iter().collect();
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 63, 64, 130]);
+        assert_eq!(set.len(), 4);
+        let mut counts = [0u32; 64];
+        set.count_into(&mut counts);
+        assert_eq!((counts[0], counts[63], counts.iter().sum::<u32>()), (1, 1, 2));
+    }
+
+    #[test]
+    fn dense_set_union_and_intersection() {
+        let mut a: DenseSet = [1, 100].into_iter().collect();
+        let b: DenseSet = [100, 300].into_iter().collect();
+        assert_eq!(a.intersection(&b).iter().collect::<Vec<_>>(), [100]);
+        a.union_with(&b);
+        assert_eq!(a.iter().collect::<Vec<_>>(), [1, 100, 300]);
+        assert!(!a.contains(2) && a.contains(300) && !a.contains(10_000));
     }
 
     #[test]
