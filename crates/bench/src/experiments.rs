@@ -11,12 +11,12 @@ use std::time::Instant;
 use dsm::{DsmConfig, HlrcSim, NetworkCostModel, PageHistorySink, PageWriteHistory, TreadMarksSim};
 use memsim::{
     page_sharing, page_update_map, processor_unit_sets, CostModel, OriginPreset, PageSharingReport,
-    ReferenceSim, SimSink, SimulationResult,
+    SimSink, SimulationResult,
 };
 use molecular::{Moldyn, MoldynParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
 use reorder::permute::Permutation;
-use reorder::{compute_reordering_from_points, pack_keys, sort_keys, KeyWidth, Method, Quantizer};
+use reorder::{compute_reordering_from_points, pack_keys, Method, Quantizer};
 use smtrace::{ObjectLayout, ProgramTrace};
 use workloads::{cubic_lattice, two_plummer, UnstructuredMesh};
 
@@ -42,7 +42,7 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
         aliases: &["t1", "table1_apps"],
         title: "Table 1: applications, inputs, synchronization (b=barrier, l=lock), object sizes",
         columns: &["app", "paper_input", "run_objects", "run_iterations", "sync", "object_bytes", "category"],
-        notes: &["Paper sizes are selected with REPRO_FULL=1 / --scale paper; the run_* columns show this run."],
+        notes: &["Paper sizes are selected with --scale paper; the run_* columns show this run."],
         run: run_table1,
     },
     ExperimentSpec {
@@ -186,18 +186,17 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
     ExperimentSpec {
         id: "bench_reorder_cost",
         aliases: &["reorder-cost", "reorder_cost", "bench-reorder-cost"],
-        title: "Reorder-cost bench: sort + permute throughput of the ranking pipelines (Hilbert keys)",
+        title: "Reorder-cost bench: key + rank + permute throughput of the reordering pipeline (Hilbert keys)",
         columns: &[
-            "workload", "n", "pipeline", "key_bits", "threads", "key_ms", "rank_ms",
-            "permute_ms", "sort_mobj_s", "permute_mobj_s",
+            "workload", "n", "pipeline", "threads", "key_ms", "rank_ms", "permute_ms",
+            "sort_mobj_s", "permute_mobj_s",
         ],
         notes: &[
-            "Pipelines: `comparison` is the serial baseline (u128 (key, object) tuples through",
-            "sort_by_key + clone-the-world gather); `radix*` is the packed-key LSD radix sort",
-            "with cycle-following in-place permutation.  Expected shape: radix beats comparison",
-            "by several-fold on every workload; u64 keys beat forced u128 keys; the parallel",
-            "rows add near-linear speedup on multi-core hosts (identical permutations are",
-            "asserted across all pipelines).  Cells run sequentially for honest wall-clock.",
+            "Pipelines: the one pipeline compute_reordering runs (packed u64 keys, LSD radix",
+            "rank, cycle-following in-place permutation), once on one thread (`radix_serial`)",
+            "and once on every worker thread (`radix_parallel`).  Both are asserted to produce",
+            "the identical permutation.  Expected shape: the parallel rows add near-linear",
+            "speedup on multi-core hosts.  Cells run sequentially for honest wall-clock.",
         ],
         run: run_bench_reorder_cost,
     },
@@ -207,17 +206,15 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
         title: "Sim-throughput bench: trace replay paths through the Origin 2000 model",
         columns: &[
             "app", "n", "procs", "path", "accesses", "replay_ms", "maccess_s", "l2_misses",
-            "tlb_misses", "coherence_misses", "speedup_vs_reference",
+            "tlb_misses", "coherence_misses", "speedup_vs_materialized",
         ],
         notes: &[
-            "Paths: `reference` is the preserved scan-based simulator (positional LRU,",
-            "O(P*assoc) coherence probes, per-interval cursor allocation); `materialized`",
-            "replays the same ProgramTrace through the directory machine (sharer bitmasks,",
-            "generation-timestamp LRU, batched intervals); `streaming` feeds the accesses",
-            "through a SimSink interval-by-interval, the path applications use to simulate",
-            "without materializing a trace.  All three paths are asserted to produce",
-            "identical per-processor cache/TLB/coherence counters; expected shape: the",
-            "directory paths beat the reference by >=3x on every application.  FMM is sized",
+            "Paths: `materialized` replays a recorded ProgramTrace through the directory",
+            "machine (sharer bitmasks, generation-timestamp LRU, batched intervals);",
+            "`streaming` feeds the same accesses through a SimSink interval-by-interval, the",
+            "path applications use to simulate without materializing a trace.  Both paths",
+            "are asserted to produce identical per-processor cache/TLB/coherence counters;",
+            "expected shape: streaming within noise of materialized.  FMM is sized",
             "like Barnes-Hut (not Scale::size_of, which reflects FMM's compute cost) so its",
             "object array exceeds the simulated TLB reach, the regime every paper-scale",
             "workload replays in.  Cells run sequentially for honest wall-clock.",
@@ -230,47 +227,18 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
         title: "DSM-throughput bench: trace-to-stats paths through the TreadMarks/HLRC models",
         columns: &[
             "app", "workload", "n", "procs", "path", "accesses", "replay_ms", "maccess_s",
-            "tmk_messages", "tmk_mb", "hlrc_messages", "hlrc_mb", "speedup_vs_reference",
+            "tmk_messages", "tmk_mb", "hlrc_messages", "hlrc_mb", "speedup_vs_materialized",
         ],
         notes: &[
-            "Paths: `reference` is the preserved map-based serial pipeline (nested-BTreeMap",
-            "trace reduction re-run per protocol, BTreeSet/BTreeMap fault loops);",
-            "`materialized` reduces the ProgramTrace once through the flat sorted-vec",
-            "reduction and feeds both parallel simulators; `streaming` replays the trace",
-            "through a PageHistorySink — the path applications use to evaluate the DSM models",
-            "without materializing a trace — and feeds the same simulators.  Every path's",
-            "DsmRunResult (aggregate and per-processor, both protocols) is asserted",
-            "bit-identical; expected shape: the streaming path beats the reference by >=2x",
-            "geomean.  Cells run sequentially for honest wall-clock.",
+            "Paths: `materialized` reduces a recorded ProgramTrace once through the flat",
+            "sorted-vec reduction and feeds both parallel simulators; `streaming` replays the",
+            "trace through a PageHistorySink — the path applications use to evaluate the DSM",
+            "models without materializing a trace — and feeds the same simulators.  Both",
+            "paths' DsmRunResults (aggregate and per-processor, both protocols) are asserted",
+            "bit-identical; expected shape: streaming within noise of materialized.  Cells",
+            "run sequentially for honest wall-clock.",
         ],
         run: run_bench_dsm_throughput,
-    },
-    ExperimentSpec {
-        id: "bench_gen_throughput",
-        aliases: &["gen-throughput", "gen_throughput", "bench-gen-throughput"],
-        title: "Gen-throughput bench: trace generation paths from live application to the Origin 2000 model",
-        columns: &[
-            "app", "n", "procs", "path", "accesses", "gen_ms", "maccess_s", "l2_misses",
-            "tlb_misses", "coherence_misses", "speedup_vs_serial",
-        ],
-        notes: &[
-            "Paths: `serial` loops the applications' preserved step_traced/sweep_traced",
-            "executable specs — one virtual processor after another, one access at a time —",
-            "into a streaming SimSink; `sharded` is the stream_* path, where each virtual",
-            "processor's chunk (tree traversal, force/sweep compute, access recording) runs",
-            "as a rayon task into its own smtrace::Shard and the shards drain into the same",
-            "sink in deterministic processor order.  Both paths run the full live",
-            "application (physics included), so this measures the end-to-end producer",
-            "pipeline the consumers of sim-/dsm-throughput are fed by.  Per-processor",
-            "cache/TLB/coherence counters are asserted identical across paths — the shard",
-            "drain is bit-faithful, not approximately equivalent.  Expected shape: on a",
-            "multi-core host the sharded path wins roughly in proportion to min(cores,",
-            "procs) on the evaluation-heavy apps; on a 1-core host the rayon shim runs the",
-            "tasks inline and the two paths should be within noise of each other (the",
-            "sharded path pays only the buffer drain).  Cells run sequentially for honest",
-            "wall-clock.",
-        ],
-        run: run_bench_gen_throughput,
     },
     ExperimentSpec {
         id: "bench_trace_throughput",
@@ -991,46 +959,26 @@ fn run_ablation_reorder_frequency(cfg: &RunConfig) -> Vec<Row> {
         .collect()
 }
 
-/// Time one ranking pipeline over a flat coordinate buffer.  Returns
-/// (key_ms, rank_ms, permute_ms, permutation) where the permute phase uses the
-/// clone-the-world gather for the comparison baseline and the in-place cycle walk for
-/// the radix pipelines.
+/// Time the reordering pipeline over a flat coordinate buffer, serially or on every
+/// worker thread.  Returns (key_ms, rank_ms, permute_ms, permutation).
 fn time_pipeline(
-    pipeline: &str,
     points: &[[f64; 3]],
     coords: &[f64],
     quantizer: &Quantizer,
-    width: KeyWidth,
     parallel: bool,
 ) -> (f64, f64, f64, Permutation) {
     let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
-    if pipeline == "comparison" {
-        let t0 = Instant::now();
-        let keys = sort_keys(Method::Hilbert, points.len(), 3, quantizer, |i, d| coords[i * 3 + d]);
-        let key_ms = ms(t0);
-        let t0 = Instant::now();
-        let permutation = Permutation::from_sort_keys_comparison(&keys);
-        let rank_ms = ms(t0);
-        let objects = points.to_vec();
-        let t0 = Instant::now();
-        let gathered = permutation.apply_cloned(&objects);
-        let permute_ms = ms(t0);
-        assert_eq!(gathered.len(), points.len());
-        (key_ms, rank_ms, permute_ms, permutation)
-    } else {
-        let t0 = Instant::now();
-        let keys = pack_keys(Method::Hilbert, 3, quantizer, coords, width, parallel);
-        let key_ms = ms(t0);
-        let t0 = Instant::now();
-        let permutation = keys.rank(parallel);
-        let rank_ms = ms(t0);
-        let mut objects = points.to_vec();
-        let t0 = Instant::now();
-        permutation.apply_in_place(&mut objects);
-        let permute_ms = ms(t0);
-        assert_eq!(objects.len(), points.len());
-        (key_ms, rank_ms, permute_ms, permutation)
-    }
+    let t0 = Instant::now();
+    let keys = pack_keys(Method::Hilbert, 3, quantizer, coords, parallel);
+    let key_ms = ms(t0);
+    let t0 = Instant::now();
+    let permutation = keys.rank(parallel);
+    let rank_ms = ms(t0);
+    let mut objects = points.to_vec();
+    let t0 = Instant::now();
+    permutation.apply_in_place(&mut objects);
+    let permute_ms = ms(t0);
+    (key_ms, rank_ms, permute_ms, permutation)
 }
 
 fn run_bench_reorder_cost(cfg: &RunConfig) -> Vec<Row> {
@@ -1046,14 +994,6 @@ fn run_bench_reorder_cost(cfg: &RunConfig) -> Vec<Row> {
         ("lattice", cubic_lattice(n, 12.0, 0.3, seed)),
     ];
     let threads = rayon::current_num_threads();
-    // (pipeline label, key width, parallel) — `comparison` ignores width/parallel.
-    let pipelines: [(&str, KeyWidth, bool); 5] = [
-        ("comparison", KeyWidth::Wide, false),
-        ("radix_serial", KeyWidth::Auto, false),
-        ("radix_parallel", KeyWidth::Auto, true),
-        ("radix_serial_wide", KeyWidth::Wide, false),
-        ("radix_parallel_wide", KeyWidth::Wide, true),
-    ];
     // This is a wall-clock-timing experiment: cells run *sequentially* so each
     // pipeline gets the whole machine (like the reorder-frequency ablation).
     let mut rows = Vec::new();
@@ -1061,35 +1001,26 @@ fn run_bench_reorder_cost(cfg: &RunConfig) -> Vec<Row> {
         let n = points.len();
         let coords: Vec<f64> = points.iter().flat_map(|p| p.iter().copied()).collect();
         let quantizer = Quantizer::fit(n, 3, |i, d| coords[i * 3 + d]);
-        let mut baseline: Option<Permutation> = None;
-        for (pipeline, width, parallel) in pipelines {
+        let mut serial: Option<Permutation> = None;
+        for (pipeline, parallel) in [("radix_serial", false), ("radix_parallel", true)] {
             let (key_ms, rank_ms, permute_ms, permutation) =
-                time_pipeline(pipeline, points, &coords, &quantizer, width, parallel);
-            // Every pipeline must produce the same permutation as the baseline; a
-            // divergence here is a correctness bug, not a performance difference.
-            match &baseline {
-                None => baseline = Some(permutation),
-                Some(b) => assert_eq!(
-                    b.ranks(),
+                time_pipeline(points, &coords, &quantizer, parallel);
+            // Both pipelines must produce the same permutation; a divergence here is a
+            // correctness bug, not a performance difference.
+            match &serial {
+                None => serial = Some(permutation),
+                Some(s) => assert_eq!(
+                    s.ranks(),
                     permutation.ranks(),
-                    "{pipeline} diverged from the comparison baseline on {workload}"
+                    "{pipeline} diverged from radix_serial on {workload}"
                 ),
             }
-            let key_bits: i64 = if pipeline == "comparison" {
-                128
-            } else {
-                match width {
-                    KeyWidth::Auto => 64,
-                    KeyWidth::Wide => 128,
-                }
-            };
             let sort_mobj_s = n as f64 / ((key_ms + rank_ms) * 1e-3) / 1e6;
             let permute_mobj_s = n as f64 / (permute_ms * 1e-3) / 1e6;
             rows.push(row![
                 *workload,
                 n,
                 pipeline,
-                key_bits,
                 if parallel { threads } else { 1 },
                 key_ms,
                 rank_ms,
@@ -1129,19 +1060,7 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
         let accesses = run.trace.total_accesses() as u64;
         let preset = OriginPreset::origin2000(procs);
 
-        // Path 1 — the preserved scan-based baseline over the materialized trace.
-        let mut ref_ms = f64::INFINITY;
-        let mut ref_result = None;
-        for _ in 0..repetitions {
-            let mut reference = ReferenceSim::new(procs, preset.l2, preset.tlb);
-            let t0 = Instant::now();
-            let result = reference.run_trace_with_layout(&run.trace, &run.layout);
-            ref_ms = ref_ms.min(ms(t0));
-            ref_result = Some(result);
-        }
-        let ref_result = ref_result.expect("at least one repetition");
-
-        // Path 2 — the directory machine over the same materialized trace.
+        // Path 1 — the directory machine over the materialized trace.
         let mut mat_ms = f64::INFINITY;
         let mut mat_result = None;
         for _ in 0..repetitions {
@@ -1153,7 +1072,7 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
         }
         let mat_result = mat_result.expect("at least one repetition");
 
-        // Path 3 — the directory machine fed through the streaming sink.
+        // Path 2 — the directory machine fed through the streaming sink.
         let mut stream_ms = f64::INFINITY;
         let mut stream_result = None;
         for _ in 0..repetitions {
@@ -1166,26 +1085,17 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
         }
         let stream_result = stream_result.expect("at least one repetition");
 
-        // Identical counters across all three paths is a hard correctness requirement,
-        // not a statistical expectation — a divergence here is a simulator bug.
+        // Identical counters across both paths is a hard correctness requirement, not
+        // a statistical expectation — a divergence here is a simulator bug.
         assert_eq!(
-            ref_result,
             mat_result,
-            "directory replay diverged from the reference for {}",
-            app.name()
-        );
-        assert_eq!(
-            ref_result,
             stream_result,
-            "streaming replay diverged from the reference for {}",
+            "streaming replay diverged from materialized replay for {}",
             app.name()
         );
 
-        let paths: [(&str, f64, &SimulationResult); 3] = [
-            ("reference", ref_ms, &ref_result),
-            ("materialized", mat_ms, &mat_result),
-            ("streaming", stream_ms, &stream_result),
-        ];
+        let paths: [(&str, f64, &SimulationResult); 2] =
+            [("materialized", mat_ms, &mat_result), ("streaming", stream_ms, &stream_result)];
         for (path, path_ms, result) in paths {
             rows.push(row![
                 app.name(),
@@ -1198,21 +1108,13 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
                 result.l2_misses(),
                 result.tlb_misses(),
                 result.coherence_misses(),
-                ref_ms / path_ms
+                mat_ms / path_ms
             ]);
         }
     }
     // Summary rows: aggregate throughput over all five applications plus the geomean
     // per-application speedup — the headline replay-throughput claim.
-    for s in summarize_bench_paths(
-        &rows,
-        &["reference", "materialized", "streaming"],
-        3,
-        4,
-        5,
-        &[7, 8, 9],
-        10,
-    ) {
+    for s in summarize_bench_paths(&rows, &["materialized", "streaming"], 3, 4, 5, &[7, 8, 9], 10) {
         rows.push(row![
             "(all)",
             0usize,
@@ -1244,7 +1146,7 @@ struct PathSummary {
 
 /// Aggregate the `(all)` summary per path: total accesses and wall-clock, aggregate
 /// throughput, sums of the requested counter columns, and the geomean per-application
-/// speedup.  Shared by the sim-, dsm- and gen-throughput benches, which differ only in
+/// speedup.  Shared by the sim-, dsm- and trace-throughput benches, which differ only in
 /// column layout and path names.
 fn summarize_bench_paths(
     rows: &[Row],
@@ -1313,20 +1215,7 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
         let run = build_run(app, crate::Ordering::Original, scale, procs, seed);
         let accesses = run.trace.total_accesses() as u64;
 
-        // Path 1 — the preserved map-based serial pipeline; like the historical
-        // `run_with_layout`, each protocol re-reduces the trace from scratch.
-        let mut ref_ms = f64::INFINITY;
-        let mut ref_results = None;
-        for _ in 0..repetitions {
-            let t0 = Instant::now();
-            let tmk = dsm::reference::run_treadmarks(config, &run.trace, &run.layout);
-            let hlrc = dsm::reference::run_hlrc(config, &run.trace, &run.layout);
-            ref_ms = ref_ms.min(ms(t0));
-            ref_results = Some((tmk, hlrc));
-        }
-        let ref_results = ref_results.expect("at least one repetition");
-
-        // Path 2 — one flat reduction of the materialized trace feeds both parallel
+        // Path 1 — one flat reduction of the materialized trace feeds both parallel
         // simulators.
         let mut mat_ms = f64::INFINITY;
         let mut mat_results = None;
@@ -1340,7 +1229,7 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
         }
         let mat_results = mat_results.expect("at least one repetition");
 
-        // Path 3 — the trace streams through a PageHistorySink (the no-materialized-
+        // Path 2 — the trace streams through a PageHistorySink (the no-materialized-
         // trace path applications use) into the same simulators.
         let mut stream_ms = f64::INFINITY;
         let mut stream_results = None;
@@ -1357,29 +1246,20 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
         let stream_results = stream_results.expect("at least one repetition");
 
         // Bit-identical DsmRunResults (aggregate + per-processor, both protocols)
-        // across all three paths is a hard correctness requirement, not a statistical
+        // across both paths is a hard correctness requirement, not a statistical
         // expectation — a divergence here is a pipeline bug.
         assert_eq!(
-            ref_results,
             mat_results,
-            "materialized DSM pipeline diverged from the reference for {}",
-            app.name()
-        );
-        assert_eq!(
-            ref_results,
             stream_results,
-            "streaming DSM pipeline diverged from the reference for {}",
+            "streaming DSM pipeline diverged from the materialized one for {}",
             app.name()
         );
 
         // Each path's row reports that path's *own* protocol counters (asserted
         // identical above), so the CI artifact check can independently re-verify the
         // cross-path agreement.
-        let paths: [(&str, f64, &(dsm::DsmRunResult, dsm::DsmRunResult)); 3] = [
-            ("reference", ref_ms, &ref_results),
-            ("materialized", mat_ms, &mat_results),
-            ("streaming", stream_ms, &stream_results),
-        ];
+        let paths: [(&str, f64, &(dsm::DsmRunResult, dsm::DsmRunResult)); 2] =
+            [("materialized", mat_ms, &mat_results), ("streaming", stream_ms, &stream_results)];
         for (path, path_ms, (tmk, hlrc)) in paths {
             rows.push(row![
                 app.name(),
@@ -1394,15 +1274,13 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
                 tmk.stats.data_mbytes(),
                 hlrc.stats.messages,
                 hlrc.stats.data_mbytes(),
-                ref_ms / path_ms
+                mat_ms / path_ms
             ]);
         }
     }
     // Summary rows: aggregate throughput over the three applications plus the geomean
     // per-application speedup — the headline pipeline-throughput claim.
-    for s in
-        summarize_bench_paths(&rows, &["reference", "materialized", "streaming"], 4, 5, 6, &[], 12)
-    {
+    for s in summarize_bench_paths(&rows, &["materialized", "streaming"], 4, 5, 6, &[], 12) {
         rows.push(row![
             "(all)",
             "-",
@@ -1422,102 +1300,6 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
     rows
 }
 
-fn run_bench_gen_throughput(cfg: &RunConfig) -> Vec<Row> {
-    let scale = cfg.scale;
-    let procs = cfg.procs_or(16);
-    let seed = cfg.seed_or(81);
-    // Best-of-N wall clock per path: generation is deterministic (both paths produce
-    // bit-identical streams), so repetition only filters scheduler noise.
-    let repetitions = if scale == Scale::Tiny { 1 } else { 3 };
-    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
-    let total_accesses = |r: &SimulationResult| r.per_proc.iter().map(|p| p.accesses).sum::<u64>();
-    // This is a wall-clock-timing experiment: cells run *sequentially*, and the
-    // sharded path fans each cell's virtual processors out over all host cores (like
-    // the sim-throughput bench, which times the consumer side of the same pipeline).
-    let mut rows = Vec::new();
-    for app in AppKind::ALL {
-        let n = scale.size_of(app);
-        let iters = scale.iterations_of(app);
-        let initial = crate::LiveApp::build(app, n, seed);
-        let layout = initial.layout();
-        let preset = OriginPreset::origin2000(procs);
-
-        // Path 1 — the preserved serial traced specs feeding the streaming sink.
-        let mut serial_ms = f64::INFINITY;
-        let mut serial_result = None;
-        for _ in 0..repetitions {
-            let mut live = initial.clone();
-            let mut sink = SimSink::new(preset.build_machine(), layout.clone());
-            let t0 = Instant::now();
-            live.stream_serial(iters, &mut sink);
-            let result = sink.finish();
-            serial_ms = serial_ms.min(ms(t0));
-            serial_result = Some(result);
-        }
-        let serial_result = serial_result.expect("at least one repetition");
-
-        // Path 2 — sharded parallel generation into the identical sink.
-        let mut sharded_ms = f64::INFINITY;
-        let mut sharded_result = None;
-        for _ in 0..repetitions {
-            let mut live = initial.clone();
-            let mut sink = SimSink::new(preset.build_machine(), layout.clone());
-            let t0 = Instant::now();
-            live.stream_sharded(iters, &mut sink);
-            let result = sink.finish();
-            sharded_ms = sharded_ms.min(ms(t0));
-            sharded_result = Some(result);
-        }
-        let sharded_result = sharded_result.expect("at least one repetition");
-
-        // Identical counters across both producers is a hard correctness requirement,
-        // not a statistical expectation — a divergence here is a sharding bug.
-        assert_eq!(
-            serial_result,
-            sharded_result,
-            "sharded generation diverged from the serial spec for {}",
-            app.name()
-        );
-
-        let accesses = total_accesses(&serial_result);
-        let paths: [(&str, f64, &SimulationResult); 2] =
-            [("serial", serial_ms, &serial_result), ("sharded", sharded_ms, &sharded_result)];
-        for (path, path_ms, result) in paths {
-            rows.push(row![
-                app.name(),
-                initial.num_objects(),
-                procs,
-                path,
-                accesses,
-                path_ms,
-                accesses as f64 / (path_ms * 1e-3) / 1e6,
-                result.l2_misses(),
-                result.tlb_misses(),
-                result.coherence_misses(),
-                serial_ms / path_ms
-            ]);
-        }
-    }
-    // Summary rows: aggregate generation throughput over all five applications plus
-    // the geomean per-application speedup — the headline producer-throughput claim.
-    for s in summarize_bench_paths(&rows, &["serial", "sharded"], 3, 4, 5, &[7, 8, 9], 10) {
-        rows.push(row![
-            "(all)",
-            0usize,
-            procs,
-            s.path,
-            s.accesses,
-            s.ms,
-            s.maccess_s,
-            s.col_sums[0],
-            s.col_sums[1],
-            s.col_sums[2],
-            s.geomean_speedup
-        ]);
-    }
-    rows
-}
-
 fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
     use smtrace::codec::{CorpusReader, CorpusWriter};
 
@@ -1529,8 +1311,8 @@ fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
     let repetitions = if scale == Scale::Tiny { 1 } else { 5 };
     let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
     let total_accesses = |r: &SimulationResult| r.per_proc.iter().map(|p| p.accesses).sum::<u64>();
-    // Wall-clock-timing experiment: cells run sequentially (see the gen-throughput
-    // bench, which times the producer side of the same pipeline).
+    // Wall-clock-timing experiment: cells run sequentially so each path gets the
+    // whole machine.
     let mut rows = Vec::new();
     for app in AppKind::ALL {
         let n = scale.size_of(app);
@@ -1708,8 +1490,8 @@ mod tests {
         }
         assert_eq!(
             all().len(),
-            17,
-            "12 paper specs + the reorder-cost, sim-, dsm-, gen- and trace-throughput benches"
+            16,
+            "12 paper specs + the reorder-cost, sim-, dsm- and trace-throughput benches"
         );
     }
 
@@ -1726,7 +1508,7 @@ mod tests {
     #[test]
     fn fig03_runs_quickly_and_produces_full_grid() {
         let spec = find("fig03").unwrap();
-        let result = spec.execute(&RunConfig::from_env());
+        let result = spec.execute(&RunConfig { scale: Scale::Small, procs: None, seed: None });
         // 4 methods × 8 grid rows.
         assert_eq!(result.rows.len(), 32);
         for row in &result.rows {
@@ -1739,12 +1521,12 @@ mod tests {
         let spec = find("reorder-cost").unwrap();
         assert_eq!(spec.id, "bench_reorder_cost");
         let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: None, seed: None });
-        // 3 workloads × 5 pipelines; the run itself asserts that every pipeline
+        // 3 workloads × 2 pipelines; the run itself asserts that both pipelines
         // produced the identical permutation.
-        assert_eq!(result.rows.len(), 15);
+        assert_eq!(result.rows.len(), 6);
         let json = result.render(Format::Json);
+        assert!(json.contains("\"pipeline\": \"radix_serial\""));
         assert!(json.contains("\"pipeline\": \"radix_parallel\""));
-        assert!(json.contains("\"key_bits\": 64"));
     }
 
     #[test]
@@ -1752,14 +1534,14 @@ mod tests {
         let spec = find("sim-throughput").unwrap();
         assert_eq!(spec.id, "bench_sim_throughput");
         let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: Some(4), seed: None });
-        // 5 applications × 3 replay paths, plus one summary row per path; the run
-        // itself asserts that every path produced identical per-processor counters.
-        assert_eq!(result.rows.len(), 18);
+        // 5 applications × 2 replay paths, plus one summary row per path; the run
+        // itself asserts that both paths produced identical per-processor counters.
+        assert_eq!(result.rows.len(), 12);
         let json = result.render(Format::Json);
-        assert!(json.contains("\"path\": \"reference\""));
         assert!(json.contains("\"path\": \"materialized\""));
         assert!(json.contains("\"path\": \"streaming\""));
         assert!(json.contains("\"app\": \"(all)\""));
+        assert!(json.contains("\"speedup_vs_materialized\": 1"), "materialized vs itself is 1.0");
     }
 
     #[test]
@@ -1767,32 +1549,17 @@ mod tests {
         let spec = find("dsm-throughput").unwrap();
         assert_eq!(spec.id, "bench_dsm_throughput");
         let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: Some(4), seed: None });
-        // 3 applications × 3 pipeline paths, plus one summary row per path; the run
-        // itself asserts that every path produced bit-identical DsmRunResults.
-        assert_eq!(result.rows.len(), 12);
+        // 3 applications × 2 pipeline paths, plus one summary row per path; the run
+        // itself asserts that both paths produced bit-identical DsmRunResults.
+        assert_eq!(result.rows.len(), 8);
         let json = result.render(Format::Json);
-        assert!(json.contains("\"path\": \"reference\""));
         assert!(json.contains("\"path\": \"materialized\""));
         assert!(json.contains("\"path\": \"streaming\""));
         assert!(json.contains("\"workload\": \"plummer\""));
         assert!(json.contains("\"workload\": \"mesh\""));
         assert!(json.contains("\"workload\": \"lattice\""));
         assert!(json.contains("\"app\": \"(all)\""));
-    }
-
-    #[test]
-    fn gen_throughput_bench_covers_all_apps_and_paths() {
-        let spec = find("gen-throughput").unwrap();
-        assert_eq!(spec.id, "bench_gen_throughput");
-        let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: Some(4), seed: None });
-        // 5 applications × 2 producer paths, plus one summary row per path; the run
-        // itself asserts that both producers fed identical counters into the sink.
-        assert_eq!(result.rows.len(), 12);
-        let json = result.render(Format::Json);
-        assert!(json.contains("\"path\": \"serial\""));
-        assert!(json.contains("\"path\": \"sharded\""));
-        assert!(json.contains("\"app\": \"(all)\""));
-        assert!(json.contains("\"speedup_vs_serial\": 1"), "serial speedup vs itself is 1.0");
+        assert!(json.contains("\"speedup_vs_materialized\": 1"), "materialized vs itself is 1.0");
     }
 
     #[test]
@@ -1932,7 +1699,7 @@ mod tests {
     #[test]
     fn fig01_04_produces_one_row_per_processor_per_figure() {
         let spec = find("fig01_04").unwrap();
-        let result = spec.execute(&RunConfig::from_env());
+        let result = spec.execute(&RunConfig { scale: Scale::Small, procs: None, seed: None });
         assert_eq!(result.rows.len(), 8, "2 figures x 4 processors");
         let json = result.render(Format::Json);
         assert!(json.contains("\"figure\": \"Figure 1 (original)\""));

@@ -11,8 +11,9 @@
 //!   an access trace over a given number of virtual processors, and report the cost of
 //!   the reordering call itself (the "Cost of Reorder" columns of Tables 2 and 3);
 //! * [`Scale`] — problem sizes: `Paper` uses the sizes from Table 1 of the paper,
-//!   `Small` uses reduced sizes so every experiment finishes in seconds.  Select
-//!   the paper sizes by setting the environment variable `REPRO_FULL=1`.
+//!   `Small` (the default) uses reduced sizes so every experiment finishes in
+//!   seconds, and `Tiny` is for smoke tests.  [`Scale::parse`] reads the one
+//!   spelling of each (`tiny|small|paper`) that `xp --scale` and `xp serve` accept.
 
 #![forbid(unsafe_code)]
 
@@ -116,24 +117,26 @@ impl Ordering {
 }
 
 /// Problem sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scale {
     /// Smoke-test sizes: every experiment finishes in well under a second (used by
     /// the CI `xp bench reorder-cost --scale tiny` step).
     Tiny,
     /// Reduced sizes so every experiment runs in seconds (default).
+    #[default]
     Small,
     /// The paper's Table 1 sizes (65 536 bodies, 32 768 molecules, …).
     Paper,
 }
 
 impl Scale {
-    /// Read the scale from the `REPRO_FULL` environment variable (`1` → paper sizes).
-    pub fn from_env() -> Scale {
-        if std::env::var("REPRO_FULL").map(|v| v == "1").unwrap_or(false) {
-            Scale::Paper
-        } else {
-            Scale::Small
+    /// Parse a scale name: `tiny`, `small` or `paper`.
+    pub fn parse(name: &str) -> Option<Scale> {
+        match name {
+            "tiny" => Some(Scale::Tiny),
+            "small" => Some(Scale::Small),
+            "paper" => Some(Scale::Paper),
+            _ => None,
         }
     }
 
@@ -225,9 +228,9 @@ pub fn build_run_sized(
 
 /// A live application instance with the standard workload generator and default
 /// parameters for its [`AppKind`] — the single source of truth for "build app X at
-/// size n".  [`build_run_sized`] traces through it, and the gen-throughput bench
-/// re-runs its producer paths directly (it needs the live application, not a
-/// materialized trace).
+/// size n".  [`build_run_sized`] traces through it, and the trace-throughput bench
+/// and `xp trace record` stream from it directly (they need the live application,
+/// not a materialized trace).
 #[derive(Clone)]
 pub enum LiveApp {
     /// SPLASH-2 Barnes-Hut.
@@ -300,23 +303,8 @@ impl LiveApp {
         }
     }
 
-    /// The serial producer: the per-app `step_traced`/`sweep_traced` executable specs,
-    /// looped exactly as the pre-shard `stream_*` entry points did.
-    pub fn stream_serial<S: TraceSink>(&mut self, iterations: usize, sink: &mut S) {
-        let procs = sink.num_procs();
-        for _ in 0..iterations {
-            match self {
-                LiveApp::BarnesHut(a) => a.step_traced(procs, sink),
-                LiveApp::Fmm(a) => a.step_traced(procs, sink),
-                LiveApp::WaterSpatial(a) => a.step_traced(procs, sink),
-                LiveApp::Moldyn(a) => a.step_traced(procs, sink),
-                LiveApp::Unstructured(a) => a.sweep_traced(procs, sink),
-            }
-        }
-    }
-
-    /// The sharded producer: the apps' `stream_*` entry points (rayon tasks into
-    /// per-processor shards, deterministic drain).
+    /// Trace `iterations` iterations into `sink` through the apps' `stream_*` entry
+    /// points (rayon tasks into per-processor shards, deterministic drain).
     pub fn stream_sharded<S: TraceSink>(&mut self, iterations: usize, sink: &mut S) {
         match self {
             LiveApp::BarnesHut(a) => a.stream_iterations(iterations, sink),
@@ -367,6 +355,15 @@ mod tests {
             assert!(Scale::Tiny.size_of(app) < Scale::Small.size_of(app));
             assert!(Scale::Small.size_of(app) < Scale::Paper.size_of(app));
         }
+    }
+
+    #[test]
+    fn scale_names_parse_and_small_is_the_default() {
+        assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
+        assert_eq!(Scale::parse("small"), Some(Scale::Small));
+        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
+        assert_eq!(Scale::parse("full"), None);
+        assert_eq!(Scale::default(), Scale::Small);
     }
 
     #[test]

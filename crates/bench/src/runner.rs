@@ -119,10 +119,11 @@ macro_rules! row {
     };
 }
 
-/// Knobs shared by every experiment.
-#[derive(Debug, Clone, Copy)]
+/// Knobs shared by every experiment.  The default is `Small` scale with no overrides.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunConfig {
-    /// Problem sizes: `Small` (seconds per experiment) or `Paper` (Table 1 sizes).
+    /// Problem sizes: `Tiny` (smoke tests), `Small` (seconds per experiment) or
+    /// `Paper` (Table 1 sizes).
     pub scale: Scale,
     /// Override for the experiment's virtual-processor count (default: the count the
     /// paper uses for that experiment, usually 16).
@@ -133,11 +134,6 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Scale from `REPRO_FULL`, no overrides.
-    pub fn from_env() -> Self {
-        RunConfig { scale: Scale::from_env(), procs: None, seed: None }
-    }
-
     /// The processor count to use where the spec's default is `default`.
     pub fn procs_or(&self, default: usize) -> usize {
         self.procs.unwrap_or(default)
@@ -319,7 +315,7 @@ impl ExperimentResult {
         }
         let _ = writeln!(
             out,
-            "\nscale: {:?}  (elapsed {:.2}s; set REPRO_FULL=1 or pass --scale paper for paper sizes)",
+            "\nscale: {:?}  (elapsed {:.2}s; pass --scale paper for paper sizes)",
             self.config.scale, self.elapsed_seconds
         );
         out

@@ -239,17 +239,15 @@ fn handle_submit(
         let _ = out_tx.send(render_error(None, &format!("unknown experiment {name:?}")));
         return;
     };
-    let mut config = RunConfig::from_env();
+    let mut config = RunConfig::default();
     if let Some(scale) = request.get("scale") {
-        config.scale = match scale.as_str() {
-            Some("tiny") => Scale::Tiny,
-            Some("small") => Scale::Small,
-            Some("paper") | Some("full") => Scale::Paper,
-            _ => {
+        match scale.as_str().and_then(Scale::parse) {
+            Some(scale) => config.scale = scale,
+            None => {
                 let _ = out_tx.send(render_error(None, "scale must be tiny|small|paper"));
                 return;
             }
-        };
+        }
     }
     if let Some(procs) = request.get("procs") {
         match procs.as_u64() {

@@ -6,8 +6,8 @@
 //! xp table <1|2|3|4>                  one table of the paper
 //! xp fig <1..9>                       one figure (paired figures share a spec)
 //! xp ablation <reorder-frequency|unit-sweep>
-//! xp bench <reorder-cost|sim-throughput|dsm-throughput|gen-throughput|trace-throughput>
-//!                                     performance benches
+//! xp bench <reorder-cost|sim-throughput|dsm-throughput|trace-throughput>
+//!                                     performance benches of the production paths
 //! xp run <id>                         any experiment by id or alias
 //! xp sweep                            every experiment (writes one artifact each)
 //! xp list                             what exists, with ids and aliases
@@ -41,7 +41,7 @@ USAGE:
     xp fig <1|2|...|9>        [options]
     xp ablation <name>        [options]   (reorder-frequency | unit-sweep)
     xp bench <name>           [options]   (reorder-cost | sim-throughput | dsm-throughput |
-                                           gen-throughput | trace-throughput)
+                                           trace-throughput)
     xp run <id-or-alias>      [options]
     xp sweep [id...]          [options]   run every (or the listed) experiment(s)
     xp serve                  [options]   NDJSON job server on stdin/stdout
@@ -56,7 +56,7 @@ OPTIONS:
     --format <text|json|csv>  output format (default: text)
     --out <path>              write output to a file (sweep: to a directory;
                               trace record: the corpus file)
-    --scale <tiny|small|paper> problem sizes (default: small, or REPRO_FULL=1)
+    --scale <tiny|small|paper> problem sizes (default: small)
     --procs <N>               override the virtual-processor count
     --seed <N>                override the workload seed
     --jobs <N>                bound concurrent cell attempts (default: pool width)
@@ -124,7 +124,7 @@ fn fail(message: &str) -> ExitCode {
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut format = Format::Text;
     let mut out = None;
-    let mut config = RunConfig::from_env();
+    let mut config = RunConfig::default();
     let mut jobs = None;
     let mut cache_dir = None;
     let mut single_flight = false;
@@ -141,12 +141,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--out" => out = Some(PathBuf::from(value_for("--out")?)),
             "--scale" => {
-                config.scale = match value_for("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "paper" | "full" => Scale::Paper,
-                    other => return Err(format!("unknown scale {other:?}")),
-                };
+                let v = value_for("--scale")?;
+                config.scale = Scale::parse(&v).ok_or(format!("unknown scale {v:?}"))?;
             }
             "--procs" => {
                 let v = value_for("--procs")?;

@@ -16,7 +16,7 @@
 //! remap index-based auxiliary structures (interaction lists, edge arrays) and, if
 //! desired, apply the same permutation to parallel arrays.
 
-use crate::keys::{pack_keys, KeyWidth, Method};
+use crate::keys::{pack_keys, Method};
 use crate::permute::Permutation;
 use crate::quantize::{BoundingBox, Quantizer, DEFAULT_BITS_PER_DIM};
 use crate::radix::PARALLEL_THRESHOLD;
@@ -79,8 +79,9 @@ impl std::ops::Deref for Reordering {
 /// min/max for the bounding box.  Key construction (quantize + encode, narrowed to
 /// `u64` keys when `dims * bits <= 64`) and the LSD radix ranking then run over that
 /// buffer — in parallel chunks on rayon worker threads once `n` reaches
-/// [`PARALLEL_THRESHOLD`].  The resulting permutation is byte-identical to the serial
-/// comparison-sort pipeline (see the proptest equivalence suite).
+/// [`PARALLEL_THRESHOLD`].  The resulting permutation is byte-identical to a serial
+/// comparison sort of the [`crate::keys::key_for_cells`] keys, the oracle the proptest
+/// suite checks every dimension and method against.
 ///
 /// # Panics
 /// Panics if `n == 0`, `dims == 0` or `dims > `[`crate::MAX_DIMS`], or if any
@@ -113,7 +114,7 @@ where
     let bits = DEFAULT_BITS_PER_DIM.min(128 / dims as u32).min(32);
     let quantizer = Quantizer::new(BoundingBox { min, max }, bits);
     let parallel = n >= PARALLEL_THRESHOLD && rayon::current_num_threads() > 1;
-    let keys = pack_keys(method, dims, &quantizer, &coords, KeyWidth::Auto, parallel);
+    let keys = pack_keys(method, dims, &quantizer, &coords, parallel);
     let permutation = keys.rank(parallel);
     Reordering { method, permutation, quantizer }
 }

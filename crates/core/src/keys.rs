@@ -92,17 +92,6 @@ pub fn key_for_cells_u64(method: Method, cells: &[u32], bits: u32) -> u64 {
     }
 }
 
-/// Requested key width for [`pack_keys`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyWidth {
-    /// Narrow the key to `u64` whenever `dims * bits <= 64` (the common 2-D/3-D
-    /// case); fall back to `u128` otherwise.
-    Auto,
-    /// Always use `u128` keys (the pre-pipeline behaviour; kept selectable so the
-    /// reorder-cost bench can measure what narrowing buys).
-    Wide,
-}
-
 /// Densely packed per-object sort keys, at the width the ordering actually needs.
 ///
 /// Produced by [`pack_keys`] from a cached coordinate buffer and consumed by
@@ -155,8 +144,8 @@ impl PackedKeys {
 /// `quantizer` and encoding under `method`.
 ///
 /// With `parallel` set, the buffer is processed in contiguous chunks on rayon worker
-/// threads; the produced keys are identical either way.  Keys are narrowed to `u64`
-/// according to `width`.
+/// threads; the produced keys are identical either way.  Keys are `u64` whenever
+/// `dims * bits <= 64` (the common 2-D/3-D case) and `u128` otherwise.
 ///
 /// # Panics
 /// Panics if `dims` is out of range or `coords.len()` is not a multiple of `dims`.
@@ -165,14 +154,12 @@ pub fn pack_keys(
     dims: usize,
     quantizer: &Quantizer,
     coords: &[f64],
-    width: KeyWidth,
     parallel: bool,
 ) -> PackedKeys {
     assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
     assert_eq!(coords.len() % dims, 0, "coordinate buffer length must be a multiple of dims");
     let bits = quantizer.bits();
-    let narrow = width == KeyWidth::Auto && dims as u32 * bits <= 64;
-    if narrow {
+    if dims as u32 * bits <= 64 {
         PackedKeys::U64(encode_rows(dims, quantizer, coords, parallel, |cells| {
             key_for_cells_u64(method, cells, bits)
         }))

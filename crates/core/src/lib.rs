@@ -68,7 +68,7 @@ pub use api::{
     column_reorder, compute_reordering, compute_reordering_from_points, hilbert_reorder,
     morton_reorder, reorder_by_method, row_reorder, CoordFn, Reordering,
 };
-pub use keys::{pack_keys, sort_keys, KeyWidth, Method, PackedKeys, SortKey};
+pub use keys::{pack_keys, sort_keys, Method, PackedKeys, SortKey};
 pub use permute::{PermutableColumn, Permutation};
 pub use quantize::{BoundingBox, Quantizer, DEFAULT_BITS_PER_DIM};
 pub use radix::{rank_radix, RadixKey, PARALLEL_THRESHOLD};

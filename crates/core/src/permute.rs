@@ -68,8 +68,8 @@ impl Permutation {
     ///
     /// Internally this scatters the keys into object order and ranks them with the
     /// parallel LSD radix sort ([`crate::radix::rank_radix`]), narrowing the key to
-    /// `u64` when every key fits; the result is byte-identical to
-    /// [`Permutation::from_sort_keys_comparison`].
+    /// `u64` when every key fits; the proptest suite pins the result byte-for-byte to
+    /// a serial comparison sort over `(key, object)` tuples.
     ///
     /// # Panics
     /// Panics if the keys do not describe objects `0..n` exactly once.
@@ -96,31 +96,6 @@ impl Permutation {
         } else {
             rank_radix(&packed, parallel)
         }
-    }
-
-    /// Reference implementation of [`Permutation::from_sort_keys`]: a serial
-    /// comparison sort over `(key, object)` tuples.
-    ///
-    /// Kept as the baseline the radix path is benchmarked (`xp bench reorder-cost`)
-    /// and property-tested against.
-    ///
-    /// # Panics
-    /// Panics if the keys do not describe objects `0..n` exactly once.
-    pub fn from_sort_keys_comparison(keys: &[SortKey]) -> Self {
-        let n = keys.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (keys[i].key, keys[i].object));
-        // order[r] = position in `keys` of the object with rank r.
-        let mut rank = vec![usize::MAX; n];
-        let mut perm = vec![usize::MAX; n];
-        for (r, &ki) in order.iter().enumerate() {
-            let old = keys[ki].object;
-            assert!(old < n, "sort key refers to object {old} outside 0..{n}");
-            assert!(rank[old] == usize::MAX, "object {old} appears in more than one sort key");
-            rank[old] = r;
-            perm[r] = old;
-        }
-        Permutation { rank, perm }
     }
 
     /// Build a permutation directly from a `rank` array (`rank[old] = new`).
@@ -443,23 +418,6 @@ mod tests {
         let mut v: Vec<u8> = vec![];
         p.apply_in_place(&mut v);
         assert!(p.apply_cloned(&v).is_empty());
-    }
-
-    #[test]
-    fn radix_and_comparison_rankings_agree() {
-        // Keys in scrambled object order with duplicates: both paths must produce the
-        // same stable (key, object) ranking.
-        let sk = vec![
-            SortKey { object: 3, key: 5 },
-            SortKey { object: 0, key: 5 },
-            SortKey { object: 4, key: u128::from(u64::MAX) + 7 },
-            SortKey { object: 1, key: 0 },
-            SortKey { object: 2, key: 5 },
-        ];
-        let radix = Permutation::from_sort_keys(&sk);
-        let comparison = Permutation::from_sort_keys_comparison(&sk);
-        assert_eq!(radix, comparison);
-        assert_eq!(radix.sources(), &[1, 0, 2, 3, 4]);
     }
 
     #[test]

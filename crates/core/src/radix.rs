@@ -18,9 +18,9 @@
 //!    whole sort at exactly one auxiliary allocation.
 //!
 //! The sort is *stable*, so pairs built in object order break key ties by object
-//! index — byte-for-byte the same [`Permutation`](crate::permute::Permutation) as the
-//! reference comparison sort (`Permutation::from_sort_keys_comparison`), a property the
-//! proptest suite pins down.
+//! index — byte-for-byte the same [`Permutation`](crate::permute::Permutation) as a
+//! serial comparison sort over `(key, object)` tuples, the oracle the proptest suite
+//! pins it to.
 
 use crate::permute::Permutation;
 
@@ -209,37 +209,6 @@ fn scatter_pass<K: RadixKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::SortKey;
-
-    fn reference(keys: &[u128]) -> Permutation {
-        let sk: Vec<SortKey> =
-            keys.iter().enumerate().map(|(i, &key)| SortKey { object: i, key }).collect();
-        Permutation::from_sort_keys_comparison(&sk)
-    }
-
-    fn pseudo_keys(n: usize, modulus: u64) -> Vec<u64> {
-        (0..n as u64)
-            .map(|i| {
-                let mut x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                x ^= x >> 31;
-                x % modulus
-            })
-            .collect()
-    }
-
-    #[test]
-    fn radix_matches_comparison_on_random_keys() {
-        for parallel in [false, true] {
-            for modulus in [u64::MAX, 1 << 20, 255, 2] {
-                let keys = pseudo_keys(2000, modulus);
-                let wide: Vec<u128> = keys.iter().map(|&k| u128::from(k)).collect();
-                let p = rank_radix(&keys, parallel);
-                assert_eq!(p.ranks(), reference(&wide).ranks(), "modulus {modulus}");
-                let pw = rank_radix(&wide, parallel);
-                assert_eq!(pw.ranks(), p.ranks(), "u64/u128 widths disagree");
-            }
-        }
-    }
 
     #[test]
     fn equal_keys_rank_by_object_index() {

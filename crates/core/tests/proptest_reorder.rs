@@ -5,10 +5,36 @@
 
 use proptest::prelude::*;
 use reorder::hilbert::{hilbert_decode, hilbert_encode};
+use reorder::keys::key_for_cells;
 use reorder::morton::{morton_decode, morton_encode};
 use reorder::permute::Permutation;
 use reorder::rowcol::{column_decode, column_key, row_decode, row_key};
-use reorder::{compute_reordering, rank_radix, reorder_by_method, Method, SortKey};
+use reorder::{
+    compute_reordering, pack_keys, rank_radix, reorder_by_method, Method, SortKey, MAX_DIMS,
+};
+
+/// The oracle for every radix ranking: a serial comparison sort over `(key, object)`
+/// tuples, so objects rank by ascending key with ties broken by object index.
+fn from_sort_keys_comparison(keys: &[SortKey]) -> Permutation {
+    let mut order: Vec<&SortKey> = keys.iter().collect();
+    order.sort_by_key(|k| (k.key, k.object));
+    let mut rank = vec![usize::MAX; keys.len()];
+    for (r, k) in order.iter().enumerate() {
+        rank[k.object] = r;
+    }
+    Permutation::from_rank(rank)
+}
+
+/// Sort keys for objects `0..keys.len()`, listed starting at object `rotate % n` so
+/// the slice is not in object order.
+fn rotated_sort_keys(keys: &[u128], rotate: usize) -> Vec<SortKey> {
+    let n = keys.len();
+    (0..n).map(|i| (i + rotate) % n).map(|object| SortKey { object, key: keys[object] }).collect()
+}
+
+/// Moduli for the narrow-key proptest: all-equal keys, heavy duplication, one and
+/// three occupied key bytes, and the full 64-bit range.
+const MODULI: [u64; 6] = [1, 2, 31, 255, 1 << 20, u64::MAX];
 
 fn coords_strategy(dims: usize, bits: u32) -> impl Strategy<Value = Vec<u32>> {
     let max = if bits == 32 { u32::MAX } else { (1u32 << bits) - 1 };
@@ -163,20 +189,19 @@ proptest! {
 
     #[test]
     fn radix_ranking_is_byte_identical_to_comparison_ranking(
-        raw in prop::collection::vec(any::<u64>(), 1..400),
-        modulus in 1u64..32,
+        raw in prop::collection::vec(any::<u64>(), 1..2000),
+        modulus_pick in 0usize..MODULI.len(),
         parallel in any::<bool>(),
     ) {
-        // Reduce the keys modulo a small value so duplicate keys are guaranteed; the
-        // stable radix rank must still match the (key, object) comparison sort for
-        // both key widths, serial and parallel.
-        let keys: Vec<u64> = raw.iter().map(|&k| k % modulus).collect();
+        // Small moduli guarantee duplicate keys; the stable radix rank must still match
+        // the (key, object) comparison sort for both key widths, serial and parallel.
+        let keys: Vec<u64> = raw.iter().map(|&k| k % MODULI[modulus_pick]).collect();
         let sk: Vec<SortKey> = keys
             .iter()
             .enumerate()
             .map(|(i, &k)| SortKey { object: i, key: u128::from(k) })
             .collect();
-        let comparison = Permutation::from_sort_keys_comparison(&sk);
+        let comparison = from_sort_keys_comparison(&sk);
         let narrow = rank_radix(&keys, parallel);
         prop_assert_eq!(narrow.ranks(), comparison.ranks());
         let wide: Vec<u128> = keys.iter().map(|&k| u128::from(k)).collect();
@@ -188,13 +213,22 @@ proptest! {
 
     #[test]
     fn radix_ranking_matches_comparison_on_full_width_keys(
-        keys in prop::collection::vec(any::<u128>(), 1..200),
+        raw in prop::collection::vec((any::<u128>(), 0u8..3), 1..200),
+        rotate in any::<usize>(),
         parallel in any::<bool>(),
     ) {
-        let sk: Vec<SortKey> =
+        // Mix full-width keys with small duplicated ones, so `from_sort_keys` must take
+        // its u128 path while still breaking ties by object index.
+        let keys: Vec<u128> =
+            raw.iter().map(|&(k, pick)| if pick == 0 { k % 4 } else { k }).collect();
+        let in_order: Vec<SortKey> =
             keys.iter().enumerate().map(|(i, &key)| SortKey { object: i, key }).collect();
-        let comparison = Permutation::from_sort_keys_comparison(&sk);
+        let comparison = from_sort_keys_comparison(&in_order);
         prop_assert_eq!(rank_radix(&keys, parallel).ranks(), comparison.ranks());
+        // Keys listed out of object order rank the same.
+        let rotated = rotated_sort_keys(&keys, rotate);
+        prop_assert_eq!(from_sort_keys_comparison(&rotated).ranks(), comparison.ranks());
+        prop_assert_eq!(Permutation::from_sort_keys(&rotated).ranks(), comparison.ranks());
     }
 
     #[test]
@@ -225,6 +259,35 @@ proptest! {
         p.apply_with_aux(&mut a, &mut b);
         prop_assert_eq!(a, gathered_ids);
         prop_assert_eq!(b, p.apply_cloned(&(0..n as u64).map(|i| i * 3).collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn compute_reordering_matches_the_comparison_oracle_at_every_dimension(
+        dims in 1usize..=MAX_DIMS,
+        n in 1usize..300,
+        grid in prop::collection::vec(0u32..64, 300 * MAX_DIMS),
+    ) {
+        // Coordinates on a coarse grid, so ties are common.  The pipeline picks u64
+        // keys when `dims * bits <= 64` and u128 keys otherwise (dims >= 4 at 21 bits
+        // per dimension); either way its ranks must equal the comparison sort of the
+        // full-width `key_for_cells` keys.
+        let coords: Vec<f64> = grid[..n * dims].iter().map(|&g| f64::from(g) * 0.37 - 3.0).collect();
+        for method in Method::ALL {
+            let r = compute_reordering(method, n, dims, |i, d| coords[i * dims + d]);
+            let quantizer = r.quantizer();
+            let bits = quantizer.bits();
+            let packed = pack_keys(method, dims, quantizer, &coords, false);
+            let narrow = dims as u32 * bits <= 64;
+            prop_assert_eq!(packed.width_bits(), if narrow { 64 } else { 128 });
+            let keys: Vec<SortKey> = (0..n)
+                .map(|i| {
+                    let cells: Vec<u32> =
+                        (0..dims).map(|d| quantizer.cell(d, coords[i * dims + d])).collect();
+                    SortKey { object: i, key: key_for_cells(method, &cells, bits) }
+                })
+                .collect();
+            prop_assert_eq!(r.ranks(), from_sort_keys_comparison(&keys).ranks());
+        }
     }
 
     #[test]

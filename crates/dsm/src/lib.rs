@@ -31,10 +31,9 @@
 //! reduces an application's `stream_*` execution to flat per-interval
 //! [`PageWriteHistory`] page sets (at one or several page granularities in a single
 //! pass) without materializing the trace, and both simulators evaluate the
-//! per-processor intervals in parallel.  The original map-based serial pipeline is
-//! preserved in [`reference`] as the executable specification; the equivalence
-//! proptests and `xp bench dsm-throughput` pin all paths to bit-identical
-//! [`DsmStats`].
+//! per-processor intervals in parallel.  The original map-based serial pipeline lives
+//! beside the equivalence proptests (`tests/reference/`) as the executable
+//! specification they pin every path to, bit-identical [`DsmStats`] included.
 //!
 //! ```
 //! use dsm::{DsmConfig, HlrcSim, TreadMarksSim};
@@ -65,7 +64,6 @@ pub mod cost;
 pub mod history;
 pub mod hlrc;
 pub mod protocol;
-pub mod reference;
 pub mod sink;
 pub mod treadmarks;
 

@@ -149,8 +149,8 @@ impl DsmRunResult {
 /// The zero-communication result for a one-processor configuration: compute work,
 /// lock acquisitions and barriers are counted, but no messages, faults or data move —
 /// a single node has nobody to exchange diffs, pages, lock grants or barrier
-/// notifications with.  Both protocol simulators and the [`crate::reference`]
-/// executable spec share this path so their P=1 results stay bit-identical.
+/// notifications with.  Both protocol simulators share this path so their P=1
+/// results stay bit-identical.
 pub(crate) fn single_proc_result(
     protocol: Protocol,
     config: DsmConfig,

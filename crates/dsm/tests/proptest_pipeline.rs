@@ -1,13 +1,15 @@
 //! Equivalence suite for the three trace→DSM pipelines: the streaming
 //! [`PageHistorySink`], the materialized [`PageWriteHistory::build`] reduction, and
-//! the map-based serial [`dsm::reference`] executable spec must produce bit-identical
+//! the map-based serial executable spec in `reference/` must produce bit-identical
 //! histories and [`dsm::DsmRunResult`]s for *any* program — arbitrary access
 //! patterns, straddling object sizes, page sizes, processor counts, locks, and
 //! partial trailing intervals.
 
+mod reference;
+
 use proptest::prelude::*;
 
-use dsm::{reference, DsmConfig, HlrcSim, PageHistorySink, PageWriteHistory, TreadMarksSim};
+use dsm::{DsmConfig, HlrcSim, PageHistorySink, PageWriteHistory, TreadMarksSim};
 use smtrace::{ObjectLayout, TraceBuilder, TraceSink};
 
 /// Object sizes covering the paper's Table 1 plus a page-straddling giant: 32 B mesh

@@ -1,11 +1,11 @@
-//! The original map-based DSM pipeline, kept as the executable specification and the
-//! baseline of the `xp bench dsm-throughput` experiment.
+//! The original map-based DSM pipeline, kept as the executable specification the
+//! streaming pipeline is tested against.
 //!
 //! Semantics are identical to the streaming pipeline
-//! ([`crate::PageHistorySink`] → [`crate::TreadMarksSim`] / [`crate::HlrcSim`]) by
-//! construction — the equivalence proptests and the throughput bench both assert
-//! bit-identical [`DsmRunResult`]s — but the representation is the straightforward one
-//! the optimized pipeline replaced:
+//! ([`dsm::PageHistorySink`] → [`dsm::TreadMarksSim`] / [`dsm::HlrcSim`]) by
+//! construction — `proptest_pipeline.rs` asserts bit-identical [`DsmRunResult`]s —
+//! but the representation is the straightforward one the optimized pipeline
+//! replaced:
 //!
 //! * the trace reduction allocates a nested `BTreeMap<page, BTreeSet<object>>` per
 //!   (interval, processor) and a `BTreeMap` per page-set, where the streaming sink
@@ -20,16 +20,16 @@
 //! The two accounting corrections of the flat pipeline are applied **identically**
 //! here (deduplicated per-page read objects; per-page byte attribution for straddling
 //! objects via [`object_bytes_on_page`]), as are the `barrier_messages` saturation fix
-//! and the single-processor zero-communication fast path — this module is a spec for
-//! the fixed semantics, not a museum of the bugs.
+//! and the single-processor zero-communication result — this module is a spec for
+//! the fixed semantics, not a museum of the bugs.  It is built only from `dsm`'s
+//! public API; the single-processor result is derived here, not shared with the
+//! simulators it checks.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use dsm::treadmarks::{barrier_messages, LOCK_MESSAGES};
+use dsm::{object_bytes_on_page, DsmConfig, DsmRunResult, DsmStats, ProcStats, Protocol};
 use smtrace::{ObjectLayout, ProgramTrace};
-
-use crate::history::object_bytes_on_page;
-use crate::protocol::{single_proc_result, DsmConfig, DsmRunResult, DsmStats, ProcStats, Protocol};
-use crate::treadmarks::{barrier_messages, LOCK_MESSAGES};
 
 /// Map-based page sets of one processor in one interval.
 #[derive(Debug, Clone, Default)]
@@ -47,8 +47,6 @@ pub struct RefIntervalPageSets {
 /// Map-based reduction of a whole trace (`intervals[t][p]`).
 #[derive(Debug, Clone)]
 pub struct RefPageHistory {
-    /// Page size in bytes used for the reduction.
-    pub page_bytes: usize,
     /// Number of pages covering the object array.
     pub num_pages: usize,
     /// Number of processors.
@@ -103,21 +101,22 @@ impl RefPageHistory {
             intervals.push(per_proc);
         }
         RefPageHistory {
-            page_bytes,
             num_pages,
             num_procs: trace.num_procs,
             intervals,
             barriers: trace.num_barriers() as u64,
         }
     }
+}
 
-    fn proc_accesses(&self, p: usize) -> u64 {
-        self.intervals.iter().map(|iv| iv[p].accesses).sum()
-    }
-
-    fn proc_lock_acquires(&self, p: usize) -> u64 {
-        self.intervals.iter().map(|iv| u64::from(iv[p].lock_acquires)).sum()
-    }
+/// The one-processor result: compute work, lock acquisitions and barriers are counted,
+/// but a single node has nobody to exchange messages, pages or diffs with.
+fn single_proc(protocol: Protocol, config: DsmConfig, history: &RefPageHistory) -> DsmRunResult {
+    let accesses = history.intervals.iter().map(|iv| iv[0].accesses).sum();
+    let lock_acquires = history.intervals.iter().map(|iv| u64::from(iv[0].lock_acquires)).sum();
+    let per_proc = vec![ProcStats { accesses, lock_acquires, ..Default::default() }];
+    let stats = DsmStats { barriers: history.barriers, lock_acquires, ..Default::default() };
+    DsmRunResult { protocol, config, stats, per_proc }
 }
 
 /// Run the TreadMarks-like protocol over a trace with the original serial scan-based
@@ -136,13 +135,7 @@ pub fn run_treadmarks_history(config: DsmConfig, history: &RefPageHistory) -> Ds
     let p = config.num_procs;
     assert_eq!(history.num_procs, p, "history and configuration disagree on processor count");
     if p == 1 {
-        return single_proc_result(
-            Protocol::TreadMarks,
-            config,
-            history.proc_accesses(0),
-            history.proc_lock_acquires(0),
-            history.barriers,
-        );
+        return single_proc(Protocol::TreadMarks, config, history);
     }
     let num_pages = history.num_pages;
 
@@ -214,13 +207,7 @@ pub fn run_hlrc_history(config: DsmConfig, history: &RefPageHistory) -> DsmRunRe
     let p = config.num_procs;
     assert_eq!(history.num_procs, p, "history and configuration disagree on processor count");
     if p == 1 {
-        return single_proc_result(
-            Protocol::Hlrc,
-            config,
-            history.proc_accesses(0),
-            history.proc_lock_acquires(0),
-            history.barriers,
-        );
+        return single_proc(Protocol::Hlrc, config, history);
     }
     let num_pages = history.num_pages;
     let home_of = |page: usize| page % p;
@@ -308,7 +295,7 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HlrcSim, TreadMarksSim};
+    use dsm::{HlrcSim, TreadMarksSim};
     use smtrace::TraceBuilder;
 
     /// A hand-sized sharing pattern with straddling 680-byte objects, repeated reads

@@ -17,9 +17,9 @@
 //! Coherence is resolved through a real [`Directory`]: a per-line sharer bitmask that
 //! the simulator keeps as an exact mirror of the cache contents (updated on every
 //! fill, eviction and invalidation).  A write consults the mask in O(1) and
-//! invalidates only the actual sharers, instead of probing all P caches — see
-//! [`crate::reference::ReferenceSim`] for the preserved scan-based baseline the
-//! directory machine is verified against.
+//! invalidates only the actual sharers, instead of probing all P caches.  The
+//! equivalence tests check the directory machine against a scan-based oracle that
+//! does probe all P caches (`tests/reference/`).
 //!
 //! Traces can be replayed from a materialized [`ProgramTrace`]
 //! ([`MultiprocessorSim::run_trace`]) or streamed straight from a running application

@@ -20,9 +20,9 @@
 //!   interleaved trace yields cold/capacity *and* coherence (false-sharing) misses per
 //!   processor.  [`coherence::SimSink`] replays *streaming* traces (one
 //!   synchronization interval buffered at a time, no materialized trace) with
-//!   byte-identical counters.
-//! * [`reference::ReferenceSim`] — the original scan-based simulator, preserved as the
-//!   executable specification and the `sim-throughput` bench baseline.
+//!   byte-identical counters.  The original scan-based simulator lives beside the
+//!   equivalence tests (`tests/reference/`) as the executable specification both
+//!   replay paths are checked against.
 //! * [`sharing`] — the page-sharing analyses behind Figures 1, 2, 4, 5 and 6.
 //! * [`origin::OriginPreset`] — the Origin 2000 cache/TLB/page parameters and a simple
 //!   cost model that converts miss counts into estimated execution times for the
@@ -57,7 +57,6 @@ pub mod cache;
 pub mod coherence;
 pub mod directory;
 pub mod origin;
-pub mod reference;
 pub mod sharing;
 pub mod tlb;
 
@@ -65,6 +64,5 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use coherence::{MultiprocessorSim, ProcessorStats, SimSink, SimulationResult};
 pub use directory::Directory;
 pub use origin::{CostModel, OriginPreset};
-pub use reference::ReferenceSim;
 pub use sharing::{page_sharing, page_update_map, processor_unit_sets, PageSharingReport};
 pub use tlb::{Tlb, TlbConfig, TlbStats};

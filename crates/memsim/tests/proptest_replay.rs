@@ -1,13 +1,15 @@
 //! Equivalence suite for the streaming replay pipeline: for arbitrary traces, the
 //! directory machine — replaying a materialized trace or consuming a stream through
 //! [`SimSink`] — must produce *identical* per-processor cache/TLB/coherence counters
-//! to the preserved scan-based [`ReferenceSim`].  This is the property the
-//! `xp bench sim-throughput` speedups rest on: the optimized paths are only
-//! optimizations if the counters are bit-for-bit the same.
+//! to the scan-based [`ReferenceSim`] oracle in `reference/`.  The directory
+//! machine is only an optimization if the counters are bit-for-bit the same.
+
+mod reference;
 
 use proptest::prelude::*;
 
-use memsim::{CacheConfig, MultiprocessorSim, ReferenceSim, SimSink, TlbConfig};
+use memsim::{CacheConfig, MultiprocessorSim, SimSink, TlbConfig};
+use reference::ReferenceSim;
 use smtrace::{Access, AccessKind, ObjectLayout, TraceBuilder, TraceSink, UnitSetsSink};
 
 /// One randomized trace event: an access, a lock, or a barrier.

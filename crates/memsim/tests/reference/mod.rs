@@ -1,7 +1,7 @@
 //! The original (pre-directory) multiprocessor simulator, kept as the executable
-//! specification and the baseline of the `sim-throughput` bench.
+//! specification the directory machine is tested against.
 //!
-//! Semantics are identical to [`crate::coherence::MultiprocessorSim`] by construction:
+//! Semantics are identical to [`memsim::MultiprocessorSim`] by construction:
 //!
 //! * per-processor set-associative LRU caches kept as move-to-front `Vec`s (positional
 //!   LRU) instead of generation timestamps;
@@ -9,15 +9,15 @@
 //!   each write — the O(P · associativity) path the directory replaces;
 //! * per-interval round-robin replay with freshly allocated cursors.
 //!
-//! The equivalence proptests and the `xp bench sim-throughput` experiment both assert
-//! that the optimized simulator reproduces this model's counters bit-for-bit; the bench
-//! additionally reports the throughput ratio between the two.
+//! It is built only from `memsim`'s public types, so it shares no code with the
+//! simulator it checks.  `proptest_replay.rs` asserts that materialized and streaming
+//! replay on the directory machine reproduce this model's counters bit-for-bit.
 
+// As in the simulator crate, the loop index is the processor id.
+#![allow(clippy::needless_range_loop)]
+
+use memsim::{CacheConfig, CacheStats, ProcessorStats, SimulationResult, TlbConfig, TlbStats};
 use smtrace::{ObjectLayout, ProgramTrace};
-
-use crate::cache::{CacheConfig, CacheStats};
-use crate::coherence::{ProcessorStats, SimulationResult};
-use crate::tlb::{TlbConfig, TlbStats};
 
 /// A set-associative LRU cache with positional (move-to-front) recency tracking.
 #[derive(Debug, Clone)]
@@ -102,8 +102,7 @@ impl RefTlb {
     }
 }
 
-/// The scan-based P-processor machine: the baseline the directory machine is measured
-/// against and verified against.
+/// The scan-based P-processor machine the directory machine is verified against.
 #[derive(Debug)]
 pub struct ReferenceSim {
     caches: Vec<RefCache>,

@@ -284,6 +284,11 @@ impl Moldyn {
     /// ...).  Two intervals per step: force computation (owner of `i` reads both
     /// molecules of each of its pairs and writes both), then integration (each
     /// processor writes its own block).
+    ///
+    /// This serial path is the oracle, not a production path: production code traces
+    /// through the sharded [`Moldyn::stream_steps`], which
+    /// `sharded_stream_matches_the_serial_traced_spec` and the bench crate's
+    /// `proptest_gen.rs` pin to it bit for bit.
     pub fn step_traced<S: TraceSink>(&mut self, num_procs: usize, builder: &mut S) {
         assert_eq!(builder.num_procs(), num_procs, "sink must match the processor count");
         self.clear_forces();

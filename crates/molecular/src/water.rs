@@ -246,6 +246,11 @@ impl WaterSpatial {
     /// [`TraceSink`].  Two intervals: force computation (a processor reads the
     /// neighbourhood of each of its molecules and writes the molecule) and
     /// integration/cell-update (writes its molecules).
+    ///
+    /// This serial path is the oracle, not a production path: production code traces
+    /// through the sharded [`WaterSpatial::stream_steps`], which
+    /// `sharded_stream_matches_the_serial_traced_spec` and the bench crate's
+    /// `proptest_gen.rs` pin to it bit for bit.
     pub fn step_traced<S: TraceSink>(&mut self, num_procs: usize, builder: &mut S) {
         assert_eq!(builder.num_procs(), num_procs, "sink must match the processor count");
         let owners = self.cell_owners(num_procs);

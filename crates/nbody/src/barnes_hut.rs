@@ -284,6 +284,11 @@ impl BarnesHut {
     /// computation as [`BarnesHut::step_parallel`] and records the body-array accesses
     /// of each virtual processor into any [`TraceSink`] (three intervals: tree build,
     /// force evaluation, update).
+    ///
+    /// This serial path is the oracle, not a production path: production code traces
+    /// through the sharded [`BarnesHut::stream_iterations`], which
+    /// `sharded_stream_matches_the_serial_traced_spec` and the bench crate's
+    /// `proptest_gen.rs` pin to it bit for bit.
     pub fn step_traced<S: TraceSink>(&mut self, num_procs: usize, builder: &mut S) {
         assert_eq!(builder.num_procs(), num_procs, "sink must match the processor count");
         // Interval 1: sequential tree build — processor 0 reads every body.

@@ -471,6 +471,11 @@ impl Fmm {
     /// upward pass (each processor reads the bodies of its leaves), evaluation
     /// (near-field reads plus writes of owned bodies), and update (writes of owned
     /// bodies) — each closed by a barrier.
+    ///
+    /// This serial path is the oracle, not a production path: production code traces
+    /// through the sharded [`Fmm::stream_iterations`], which
+    /// `sharded_stream_matches_the_serial_traced_spec` and the bench crate's
+    /// `proptest_gen.rs` pin to it bit for bit.
     pub fn step_traced<S: TraceSink>(&mut self, num_procs: usize, builder: &mut S) {
         assert_eq!(builder.num_procs(), num_procs, "sink must match the processor count");
         let tree = self.build_tree();

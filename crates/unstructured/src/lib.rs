@@ -278,6 +278,11 @@ impl Unstructured {
     /// [`TraceSink`].  Three intervals: the edge loop (block partition of edges; reads
     /// and writes both endpoints), the face loop (block partition of faces), and the
     /// node loop (block partition of nodes).
+    ///
+    /// This serial path is the oracle, not a production path: production code traces
+    /// through the sharded [`Unstructured::stream_sweeps`], which
+    /// `sharded_stream_matches_the_serial_traced_spec` and the bench crate's
+    /// `proptest_gen.rs` pin to it bit for bit.
     pub fn sweep_traced<S: TraceSink>(&mut self, num_procs: usize, builder: &mut S) {
         assert_eq!(builder.num_procs(), num_procs, "sink must match the processor count");
         // Interval 1: edge loop.
