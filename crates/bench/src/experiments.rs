@@ -17,14 +17,14 @@ use molecular::{Moldyn, MoldynParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
 use reorder::permute::Permutation;
 use reorder::{compute_reordering_from_points, pack_keys, Method, Quantizer};
-use smtrace::{ObjectLayout, ProgramTrace};
+use smtrace::ObjectLayout;
 use workloads::{cubic_lattice, two_plummer, UnstructuredMesh};
 
 use crate::cache::{CellKey, KeyBuilder};
 use crate::row;
 use crate::runner::{ExperimentSpec, Row, RunConfig, Value};
 use crate::scheduler::run_keyed_cells;
-use crate::{build_run, build_run_sized, AppKind, Ordering, Scale};
+use crate::{build_run, build_run_sized, AppKind, LiveApp, Ordering, Scale};
 
 /// Canonical name of a scale for cell keys (lowercase, stable).
 fn scale_name(scale: Scale) -> &'static str {
@@ -230,10 +230,10 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
             "tmk_messages", "tmk_mb", "hlrc_messages", "hlrc_mb", "speedup_vs_materialized",
         ],
         notes: &[
-            "Paths: `materialized` reduces a recorded ProgramTrace once through the flat",
-            "sorted-vec reduction and feeds both parallel simulators; `streaming` replays the",
-            "trace through a PageHistorySink — the path applications use to evaluate the DSM",
-            "models without materializing a trace — and feeds the same simulators.  Both",
+            "Paths: `materialized` reduces a recorded ProgramTrace once with",
+            "PageWriteHistory::build and feeds both parallel simulators; `streaming` replays the",
+            "trace through a PageHistorySink — the marking reduction DSM cells run while they",
+            "generate, which `build` also replays into — and feeds the same simulators.  Both",
             "paths' DsmRunResults (aggregate and per-processor, both protocols) are asserted",
             "bit-identical; expected shape: streaming within noise of materialized.  Cells",
             "run sequentially for honest wall-clock.",
@@ -362,7 +362,8 @@ enum Substrate {
     /// it answers the run on `procs` and on 1.  Row: app, ordering, procs,
     /// reorder_s, time_s, l2_misses, tlb_misses.
     Origin,
-    /// TreadMarks and HLRC models over one page history.  Row: app, ordering,
+    /// TreadMarks and HLRC models over one page history, reduced while the run is
+    /// generated (no trace is materialized).  Row: app, ordering,
     /// procs, reorder_s, tmk_seq_s, tmk_time_s, tmk_data_mb, tmk_messages,
     /// hlrc_seq_s, hlrc_time_s, hlrc_data_mb, hlrc_messages.
     Dsm,
@@ -390,11 +391,19 @@ impl Substrate {
         }
     }
 
-    /// The model columns (everything after `reorder_s`) of each run a cell on
-    /// `procs` processors answers, keyed by processor count.
-    fn measure(self, run: &crate::AppRun, procs: usize) -> Vec<(usize, Vec<Value>)> {
+    /// Compute the cell of `run`: the measured reorder seconds, and the model columns
+    /// (everything after `reorder_s`) of each run the cell answers, keyed by
+    /// processor count.
+    fn measure(
+        self,
+        run: SubstrateRun,
+        scale: Scale,
+        seed: u64,
+    ) -> (f64, Vec<(usize, Vec<Value>)>) {
+        let procs = run.procs;
         match self {
             Substrate::Origin => {
+                let traced = build_run(run.app, run.ordering, scale, procs, seed);
                 let columns = |result: SimulationResult| -> Vec<Value> {
                     let time = CostModel::default().machine_time(&result);
                     vec![time.into(), result.l2_misses().into(), result.tlb_misses().into()]
@@ -402,22 +411,26 @@ impl Substrate {
                 let parallel = || {
                     OriginPreset::origin2000(procs)
                         .build_machine()
-                        .run_trace_with_layout(&run.trace, &run.layout)
+                        .run_trace_with_layout(&traced.trace, &traced.layout)
                 };
                 if procs == 1 {
-                    return vec![(1, columns(parallel()))];
+                    return (traced.reorder_seconds, vec![(1, columns(parallel()))]);
                 }
                 let folded = || {
                     OriginPreset::origin2000(1)
                         .build_machine()
-                        .run_trace_folded(&run.trace, &run.layout)
+                        .run_trace_folded(&traced.trace, &traced.layout)
                 };
                 let (seq, par) = rayon::join(folded, parallel);
-                vec![(1, columns(seq)), (procs, columns(par))]
+                (traced.reorder_seconds, vec![(1, columns(seq)), (procs, columns(par))])
             }
             Substrate::Dsm => {
+                let n = scale.size_of(run.app);
+                let (mut live, reorder_seconds) = LiveApp::ordered(run.app, run.ordering, n, seed);
                 let config = DsmConfig::cluster(procs);
-                let history = PageWriteHistory::build(&run.trace, &run.layout, config.page_bytes);
+                let mut sink = PageHistorySink::new(live.layout(), procs, config.page_bytes);
+                live.stream_sharded(scale.iterations_of(run.app), &mut sink);
+                let history = sink.finish();
                 let cost = NetworkCostModel::default();
                 let columns = [
                     TreadMarksSim::new(config).run_history(&history),
@@ -434,7 +447,7 @@ impl Substrate {
                     ]
                 })
                 .collect();
-                vec![(procs, columns)]
+                (reorder_seconds, vec![(procs, columns)])
             }
         }
     }
@@ -483,16 +496,15 @@ fn run_substrate(
         })
         .collect();
     let rows = run_keyed_cells(cells, |run| {
-        let app_run = build_run(run.app, run.ordering, scale, run.procs, seed);
-        substrate
-            .measure(&app_run, run.procs)
+        let (reorder_seconds, measured) = substrate.measure(run, scale, seed);
+        measured
             .into_iter()
             .map(|(procs, columns)| {
                 let mut cells = vec![
                     run.app.name().into(),
                     run.ordering.name().into(),
                     procs.into(),
-                    app_run.reorder_seconds.into(),
+                    reorder_seconds.into(),
                 ];
                 cells.extend(columns);
                 Row { cells }
@@ -583,28 +595,24 @@ fn fmm_phase_costs(n: usize, ordering: Ordering, procs: usize, seed: u64) -> Vec
     if let Ordering::Reordered(method) = ordering {
         sim.reorder(method);
     }
-    let trace = sim.trace_iterations(1, procs);
     let config = DsmConfig::cluster(procs);
+    let mut sink = PageHistorySink::new(sim.layout(), procs, config.page_bytes);
+    sim.stream_iterations(1, &mut sink);
+    let history = sink.finish();
     let cost = NetworkCostModel::default();
     let tmk = TreadMarksSim::new(config);
-    let mut out = Vec::new();
     // Simulate each interval prefix separately so its communication cost is attributed
     // to its phase.  (The protocol state is rebuilt per interval; this slightly
     // over-counts cold fetches per phase but identically for both versions.)
-    for (idx, phase) in FMM_INTERVAL_PHASES.iter().enumerate() {
-        if idx >= trace.intervals.len() {
-            break;
-        }
-        let prefix = ProgramTrace {
-            layout: trace.layout.clone(),
-            num_procs: trace.num_procs,
-            intervals: trace.intervals[..=idx].to_vec(),
-        };
-        let history = PageWriteHistory::build(&prefix, &trace.layout, config.page_bytes);
-        let result = tmk.run_history(&history);
-        let est = cost.estimate(&result);
-        out.push((phase.to_string(), est.parallel_seconds));
-    }
+    let mut out: Vec<(String, f64)> = FMM_INTERVAL_PHASES
+        .iter()
+        .take(history.intervals.len())
+        .enumerate()
+        .map(|(idx, phase)| {
+            let est = cost.estimate(&tmk.run_history(&history.prefix(idx + 1)));
+            (phase.to_string(), est.parallel_seconds)
+        })
+        .collect();
     // Convert cumulative estimates into per-phase increments.
     for i in (1..out.len()).rev() {
         out[i].1 -= out[i - 1].1;

@@ -214,10 +214,7 @@ pub fn build_run_sized(
     num_procs: usize,
     seed: u64,
 ) -> AppRun {
-    let mut live = LiveApp::build(app, n, seed);
-    let reorder_seconds = apply_ordering(ordering, |m| {
-        live.reorder(m);
-    });
+    let (mut live, reorder_seconds) = LiveApp::ordered(app, ordering, n, seed);
     let layout = live.layout();
     let num_objects = live.num_objects();
     let mut builder = TraceBuilder::new(layout.clone(), num_procs);
@@ -263,6 +260,14 @@ impl LiveApp {
                 UnstructuredParams::default(),
             )),
         }
+    }
+
+    /// Build the application at `n` objects and apply `ordering`; also returns the
+    /// wall-clock seconds the reordering routine took (0 for the original order).
+    pub fn ordered(app: AppKind, ordering: Ordering, n: usize, seed: u64) -> (LiveApp, f64) {
+        let mut live = LiveApp::build(app, n, seed);
+        let reorder_seconds = apply_ordering(ordering, |m| live.reorder(m));
+        (live, reorder_seconds)
     }
 
     /// The object-array layout (paper object sizes).

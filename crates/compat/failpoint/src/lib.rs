@@ -10,7 +10,7 @@
 //! zero code, zero branches, zero dependencies on this crate's runtime. With the
 //! feature on, each evaluation consults a process-global registry that maps point
 //! names to fault specs, configured either through the `FAILPOINTS` environment
-//! variable (`name=spec;name=spec`) or the [`configure`]/[`configure_guard`] test API.
+//! variable (`name=spec;name=spec`) or the `configure`/`configure_guard` test API.
 //!
 //! # Spec grammar
 //!

@@ -267,7 +267,7 @@ pub mod prop {
         use crate::{Strategy, TestRng};
         use std::ops::{Range, RangeInclusive};
 
-        /// Length specification for [`vec`]: an exact size or a range of sizes.
+        /// Length specification for [`vec()`]: an exact size or a range of sizes.
         #[derive(Clone, Copy, Debug)]
         pub struct SizeRange {
             lo: usize,

@@ -4,11 +4,11 @@
 //! the workspace vendors this shim as a path dependency under the `rayon` library name
 //! (the manifests alias `rayon-shim` → `rayon`).  The parallelism is real, and since
 //! PR 6 it is *persistent*: every adapter schedules onto a lazily-created,
-//! process-lifetime work-stealing pool ([`pool`] — Mutex-protected injector +
+//! process-lifetime work-stealing pool (`pool` — Mutex-protected injector +
 //! per-worker deques + a condvar parker), so an interval of sharded trace generation
 //! or a DSM reduction pays a queue push, not a `std::thread::scope` spawn, per task.
 //! Borrowing call sites (`par_chunks_mut`, `join` closures over locals) still compile
-//! unchanged: the pool's job core ([`job`]) re-creates scoped-thread lifetimes by
+//! unchanged: the pool's job core (`job`) re-creates scoped-thread lifetimes by
 //! blocking the submitting frame until its jobs finish.
 //!
 //! Only the adapters the workspace calls are provided: `join`, `par_iter`,

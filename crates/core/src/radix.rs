@@ -18,7 +18,7 @@
 //!    whole sort at exactly one auxiliary allocation.
 //!
 //! The sort is *stable*, so pairs built in object order break key ties by object
-//! index — byte-for-byte the same [`Permutation`](crate::permute::Permutation) as a
+//! index — byte-for-byte the same [`Permutation`] as a
 //! serial comparison sort over `(key, object)` tuples, the oracle the proptest suite
 //! pins it to.
 
@@ -45,7 +45,7 @@ pub trait RadixKey: Copy + Ord + Send + Sync {
     const ZERO: Self;
     /// Width of the key type in bits.
     const BITS: u32;
-    /// The 8-bit digit at `shift` (`shift` is a multiple of [`DIGIT_BITS`]).
+    /// The 8-bit digit at `shift` (`shift` is a multiple of `DIGIT_BITS`).
     fn digit(self, shift: u32) -> usize;
     /// Number of significant (non-leading-zero) bits.
     fn significant_bits(self) -> u32;

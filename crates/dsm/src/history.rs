@@ -12,11 +12,12 @@
 //!   and can reduce at several page granularities in one pass, so the same run can be
 //!   evaluated at 4 KB DSM pages and 16 KB hardware pages without retracing.
 //!
-//! The per-interval page sets are flat sorted vectors, not maps: one reduction pass
-//! sorts and deduplicates the interval's object ids in reused scratch buffers and then
-//! emits the (page, count) / (page, bytes) runs in page order, because consecutive
-//! object ids occupy non-decreasing page ranges.  Two accounting rules both producers
-//! share (they were bugs in the original nested-map reduction):
+//! The per-interval page sets are flat sorted vectors, not maps.  The sink marks each
+//! accessed object in a per-processor read or write bitset; at the barrier, draining
+//! the bitsets yields the interval's distinct object ids in ascending order, from
+//! which one pass emits the (page, count) / (page, bytes) runs in page order, because
+//! consecutive object ids occupy non-decreasing page ranges.  Two accounting rules
+//! both producers share (they were bugs in the original nested-map reduction):
 //!
 //! * `reads` counts **distinct objects** read on a page, not raw accesses — re-reading
 //!   a particle ten times in an interval is still one object on that page;
@@ -83,7 +84,7 @@ impl IntervalPageSets {
         TouchedPages { sets: self, read_idx: 0, write_idx: 0 }
     }
 
-    /// Fold sorted, deduplicated object-id lists into the per-page vectors.
+    /// Fold ascending, deduplicated object ids into the per-page vectors.
     ///
     /// Because objects are contiguous and non-overlapping, object `i + 1`'s first page
     /// is never below object `i`'s last page, so appending-with-tail-merge keeps both
@@ -92,14 +93,14 @@ impl IntervalPageSets {
     /// historical `page < num_pages` filter.
     pub(crate) fn accumulate(
         &mut self,
-        read_objects: &[u32],
-        write_objects: &[u32],
+        read_objects: impl IntoIterator<Item = usize>,
+        write_objects: impl IntoIterator<Item = usize>,
         layout: &ObjectLayout,
         page_bytes: usize,
         num_pages: usize,
     ) {
-        for &object in read_objects {
-            let (first, last) = layout.units_of(object as usize, page_bytes);
+        for object in read_objects {
+            let (first, last) = layout.units_of(object, page_bytes);
             for page in first..=last {
                 if page >= num_pages {
                     break;
@@ -110,13 +111,13 @@ impl IntervalPageSets {
                 }
             }
         }
-        for &object in write_objects {
-            let (first, last) = layout.units_of(object as usize, page_bytes);
+        for object in write_objects {
+            let (first, last) = layout.units_of(object, page_bytes);
             for page in first..=last {
                 if page >= num_pages {
                     break;
                 }
-                let bytes = object_bytes_on_page(layout, object as usize, page, page_bytes);
+                let bytes = object_bytes_on_page(layout, object, page, page_bytes);
                 match self.writes.last_mut() {
                     Some(w) if w.page as usize == page => w.bytes += bytes,
                     _ => self.writes.push(PageWrite { page: page as u32, bytes }),
@@ -167,9 +168,9 @@ impl Iterator for TouchedPages<'_> {
 /// The bytes of `object` that fall on `page`: the overlap of the object's byte range
 /// with the page's byte range.
 ///
-/// This is the per-page diff attribution both history producers (and the
-/// [`crate::reference`] executable spec) share: a straddling object charges each page
-/// only its own slice, so the slices sum to the object size.
+/// This is the per-page diff attribution both history producers (and the map-based
+/// executable spec beside the equivalence tests) share: a straddling object charges
+/// each page only its own slice, so the slices sum to the object size.
 pub fn object_bytes_on_page(
     layout: &ObjectLayout,
     object: usize,
@@ -211,6 +212,19 @@ impl PageWriteHistory {
         let mut sink = PageHistorySink::new(layout.clone(), trace.num_procs, page_bytes);
         trace.replay_into(&mut sink);
         sink.finish()
+    }
+
+    /// The history of the run cut after its first `len` intervals: exactly what
+    /// [`PageWriteHistory::build`] gives for the trace's first `len` intervals, since
+    /// intervals reduce independently and only the last interval of a run can close
+    /// without a barrier.
+    pub fn prefix(&self, len: usize) -> PageWriteHistory {
+        let len = len.min(self.intervals.len());
+        PageWriteHistory {
+            intervals: self.intervals[..len].to_vec(),
+            barriers: self.barriers.min(len as u64),
+            ..*self
+        }
     }
 
     /// Total object accesses performed by processor `p` across the run.
@@ -354,6 +368,30 @@ mod tests {
         let h = PageWriteHistory::build(&trace, &layout, 4096);
         let touched: Vec<u32> = h.intervals[0][0].touched_pages().collect();
         assert_eq!(touched, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn prefix_equals_the_build_of_the_trace_prefix() {
+        let layout = ObjectLayout::new(128, 64);
+        let mut b = TraceBuilder::new(layout.clone(), 2);
+        b.write(0, 0);
+        b.read(1, 70);
+        b.barrier();
+        b.lock(1, 4);
+        b.barrier();
+        b.write(1, 127); // trailing End-closed interval
+        let trace = b.finish();
+        let history = PageWriteHistory::build(&trace, &layout, 4096);
+        for len in 0..=trace.intervals.len() {
+            let prefix = ProgramTrace {
+                layout: layout.clone(),
+                num_procs: 2,
+                intervals: trace.intervals[..len].to_vec(),
+            };
+            let cut = history.prefix(len);
+            assert_eq!(cut, PageWriteHistory::build(&prefix, &layout, 4096), "len {len}");
+            assert_eq!(cut.barriers, len.min(2) as u64);
+        }
     }
 
     #[test]

@@ -30,10 +30,12 @@
 //! The trace→stats pipeline is streaming and allocation-lean: a [`PageHistorySink`]
 //! reduces an application's `stream_*` execution to flat per-interval
 //! [`PageWriteHistory`] page sets (at one or several page granularities in a single
-//! pass) without materializing the trace, and both simulators evaluate the
-//! per-processor intervals in parallel.  The original map-based serial pipeline lives
-//! beside the equivalence proptests (`tests/reference/`) as the executable
-//! specification they pin every path to, bit-identical [`DsmStats`] included.
+//! pass) without materializing the trace.  It keeps no per-access state: accesses
+//! mark per-processor object bitsets, which every barrier drains in ascending object
+//! order.  Both simulators evaluate the per-processor intervals in parallel.  The
+//! original map-based serial pipeline lives beside the equivalence proptests
+//! (`tests/reference/`) as the executable specification they pin every path to,
+//! bit-identical [`DsmStats`] included.
 //!
 //! ```
 //! use dsm::{DsmConfig, HlrcSim, TreadMarksSim};

@@ -2,20 +2,23 @@
 //! application's traced execution to one [`PageWriteHistory`] per page granularity
 //! without ever materializing the trace.
 //!
-//! This is the DSM counterpart of `memsim::SimSink` from the replay-throughput rework:
-//! the applications' `stream_steps` / `stream_iterations` / `stream_sweeps` entry
-//! points emit accesses, locks and barriers into the sink, which buffers exactly one
-//! synchronization interval (4 bytes per access, buffers reused across intervals) and
-//! reduces it at every barrier.  The reduction sorts and deduplicates the interval's
-//! object ids once per processor in reused scratch buffers and then folds them into
-//! flat sorted per-page vectors for **each** requested page size — so a single traced
-//! run can be evaluated at the 4 KB DSM page and the 16 KB hardware page in one pass.
+//! This is the DSM counterpart of `memsim::SimSink`: the applications' `stream_steps` /
+//! `stream_iterations` / `stream_sweeps` entry points emit accesses, locks and barriers
+//! into the sink, which keeps no per-access state.  Each access sets the object's bit
+//! in its processor's read or write [`DenseSet`] and bumps that processor's access
+//! count.  At every barrier the sink drains each processor's set bits in ascending
+//! order — exactly the distinct, sorted object ids the page reduction needs — zeroing
+//! the words as it goes, and folds them into flat sorted per-page vectors for **each**
+//! requested page size, so a single traced run can be evaluated at the 4 KB DSM page
+//! and the 16 KB hardware page in one pass.
 //!
-//! Steady-state cost per interval: one `sort_unstable` + dedup per processor over the
-//! interval's accesses, then a linear page-emission pass per granularity.  The only
-//! allocations are the per-page vectors stored in the resulting histories.
+//! Cost: one bit-set per access, then per interval one scan of every processor's
+//! bitsets plus a linear page-emission pass per granularity.  Retained state is two
+//! bitsets of `num_objects` bits per processor (they grow if an object id lies beyond
+//! the layout) plus the histories; the only allocations in steady state are the
+//! per-page vectors stored in the resulting histories.
 
-use smtrace::{Access, ObjectLayout, TraceSink};
+use smtrace::{Access, DenseSet, ObjectLayout, TraceSink};
 
 use crate::history::{IntervalPageSets, PageWriteHistory};
 
@@ -27,22 +30,40 @@ struct GranularityAcc {
     intervals: Vec<Vec<IntervalPageSets>>,
 }
 
+/// One processor's activity in the current (unflushed) interval.
+#[derive(Debug)]
+struct ProcInterval {
+    /// Objects read.
+    reads: DenseSet,
+    /// Objects written.
+    writes: DenseSet,
+    /// Accesses recorded, re-reads and re-writes included.
+    accesses: u64,
+    /// Lock acquisitions.
+    locks: u32,
+}
+
+impl ProcInterval {
+    #[inline]
+    fn mark(&mut self, access: Access) {
+        if access.is_write() {
+            self.writes.insert(access.object());
+        } else {
+            self.reads.insert(access.object());
+        }
+    }
+}
+
 /// A [`TraceSink`] that accumulates [`PageWriteHistory`] interval-by-interval, at one
 /// or several page granularities, straight from a streamed trace.
 #[derive(Debug)]
 pub struct PageHistorySink {
     layout: ObjectLayout,
-    num_procs: usize,
     granularities: Vec<GranularityAcc>,
-    /// Per-processor access buffer for the current interval (cleared, not dropped).
-    buffers: Vec<Vec<Access>>,
-    /// Per-processor lock acquisitions in the current interval.
-    locks: Vec<u32>,
+    /// Per-processor state of the current interval (drained at every barrier).
+    procs: Vec<ProcInterval>,
     /// Number of barriers seen.
     barriers: u64,
-    /// Scratch: distinct read / written object ids of one processor (reused).
-    scratch_reads: Vec<u32>,
-    scratch_writes: Vec<u32>,
 }
 
 impl PageHistorySink {
@@ -79,16 +100,15 @@ impl PageHistorySink {
                 }
             })
             .collect();
-        PageHistorySink {
-            layout,
-            num_procs,
-            granularities,
-            buffers: vec![Vec::new(); num_procs],
-            locks: vec![0; num_procs],
-            barriers: 0,
-            scratch_reads: Vec::new(),
-            scratch_writes: Vec::new(),
-        }
+        let procs = (0..num_procs)
+            .map(|_| ProcInterval {
+                reads: DenseSet::with_capacity(layout.num_objects),
+                writes: DenseSet::with_capacity(layout.num_objects),
+                accesses: 0,
+                locks: 0,
+            })
+            .collect();
+        PageHistorySink { layout, granularities, procs, barriers: 0 }
     }
 
     /// The page sizes being accumulated, in construction order.
@@ -98,46 +118,47 @@ impl PageHistorySink {
 
     /// Whether the current (unflushed) interval holds no events.
     fn current_is_empty(&self) -> bool {
-        self.buffers.iter().all(Vec::is_empty) && self.locks.iter().all(|&l| l == 0)
+        self.procs.iter().all(|p| p.accesses == 0 && p.locks == 0)
     }
 
-    /// Reduce the buffered interval into every granularity and reset the buffers.
+    /// Reduce the current interval into every granularity and reset the per-processor
+    /// state.  The last granularity drains the bitsets; the others only read them.
     fn flush_interval(&mut self) {
+        let num_procs = self.procs.len();
         for g in &mut self.granularities {
-            g.intervals.push(Vec::with_capacity(self.num_procs));
+            g.intervals.push(Vec::with_capacity(num_procs));
         }
-        for proc in 0..self.num_procs {
-            self.scratch_reads.clear();
-            self.scratch_writes.clear();
-            for access in &self.buffers[proc] {
-                if access.is_write() {
-                    self.scratch_writes.push(access.object_u32());
-                } else {
-                    self.scratch_reads.push(access.object_u32());
-                }
-            }
-            self.scratch_reads.sort_unstable();
-            self.scratch_reads.dedup();
-            self.scratch_writes.sort_unstable();
-            self.scratch_writes.dedup();
-            for g in &mut self.granularities {
+        let last = self.granularities.len() - 1;
+        for proc in &mut self.procs {
+            for (i, g) in self.granularities.iter_mut().enumerate() {
                 let mut sets = IntervalPageSets {
-                    lock_acquires: self.locks[proc],
-                    accesses: self.buffers[proc].len() as u64,
+                    lock_acquires: proc.locks,
+                    accesses: proc.accesses,
                     ..Default::default()
                 };
-                sets.accumulate(
-                    &self.scratch_reads,
-                    &self.scratch_writes,
-                    &self.layout,
-                    g.page_bytes,
-                    g.num_pages,
-                );
+                let (layout, page_bytes, num_pages) = (&self.layout, g.page_bytes, g.num_pages);
+                if i < last {
+                    sets.accumulate(
+                        proc.reads.iter(),
+                        proc.writes.iter(),
+                        layout,
+                        page_bytes,
+                        num_pages,
+                    );
+                } else {
+                    sets.accumulate(
+                        proc.reads.drain(),
+                        proc.writes.drain(),
+                        layout,
+                        page_bytes,
+                        num_pages,
+                    );
+                }
                 g.intervals.last_mut().expect("interval pushed above").push(sets);
             }
-            self.buffers[proc].clear();
+            proc.accesses = 0;
+            proc.locks = 0;
         }
-        self.locks.fill(0);
     }
 
     /// Finish the stream and return one history per requested granularity, in the order
@@ -147,7 +168,7 @@ impl PageHistorySink {
         if !self.current_is_empty() {
             self.flush_interval();
         }
-        let num_procs = self.num_procs;
+        let num_procs = self.procs.len();
         let barriers = self.barriers;
         self.granularities
             .into_iter()
@@ -174,18 +195,18 @@ impl PageHistorySink {
 
 impl TraceSink for PageHistorySink {
     fn num_procs(&self) -> usize {
-        self.num_procs
+        self.procs.len()
     }
 
     fn record(&mut self, proc: usize, access: Access) {
-        debug_assert!(proc < self.num_procs);
-        self.buffers[proc].push(access);
+        let p = &mut self.procs[proc];
+        p.mark(access);
+        p.accesses += 1;
     }
 
     fn lock(&mut self, proc: usize, lock: u32) {
-        debug_assert!(proc < self.num_procs);
         let _ = lock;
-        self.locks[proc] += 1;
+        self.procs[proc].locks += 1;
     }
 
     fn barrier(&mut self) {
@@ -196,8 +217,11 @@ impl TraceSink for PageHistorySink {
     }
 
     fn record_many(&mut self, proc: usize, accesses: &[Access]) {
-        debug_assert!(proc < self.num_procs);
-        self.buffers[proc].extend_from_slice(accesses);
+        let p = &mut self.procs[proc];
+        for &access in accesses {
+            p.mark(access);
+        }
+        p.accesses += accesses.len() as u64;
     }
 }
 

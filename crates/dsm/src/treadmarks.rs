@@ -27,7 +27,7 @@
 //! parallel** (rayon), each worker walking the flat sorted page sets with reused
 //! scratch buffers; the diffs each writer served are accumulated locally per worker
 //! and summed afterwards, so results are deterministic and bit-identical to the serial
-//! [`crate::reference`] spec.
+//! map-based spec the equivalence tests keep in `tests/reference/`.
 
 use rayon::prelude::*;
 use smtrace::{ObjectLayout, ProgramTrace};

@@ -9,7 +9,7 @@
 //!
 //! * the trace reduction allocates a nested `BTreeMap<page, BTreeSet<object>>` per
 //!   (interval, processor) and a `BTreeMap` per page-set, where the streaming sink
-//!   sorts reused flat scratch buffers;
+//!   marks per-processor object bitsets and drains them in ascending order;
 //! * each protocol run re-reduces the materialized trace from scratch (the historical
 //!   `run_with_layout` cost), where the new pipeline reduces once and feeds both
 //!   simulators;
@@ -32,7 +32,7 @@ use dsm::{object_bytes_on_page, DsmConfig, DsmRunResult, DsmStats, ProcStats, Pr
 use smtrace::{ObjectLayout, ProgramTrace};
 
 /// Map-based page sets of one processor in one interval.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RefIntervalPageSets {
     /// Page number → distinct objects read on that page.
     pub reads: BTreeMap<usize, u32>,
@@ -45,7 +45,7 @@ pub struct RefIntervalPageSets {
 }
 
 /// Map-based reduction of a whole trace (`intervals[t][p]`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RefPageHistory {
     /// Number of pages covering the object array.
     pub num_pages: usize,

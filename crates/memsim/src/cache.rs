@@ -106,7 +106,7 @@ enum WayStore {
 /// A set-associative LRU cache over byte addresses.
 ///
 /// Exact LRU, in whichever representation is fastest for the geometry (see
-/// [`WayStore`]); replacement decisions are bit-identical to the classic
+/// `WayStore`); replacement decisions are bit-identical to the classic
 /// most-recently-used-first list the reference simulator keeps.
 #[derive(Debug, Clone)]
 pub struct Cache {

@@ -25,6 +25,11 @@ pub struct DenseSet {
 }
 
 impl DenseSet {
+    /// An empty set presized to hold indices below `indices` without growing.
+    pub fn with_capacity(indices: usize) -> Self {
+        DenseSet { words: vec![0; indices.div_ceil(64)] }
+    }
+
     /// Add `index` to the set.
     #[inline]
     pub fn insert(&mut self, index: usize) {
@@ -53,17 +58,18 @@ impl DenseSet {
 
     /// The members, in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(i * 64 + bit)
-            })
-        })
+        self.words.iter().enumerate().flat_map(|(i, &word)| word_members(i, word))
+    }
+
+    /// The members, in increasing order, removed from the set as they are yielded:
+    /// each word is zeroed when the iterator reaches it, so the set keeps its capacity
+    /// and a fully consumed drain leaves it empty.  Dropping the iterator early leaves
+    /// the members it has not reached.
+    pub fn drain(&mut self) -> impl Iterator<Item = usize> + '_ {
+        self.words
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(i, word)| word_members(i, std::mem::take(word)))
     }
 
     /// Add every member of `other` to the set.
@@ -89,6 +95,18 @@ impl DenseSet {
             counts[i] += 1;
         }
     }
+}
+
+/// The members held by `bits`, the `i`-th word of a [`DenseSet`], in increasing order.
+fn word_members(i: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let bit = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        Some(i * 64 + bit)
+    })
 }
 
 impl PartialEq for DenseSet {
@@ -284,6 +302,20 @@ mod tests {
         let mut counts = [0u32; 64];
         set.count_into(&mut counts);
         assert_eq!((counts[0], counts[63], counts.iter().sum::<u32>()), (1, 1, 2));
+    }
+
+    #[test]
+    fn dense_set_drain_yields_members_in_order_and_empties_the_set() {
+        let mut set = DenseSet::with_capacity(100);
+        assert!(set.is_empty());
+        for i in [99, 0, 64, 63, 300, 64] {
+            set.insert(i);
+        }
+        assert_eq!(set.drain().collect::<Vec<_>>(), [0, 63, 64, 99, 300]);
+        assert!(set.is_empty());
+        assert_eq!(set, DenseSet::default());
+        set.insert(5);
+        assert_eq!(set.drain().collect::<Vec<_>>(), [5], "a drained set is reusable");
     }
 
     #[test]
