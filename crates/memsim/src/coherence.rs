@@ -5,21 +5,34 @@
 //! writes a line that other processors hold, their copies are invalidated and their next
 //! access to that line misses.  That is precisely the mechanism by which false sharing
 //! turns into extra L2 misses on the hardware platform (Section 2 of the paper), so the
-//! model here is an invalidation protocol over the per-processor LRU caches:
+//! model here is an invalidation protocol over per-processor LRU caches:
 //!
-//! * each virtual processor has its own [`Cache`] (L2) and [`Tlb`];
+//! * each virtual processor has its own L2 and [`Tlb`];
 //! * within a synchronization interval the per-processor access streams are interleaved
 //!   round-robin (the paper's applications do not synchronize within an interval, so any
 //!   interleaving is legal; round-robin is the deterministic choice);
 //! * a write invalidates the line in every other cache; an access that misses because of
 //!   such an invalidation is counted separately as a coherence miss.
 //!
-//! Coherence is resolved through a real [`Directory`]: a per-line sharer bitmask that
-//! the simulator keeps as an exact mirror of the cache contents (updated on every
-//! fill, eviction and invalidation).  A write consults the mask in O(1) and
-//! invalidates only the actual sharers, instead of probing all P caches.  The
-//! equivalence tests check the directory machine against a scan-based oracle that
-//! does probe all P caches (`tests/reference/`).
+//! A machine binds to the [`ObjectLayout`] of its first replay and sizes everything to
+//! that array's footprint; replaying another layout on it panics, and so does an access
+//! outside the footprint.  The [`Directory`] keeps one sharer mask per footprint line,
+//! exact at all times, so a processor hits a line iff its bit is set.  Recency only
+//! matters when a set overflows, and a contiguous array of `n` lines puts at most
+//! ⌈n / sets⌉ of them in any set, so:
+//!
+//! * if the footprint spans at most [`CacheConfig::num_lines`] lines, no set can ever
+//!   evict and the masks *are* the caches: a miss is a clear bit, a coherence miss if
+//!   any other bit is set, and a write leaves only the writer's bit;
+//! * otherwise every processor keeps an exact-LRU [`Cache`] and the masks mirror them
+//!   on every fill, eviction and invalidation, so a write invalidates exactly the
+//!   recorded sharers.
+//!
+//! A TLB is private and sees its own processor's stream in program order whatever the
+//! interleave, so each interval first replays every processor's translations in one
+//! private loop and then interleaves only the cache accesses.  The equivalence tests
+//! check both regimes against a scan-based oracle that probes all P caches
+//! (`tests/reference/`).
 //!
 //! Traces can be replayed from a materialized [`ProgramTrace`]
 //! ([`MultiprocessorSim::run_trace`]) or streamed straight from a running application
@@ -84,24 +97,55 @@ impl SimulationResult {
     }
 }
 
+/// Where cache residency lives, picked from the footprint and the cache geometry.
+#[derive(Debug)]
+enum Residency {
+    /// The footprint cannot overflow a set: the directory masks are the caches, and
+    /// these are each processor's counters.
+    Masks(Vec<MaskStats>),
+    /// Per-processor exact-LRU caches, mirrored by the directory masks.
+    Lru(Vec<Cache>),
+}
+
+/// One processor's miss counters where the masks hold residency (its hits are the
+/// line accesses that did not miss).
+#[derive(Debug, Clone, Copy, Default)]
+struct MaskStats {
+    misses: u64,
+    coherence_misses: u64,
+}
+
+/// The machine state sized to the layout it is bound to.
+#[derive(Debug)]
+struct Bound {
+    layout: ObjectLayout,
+    directory: Directory,
+    residency: Residency,
+    tlbs: Vec<Tlb>,
+    /// Cache-line accesses per processor (an object access touches every line it spans).
+    line_accesses: Vec<u64>,
+}
+
 /// A P-processor machine: caches, TLBs and the sharer-bitmask [`Directory`].
 #[derive(Debug)]
 pub struct MultiprocessorSim {
-    caches: Vec<Cache>,
-    tlbs: Vec<Tlb>,
-    directory: Directory,
+    num_procs: usize,
+    cache: CacheConfig,
+    tlb: TlbConfig,
     accesses: Vec<u64>,
+    /// Everything sized to the footprint, built by the first replay.
+    bound: Option<Bound>,
     /// `log2(line_bytes)` — line size is a power of two (asserted by `CacheConfig`),
     /// so line numbers are a shift, not a division, in the per-access hot path.
     line_shift: u32,
     /// `log2(page_bytes)` when the page size is a power of two (always, in practice);
     /// `None` falls back to division.
     page_shift: Option<u32>,
-    page_bytes: usize,
 }
 
 impl MultiprocessorSim {
     /// Create a machine with `num_procs` processors, each with the given cache and TLB.
+    /// Nothing is allocated until the first replay binds the machine to its layout.
     ///
     /// # Panics
     /// Panics if `num_procs` is zero or exceeds [`Directory::MAX_PROCS`].
@@ -113,97 +157,49 @@ impl MultiprocessorSim {
             Directory::MAX_PROCS
         );
         MultiprocessorSim {
-            caches: (0..num_procs).map(|_| Cache::new(cache)).collect(),
-            tlbs: (0..num_procs).map(|_| Tlb::new(tlb)).collect(),
-            directory: Directory::new(),
+            num_procs,
+            cache,
+            tlb,
             accesses: vec![0; num_procs],
+            bound: None,
             line_shift: cache.line_bytes.trailing_zeros(),
             page_shift: tlb.page_bytes.is_power_of_two().then(|| tlb.page_bytes.trailing_zeros()),
-            page_bytes: tlb.page_bytes,
         }
     }
 
     /// Number of processors.
     pub fn num_procs(&self) -> usize {
-        self.caches.len()
+        self.num_procs
     }
 
-    /// Page number of a byte address (shift when the page size is a power of two).
-    #[inline]
-    fn page_of(&self, addr: usize) -> u64 {
-        match self.page_shift {
-            Some(shift) => (addr >> shift) as u64,
-            None => (addr / self.page_bytes) as u64,
-        }
-    }
-
-    /// Perform one access by processor `proc` to the byte range `[first_byte, last_byte]`
-    /// (an object), with `write` indicating a store.
-    #[inline]
-    pub fn access(&mut self, proc: usize, first_byte: usize, last_byte: usize, write: bool) {
-        self.accesses[proc] += 1;
-        self.access_counted(proc, first_byte, last_byte, write);
-    }
-
-    /// [`MultiprocessorSim::access`] without the per-access counter update — the
-    /// replay loop bulk-adds each stream's length per interval instead.
+    /// Bind to `layout` on the first call, sizing the directory, caches and TLBs to
+    /// its footprint; later calls check that the layout is the same.
     ///
-    /// Only the hit path is inlined into the replay loop; the miss and invalidation
-    /// handling live in out-of-line helpers so the hot loop stays small.
-    #[inline(always)]
-    fn access_counted(&mut self, proc: usize, first_byte: usize, last_byte: usize, write: bool) {
-        let first_line = (first_byte >> self.line_shift) as u64;
-        let last_line = (last_byte >> self.line_shift) as u64;
-        let mut line = first_line;
-        loop {
-            let (hit, evicted) = self.caches[proc].access_line_evicting(line);
-            if !hit {
-                self.handle_miss(proc, line, evicted);
+    /// # Panics
+    /// Panics if the machine is already bound to a different layout.
+    fn bind(&mut self, layout: &ObjectLayout) -> &mut Bound {
+        let (procs, cache, tlb) = (self.num_procs, self.cache, self.tlb);
+        let bound = self.bound.get_or_insert_with(|| {
+            let lines = layout.num_units(cache.line_bytes);
+            let pages = layout.num_units(tlb.page_bytes);
+            let residency = if lines <= cache.num_lines() {
+                Residency::Masks(vec![MaskStats::default(); procs])
+            } else {
+                Residency::Lru((0..procs).map(|_| Cache::new(cache)).collect())
+            };
+            Bound {
+                layout: layout.clone(),
+                directory: Directory::new(lines),
+                residency,
+                tlbs: (0..procs).map(|_| Tlb::new(tlb, pages)).collect(),
+                line_accesses: vec![0; procs],
             }
-            if write {
-                self.invalidate_sharers(proc, line);
-            }
-            if line >= last_line {
-                break;
-            }
-            line += 1;
-        }
-        // The TLB translates the page(s) of the object; for objects smaller than a page
-        // this is a single translation.
-        let first_page = self.page_of(first_byte);
-        let last_page = self.page_of(last_byte);
-        self.tlbs[proc].access_page(first_page);
-        if last_page != first_page {
-            self.tlbs[proc].access_page(last_page);
-        }
-    }
-
-    /// Directory bookkeeping for a cache miss: mirror the eviction, classify the miss,
-    /// record the new sharer.
-    #[inline(never)]
-    fn handle_miss(&mut self, proc: usize, line: u64, evicted: Option<u64>) {
-        if let Some(evicted) = evicted {
-            self.directory.remove(evicted, proc);
-        }
-        // A miss to a line some other processor currently holds is a coherence miss
-        // (the data had to come from a peer) — one O(1) mask lookup.
-        if self.directory.others(line, proc) != 0 {
-            self.caches[proc].note_coherence_miss();
-        }
-        // Hits need no directory update: a resident line's bit is already set.
-        self.directory.insert(line, proc);
-    }
-
-    /// Invalidate exactly the sharers the directory records for a written line —
-    /// O(sharers), not O(P · associativity).
-    #[inline(never)]
-    fn invalidate_sharers(&mut self, proc: usize, line: u64) {
-        let others = self.directory.others(line, proc);
-        for p in procs_in(others) {
-            let was_resident = self.caches[p].invalidate_line(line);
-            debug_assert!(was_resident, "directory claimed a non-resident sharer");
-            self.directory.remove(line, p);
-        }
+        });
+        assert_eq!(
+            &bound.layout, layout,
+            "the machine is bound to the layout of its first replay; use a new machine"
+        );
+        bound
     }
 
     /// Replay a whole [`ProgramTrace`]: every interval's per-processor streams are
@@ -250,72 +246,246 @@ impl MultiprocessorSim {
     }
 
     /// Replay one synchronization interval: `streams[p]` is processor `p`'s ordered
-    /// access stream.  Produces the identical interleaving (and therefore identical
-    /// counters) as the original one-access-at-a-time loop, but batched: intervals
-    /// where only one processor is active — the sequential phases every application
-    /// has — replay as a tight private loop with no interleaving machinery, and the
-    /// round-robin loop only visits processors that still have accesses left.
+    /// access stream.  A per-processor pass first replays each TLB and counts each
+    /// processor's line accesses, neither of which depends on the interleaving; the
+    /// cache accesses then replay round-robin, one access per processor per cycle in
+    /// ascending processor order.
+    ///
+    /// # Panics
+    /// Panics if the machine is bound to a different layout, or if an access falls
+    /// outside the layout's footprint.
     pub fn run_interval(&mut self, streams: &[Vec<Access>], layout: &ObjectLayout) {
         assert_eq!(streams.len(), self.num_procs(), "interval and machine sizes differ");
-        // One multiply per access: last_byte = first_byte + size - 1 (the `ObjectLayout`
-        // getters would compute the product twice).
-        let size = layout.object_size;
-        let base = layout.base_offset;
         for (p, stream) in streams.iter().enumerate() {
             self.accesses[p] += stream.len() as u64;
         }
-        let mut active: Vec<(usize, std::slice::Iter<'_, Access>)> = streams
-            .iter()
-            .enumerate()
-            .filter(|(_, stream)| !stream.is_empty())
-            .map(|(p, stream)| (p, stream.iter()))
-            .collect();
-        // Round-robin over the processors that still have accesses left, in ascending
-        // processor order per cycle (the deterministic interleaving every consumer of
-        // these counters assumes).  The streams are balanced by construction, so run
-        // whole *batches* of cycles — as many as the shortest remaining stream allows —
-        // with no per-access active-list bookkeeping, then drop exhausted processors
-        // and repeat.  `active` never holds an exhausted iterator, so every batch runs
-        // at least one full cycle.
-        loop {
-            match active.as_mut_slice() {
-                [] => return,
-                [(p, stream)] => {
-                    // One active processor — e.g. the sequential phases every
-                    // application has: its interleaving with itself is program order,
-                    // so the rest of its stream replays as one tight private loop.
-                    let p = *p;
-                    for a in stream {
-                        let first = base + a.object() * size;
-                        self.access_counted(p, first, first + size - 1, a.is_write());
-                    }
-                    return;
-                }
-                _ => {}
+        let (line_shift, page_shift, page_bytes) =
+            (self.line_shift, self.page_shift, self.tlb.page_bytes);
+        let Bound { directory, residency, tlbs, line_accesses, .. } = self.bind(layout);
+        let objects = Objects { base: layout.base_offset, size: layout.object_size, line_shift };
+        let page_of = |byte: usize| match page_shift {
+            Some(shift) => (byte >> shift) as u64,
+            None => (byte / page_bytes) as u64,
+        };
+        for ((tlb, lines), stream) in tlbs.iter_mut().zip(line_accesses.iter_mut()).zip(streams) {
+            let mut count = 0;
+            tlb.translate_spans(stream.iter().map(|&a| {
+                let (first, last) = objects.bytes(a);
+                count += ((last >> line_shift) - (first >> line_shift) + 1) as u64;
+                (page_of(first), page_of(last))
+            }));
+            *lines += count;
+        }
+        match residency {
+            Residency::Masks(stats) => {
+                interleave(streams, &mut MaskStep { objects, directory, stats });
             }
-            let cycles =
-                active.iter().map(|(_, stream)| stream.len()).min().expect("active is non-empty");
-            for _ in 0..cycles {
-                for (p, stream) in active.iter_mut() {
-                    let a = stream.next().expect("cycles bounds every active stream");
-                    let first = base + a.object() * size;
-                    self.access_counted(*p, first, first + size - 1, a.is_write());
-                }
+            Residency::Lru(caches) => {
+                interleave(streams, &mut LruStep { objects, directory, caches })
             }
-            active.retain(|(_, stream)| stream.len() > 0);
         }
     }
 
     /// Snapshot the per-processor counters.
     pub fn result(&self) -> SimulationResult {
         SimulationResult {
-            per_proc: (0..self.num_procs())
-                .map(|p| ProcessorStats {
-                    cache: self.caches[p].stats(),
-                    tlb: self.tlbs[p].stats(),
-                    accesses: self.accesses[p],
+            per_proc: (0..self.num_procs)
+                .map(|p| {
+                    let (cache, tlb) = self
+                        .bound
+                        .as_ref()
+                        .map_or_else(Default::default, |b| (b.cache_stats(p), b.tlbs[p].stats()));
+                    ProcessorStats { cache, tlb, accesses: self.accesses[p] }
                 })
                 .collect(),
+        }
+    }
+}
+
+impl Bound {
+    /// Processor `p`'s cache counters.
+    fn cache_stats(&self, p: usize) -> CacheStats {
+        let lines = self.line_accesses[p];
+        match &self.residency {
+            Residency::Masks(stats) => {
+                let MaskStats { misses, coherence_misses } = stats[p];
+                CacheStats { accesses: lines, hits: lines - misses, misses, coherence_misses }
+            }
+            Residency::Lru(caches) => {
+                let stats = caches[p].stats();
+                debug_assert_eq!(stats.accesses, lines);
+                stats
+            }
+        }
+    }
+}
+
+/// The byte and line arithmetic of the bound object array.
+#[derive(Debug, Clone, Copy)]
+struct Objects {
+    base: usize,
+    size: usize,
+    line_shift: u32,
+}
+
+impl Objects {
+    /// The first and last byte of the accessed object (one multiply per access; the
+    /// `ObjectLayout` getters would compute the product twice).
+    #[inline(always)]
+    fn bytes(self, a: Access) -> (usize, usize) {
+        let first = self.base + a.object() * self.size;
+        (first, first + self.size - 1)
+    }
+
+    /// The first and last line of the accessed object.
+    #[inline(always)]
+    fn lines(self, a: Access) -> (u64, u64) {
+        let (first, last) = self.bytes(a);
+        ((first >> self.line_shift) as u64, (last >> self.line_shift) as u64)
+    }
+
+    /// Every object spans `span` or `span + 1` lines, whatever its address.
+    fn span(self) -> u64 {
+        ((self.size - 1) >> self.line_shift) as u64 + 1
+    }
+}
+
+/// One cache access in the interleaved replay, for one residency regime.
+trait CacheStep {
+    fn access(&mut self, proc: usize, access: Access);
+}
+
+/// Drive `step` over one interval's streams in the round-robin order every consumer of
+/// these counters assumes: one access per processor per cycle, in ascending processor
+/// order, skipping processors whose stream is exhausted.
+///
+/// The streams are balanced by construction, so whole *batches* of cycles run — as
+/// many as the shortest remaining stream allows — with no per-access active-list
+/// bookkeeping; then exhausted processors drop out and the next batch starts.  When one
+/// processor is left (e.g. the sequential phases every application has) its
+/// interleaving with itself is program order, so the rest of its stream runs as one
+/// tight private loop.
+fn interleave(streams: &[Vec<Access>], step: &mut impl CacheStep) {
+    let mut active: Vec<(usize, std::slice::Iter<'_, Access>)> = streams
+        .iter()
+        .enumerate()
+        .filter(|(_, stream)| !stream.is_empty())
+        .map(|(p, stream)| (p, stream.iter()))
+        .collect();
+    // `active` never holds an exhausted iterator, so every batch runs at least one
+    // full cycle.
+    loop {
+        match active.as_mut_slice() {
+            [] => return,
+            [(p, stream)] => {
+                for &a in stream {
+                    step.access(*p, a);
+                }
+                return;
+            }
+            _ => {}
+        }
+        let cycles =
+            active.iter().map(|(_, stream)| stream.len()).min().expect("active is non-empty");
+        for _ in 0..cycles {
+            for (p, stream) in active.iter_mut() {
+                step.access(*p, *stream.next().expect("cycles bounds every active stream"));
+            }
+        }
+        active.retain(|(_, stream)| stream.len() > 0);
+    }
+}
+
+/// The residency rule where no set can evict: processor `p` holds a line iff bit `p`
+/// of its sharer mask is set.
+struct MaskStep<'a> {
+    objects: Objects,
+    directory: &'a mut Directory,
+    stats: &'a mut [MaskStats],
+}
+
+impl MaskStep<'_> {
+    /// Access one line: a clear bit is a miss, a coherence miss if any other bit is
+    /// set, and a write leaves only the writer's bit.  A hit that invalidates nobody
+    /// leaves the mask as it is, so the common path stores nothing.
+    #[inline(always)]
+    fn touch(&mut self, line: u64, proc: usize, write: bool) {
+        let bit = 1u64 << proc;
+        let mask = self.directory.mask_mut(line);
+        let sharers = *mask;
+        let updated = if write { bit } else { sharers | bit };
+        if updated != sharers {
+            if sharers & bit == 0 {
+                let stats = &mut self.stats[proc];
+                stats.misses += 1;
+                stats.coherence_misses += u64::from(sharers != 0);
+            }
+            *mask = updated;
+        }
+    }
+}
+
+impl CacheStep for MaskStep<'_> {
+    #[inline(always)]
+    fn access(&mut self, proc: usize, a: Access) {
+        let (first, last) = self.objects.lines(a);
+        for line in first..first + self.objects.span() {
+            self.touch(line, proc, a.is_write());
+        }
+        // Touching the last line again is a no-op hit unless the object straddles one
+        // more line; that is cheaper than an unpredictable branch on the line count.
+        self.touch(last, proc, a.is_write());
+    }
+}
+
+/// Per-processor exact-LRU caches, mirrored by the directory masks.
+struct LruStep<'a> {
+    objects: Objects,
+    directory: &'a mut Directory,
+    caches: &'a mut [Cache],
+}
+
+impl CacheStep for LruStep<'_> {
+    #[inline(always)]
+    fn access(&mut self, proc: usize, a: Access) {
+        let (first, last) = self.objects.lines(a);
+        for line in first..last + 1 {
+            let (hit, evicted) = self.caches[proc].access_line_evicting(line);
+            if !hit {
+                self.miss(proc, line, evicted);
+            }
+            if a.is_write() && self.directory.others(line, proc) != 0 {
+                self.invalidate_sharers(proc, line);
+            }
+        }
+    }
+}
+
+impl LruStep<'_> {
+    /// Directory bookkeeping for a miss: mirror the eviction, classify the miss, record
+    /// the new sharer.  Kept out of line so the replay loop only inlines the hit path.
+    #[inline(never)]
+    fn miss(&mut self, proc: usize, line: u64, evicted: Option<u64>) {
+        if let Some(evicted) = evicted {
+            self.directory.remove(evicted, proc);
+        }
+        // A miss to a line some other processor currently holds is a coherence miss
+        // (the data had to come from a peer) — one O(1) mask lookup.
+        if self.directory.others(line, proc) != 0 {
+            self.caches[proc].note_coherence_miss();
+        }
+        // Hits need no directory update: a resident line's bit is already set.
+        self.directory.insert(line, proc);
+    }
+
+    /// Invalidate exactly the sharers the directory records for a written line —
+    /// O(sharers), not O(P · associativity).
+    #[inline(never)]
+    fn invalidate_sharers(&mut self, proc: usize, line: u64) {
+        for p in procs_in(self.directory.others(line, proc)) {
+            let was_resident = self.caches[p].invalidate_line(line);
+            debug_assert!(was_resident, "directory claimed a non-resident sharer");
+            self.directory.remove(line, p);
         }
     }
 }
@@ -338,8 +508,12 @@ pub struct SimSink {
 }
 
 impl SimSink {
-    /// Wrap a machine and the object layout accesses should be resolved against.
-    pub fn new(sim: MultiprocessorSim, layout: ObjectLayout) -> Self {
+    /// Wrap a machine and bind it to the object layout accesses are resolved against.
+    ///
+    /// # Panics
+    /// Panics if the machine is already bound to a different layout.
+    pub fn new(mut sim: MultiprocessorSim, layout: ObjectLayout) -> Self {
+        sim.bind(&layout);
         let buffers = vec![Vec::new(); sim.num_procs()];
         SimSink { sim, layout, buffers }
     }
@@ -355,13 +529,6 @@ impl SimSink {
     pub fn finish(mut self) -> SimulationResult {
         self.replay_buffered();
         self.sim.result()
-    }
-
-    /// Replay any buffered partial interval and return the machine (for callers that
-    /// keep simulating, e.g. across several streamed runs).
-    pub fn into_machine(mut self) -> MultiprocessorSim {
-        self.replay_buffered();
-        self.sim
     }
 }
 
@@ -396,16 +563,42 @@ mod tests {
     use smtrace::TraceBuilder;
 
     fn tiny_machine(procs: usize) -> MultiprocessorSim {
+        // 16 lines of 64 bytes in 8 two-way sets; 4 TLB entries over 256-byte pages.
         MultiprocessorSim::new(procs, CacheConfig::new(1024, 64, 2), TlbConfig::new(4, 256))
+    }
+
+    /// Replay one interval of `(proc, object, write)` accesses over `object_size`-byte
+    /// objects on a tiny machine, twice: bound to a 4-object array (the footprint fits,
+    /// so only the sharer masks are kept) and to a 1024-object array (per-processor
+    /// LRU caches and TLBs).  The accesses never leave the first objects, so nothing is
+    /// evicted and both regimes must agree.
+    fn replay_both_regimes(
+        procs: usize,
+        object_size: usize,
+        accesses: &[(usize, usize, bool)],
+    ) -> SimulationResult {
+        let results: Vec<SimulationResult> = [4, 1024]
+            .into_iter()
+            .map(|num_objects| {
+                let layout = ObjectLayout::new(num_objects, object_size);
+                let mut b = TraceBuilder::new(layout, procs);
+                for &(p, object, write) in accesses {
+                    if write {
+                        b.write(p, object);
+                    } else {
+                        b.read(p, object);
+                    }
+                }
+                tiny_machine(procs).run_trace(&b.finish())
+            })
+            .collect();
+        assert_eq!(results[0], results[1], "the two residency regimes disagree");
+        results[0].clone()
     }
 
     #[test]
     fn single_processor_behaves_like_a_plain_cache() {
-        let mut m = tiny_machine(1);
-        m.access(0, 0, 63, false);
-        m.access(0, 0, 63, false);
-        m.access(0, 64, 127, true);
-        let r = m.result();
+        let r = replay_both_regimes(1, 64, &[(0, 0, false), (0, 0, false), (0, 1, true)]);
         assert_eq!(r.per_proc[0].cache.misses, 2);
         assert_eq!(r.per_proc[0].cache.hits, 1);
         assert_eq!(r.per_proc[0].accesses, 3);
@@ -415,26 +608,19 @@ mod tests {
     #[test]
     fn false_sharing_causes_coherence_misses() {
         // Two processors ping-pong writes to different halves of the same 64-byte line.
-        let mut m = tiny_machine(2);
-        for _ in 0..10 {
-            m.access(0, 0, 31, true);
-            m.access(1, 32, 63, true);
-        }
-        let r = m.result();
-        // After the first exchange every access misses because the other processor's
+        let ping_pong: Vec<_> = (0..10).flat_map(|_| [(0, 0, true), (1, 1, true)]).collect();
+        let r = replay_both_regimes(2, 32, &ping_pong);
+        // After the first (cold) miss every access misses because the other processor's
         // write invalidated the line.
-        assert!(r.l2_misses() >= 18, "expected ping-pong misses, got {}", r.l2_misses());
-        assert!(r.coherence_misses() > 0);
+        assert_eq!(r.l2_misses(), 20);
+        assert_eq!(r.coherence_misses(), 19);
     }
 
     #[test]
     fn disjoint_lines_do_not_interfere() {
-        let mut m = tiny_machine(2);
-        for _ in 0..10 {
-            m.access(0, 0, 31, true);
-            m.access(1, 64, 95, true);
-        }
-        let r = m.result();
+        // Objects 0 and 2 of 32 bytes live in different 64-byte lines.
+        let writes: Vec<_> = (0..10).flat_map(|_| [(0, 0, true), (1, 2, true)]).collect();
+        let r = replay_both_regimes(2, 32, &writes);
         assert_eq!(r.l2_misses(), 2, "only one compulsory miss per processor");
         assert_eq!(r.coherence_misses(), 0);
     }
@@ -500,6 +686,12 @@ mod tests {
 
         assert!(r2.tlb_misses() < r1.tlb_misses());
         assert!(r2.l2_misses() <= r1.l2_misses());
+    }
+
+    #[test]
+    fn an_unreplayed_machine_reports_zero_counters() {
+        let r = tiny_machine(3).result();
+        assert_eq!(r.per_proc, vec![ProcessorStats::default(); 3]);
     }
 
     #[test]

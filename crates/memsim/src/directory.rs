@@ -1,54 +1,46 @@
-//! The coherence directory: per-line sharer bitmasks with O(1) lookup.
+//! The coherence directory: one dense sharer bitmask per line of the replayed footprint.
 //!
 //! A real Origin 2000 keeps a directory entry per memory line recording which
 //! processors hold a copy; a write consults that entry and invalidates exactly the
 //! sharers.  The first version of this simulator instead answered "who holds line L?"
-//! by linearly probing every other processor's cache — O(P · associativity) per write,
-//! the dominant cost of replaying write-heavy traces.  This module is the real thing:
-//! one bit per (line, processor), stored as `u64` masks in lazily-allocated fixed-size
-//! pages, giving O(1) lookup and O(sharers) invalidation.
+//! by linearly probing every other processor's cache — O(P · associativity) per write.
+//! This module is the real thing: one bit per (line, processor), stored as a `u64`
+//! mask per line, giving O(1) lookup and O(sharers) invalidation.
 //!
-//! The directory is a *mirror* of the cache contents, not a second source of truth:
-//! [`crate::coherence::MultiprocessorSim`] updates it on every fill, eviction and
-//! invalidation, and debug builds assert the mirror against the caches.
+//! The replayed address space is one contiguous object array, so the masks are a flat
+//! vector sized once to the array's footprint in lines
+//! ([`crate::coherence::MultiprocessorSim`] binds it to the layout of its first
+//! replay); a line outside the footprint fails the slice bounds check.  The masks are
+//! exact: where the footprint cannot overflow a cache set they *are* the caches (a
+//! processor holds a line iff its bit is set), and otherwise they mirror the
+//! per-processor LRU caches on every fill, eviction and invalidation.
 
-/// Lines per lazily-allocated directory page (8 KB of masks per page).
-const LINES_PER_PAGE: usize = 1024;
-
-/// Per-line sharer bitmasks over a line-number address space, paged so that sparse or
-/// growing address spaces don't pay for their holes.
+/// Per-line sharer bitmasks over the lines `0..lines` of a footprint.
 ///
 /// Supports up to 64 processors (one bit per processor in a `u64` mask) — four times
 /// the paper's largest machine.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    /// `pages[line / LINES_PER_PAGE][line % LINES_PER_PAGE]` — sharer mask of `line`;
-    /// an unallocated page means "no sharers anywhere in it".
-    pages: Vec<Option<Box<[u64; LINES_PER_PAGE]>>>,
+    /// `masks[line]` — bit `p` set ⇔ processor `p` holds a copy of `line`.
+    masks: Vec<u64>,
 }
 
 impl Directory {
     /// Maximum number of processors a directory mask can track.
     pub const MAX_PROCS: usize = 64;
 
-    /// An empty directory.
-    pub fn new() -> Self {
-        Directory::default()
-    }
-
-    #[inline]
-    fn split(line: u64) -> (usize, usize) {
-        ((line as usize) / LINES_PER_PAGE, (line as usize) % LINES_PER_PAGE)
+    /// A directory for the footprint lines `0..lines`, with no sharers anywhere.
+    pub fn new(lines: usize) -> Self {
+        Directory { masks: vec![0; lines] }
     }
 
     /// The sharer bitmask of `line` (bit `p` set ⇔ processor `p` holds a copy).
+    ///
+    /// # Panics
+    /// Panics if `line` is outside the footprint.
     #[inline]
     pub fn sharers(&self, line: u64) -> u64 {
-        let (page, slot) = Self::split(line);
-        match self.pages.get(page) {
-            Some(Some(masks)) => masks[slot],
-            _ => 0,
-        }
+        self.masks[line as usize]
     }
 
     /// The sharers of `line` other than processor `proc`.
@@ -57,14 +49,11 @@ impl Directory {
         self.sharers(line) & !(1u64 << proc)
     }
 
-    #[inline]
-    fn mask_mut(&mut self, line: u64) -> &mut u64 {
-        let (page, slot) = Self::split(line);
-        if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, || None);
-        }
-        let masks = self.pages[page].get_or_insert_with(|| Box::new([0u64; LINES_PER_PAGE]));
-        &mut masks[slot]
+    /// Mutable access to the sharer mask of `line` — the residency-rule replay reads
+    /// and rewrites a line's mask in one place.
+    #[inline(always)]
+    pub(crate) fn mask_mut(&mut self, line: u64) -> &mut u64 {
+        &mut self.masks[line as usize]
     }
 
     /// Record that processor `proc` now holds a copy of `line`.
@@ -78,16 +67,12 @@ impl Directory {
     #[inline]
     pub fn remove(&mut self, line: u64, proc: usize) {
         debug_assert!(proc < Self::MAX_PROCS);
-        // A clear of an absent line must not allocate a page.
-        let (page, slot) = Self::split(line);
-        if let Some(Some(masks)) = self.pages.get_mut(page) {
-            masks[slot] &= !(1u64 << proc);
-        }
+        *self.mask_mut(line) &= !(1u64 << proc);
     }
 
-    /// Number of lines with at least one sharer (diagnostic; walks the pages).
+    /// Number of lines with at least one sharer (diagnostic; walks the masks).
     pub fn tracked_lines(&self) -> usize {
-        self.pages.iter().flatten().map(|masks| masks.iter().filter(|&&m| m != 0).count()).sum()
+        self.masks.iter().filter(|&&m| m != 0).count()
     }
 }
 
@@ -111,7 +96,7 @@ mod tests {
 
     #[test]
     fn insert_lookup_remove_round_trip() {
-        let mut d = Directory::new();
+        let mut d = Directory::new(20_000);
         assert_eq!(d.sharers(12345), 0);
         d.insert(12345, 3);
         d.insert(12345, 7);
@@ -121,25 +106,25 @@ mod tests {
         assert_eq!(d.sharers(12345), 1 << 7);
         d.remove(12345, 7);
         assert_eq!(d.sharers(12345), 0);
+        assert_eq!(d.tracked_lines(), 0);
     }
 
     #[test]
-    fn lines_in_distant_pages_do_not_interfere() {
-        let mut d = Directory::new();
+    fn lines_do_not_interfere() {
+        let mut d = Directory::new(1000);
         d.insert(0, 0);
-        d.insert((LINES_PER_PAGE * 100) as u64, 1);
+        d.insert(999, 1);
         assert_eq!(d.sharers(0), 1);
-        assert_eq!(d.sharers((LINES_PER_PAGE * 100) as u64), 2);
+        assert_eq!(d.sharers(999), 2);
         assert_eq!(d.sharers(5), 0);
         assert_eq!(d.tracked_lines(), 2);
     }
 
     #[test]
-    fn remove_of_untracked_line_allocates_nothing() {
-        let mut d = Directory::new();
-        d.remove(999_999, 5);
-        assert_eq!(d.pages.len(), 0);
-        assert_eq!(d.tracked_lines(), 0);
+    #[should_panic(expected = "index out of bounds")]
+    fn a_line_outside_the_footprint_panics() {
+        let mut d = Directory::new(8);
+        d.insert(8, 0);
     }
 
     #[test]

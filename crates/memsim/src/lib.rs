@@ -12,16 +12,21 @@
 //! applications' object-access traces.
 //!
 //! * [`cache::Cache`] — a set-associative, LRU, write-allocate cache model used for the
-//!   per-processor L2 (generation-timestamp LRU: no per-access list shuffling).
-//! * [`tlb::Tlb`] — a fully-associative LRU TLB model over pages (same timestamp LRU).
-//! * [`directory::Directory`] — per-line sharer bitmasks (paged `u64` bitsets) giving
+//!   per-processor L2 (positional two-way sets, generation-timestamp LRU otherwise).
+//! * [`tlb::Tlb`] — a fully-associative LRU TLB model over the pages of a footprint:
+//!   first-touch flags when the footprint fits in the entries, an O(1) LRU otherwise.
+//! * [`directory::Directory`] — one dense `u64` sharer mask per footprint line, giving
 //!   O(1) coherence lookup and O(sharers) invalidation.
-//! * [`coherence::MultiprocessorSim`] — P caches plus the directory; replaying an
-//!   interleaved trace yields cold/capacity *and* coherence (false-sharing) misses per
-//!   processor.  [`coherence::SimSink`] replays *streaming* traces (one
-//!   synchronization interval buffered at a time, no materialized trace) with
-//!   byte-identical counters.  The original scan-based simulator lives beside the
-//!   equivalence tests (`tests/reference/`) as the executable specification both
+//! * [`coherence::MultiprocessorSim`] — P processors bound to the object layout of
+//!   their first replay; replaying an interleaved trace yields cold/capacity *and*
+//!   coherence (false-sharing) misses per processor.  When the footprint cannot
+//!   overflow a cache set the sharer masks alone hold residency; otherwise
+//!   per-processor LRU caches do and the masks mirror them.  Each interval replays
+//!   every TLB in its own processor's program order before interleaving the caches.
+//!   [`coherence::SimSink`] replays *streaming* traces (one synchronization interval
+//!   buffered at a time, no materialized trace) with byte-identical counters.  The
+//!   original scan-based simulator lives beside the equivalence tests
+//!   (`tests/reference/`) as the executable specification both regimes and both
 //!   replay paths are checked against.
 //! * [`sharing`] — the page-sharing analyses behind Figures 1, 2, 4, 5 and 6.
 //! * [`origin::OriginPreset`] — the Origin 2000 cache/TLB/page parameters and a simple

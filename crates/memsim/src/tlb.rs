@@ -61,66 +61,133 @@ impl TlbStats {
     }
 }
 
-/// Slot-index sentinel for "no slot" in the recency list and the page index.
+/// "No slot" in the page index, and "no page" in an empty slot.
 const NONE: u32 = u32::MAX;
 
-/// One TLB slot: the resident page plus its recency-list links, packed into 16 bytes
-/// so a hit touches a single cache line.
+/// The recency list's sentinel slot: its `next` is the MRU slot, its `prev` the LRU.
+const SENTINEL: usize = 0;
+
+/// One TLB slot: the resident page plus its recency-list links (12 bytes).
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// Resident page number.
-    page: u64,
-    /// Neighbouring slots in the recency list (`prev` towards MRU, `next` towards LRU).
+    /// Resident page number ([`NONE`] while the slot is empty).
+    page: u32,
+    /// Neighbouring slots in the circular recency list (`prev` towards MRU, `next`
+    /// towards LRU).
     prev: u32,
     next: u32,
 }
 
-/// A fully-associative, exact-LRU TLB with O(1) lookup, O(1) recency update and O(1)
-/// eviction.
+/// Translation state, picked per (TLB geometry, footprint).
+#[derive(Debug, Clone)]
+enum Store {
+    /// The footprint spans no more pages than the TLB has entries, so nothing is ever
+    /// evicted: a translation misses iff it is the first of its page, and recency never
+    /// decides anything.  `touched[page]` records the first translation.
+    FirstTouch(Vec<bool>),
+    /// The footprint can overflow the TLB: exact O(1) LRU.
+    Lru(Lru),
+}
+
+/// The textbook O(1) LRU: a dense page → slot index (page numbers index a contiguous
+/// shared object array, so the map is a flat vector sized to the footprint) plus an
+/// intrusive circular doubly-linked recency list over the slots.
+///
+/// The list always holds every slot: empty slots start in it holding no page, so they
+/// are evicted first, in order, exactly as a warming list fills.  With no empty-list
+/// or end-of-list cases, a hit and a miss run the same stores, with no branch between
+/// them.
+#[derive(Debug, Clone)]
+struct Lru {
+    /// Slot 0 is the [`SENTINEL`]; slots `1..=entries` hold pages.
+    slots: Vec<Slot>,
+    /// `slot_of[page] == s` ⇔ slot `s` holds `page` ([`NONE`] = absent).
+    slot_of: Vec<u32>,
+}
+
+impl Lru {
+    fn new(entries: usize, pages: usize) -> Self {
+        assert!(pages < NONE as usize, "page numbers must fit below u32::MAX");
+        let n = entries + 1;
+        // The circular list S → 1 → 2 → … → entries → S.
+        let slots = (0..n)
+            .map(|s| Slot {
+                page: NONE,
+                prev: ((s + n - 1) % n) as u32,
+                next: ((s + 1) % n) as u32,
+            })
+            .collect();
+        Lru { slots, slot_of: vec![NONE; pages] }
+    }
+
+    /// Translate `page`; returns `true` on a hit.  A hit moves its slot to the front;
+    /// a miss refills the LRU slot and moves that to the front.  Both are the same
+    /// stores, selected rather than branched on (moving the head is a no-op).
+    #[inline(always)]
+    fn access(&mut self, page: u64) -> bool {
+        let resident = self.slot_of[page as usize];
+        let page = page as u32;
+        let hit = resident != NONE;
+        let slot = if hit { resident } else { self.slots[SENTINEL].prev };
+        // On a hit `old == page` and the two stores leave `slot_of[page]` as it was;
+        // an empty slot's `old` has no entry.
+        let old = self.slots[slot as usize].page;
+        if let Some(entry) = self.slot_of.get_mut(old as usize) {
+            *entry = NONE;
+        }
+        self.slot_of[page as usize] = slot;
+        let slot = slot as usize;
+        self.slots[slot].page = page;
+        // Unlink `slot` and relink it after the sentinel (a no-op move for the head).
+        let Slot { prev, next, .. } = self.slots[slot];
+        self.slots[prev as usize].next = next;
+        self.slots[next as usize].prev = prev;
+        let head = self.slots[SENTINEL].next;
+        self.slots[slot].prev = SENTINEL as u32;
+        self.slots[slot].next = head;
+        self.slots[head as usize].prev = slot as u32;
+        self.slots[SENTINEL].next = slot as u32;
+        hit
+    }
+}
+
+/// A fully-associative, exact-LRU TLB over the pages `0..pages` of a footprint.
 ///
 /// Real R12000 TLBs are 64-entry, fully associative with paired entries; full
 /// associativity with plain LRU is the standard modelling simplification and is exact
 /// for the question the paper asks (how many distinct pages does the access stream
-/// cycle through).  The first version of this model kept a move-to-front `Vec` — an
-/// O(entries) scan plus a memmove on *every* translation, which dominated replay time
-/// for TLB-thrashing workloads (Barnes-Hut at paper scale misses on most accesses).
-/// This version is the textbook O(1) LRU: a dense page → slot index (page numbers
-/// index a contiguous shared object array, so the map is a flat vector) plus an
-/// intrusive doubly-linked recency list over the slots.
+/// cycle through).  The TLB is sized to its footprint when built: if the footprint
+/// fits in the entries it keeps only one first-touch flag per page, otherwise an O(1)
+/// LRU (the first version kept a move-to-front `Vec` — an O(entries) scan plus a
+/// memmove on every translation).  Both give the counters of the move-to-front list;
+/// a page outside the footprint fails the bounds check.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    /// The slots; only the first `filled` are in use.
-    slots: Vec<Slot>,
-    /// Most recently used slot ([`NONE`] while empty).
-    head: u32,
-    /// Least recently used slot — the eviction victim ([`NONE`] while empty).
-    tail: u32,
-    /// Number of slots in use; slots fill in order (the TLB never invalidates).
-    filled: usize,
-    /// `slot_of[page] == s` ⇔ slot `s` holds `page` ([`NONE`] = absent).  Grown on
-    /// demand; stays small because page numbers are dense over the object array.
-    slot_of: Vec<u32>,
+    store: Store,
     stats: TlbStats,
 }
 
 impl Tlb {
-    /// Create an empty TLB.
-    pub fn new(config: TlbConfig) -> Self {
-        Tlb {
-            config,
-            slots: vec![Slot { page: 0, prev: NONE, next: NONE }; config.entries],
-            head: NONE,
-            tail: NONE,
-            filled: 0,
-            slot_of: Vec::new(),
-            stats: TlbStats::default(),
-        }
+    /// Create an empty TLB that will translate the pages `0..pages`.
+    pub fn new(config: TlbConfig, pages: usize) -> Self {
+        let store = if pages <= config.entries {
+            Store::FirstTouch(vec![false; pages])
+        } else {
+            Store::Lru(Lru::new(config.entries, pages))
+        };
+        Tlb { config, store, stats: TlbStats::default() }
     }
 
     /// The TLB geometry.
     pub fn config(&self) -> TlbConfig {
         self.config
+    }
+
+    /// Whether the footprint fits in the entries, so that no translation ever evicts.
+    #[cfg(test)]
+    fn never_evicts(&self) -> bool {
+        matches!(self.store, Store::FirstTouch(_))
     }
 
     /// Accumulated statistics.
@@ -141,89 +208,76 @@ impl Tlb {
         self.access_page(page)
     }
 
-    /// Unlink `slot` from the recency list and relink it at the head (MRU position).
-    #[inline]
-    fn move_to_front(&mut self, slot: u32) {
-        if self.head == slot {
-            return;
-        }
-        let Slot { prev: p, next: n, .. } = self.slots[slot as usize];
-        // `slot` is not the head, so it has a predecessor.
-        self.slots[p as usize].next = n;
-        if n == NONE {
-            self.tail = p;
-        } else {
-            self.slots[n as usize].prev = p;
-        }
-        self.slots[slot as usize].prev = NONE;
-        self.slots[slot as usize].next = self.head;
-        self.slots[self.head as usize].prev = slot;
-        self.head = slot;
-    }
-
-    /// Link a slot that is not currently in the list at the head.
-    #[inline]
-    fn push_front(&mut self, slot: u32) {
-        self.slots[slot as usize].prev = NONE;
-        self.slots[slot as usize].next = self.head;
-        if self.head == NONE {
-            self.tail = slot;
-        } else {
-            self.slots[self.head as usize].prev = slot;
-        }
-        self.head = slot;
-    }
-
     /// Translate a page by page number; returns `true` on a TLB hit.
-    #[inline(always)]
+    ///
+    /// # Panics
+    /// Panics if `page` is outside the footprint the TLB was built for.
     pub fn access_page(&mut self, page: u64) -> bool {
-        // MRU fast path: repeated translations of the same page (consecutive objects
-        // on one page — the common case once data is reordered) touch nothing but the
-        // hit counter.  Only this check is inlined into the replay loop.
-        if self.head != NONE && self.slots[self.head as usize].page == page {
-            self.stats.hits += 1;
-            return true;
-        }
-        self.access_page_cold(page)
+        let misses = self.stats.misses;
+        self.translate_spans([(page, page)]);
+        self.stats.misses == misses
     }
 
-    /// The non-MRU path of [`Tlb::access_page`]: index lookup, recency update, and
-    /// eviction, kept out of line.
-    #[inline(never)]
-    fn access_page_cold(&mut self, page: u64) -> bool {
-        let idx = page as usize;
-        if idx >= self.slot_of.len() {
-            self.slot_of.resize(idx + 1, NONE);
-        }
-        let slot = self.slot_of[idx];
-        if slot != NONE {
-            self.move_to_front(slot);
-            self.stats.hits += 1;
-            return true;
-        }
-        // Miss: fill the next free slot while warming up, else evict the LRU tail.
-        let slot = if self.filled < self.slots.len() {
-            self.filled += 1;
-            (self.filled - 1) as u32
-        } else {
-            let victim = self.tail;
-            self.slot_of[self.slots[victim as usize].page as usize] = NONE;
-            // Detach the tail so push_front re-links it cleanly.
-            let p = self.slots[victim as usize].prev;
-            self.tail = p;
-            if p == NONE {
-                self.head = NONE;
-            } else {
-                self.slots[p as usize].next = NONE;
-            }
-            victim
+    /// Translate one processor's object accesses in program order: `spans` yields the
+    /// first and last page of each access, and the last page is translated too when it
+    /// differs.  The store is picked once and the counters stay in registers for the
+    /// whole stream.
+    ///
+    /// # Panics
+    /// Panics if a page is outside the footprint the TLB was built for.
+    #[inline]
+    pub fn translate_spans(&mut self, spans: impl IntoIterator<Item = (u64, u64)>) {
+        let (hits, misses) = match &mut self.store {
+            Store::FirstTouch(touched) => tally(spans, |page| first_touch(touched, page)),
+            Store::Lru(lru) => tally(spans, |page| lru.access(page)),
         };
-        self.slots[slot as usize].page = page;
-        self.slot_of[idx] = slot;
-        self.push_front(slot);
-        self.stats.misses += 1;
-        false
+        self.stats.hits += hits;
+        self.stats.misses += misses;
     }
+}
+
+/// A first-touch translation: a hit iff `page` was translated before.  Only the first
+/// translation stores, so a run of one page costs a load per access.
+#[inline(always)]
+fn first_touch(touched: &mut [bool], page: u64) -> bool {
+    let touched = &mut touched[page as usize];
+    if *touched {
+        return true;
+    }
+    *touched = true;
+    false
+}
+
+/// Run `translate` over the pages of `spans` (see [`Tlb::translate_spans`]), returning
+/// the (hits, misses).
+///
+/// The page just translated is always the most recently used one and is resident in
+/// every store, so a repeat of it — consecutive objects on one page, the common case
+/// once data is reordered — is a hit decided in a register, without calling
+/// `translate` or touching memory.
+#[inline(always)]
+fn tally(
+    spans: impl IntoIterator<Item = (u64, u64)>,
+    mut translate: impl FnMut(u64) -> bool,
+) -> (u64, u64) {
+    let (mut hits, mut translations) = (0u64, 0u64);
+    let mut mru = None;
+    let mut visit = |page: u64| {
+        translations += 1;
+        if mru == Some(page) {
+            hits += 1;
+        } else {
+            hits += u64::from(translate(page));
+            mru = Some(page);
+        }
+    };
+    for (first, last) in spans {
+        visit(first);
+        if last != first {
+            visit(last);
+        }
+    }
+    (hits, translations - hits)
 }
 
 #[cfg(test)]
@@ -238,7 +292,8 @@ mod tests {
 
     #[test]
     fn working_set_within_reach_only_takes_compulsory_misses() {
-        let mut tlb = Tlb::new(TlbConfig::new(8, 4096));
+        let mut tlb = Tlb::new(TlbConfig::new(8, 4096), 8);
+        assert!(tlb.never_evicts());
         for _ in 0..5 {
             for page in 0..8u64 {
                 tlb.access_page(page);
@@ -250,7 +305,8 @@ mod tests {
 
     #[test]
     fn cyclic_scan_beyond_reach_thrashes() {
-        let mut tlb = Tlb::new(TlbConfig::new(8, 4096));
+        let mut tlb = Tlb::new(TlbConfig::new(8, 4096), 16);
+        assert!(!tlb.never_evicts());
         for _ in 0..3 {
             for page in 0..16u64 {
                 tlb.access_page(page);
@@ -264,13 +320,44 @@ mod tests {
 
     #[test]
     fn address_and_page_interfaces_agree() {
-        let mut a = Tlb::new(TlbConfig::new(4, 4096));
-        let mut b = Tlb::new(TlbConfig::new(4, 4096));
+        let mut a = Tlb::new(TlbConfig::new(4, 4096), 31);
+        let mut b = Tlb::new(TlbConfig::new(4, 4096), 31);
         let addrs = [0usize, 5000, 4095, 20_000, 4096, 123_456];
         for &addr in &addrs {
             assert_eq!(a.access(addr), b.access_page((addr / 4096) as u64));
         }
         assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    fn first_touch_and_lru_agree_when_the_footprint_fits() {
+        // The same stream over pages 0..8 on an 8-entry TLB, once bound to exactly
+        // those pages (first-touch flags) and once to a ninth, never-touched page
+        // (the LRU store): nothing is evicted, so the counters agree.
+        let config = TlbConfig::new(8, 4096);
+        let mut first_touch = Tlb::new(config, 8);
+        let mut lru = Tlb::new(config, 9);
+        assert!(first_touch.never_evicts() && !lru.never_evicts());
+        for i in 0..200u64 {
+            let page = (i * 5 + i / 7) % 8;
+            assert_eq!(first_touch.access_page(page), lru.access_page(page));
+        }
+        assert_eq!(first_touch.stats(), lru.stats());
+        assert_eq!(first_touch.stats().misses, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_page_outside_the_footprint_panics() {
+        Tlb::new(TlbConfig::new(8, 4096), 4).access_page(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_page_outside_an_lru_footprint_panics() {
+        let mut tlb = Tlb::new(TlbConfig::new(2, 4096), 4);
+        tlb.access_page(3);
+        tlb.access_page(4);
     }
 
     #[test]
@@ -280,8 +367,8 @@ mod tests {
         // order-of-magnitude difference in TLB misses.
         let pages = 64u64;
         let per_page = 16u64;
-        let mut scattered = Tlb::new(TlbConfig::new(8, 4096));
-        let mut grouped = Tlb::new(TlbConfig::new(8, 4096));
+        let mut scattered = Tlb::new(TlbConfig::new(8, 4096), 64);
+        let mut grouped = Tlb::new(TlbConfig::new(8, 4096), 64);
         // Scattered: round-robin over pages.
         for rep in 0..per_page {
             for page in 0..pages {

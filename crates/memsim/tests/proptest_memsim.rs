@@ -41,7 +41,7 @@ proptest! {
     /// TLB accounting identities mirror the cache's.
     #[test]
     fn tlb_accounting_identities(pages in prop::collection::vec(0u64..32, 1..400)) {
-        let mut tlb = Tlb::new(TlbConfig::new(8, 4096));
+        let mut tlb = Tlb::new(TlbConfig::new(8, 4096), 32);
         for &p in &pages {
             tlb.access_page(p);
         }

@@ -1,8 +1,11 @@
 //! Equivalence suite for the streaming replay pipeline: for arbitrary traces, the
-//! directory machine — replaying a materialized trace or consuming a stream through
-//! [`SimSink`] — must produce *identical* per-processor cache/TLB/coherence counters
-//! to the scan-based [`ReferenceSim`] oracle in `reference/`.  The directory
-//! machine is only an optimization if the counters are bit-for-bit the same.
+//! directory machine — replaying a materialized trace, consuming a stream through
+//! [`SimSink`], or folding a P-processor trace onto one processor — must produce
+//! *identical* per-processor cache/TLB/coherence counters to the scan-based
+//! [`ReferenceSim`] oracle in `reference/`, in both residency regimes (sharer masks
+//! alone when the footprint cannot overflow a set, LRU caches otherwise) and on both
+//! sides of the switch between them.  The directory machine is only an optimization
+//! if the counters are bit-for-bit the same.
 
 mod reference;
 
@@ -49,13 +52,37 @@ fn drive(events: &[Event], sink: &mut dyn TraceSink) {
     }
 }
 
-/// Machine geometries covering both way-store representations: the paired two-way
-/// fast path and the generic stamped path (4-way), with a TLB small enough to evict.
-fn machines() -> [(CacheConfig, TlbConfig); 2] {
-    [
+/// Machine geometries for a drawn layout (64-byte lines, 256-byte pages unless noted):
+///
+/// * a two-way cache and a 4-way one, each with a TLB small enough to evict — the
+///   paired and stamped LRU way stores (except that the 4-way cache's 32 lines hold
+///   the whole footprint of 32-byte objects);
+/// * a cache and a TLB whose reach covers the 64-object footprint at every drawn object
+///   size (at most 680 lines and 11 pages of 4 KB), so only the sharer masks and
+///   first-touch flags are kept;
+/// * a cache of exactly the footprint's lines and a TLB of exactly its pages — the
+///   largest machine that still never evicts;
+/// * one line and one entry fewer — the smallest footprint that can overflow a set and
+///   the TLB, so the LRU caches and LRU TLB take over.
+fn machines(layout: &ObjectLayout) -> Vec<(CacheConfig, TlbConfig)> {
+    let lines = layout.num_units(64);
+    let pages = layout.num_units(256);
+    vec![
         (CacheConfig::new(1024, 64, 2), TlbConfig::new(4, 256)),
         (CacheConfig::new(2048, 64, 4), TlbConfig::new(3, 512)),
+        (CacheConfig::new(64 << 10, 64, 2), TlbConfig::new(16, 4096)),
+        (cache_with_lines(lines), TlbConfig::new(pages, 256)),
+        (cache_with_lines(lines - 1), TlbConfig::new(pages - 1, 256)),
     ]
+}
+
+/// A cache of exactly `lines` 64-byte lines: as many sets as the largest power of two
+/// dividing `lines`, and the quotient as ways.
+fn cache_with_lines(lines: usize) -> CacheConfig {
+    let sets = 1 << lines.trailing_zeros();
+    let cache = CacheConfig::new(lines * 64, 64, lines / sets);
+    assert_eq!(cache.num_lines(), lines);
+    cache
 }
 
 proptest! {
@@ -81,7 +108,7 @@ proptest! {
         drive(&events, &mut builder);
         let trace = builder.finish();
 
-        for (cache, tlb) in machines() {
+        for (cache, tlb) in machines(&layout) {
             let mut reference = ReferenceSim::new(procs, cache, tlb);
             let expected = reference.run_trace_with_layout(&trace, &layout);
 
@@ -96,11 +123,12 @@ proptest! {
         }
     }
 
-    /// Folding a P-processor trace onto one processor equals replaying the trace whose
-    /// every interval is the processor-order concatenation of the P streams, recorded
-    /// through a 1-processor `TraceBuilder` — for any P, with empty streams and empty
-    /// intervals (a barrier draws one event in five, so many intervals are short or
-    /// empty and most of their streams are empty).
+    /// Folding a P-processor trace onto one processor equals replaying, on the machine
+    /// and on the reference simulator, the trace whose every interval is the
+    /// processor-order concatenation of the P streams, recorded through a 1-processor
+    /// `TraceBuilder` — for any P, with empty streams and empty intervals (a barrier
+    /// draws one event in five, so many intervals are short or empty and most of their
+    /// streams are empty).
     #[test]
     fn folded_replay_matches_the_concatenated_one_processor_trace(
         procs in 1usize..=8,
@@ -128,10 +156,12 @@ proptest! {
         }
         let concatenated = concatenated.finish();
 
-        for (cache, tlb) in machines() {
-            let expected = MultiprocessorSim::new(1, cache, tlb).run_trace(&concatenated);
+        for (cache, tlb) in machines(&layout) {
+            let expected = ReferenceSim::new(1, cache, tlb).run_trace(&concatenated);
+            let unfolded = MultiprocessorSim::new(1, cache, tlb).run_trace(&concatenated);
+            prop_assert_eq!(&expected, &unfolded, "1-processor replay diverged");
             let folded = MultiprocessorSim::new(1, cache, tlb).run_trace_folded(&trace, &layout);
-            prop_assert_eq!(&expected, &folded);
+            prop_assert_eq!(&expected, &folded, "folded replay diverged");
         }
     }
 
@@ -179,5 +209,40 @@ proptest! {
             let lens: Vec<u64> = interval.accesses.iter().map(|s| s.len() as u64).collect();
             prop_assert_eq!(lens, stream.accesses.clone());
         }
+    }
+}
+
+/// A one-interval trace of `object` reads by processor 0, recorded against a layout
+/// large enough to hold it.
+fn reads_of(object: usize, object_size: usize) -> smtrace::ProgramTrace {
+    let mut builder = TraceBuilder::new(ObjectLayout::new(object + 1, object_size), 1);
+    builder.read(0, 0);
+    builder.read(0, object);
+    builder.finish()
+}
+
+#[test]
+#[should_panic(expected = "bound to the layout of its first replay")]
+fn a_bound_machine_rejects_another_layout() {
+    let trace = reads_of(10, 32);
+    let mut machine =
+        MultiprocessorSim::new(1, CacheConfig::new(1024, 64, 2), TlbConfig::new(4, 256));
+    machine.run_trace_with_layout(&trace, &ObjectLayout::new(64, 32));
+    machine.run_trace_with_layout(&trace, &ObjectLayout::new(64, 96));
+}
+
+#[test]
+fn an_access_beyond_the_footprint_panics_in_every_regime() {
+    // Object 64 is the first past a 64-object array: its line is outside the footprint
+    // on every machine, and its page on all but the 4 KB-page one.
+    let layout = ObjectLayout::new(64, 32);
+    let trace = reads_of(64, 32);
+    for (cache, tlb) in machines(&layout) {
+        let replay = std::panic::catch_unwind(|| {
+            MultiprocessorSim::new(1, cache, tlb).run_trace_with_layout(&trace, &layout)
+        });
+        let message = replay.expect_err("an access beyond the footprint must panic");
+        let message = message.downcast_ref::<String>().map(String::as_str).unwrap_or("");
+        assert!(message.contains("index out of bounds"), "unexpected panic: {message:?}");
     }
 }

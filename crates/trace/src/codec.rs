@@ -139,10 +139,13 @@ pub enum CodecError {
     },
     /// A varint ran longer than 64 bits.
     VarintOverflow(&'static str),
-    /// A decoded object index falls outside `0..=Access::MAX_OBJECT`.
+    /// A decoded object index falls outside the object array `0..limit`: the corpus
+    /// header's `num_objects`, capped at `Access::MAX_OBJECT + 1`.
     ObjectOutOfRange {
         /// The decoded (signed) object index.
         object: i64,
+        /// The exclusive bound it had to stay below.
+        limit: u64,
     },
     /// The payload decoded inconsistently (run lengths vs count, trailing bytes,
     /// blocks out of canonical order, ...).
@@ -215,8 +218,8 @@ impl std::fmt::Display for CodecError {
                 write!(f, "payload checksum {computed:#010x} != stored {stored:#010x}")
             }
             CodecError::VarintOverflow(what) => write!(f, "varint overflow in {what}"),
-            CodecError::ObjectOutOfRange { object } => {
-                write!(f, "decoded object index {object} outside 0..={}", Access::MAX_OBJECT)
+            CodecError::ObjectOutOfRange { object, limit } => {
+                write!(f, "decoded object index {object} outside the object array 0..{limit}")
             }
             CodecError::Malformed(what) => write!(f, "malformed corpus: {what}"),
             CodecError::At { block, offset, inner } => {
@@ -348,7 +351,10 @@ pub mod wire {
             // always small), without a debug-mode overflow panic on corrupt input.
             let object = prev.wrapping_add(delta);
             if object as u64 > u64::from(max_object) {
-                return Err(CodecError::ObjectOutOfRange { object });
+                return Err(CodecError::ObjectOutOfRange {
+                    object,
+                    limit: u64::from(max_object) + 1,
+                });
             }
             out.push(object as u32);
             prev = object;
@@ -993,6 +999,7 @@ impl<R: Read> CorpusReader<R> {
                 decode_access_payload(
                     &self.payload,
                     count as usize,
+                    self.object_limit(),
                     &mut self.runs,
                     &mut self.decoded,
                 )?;
@@ -1050,10 +1057,18 @@ impl<R: Read> CorpusReader<R> {
     fn read_varint(&mut self, what: &'static str) -> Result<u64, CodecError> {
         read_varint_io(&mut self.inner, &mut self.bytes_read, what)
     }
+
+    /// The exclusive bound on decoded object ids: the header's object count (a
+    /// consumer sizes its state to the layout, so an id past the array is corrupt
+    /// input, not an access), capped at what an [`Access`] can hold.
+    fn object_limit(&self) -> u64 {
+        self.layout.num_objects.min(Access::MAX_OBJECT + 1) as u64
+    }
 }
 
 /// Decode one access payload (kind runs, then deltas) into `out`, enforcing that the
-/// byte stream is exactly consumed and yields exactly `count` accesses.
+/// byte stream is exactly consumed and yields exactly `count` accesses, each below
+/// `limit` (at most `Access::MAX_OBJECT + 1`).
 ///
 /// `runs` is caller-owned scratch (cleared here) so the per-block hot path never
 /// allocates.  This is the decode-bandwidth loop the whole corpus exists for: the
@@ -1063,6 +1078,7 @@ impl<R: Read> CorpusReader<R> {
 fn decode_access_payload(
     payload: &[u8],
     count: usize,
+    limit: u64,
     runs: &mut Vec<u32>,
     out: &mut Vec<Access>,
 ) -> Result<(), CodecError> {
@@ -1097,7 +1113,7 @@ fn decode_access_payload(
     let mut prev = 0i64;
     for &packed in runs.iter() {
         let run = (packed & 0x7fff_ffff) as usize;
-        decode_delta_run(&mut input, run, packed >> 31 != 0, &mut prev, out)?;
+        decode_delta_run(&mut input, run, packed >> 31 != 0, limit, &mut prev, out)?;
     }
     if !input.is_empty() {
         return Err(CodecError::Malformed("trailing payload bytes"));
@@ -1120,6 +1136,7 @@ fn decode_delta_run(
     input: &mut &[u8],
     run: usize,
     is_write: bool,
+    limit: u64,
     prev: &mut i64,
     out: &mut Vec<Access>,
 ) -> Result<(), CodecError> {
@@ -1142,8 +1159,8 @@ fn decode_delta_run(
         // See `wire::decode_deltas`: wrapping add + unsigned compare rejects every
         // out-of-range reconstruction (i64 overflow included) without panicking.
         let object = p.wrapping_add(delta);
-        if object as u64 > Access::MAX_OBJECT as u64 {
-            return Err(CodecError::ObjectOutOfRange { object });
+        if object as u64 >= limit {
+            return Err(CodecError::ObjectOutOfRange { object, limit });
         }
         out.push(Access::from_parts(object as u32, is_write));
         p = object;

@@ -214,6 +214,39 @@ fn out_of_order_access_blocks_are_rejected() {
     assert_eq!(block, 1, "the second (out-of-order) block is the failing one");
 }
 
+/// A one-interval corpus over [`layout`] whose only access block reads `object`.
+fn corpus_reading(object: u32) -> Vec<u8> {
+    let mut bytes = valid_header(1);
+    let mut payload = Vec::new();
+    wire::write_varint(&mut payload, 1); // one read run
+    wire::encode_deltas([object], &mut payload);
+    bytes.push(0x01);
+    wire::write_varint(&mut bytes, 0); // proc
+    wire::write_varint(&mut bytes, 0); // interval
+    wire::write_varint(&mut bytes, 1); // count
+    wire::write_varint(&mut bytes, payload.len() as u64);
+    bytes.extend_from_slice(&wire::payload_checksum(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes.push(0x03); // barrier
+    bytes.push(0x00); // end marker
+    bytes
+}
+
+#[test]
+fn object_ids_past_the_header_object_count_are_rejected() {
+    // Consumers size their state to the header's layout, so an id inside the 31-bit
+    // range but past the array is corrupt input: a typed error, never a panic.
+    let last = layout().num_objects as u32 - 1;
+    assert!(decode(&corpus_reading(last)).is_ok(), "the last object is in range");
+    let err = decode(&corpus_reading(last + 1)).unwrap_err();
+    assert!(
+        matches!(err.root(), CodecError::ObjectOutOfRange { object: 64, limit: 64 }),
+        "got {err:?}"
+    );
+    assert_eq!(err.location(), Some((0, 10)), "the access block right after the header");
+    assert!(err.to_string().contains("outside the object array 0..64"), "{err}");
+}
+
 #[test]
 fn errors_render_without_panicking() {
     // Display/Error impls are part of the typed-error contract the CLI leans on.
