@@ -10,14 +10,14 @@ use std::time::Instant;
 
 use dsm::{DsmConfig, HlrcSim, NetworkCostModel, PageHistorySink, PageWriteHistory, TreadMarksSim};
 use memsim::{
-    page_sharing, page_update_map, processor_unit_sets, CostModel, OriginPreset, PageSharingReport,
-    SimSink, SimulationResult,
+    CostModel, OriginPreset, PageSharingReport, ProcessorUnitSetsSink, SimSink, SimulationResult,
+    SinkResult,
 };
 use molecular::{Moldyn, MoldynParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
 use reorder::permute::Permutation;
 use reorder::{compute_reordering_from_points, pack_keys, Method, Quantizer};
-use smtrace::ObjectLayout;
+use smtrace::{ObjectLayout, UnitAccessSets};
 use workloads::{cubic_lattice, two_plummer, UnstructuredMesh};
 
 use crate::cache::{CellKey, KeyBuilder};
@@ -212,9 +212,11 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
             "Paths: `materialized` replays a recorded ProgramTrace through the directory",
             "machine (sharer bitmasks, generation-timestamp LRU, batched intervals);",
             "`streaming` feeds the same accesses through a SimSink interval-by-interval, the",
-            "path applications use to simulate without materializing a trace.  Both paths",
-            "are asserted to produce identical per-processor cache/TLB/coherence counters;",
-            "expected shape: streaming within noise of materialized.  FMM is sized",
+            "path Origin cells use to simulate without materializing a trace; its one pass",
+            "also yields the counters folded onto one processor (an extra TLB per stream).",
+            "Both paths are asserted to produce identical per-processor cache/TLB/coherence",
+            "counters; expected shape: streaming slower than materialized by about the",
+            "folded TLB's share, and faster than two materialized replays.  FMM is sized",
             "like Barnes-Hut (not Scale::size_of, which reflects FMM's compute cost) so its",
             "object array exceeds the simulated TLB reach, the regime every paper-scale",
             "workload replays in.  Cells run sequentially for honest wall-clock.",
@@ -355,12 +357,13 @@ struct SubstrateRun {
 /// processor count, so the key domain stands for all of them.
 #[derive(Debug, Clone, Copy)]
 enum Substrate {
-    /// Origin 2000 model.  A cell traces its run once on `procs` processors and
-    /// reduces it twice: on the `procs`-processor machine and folded onto a
-    /// 1-processor one (every application's 1-processor trace is, interval by
-    /// interval, the processor-order concatenation of its P-processor streams), so
-    /// it answers the run on `procs` and on 1.  Row: app, ordering, procs,
-    /// reorder_s, time_s, l2_misses, tlb_misses.
+    /// Origin 2000 model.  A cell streams its run once, on `procs` processors,
+    /// into a [`SimSink`] whose one replay pass yields both the `procs`-processor
+    /// counters and those folded onto a 1-processor machine (every application's
+    /// 1-processor trace is, interval by interval, the processor-order concatenation
+    /// of its P-processor streams), so it answers the run on `procs` and on 1 with
+    /// no trace materialized.  Row: app, ordering, procs, reorder_s, time_s,
+    /// l2_misses, tlb_misses.
     Origin,
     /// TreadMarks and HLRC models over one page history, reduced while the run is
     /// generated (no trace is materialized).  Row: app, ordering,
@@ -403,26 +406,23 @@ impl Substrate {
         let procs = run.procs;
         match self {
             Substrate::Origin => {
-                let traced = build_run(run.app, run.ordering, scale, procs, seed);
-                let columns = |result: SimulationResult| -> Vec<Value> {
-                    let time = CostModel::default().machine_time(&result);
+                // The machine exists before anything is built, so a processor count
+                // it cannot model fails at once.
+                let machine = OriginPreset::origin2000(procs).build_machine();
+                let n = scale.size_of(run.app);
+                let (mut live, reorder_seconds) = LiveApp::ordered(run.app, run.ordering, n, seed);
+                let mut sink = SimSink::new(machine, live.layout());
+                live.stream_sharded(scale.iterations_of(run.app), &mut sink);
+                let SinkResult { machine, folded } = sink.finish();
+                let columns = |result: &SimulationResult| -> Vec<Value> {
+                    let time = CostModel::default().machine_time(result);
                     vec![time.into(), result.l2_misses().into(), result.tlb_misses().into()]
                 };
-                let parallel = || {
-                    OriginPreset::origin2000(procs)
-                        .build_machine()
-                        .run_trace_with_layout(&traced.trace, &traced.layout)
-                };
-                if procs == 1 {
-                    return (traced.reorder_seconds, vec![(1, columns(parallel()))]);
+                let mut measured = vec![(1, columns(&folded))];
+                if procs > 1 {
+                    measured.push((procs, columns(&machine)));
                 }
-                let folded = || {
-                    OriginPreset::origin2000(1)
-                        .build_machine()
-                        .run_trace_folded(&traced.trace, &traced.layout)
-                };
-                let (seq, par) = rayon::join(folded, parallel);
-                (traced.reorder_seconds, vec![(1, columns(seq)), (procs, columns(par))])
+                (reorder_seconds, measured)
             }
             Substrate::Dsm => {
                 let n = scale.size_of(run.app);
@@ -667,6 +667,23 @@ fn run_table4(cfg: &RunConfig) -> Vec<Row> {
         .collect()
 }
 
+/// Each processor's unit sets over one Barnes-Hut iteration of `bodies` bodies under
+/// `ordering` on `procs` processors, streamed from generation (no trace is
+/// materialized), with the layout they index.
+fn barnes_hut_unit_sets(
+    ordering: Ordering,
+    bodies: usize,
+    procs: usize,
+    seed: u64,
+    unit_bytes: usize,
+) -> (ObjectLayout, Vec<UnitAccessSets>) {
+    let (mut live, _) = LiveApp::ordered(AppKind::BarnesHut, ordering, bodies, seed);
+    let layout = live.layout();
+    let mut sink = ProcessorUnitSetsSink::new(layout.clone(), procs, unit_bytes);
+    live.stream_sharded(1, &mut sink);
+    (layout, sink.finish())
+}
+
 fn run_fig01_04(cfg: &RunConfig) -> Vec<Row> {
     const PARTICLES: usize = 168;
     const PAGE_BYTES: usize = 4096;
@@ -689,10 +706,11 @@ fn run_fig01_04(cfg: &RunConfig) -> Vec<Row> {
     })
     .collect();
     run_keyed_cells(cells, |(label, ordering)| {
-        let run = build_run_sized(AppKind::BarnesHut, ordering, PARTICLES, 1, procs, seed);
-        let map = page_update_map(&run.trace, &run.layout, PAGE_BYTES);
-        let num_pages = run.layout.num_units(PAGE_BYTES);
-        map.iter()
+        let (layout, per_proc) = barnes_hut_unit_sets(ordering, PARTICLES, procs, seed, PAGE_BYTES);
+        let num_pages = layout.num_units(PAGE_BYTES);
+        per_proc
+            .iter()
+            .map(|sets| &sets.write_units)
             .enumerate()
             .map(|(p, pages)| {
                 let marks: String =
@@ -736,9 +754,8 @@ fn run_fig02_05(cfg: &RunConfig) -> Vec<Row> {
             })
             .collect();
     let mut rows = run_keyed_cells(cells, |(label, ordering)| {
-        let run = build_run_sized(AppKind::BarnesHut, ordering, bodies, 1, traced, seed);
-        let per_proc = processor_unit_sets(&run.trace, &run.layout, page_bytes);
-        let num_units = run.layout.num_units(page_bytes);
+        let (layout, per_proc) = barnes_hut_unit_sets(ordering, bodies, traced, seed, page_bytes);
+        let num_units = layout.num_units(page_bytes);
         ladder
             .iter()
             .filter(|&&procs| traced.is_multiple_of(procs))
@@ -958,9 +975,17 @@ fn run_ablation_reorder_frequency(cfg: &RunConfig) -> Vec<Row> {
                 }
                 sim.step_parallel(rayon::current_num_threads());
             }
-            // Measure the sharing of one final traced iteration.
-            let trace = sim.trace_iterations(1, procs);
-            let sharing = page_sharing(&trace, &sim.layout(), 8 * 1024);
+            // Measure the sharing of one final traced iteration, streamed from
+            // generation.
+            let (layout, page_bytes) = (sim.layout(), 8 * 1024);
+            let mut sink = ProcessorUnitSetsSink::new(layout.clone(), procs, page_bytes);
+            sim.stream_iterations(1, &mut sink);
+            let sharing = PageSharingReport::folded(
+                &sink.finish(),
+                procs,
+                layout.num_units(page_bytes),
+                page_bytes,
+            );
             let label = if period == 0 { "never".to_string() } else { format!("every {period}") };
             vec![row![label, sharing.mean_writers(), sharing.mean_sharers(), reorder_cost]]
         })
@@ -1087,7 +1112,7 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
             let mut sink = SimSink::new(preset.build_machine(), run.layout.clone());
             let t0 = Instant::now();
             run.trace.replay_into(&mut sink);
-            let result = sink.finish();
+            let result = sink.finish().machine;
             stream_ms = stream_ms.min(ms(t0));
             stream_result = Some(result);
         }
@@ -1358,7 +1383,7 @@ fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
             let mut sink = SimSink::new(preset.build_machine(), layout.clone());
             let t0 = Instant::now();
             live.stream_sharded(iters, &mut sink);
-            let result = sink.finish();
+            let result = sink.finish().machine;
             live_ms = live_ms.min(ms(t0));
             live_result = Some(result);
 
@@ -1367,7 +1392,7 @@ fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
             let mut sink = SimSink::new(preset.build_machine(), layout.clone());
             let t0 = Instant::now();
             reader.replay_into(&mut sink).expect("decode trace corpus");
-            let result = sink.finish();
+            let result = sink.finish().machine;
             replay_ms = replay_ms.min(ms(t0));
             replay_result = Some(result);
         }

@@ -7,9 +7,13 @@
 //!
 //! * [`AppKind`] / [`Ordering`] — the five benchmark applications and the data
 //!   orderings compared (original random order, Hilbert, Morton, column, row);
-//! * [`build_run`] — build an application at a given scale, apply an ordering, record
-//!   an access trace over a given number of virtual processors, and report the cost of
-//!   the reordering call itself (the "Cost of Reorder" columns of Tables 2 and 3);
+//! * [`LiveApp`] — build an application at a given size, apply an ordering (reporting
+//!   the cost of the reordering call itself, the "Cost of Reorder" columns of Tables 2
+//!   and 3), and stream its accesses over a given number of virtual processors into
+//!   any trace sink; every paper spec reduces its runs this way, with no trace
+//!   materialized;
+//! * [`build_run`] — the same run recorded into a materialized trace, for the tests
+//!   and the throughput benches that replay one trace several ways;
 //! * [`Scale`] — problem sizes: `Paper` uses the sizes from Table 1 of the paper,
 //!   `Small` (the default) uses reduced sizes so every experiment finishes in
 //!   seconds, and `Tiny` is for smoke tests.  [`Scale::parse`] reads the one
@@ -225,9 +229,8 @@ pub fn build_run_sized(
 
 /// A live application instance with the standard workload generator and default
 /// parameters for its [`AppKind`] — the single source of truth for "build app X at
-/// size n".  [`build_run_sized`] traces through it, and the trace-throughput bench
-/// and `xp trace record` stream from it directly (they need the live application,
-/// not a materialized trace).
+/// size n".  The paper specs, the trace-throughput bench and `xp trace record` stream
+/// from it directly, and [`build_run_sized`] records it into a materialized trace.
 #[derive(Clone)]
 pub enum LiveApp {
     /// SPLASH-2 Barnes-Hut.

@@ -196,7 +196,7 @@ pub fn replay(
             let replay_t0 = Instant::now();
             let (summary, salvage) =
                 decode_into(&mut reader, &mut sink, lenient, input, file_bytes)?;
-            let result = sink.finish();
+            let result = sink.finish().machine;
             let replay_ms = replay_t0.elapsed().as_secs_f64() * 1e3;
             (
                 row![

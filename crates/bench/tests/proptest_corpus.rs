@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use dsm::{DsmConfig, HlrcSim, PageHistorySink, PageWriteHistory, TreadMarksSim};
-use memsim::{OriginPreset, SimSink, SimulationResult};
+use memsim::{OriginPreset, SimSink, SinkResult};
 use repro_bench::{AppKind, LiveApp};
 use smtrace::codec::{CorpusReader, CorpusWriter};
 use smtrace::{ObjectLayout, ProgramTrace, TeeSink, TraceBuilder, TraceSink};
@@ -25,7 +25,7 @@ fn run_live(
     app: &LiveApp,
     procs: usize,
     iters: usize,
-) -> (ProgramTrace, SimulationResult, PageWriteHistory) {
+) -> (ProgramTrace, SinkResult, PageWriteHistory) {
     let layout = app.layout();
     let mut live = app.clone();
     let mut builder = TraceBuilder::new(layout.clone(), procs);
@@ -45,7 +45,7 @@ fn run_corpus(
     app: &LiveApp,
     procs: usize,
     iters: usize,
-) -> (ProgramTrace, SimulationResult, PageWriteHistory) {
+) -> (ProgramTrace, SinkResult, PageWriteHistory) {
     let layout = app.layout();
     let mut live = app.clone();
     let mut writer = CorpusWriter::new(Vec::new(), layout.clone(), procs).expect("writer");

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use dsm::{DsmConfig, PageHistorySink, PageWriteHistory, TreadMarksSim};
-use memsim::{OriginPreset, SimSink, SimulationResult};
+use memsim::{OriginPreset, SimSink, SinkResult};
 use molecular::{Moldyn, MoldynParams, WaterSpatial, WaterSpatialParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
 use smtrace::{ObjectLayout, ProgramTrace, TeeSink, TraceBuilder};
@@ -28,7 +28,7 @@ fn run_instrumented<F>(
     layout: &ObjectLayout,
     procs: usize,
     drive: F,
-) -> (ProgramTrace, SimulationResult, PageWriteHistory)
+) -> (ProgramTrace, SinkResult, PageWriteHistory)
 where
     F: for<'a, 'b> FnOnce(&mut TeeSink<'a, TraceBuilder, TeeSink<'b, SimSink, PageHistorySink>>),
 {
@@ -46,8 +46,8 @@ where
 /// Assert every reduction of the two runs is identical, including the DSM protocol
 /// results computed from the two histories.
 fn assert_reductions_match(
-    serial: (ProgramTrace, SimulationResult, PageWriteHistory),
-    sharded: (ProgramTrace, SimulationResult, PageWriteHistory),
+    serial: (ProgramTrace, SinkResult, PageWriteHistory),
+    sharded: (ProgramTrace, SinkResult, PageWriteHistory),
     procs: usize,
 ) {
     assert_eq!(serial.0, sharded.0, "traces diverged");

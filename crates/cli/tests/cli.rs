@@ -118,6 +118,24 @@ fn procs_one_computes_one_cell_per_unique_run() {
     }
 }
 
+#[test]
+fn origin_cells_reject_more_processors_than_the_directory_tracks() {
+    // The Origin machine tracks sharers in a 64-bit mask per line, so table2 at 65
+    // processors fails every cell with that reason (each cell builds its machine
+    // before it generates anything).  The DSM models have no such limit.
+    let out = xp().args(["run", "table2", "--scale", "tiny", "--procs", "65"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("directory masks support at most 64 processors"), "got: {stderr}");
+
+    let out = xp()
+        .args(["run", "table3", "--scale", "tiny", "--procs", "65", "--format", "csv"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(csv_rows(&String::from_utf8_lossy(&out.stdout)).len(), 12);
+}
+
 /// A substrate cell that fails terminally drops exactly the rows built on it, in
 /// every spec that needs the run.  table2 evaluates its 12 cells, and fig07 takes
 /// 11 of its 12 from the cache and evaluates the one table2 failed.  With one

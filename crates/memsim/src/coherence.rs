@@ -38,6 +38,16 @@
 //! ([`MultiprocessorSim::run_trace`]) or streamed straight from a running application
 //! through [`SimSink`], which buffers one synchronization interval at a time and never
 //! materializes the whole trace.
+//!
+//! The sink's one pass also answers the run on one processor: the [`SinkResult`]
+//! carries the counters of a 1-processor machine that runs each interval's streams
+//! one after another in processor order, the sequence a 1-processor trace of the same
+//! run records.  One more TLB translates each stream right after its own processor's
+//! TLB, and the line and access counts are the machine's sums.  In the mask regime a
+//! sharer mask never returns to zero once its line is touched, and a lone processor
+//! misses exactly on first touches, so the folded misses are the nonzero masks and no
+//! second cache pass runs; in the LRU regime one 1-processor cache is fed each stream
+//! in the same per-processor loop.
 
 use smtrace::{Access, ObjectLayout, ProgramTrace, TraceSink};
 
@@ -124,6 +134,24 @@ struct Bound {
     tlbs: Vec<Tlb>,
     /// Cache-line accesses per processor (an object access touches every line it spans).
     line_accesses: Vec<u64>,
+}
+
+/// The 1-processor machine a P-processor replay folds onto: each interval's streams run
+/// one after another in processor order.  The applications split a
+/// processor-count-independent work order into contiguous per-processor chunks, so
+/// this is the access sequence a 1-processor trace of the same run records.
+///
+/// Its line and access counts are the sums of the machine's, so only the TLB, and in
+/// the LRU regime the cache, are replayed.  In the mask regime a 1-processor machine
+/// misses exactly on the first touch of each line, and a sharer mask never returns to
+/// zero once its line is touched, so the folded misses are the nonzero masks.
+#[derive(Debug)]
+struct Folded {
+    tlb: Tlb,
+    /// The folded cache where the footprint can overflow a set (`None` where the
+    /// masks hold residency).  A single processor takes no coherence misses, so it
+    /// needs no directory.
+    cache: Option<Cache>,
 }
 
 /// A P-processor machine: caches, TLBs and the sharer-bitmask [`Directory`].
@@ -223,28 +251,6 @@ impl MultiprocessorSim {
         self.result()
     }
 
-    /// Replay a P-processor trace folded onto this 1-processor machine: each
-    /// interval's streams run one after another in processor order.  The
-    /// applications split a processor-count-independent work order into contiguous
-    /// per-processor chunks, so this is the access sequence a 1-processor trace of
-    /// the same run would record, and the counters are those of replaying it.
-    ///
-    /// # Panics
-    /// Panics unless the machine has exactly one processor.
-    pub fn run_trace_folded(
-        &mut self,
-        trace: &ProgramTrace,
-        layout: &ObjectLayout,
-    ) -> SimulationResult {
-        assert_eq!(self.num_procs(), 1, "a folded replay runs on a 1-processor machine");
-        for interval in &trace.intervals {
-            for stream in &interval.accesses {
-                self.run_interval(std::slice::from_ref(stream), layout);
-            }
-        }
-        self.result()
-    }
-
     /// Replay one synchronization interval: `streams[p]` is processor `p`'s ordered
     /// access stream.  A per-processor pass first replays each TLB and counts each
     /// processor's line accesses, neither of which depends on the interleaving; the
@@ -255,6 +261,20 @@ impl MultiprocessorSim {
     /// Panics if the machine is bound to a different layout, or if an access falls
     /// outside the layout's footprint.
     pub fn run_interval(&mut self, streams: &[Vec<Access>], layout: &ObjectLayout) {
+        self.replay_interval(streams, layout, None);
+    }
+
+    /// [`MultiprocessorSim::run_interval`], also feeding `folded` — the 1-processor
+    /// machine that runs the interval's streams one after another in processor order —
+    /// from the same per-processor pass: its TLB translates each stream's spans in the
+    /// same loop as the stream's own TLB, and its cache (LRU regime only) sees each
+    /// stream's lines in turn.
+    fn replay_interval(
+        &mut self,
+        streams: &[Vec<Access>],
+        layout: &ObjectLayout,
+        mut folded: Option<&mut Folded>,
+    ) {
         assert_eq!(streams.len(), self.num_procs(), "interval and machine sizes differ");
         for (p, stream) in streams.iter().enumerate() {
             self.accesses[p] += stream.len() as u64;
@@ -269,12 +289,24 @@ impl MultiprocessorSim {
         };
         for ((tlb, lines), stream) in tlbs.iter_mut().zip(line_accesses.iter_mut()).zip(streams) {
             let mut count = 0;
-            tlb.translate_spans(stream.iter().map(|&a| {
+            let spans = stream.iter().map(|&a| {
                 let (first, last) = objects.bytes(a);
                 count += ((last >> line_shift) - (first >> line_shift) + 1) as u64;
                 (page_of(first), page_of(last))
-            }));
+            });
+            match folded.as_deref_mut() {
+                Some(folded) => tlb.translate_spans_with(&mut folded.tlb, spans),
+                None => tlb.translate_spans(spans),
+            }
             *lines += count;
+            if let Some(Folded { cache: Some(cache), .. }) = folded.as_deref_mut() {
+                for &a in stream {
+                    let (first, last) = objects.lines(a);
+                    for line in first..last + 1 {
+                        cache.access_line(line);
+                    }
+                }
+            }
         }
         match residency {
             Residency::Masks(stats) => {
@@ -300,9 +332,35 @@ impl MultiprocessorSim {
                 .collect(),
         }
     }
+
+    /// The counters of the 1-processor machine this machine's replay folded onto:
+    /// `folded`'s TLB and (LRU regime) cache counters, the summed access and line
+    /// counts, and in the mask regime one miss per line ever touched.
+    fn folded_result(&self, folded: &Folded) -> SimulationResult {
+        let totals = self.result().totals();
+        let cache = match &folded.cache {
+            Some(cache) => cache.stats(),
+            None => {
+                let lines = totals.cache.accesses;
+                let misses = self.bound.as_ref().map_or(0, |b| b.directory.tracked_lines() as u64);
+                CacheStats { accesses: lines, hits: lines - misses, misses, coherence_misses: 0 }
+            }
+        };
+        let tlb = folded.tlb.stats();
+        SimulationResult {
+            per_proc: vec![ProcessorStats { cache, tlb, accesses: totals.accesses }],
+        }
+    }
 }
 
 impl Bound {
+    /// A folded 1-processor machine of the same geometry, in the same regime.
+    fn folded(&self, cache: CacheConfig, tlb: TlbConfig) -> Folded {
+        let pages = self.layout.num_units(tlb.page_bytes);
+        let cache = matches!(self.residency, Residency::Lru(_)).then(|| Cache::new(cache));
+        Folded { tlb: Tlb::new(tlb, pages), cache }
+    }
+
     /// Processor `p`'s cache counters.
     fn cache_stats(&self, p: usize) -> CacheStats {
         let lines = self.line_accesses[p];
@@ -490,19 +548,36 @@ impl LruStep<'_> {
     }
 }
 
+/// What a [`SimSink`] returns: the counters of the machine it drove, and those of the
+/// same run folded onto a 1-processor machine of the same geometry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SinkResult {
+    /// The P-processor machine's counters.
+    pub machine: SimulationResult,
+    /// The counters of replaying, on one processor, the trace whose every interval is
+    /// the processor-order concatenation of the machine's streams (the machine's own
+    /// counters when it has one processor).
+    pub folded: SimulationResult,
+}
+
 /// A [`TraceSink`] that drives a [`MultiprocessorSim`] directly from a running
 /// application: streaming trace replay with no materialized [`ProgramTrace`].
 ///
 /// The sink buffers one synchronization interval at a time (the round-robin
 /// interleaving needs the complete interval) and replays it at every barrier; the
 /// per-processor buffers are reused across intervals, so steady-state replay allocates
-/// nothing.  Counters are byte-identical to materializing the trace and calling
-/// [`MultiprocessorSim::run_trace_with_layout`], because both paths feed the same
-/// per-interval replay.
+/// nothing.  The machine's counters are byte-identical to materializing the trace and
+/// calling [`MultiprocessorSim::run_trace_with_layout`], because both paths feed the
+/// same per-interval replay.  The same pass also yields the folded 1-processor
+/// counters (see [`SinkResult::folded`]), so a P-processor run answers the
+/// 1-processor one without a second replay.
 #[derive(Debug)]
 pub struct SimSink {
     sim: MultiprocessorSim,
     layout: ObjectLayout,
+    /// The folded 1-processor machine (`None` when the machine has one processor: it is
+    /// its own fold).
+    folded: Option<Folded>,
     /// The current interval's per-processor streams (cleared, not dropped, per barrier).
     buffers: Vec<Vec<Access>>,
 }
@@ -511,24 +586,37 @@ impl SimSink {
     /// Wrap a machine and bind it to the object layout accesses are resolved against.
     ///
     /// # Panics
-    /// Panics if the machine is already bound to a different layout.
+    /// Panics if the machine is already bound to a different layout, or has already
+    /// replayed accesses (the folded counters would miss them).
     pub fn new(mut sim: MultiprocessorSim, layout: ObjectLayout) -> Self {
-        sim.bind(&layout);
-        let buffers = vec![Vec::new(); sim.num_procs()];
-        SimSink { sim, layout, buffers }
+        assert!(
+            sim.accesses.iter().all(|&a| a == 0),
+            "a sink drives a machine that has replayed nothing"
+        );
+        let (procs, cache, tlb) = (sim.num_procs, sim.cache, sim.tlb);
+        let bound = sim.bind(&layout);
+        let folded = (procs > 1).then(|| bound.folded(cache, tlb));
+        let buffers = vec![Vec::new(); procs];
+        SimSink { sim, layout, folded, buffers }
     }
 
     fn replay_buffered(&mut self) {
-        self.sim.run_interval(&self.buffers, &self.layout);
+        self.sim.replay_interval(&self.buffers, &self.layout, self.folded.as_mut());
         for buffer in &mut self.buffers {
             buffer.clear();
         }
     }
 
-    /// Replay any buffered partial interval and return the simulation result.
-    pub fn finish(mut self) -> SimulationResult {
+    /// Replay any buffered partial interval and return the machine's and the folded
+    /// counters.
+    pub fn finish(mut self) -> SinkResult {
         self.replay_buffered();
-        self.sim.result()
+        let machine = self.sim.result();
+        let folded = match &self.folded {
+            Some(folded) => self.sim.folded_result(folded),
+            None => machine.clone(),
+        };
+        SinkResult { machine, folded }
     }
 }
 

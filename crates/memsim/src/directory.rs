@@ -70,7 +70,9 @@ impl Directory {
         *self.mask_mut(line) &= !(1u64 << proc);
     }
 
-    /// Number of lines with at least one sharer (diagnostic; walks the masks).
+    /// Number of lines with at least one sharer (walks the masks).  Where the masks
+    /// hold residency no mask returns to zero, so this is the number of lines ever
+    /// touched: the misses of a 1-processor replay of the same accesses.
     pub fn tracked_lines(&self) -> usize {
         self.masks.iter().filter(|&&m| m != 0).count()
     }

@@ -24,11 +24,16 @@
 //!   per-processor LRU caches do and the masks mirror them.  Each interval replays
 //!   every TLB in its own processor's program order before interleaving the caches.
 //!   [`coherence::SimSink`] replays *streaming* traces (one synchronization interval
-//!   buffered at a time, no materialized trace) with byte-identical counters.  The
-//!   original scan-based simulator lives beside the equivalence tests
-//!   (`tests/reference/`) as the executable specification both regimes and both
-//!   replay paths are checked against.
-//! * [`sharing`] — the page-sharing analyses behind Figures 1, 2, 4, 5 and 6.
+//!   buffered at a time, no materialized trace) with byte-identical counters, and
+//!   from the same pass the counters of the run folded onto one processor (streams
+//!   in processor order): one more TLB, and the nonzero sharer masks as the misses
+//!   wherever the masks hold residency.  The original scan-based simulator lives
+//!   beside the equivalence tests (`tests/reference/`) as the executable
+//!   specification both regimes, both replay paths and the folded counters are
+//!   checked against.
+//! * [`sharing`] — the page-sharing analyses behind Figures 1, 2, 4, 5 and 6, reduced
+//!   from each processor's unit sets over a whole run
+//!   ([`sharing::ProcessorUnitSetsSink`], fed by a live run or a replayed trace).
 //! * [`origin::OriginPreset`] — the Origin 2000 cache/TLB/page parameters and a simple
 //!   cost model that converts miss counts into estimated execution times for the
 //!   Figure 7 speedup comparison.
@@ -66,8 +71,10 @@ pub mod sharing;
 pub mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use coherence::{MultiprocessorSim, ProcessorStats, SimSink, SimulationResult};
+pub use coherence::{MultiprocessorSim, ProcessorStats, SimSink, SimulationResult, SinkResult};
 pub use directory::Directory;
 pub use origin::{CostModel, OriginPreset};
-pub use sharing::{page_sharing, page_update_map, processor_unit_sets, PageSharingReport};
+pub use sharing::{
+    page_sharing, page_update_map, processor_unit_sets, PageSharingReport, ProcessorUnitSetsSink,
+};
 pub use tlb::{Tlb, TlbConfig, TlbStats};

@@ -3,10 +3,13 @@
 //! Figure 1 (and Figure 4 after reordering) show *which pages each processor updates*
 //! for the 168-particle example; Figures 2 and 5 plot, for the 32 768-particle run, the
 //! *number of processors sharing each page* of the particle array, before and after
-//! Hilbert reordering.  Both are pure functions of the trace and the object layout,
-//! computed here.
+//! Hilbert reordering.  Both are pure functions of each processor's unit sets over the
+//! whole run, which [`ProcessorUnitSetsSink`] reduces as the run streams in (or as a
+//! materialized trace is replayed into it).
 
-use smtrace::{DenseSet, ObjectLayout, ProgramTrace, SharingHistogram, UnitAccessSets};
+use smtrace::{
+    Access, DenseSet, ObjectLayout, ProgramTrace, SharingHistogram, TraceSink, UnitAccessSets,
+};
 
 /// The per-page sharing report for one trace at one consistency-unit size.
 #[derive(Debug, Clone)]
@@ -94,24 +97,70 @@ impl PageSharingReport {
     }
 }
 
-/// Each processor's unit and written-object sets over the whole trace: one pass over
-/// its stream across every interval, straight into one set.
+/// A [`TraceSink`] that reduces a whole run to each processor's [`UnitAccessSets`]:
+/// every access folds into its processor's one set as it arrives, whatever interval it
+/// falls in, so no access is buffered and no trace is materialized.  Figures 1, 2, 4
+/// and 5 stream their runs straight into it.
+#[derive(Debug)]
+pub struct ProcessorUnitSetsSink {
+    layout: ObjectLayout,
+    unit_bytes: usize,
+    per_proc: Vec<UnitAccessSets>,
+}
+
+impl ProcessorUnitSetsSink {
+    /// Start a reduction over consistency units of `unit_bytes` bytes for an object
+    /// array with the given layout, partitioned over `num_procs` virtual processors.
+    ///
+    /// # Panics
+    /// Panics if `num_procs` or `unit_bytes` is zero.
+    pub fn new(layout: ObjectLayout, num_procs: usize, unit_bytes: usize) -> Self {
+        assert!(num_procs > 0, "num_procs must be positive");
+        assert!(unit_bytes > 0, "unit_bytes must be positive");
+        ProcessorUnitSetsSink {
+            layout,
+            unit_bytes,
+            per_proc: vec![UnitAccessSets::default(); num_procs],
+        }
+    }
+
+    /// Each processor's sets over everything streamed in.
+    pub fn finish(self) -> Vec<UnitAccessSets> {
+        self.per_proc
+    }
+}
+
+impl TraceSink for ProcessorUnitSetsSink {
+    fn num_procs(&self) -> usize {
+        self.per_proc.len()
+    }
+
+    fn record(&mut self, proc: usize, access: Access) {
+        self.per_proc[proc].add(access, &self.layout, self.unit_bytes);
+    }
+
+    fn lock(&mut self, _proc: usize, _lock: u32) {}
+
+    fn barrier(&mut self) {}
+
+    fn record_many(&mut self, proc: usize, accesses: &[Access]) {
+        let sets = &mut self.per_proc[proc];
+        for &a in accesses {
+            sets.add(a, &self.layout, self.unit_bytes);
+        }
+    }
+}
+
+/// Each processor's unit and written-object sets over the whole trace: the trace
+/// replayed into a [`ProcessorUnitSetsSink`].
 pub fn processor_unit_sets(
     trace: &ProgramTrace,
     layout: &ObjectLayout,
     unit_bytes: usize,
 ) -> Vec<UnitAccessSets> {
-    (0..trace.num_procs)
-        .map(|p| {
-            let mut sets = UnitAccessSets::default();
-            for interval in &trace.intervals {
-                for &a in &interval.accesses[p] {
-                    sets.add(a, layout, unit_bytes);
-                }
-            }
-            sets
-        })
-        .collect()
+    let mut sink = ProcessorUnitSetsSink::new(layout.clone(), trace.num_procs, unit_bytes);
+    trace.replay_into(&mut sink);
+    sink.finish()
 }
 
 /// Compute the aggregate sharing report over the whole trace: a processor counts as

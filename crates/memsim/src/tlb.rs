@@ -227,12 +227,48 @@ impl Tlb {
     /// Panics if a page is outside the footprint the TLB was built for.
     #[inline]
     pub fn translate_spans(&mut self, spans: impl IntoIterator<Item = (u64, u64)>) {
-        let (hits, misses) = match &mut self.store {
-            Store::FirstTouch(touched) => tally(spans, |page| first_touch(touched, page)),
-            Store::Lru(lru) => tally(spans, |page| lru.access(page)),
+        let [hits] = match &mut self.store {
+            Store::FirstTouch(touched) => tally(spans, |page| [first_touch(touched, page)]),
+            Store::Lru(lru) => tally(spans, |page| [lru.access(page)]),
         };
-        self.stats.hits += hits;
-        self.stats.misses += misses;
+        self.stats.add(hits);
+    }
+
+    /// Translate the same spans through this TLB and `other` in one pass: the
+    /// counters of calling [`Tlb::translate_spans`] on each.  Both see the same pages,
+    /// so a repeat of the page just translated is a hit in both, decided once.
+    ///
+    /// # Panics
+    /// Panics if a page is outside the footprint either TLB was built for.
+    #[inline]
+    pub fn translate_spans_with(
+        &mut self,
+        other: &mut Tlb,
+        spans: impl IntoIterator<Item = (u64, u64)>,
+    ) {
+        let [hits, other_hits] = match (&mut self.store, &mut other.store) {
+            (Store::FirstTouch(a), Store::FirstTouch(b)) => {
+                tally(spans, |page| [first_touch(a, page), first_touch(b, page)])
+            }
+            (Store::FirstTouch(a), Store::Lru(b)) => {
+                tally(spans, |page| [first_touch(a, page), b.access(page)])
+            }
+            (Store::Lru(a), Store::FirstTouch(b)) => {
+                tally(spans, |page| [a.access(page), first_touch(b, page)])
+            }
+            (Store::Lru(a), Store::Lru(b)) => tally(spans, |page| [a.access(page), b.access(page)]),
+        };
+        self.stats.add(hits);
+        other.stats.add(other_hits);
+    }
+}
+
+impl TlbStats {
+    /// Count a run of translations, `(hits, misses)`.
+    #[inline(always)]
+    fn add(&mut self, (hits, misses): (u64, u64)) {
+        self.hits += hits;
+        self.misses += misses;
     }
 }
 
@@ -248,26 +284,28 @@ fn first_touch(touched: &mut [bool], page: u64) -> bool {
     false
 }
 
-/// Run `translate` over the pages of `spans` (see [`Tlb::translate_spans`]), returning
-/// the (hits, misses).
+/// Run `translate` over the pages of `spans` (see [`Tlb::translate_spans`]) for `N`
+/// TLBs at once, returning each one's (hits, misses).
 ///
 /// The page just translated is always the most recently used one and is resident in
 /// every store, so a repeat of it — consecutive objects on one page, the common case
 /// once data is reordered — is a hit decided in a register, without calling
 /// `translate` or touching memory.
 #[inline(always)]
-fn tally(
+fn tally<const N: usize>(
     spans: impl IntoIterator<Item = (u64, u64)>,
-    mut translate: impl FnMut(u64) -> bool,
-) -> (u64, u64) {
-    let (mut hits, mut translations) = (0u64, 0u64);
+    mut translate: impl FnMut(u64) -> [bool; N],
+) -> [(u64, u64); N] {
+    let (mut hits, mut repeats, mut translations) = ([0u64; N], 0u64, 0u64);
     let mut mru = None;
     let mut visit = |page: u64| {
         translations += 1;
         if mru == Some(page) {
-            hits += 1;
+            repeats += 1;
         } else {
-            hits += u64::from(translate(page));
+            for (hits, hit) in hits.iter_mut().zip(translate(page)) {
+                *hits += u64::from(hit);
+            }
             mru = Some(page);
         }
     };
@@ -277,7 +315,7 @@ fn tally(
             visit(last);
         }
     }
-    (hits, translations - hits)
+    hits.map(|hits| (hits + repeats, translations - hits - repeats))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Equivalence suite for the streaming replay pipeline: for arbitrary traces, the
-//! directory machine — replaying a materialized trace, consuming a stream through
-//! [`SimSink`], or folding a P-processor trace onto one processor — must produce
+//! directory machine — replaying a materialized trace, or consuming a stream through
+//! [`SimSink`], which also folds the P-processor run onto one processor — must produce
 //! *identical* per-processor cache/TLB/coherence counters to the scan-based
 //! [`ReferenceSim`] oracle in `reference/`, in both residency regimes (sharer masks
 //! alone when the footprint cannot overflow a set, LRU caches otherwise) and on both
@@ -11,9 +11,12 @@ mod reference;
 
 use proptest::prelude::*;
 
-use memsim::{CacheConfig, MultiprocessorSim, SimSink, TlbConfig};
-use reference::ReferenceSim;
-use smtrace::{Access, AccessKind, ObjectLayout, TraceBuilder, TraceSink, UnitSetsSink};
+use memsim::{CacheConfig, MultiprocessorSim, SimSink, SinkResult, TlbConfig};
+use reference::{run_trace_folded, ReferenceSim};
+use smtrace::{
+    Access, AccessKind, ObjectLayout, ProgramTrace, ShardSet, SyncEvent, TraceBuilder, TraceSink,
+    UnitSetsSink,
+};
 
 /// One randomized trace event: an access, a lock, or a barrier.
 #[derive(Debug, Clone, Copy)]
@@ -48,6 +51,46 @@ fn drive(events: &[Event], sink: &mut dyn TraceSink) {
             }
             Event::Lock { proc, lock } => sink.lock(proc, lock),
             Event::Barrier => sink.barrier(),
+        }
+    }
+}
+
+/// Stream `trace` into `sink` the ways generation delivers it, interval `k` by
+/// `arrivals[k % arrivals.len()]`: 0 records every access on its own, round-robin
+/// across processors; 1 hands each processor's stream over as one `record_many`
+/// batch; 2 fills a `ShardSet` and drains it.  A trailing interval gets no barrier,
+/// as in `ProgramTrace::replay_into`.
+fn stream_mixed(trace: &ProgramTrace, arrivals: &[usize], sink: &mut impl TraceSink) {
+    let mut shards = ShardSet::new(trace.num_procs);
+    for (k, interval) in trace.intervals.iter().enumerate() {
+        let streams = &interval.accesses;
+        match arrivals[k % arrivals.len()] {
+            0 => {
+                let longest = streams.iter().map(Vec::len).max().unwrap_or(0);
+                for i in 0..longest {
+                    for (p, stream) in streams.iter().enumerate() {
+                        if let Some(&a) = stream.get(i) {
+                            sink.record(p, a);
+                        }
+                    }
+                }
+            }
+            1 => {
+                for (p, stream) in streams.iter().enumerate() {
+                    sink.record_many(p, stream);
+                }
+            }
+            _ => {
+                for (p, stream) in streams.iter().enumerate() {
+                    for &a in stream {
+                        shards.shard_mut(p).record(a);
+                    }
+                }
+                shards.drain_open(sink);
+            }
+        }
+        if matches!(interval.closing_sync, SyncEvent::Barrier) {
+            sink.barrier();
         }
     }
 }
@@ -118,22 +161,26 @@ proptest! {
 
             let mut sink = SimSink::new(MultiprocessorSim::new(procs, cache, tlb), layout.clone());
             drive(&events, &mut sink);
-            let streamed = sink.finish();
+            let streamed = sink.finish().machine;
             prop_assert_eq!(&expected, &streamed, "streaming replay diverged");
         }
     }
 
-    /// Folding a P-processor trace onto one processor equals replaying, on the machine
-    /// and on the reference simulator, the trace whose every interval is the
+    /// The folded counters a `SimSink` derives from its P-processor pass equal
+    /// replaying, on the reference simulator, the trace whose every interval is the
     /// processor-order concatenation of the P streams, recorded through a 1-processor
-    /// `TraceBuilder` — for any P, with empty streams and empty intervals (a barrier
-    /// draws one event in five, so many intervals are short or empty and most of their
-    /// streams are empty).
+    /// `TraceBuilder` — for any P (one included), with empty streams and empty
+    /// intervals (a barrier draws one event in five, so many intervals are short or
+    /// empty and most of their streams are empty), in both residency regimes, and
+    /// whether an interval's streams arrive one access at a time, as one batch per
+    /// processor, or drained from a `ShardSet`.  The materialized folded replay in
+    /// `reference/` agrees too.
     #[test]
     fn folded_replay_matches_the_concatenated_one_processor_trace(
         procs in 1usize..=8,
         size_pick in 0usize..4,
         events in prop::collection::vec((0usize..100, 0usize..8, 0usize..64, any::<bool>()), 0..400),
+        arrivals in prop::collection::vec(0usize..3, 1..16),
     ) {
         let object_size = [32usize, 96, 136, 680][size_pick];
         let layout = ObjectLayout::new(64, object_size);
@@ -158,10 +205,15 @@ proptest! {
 
         for (cache, tlb) in machines(&layout) {
             let expected = ReferenceSim::new(1, cache, tlb).run_trace(&concatenated);
-            let unfolded = MultiprocessorSim::new(1, cache, tlb).run_trace(&concatenated);
-            prop_assert_eq!(&expected, &unfolded, "1-processor replay diverged");
-            let folded = MultiprocessorSim::new(1, cache, tlb).run_trace_folded(&trace, &layout);
-            prop_assert_eq!(&expected, &folded, "folded replay diverged");
+            let mut sink = SimSink::new(MultiprocessorSim::new(procs, cache, tlb), layout.clone());
+            stream_mixed(&trace, &arrivals, &mut sink);
+            let SinkResult { machine, folded } = sink.finish();
+            prop_assert_eq!(&expected, &folded, "the sink's folded counters diverged");
+            let unfolded = ReferenceSim::new(procs, cache, tlb).run_trace(&trace);
+            prop_assert_eq!(&unfolded, &machine, "the sink's machine counters diverged");
+            let materialized =
+                run_trace_folded(&mut MultiprocessorSim::new(1, cache, tlb), &trace, &layout);
+            prop_assert_eq!(&expected, &materialized, "materialized folded replay diverged");
         }
     }
 

@@ -12,11 +12,18 @@
 //! It is built only from `memsim`'s public types, so it shares no code with the
 //! simulator it checks.  `proptest_replay.rs` asserts that materialized and streaming
 //! replay on the directory machine reproduce this model's counters bit-for-bit.
+//!
+//! [`run_trace_folded`] is the folded replay the directory machine once shipped: a
+//! second, materialized path to the 1-processor counters that `SimSink` now derives
+//! from its P-processor pass, checked against the same oracle.
 
 // As in the simulator crate, the loop index is the processor id.
 #![allow(clippy::needless_range_loop)]
 
-use memsim::{CacheConfig, CacheStats, ProcessorStats, SimulationResult, TlbConfig, TlbStats};
+use memsim::{
+    CacheConfig, CacheStats, MultiprocessorSim, ProcessorStats, SimulationResult, TlbConfig,
+    TlbStats,
+};
 use smtrace::{ObjectLayout, ProgramTrace};
 
 /// A set-associative LRU cache with positional (move-to-front) recency tracking.
@@ -204,6 +211,26 @@ impl ReferenceSim {
                 .collect(),
         }
     }
+}
+
+/// Replay a P-processor trace folded onto the 1-processor `machine`: each interval's
+/// streams run one after another in processor order, one `run_interval` call per
+/// stream.
+///
+/// # Panics
+/// Panics unless the machine has exactly one processor.
+pub fn run_trace_folded(
+    machine: &mut MultiprocessorSim,
+    trace: &ProgramTrace,
+    layout: &ObjectLayout,
+) -> SimulationResult {
+    assert_eq!(machine.num_procs(), 1, "a folded replay runs on a 1-processor machine");
+    for interval in &trace.intervals {
+        for stream in &interval.accesses {
+            machine.run_interval(std::slice::from_ref(stream), layout);
+        }
+    }
+    machine.result()
 }
 
 #[cfg(test)]

@@ -237,35 +237,35 @@ fn streaming_apps_match_materialized_replay_for_all_five_applications() {
     let trace = a.trace_iterations(2, procs);
     let mut sink = SimSink::new(preset.build_machine(), b.layout());
     b.stream_iterations(2, &mut sink);
-    cases.push(("Barnes-Hut", preset.build_machine().run_trace(&trace), sink.finish()));
+    cases.push(("Barnes-Hut", preset.build_machine().run_trace(&trace), sink.finish().machine));
 
     let mut a = Fmm::two_plummer(512, 12, FmmParams::default());
     let mut b = Fmm::two_plummer(512, 12, FmmParams::default());
     let trace = a.trace_iterations(1, procs);
     let mut sink = SimSink::new(preset.build_machine(), b.layout());
     b.stream_iterations(1, &mut sink);
-    cases.push(("FMM", preset.build_machine().run_trace(&trace), sink.finish()));
+    cases.push(("FMM", preset.build_machine().run_trace(&trace), sink.finish().machine));
 
     let mut a = WaterSpatial::lattice(512, 13, WaterSpatialParams::default());
     let mut b = WaterSpatial::lattice(512, 13, WaterSpatialParams::default());
     let trace = a.trace_steps(2, procs);
     let mut sink = SimSink::new(preset.build_machine(), b.layout());
     b.stream_steps(2, &mut sink);
-    cases.push(("Water-Spatial", preset.build_machine().run_trace(&trace), sink.finish()));
+    cases.push(("Water-Spatial", preset.build_machine().run_trace(&trace), sink.finish().machine));
 
     let mut a = Moldyn::lattice(600, 14, MoldynParams::default());
     let mut b = Moldyn::lattice(600, 14, MoldynParams::default());
     let trace = a.trace_steps(2, procs);
     let mut sink = SimSink::new(preset.build_machine(), b.layout());
     b.stream_steps(2, &mut sink);
-    cases.push(("Moldyn", preset.build_machine().run_trace(&trace), sink.finish()));
+    cases.push(("Moldyn", preset.build_machine().run_trace(&trace), sink.finish().machine));
 
     let mut a = Unstructured::generated(512, 15, UnstructuredParams::default());
     let mut b = Unstructured::generated(512, 15, UnstructuredParams::default());
     let trace = a.trace_sweeps(2, procs);
     let mut sink = SimSink::new(preset.build_machine(), b.layout());
     b.stream_sweeps(2, &mut sink);
-    cases.push(("Unstructured", preset.build_machine().run_trace(&trace), sink.finish()));
+    cases.push(("Unstructured", preset.build_machine().run_trace(&trace), sink.finish().machine));
 
     for (app, materialized, streamed) in cases {
         assert_eq!(materialized, streamed, "{app}: streaming diverged from materialized replay");
