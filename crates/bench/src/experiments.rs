@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use dsm::{DsmConfig, HlrcSim, NetworkCostModel, PageHistorySink, PageWriteHistory, TreadMarksSim};
+use dsm::{DsmConfig, HlrcSim, NetworkCostModel, PageHistorySink, TreadMarksSim};
 use memsim::{
     CostModel, OriginPreset, PageSharingReport, ProcessorUnitSetsSink, SimSink, SimulationResult,
     SinkResult,
@@ -203,20 +203,18 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
     ExperimentSpec {
         id: "bench_sim_throughput",
         aliases: &["sim-throughput", "sim_throughput", "bench-sim-throughput"],
-        title: "Sim-throughput bench: trace replay paths through the Origin 2000 model",
+        title: "Sim-throughput bench: streaming trace replay through the Origin 2000 model",
         columns: &[
             "app", "n", "procs", "path", "accesses", "replay_ms", "maccess_s", "l2_misses",
-            "tlb_misses", "coherence_misses", "speedup_vs_materialized",
+            "tlb_misses", "coherence_misses",
         ],
         notes: &[
-            "Paths: `materialized` replays a recorded ProgramTrace through the directory",
-            "machine (sharer bitmasks, generation-timestamp LRU, batched intervals);",
-            "`streaming` feeds the same accesses through a SimSink interval-by-interval, the",
-            "path Origin cells use to simulate without materializing a trace; its one pass",
-            "also yields the counters folded onto one processor (an extra TLB per stream).",
-            "Both paths are asserted to produce identical per-processor cache/TLB/coherence",
-            "counters; expected shape: streaming slower than materialized by about the",
-            "folded TLB's share, and faster than two materialized replays.  FMM is sized",
+            "Path: `streaming` feeds a recorded trace through a SimSink interval-by-interval",
+            "into the directory machine (sharer bitmasks, generation-timestamp LRU, batched",
+            "intervals), the path Origin cells use to simulate without materializing a",
+            "trace; its one pass also yields the counters folded onto one processor (an",
+            "extra TLB per stream).  Its counters are pinned against the reference",
+            "simulators by memsim's proptest_replay, not re-checked here.  FMM is sized",
             "like Barnes-Hut (not Scale::size_of, which reflects FMM's compute cost) so its",
             "object array exceeds the simulated TLB reach, the regime every paper-scale",
             "workload replays in.  Cells run sequentially for honest wall-clock.",
@@ -226,19 +224,17 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
     ExperimentSpec {
         id: "bench_dsm_throughput",
         aliases: &["dsm-throughput", "dsm_throughput", "bench-dsm-throughput"],
-        title: "DSM-throughput bench: trace-to-stats paths through the TreadMarks/HLRC models",
+        title: "DSM-throughput bench: streaming trace-to-stats through the TreadMarks/HLRC models",
         columns: &[
             "app", "workload", "n", "procs", "path", "accesses", "replay_ms", "maccess_s",
-            "tmk_messages", "tmk_mb", "hlrc_messages", "hlrc_mb", "speedup_vs_materialized",
+            "tmk_messages", "tmk_mb", "hlrc_messages", "hlrc_mb",
         ],
         notes: &[
-            "Paths: `materialized` reduces a recorded ProgramTrace once with",
-            "PageWriteHistory::build and feeds both parallel simulators; `streaming` replays the",
-            "trace through a PageHistorySink — the marking reduction DSM cells run while they",
-            "generate, which `build` also replays into — and feeds the same simulators.  Both",
-            "paths' DsmRunResults (aggregate and per-processor, both protocols) are asserted",
-            "bit-identical; expected shape: streaming within noise of materialized.  Cells",
-            "run sequentially for honest wall-clock.",
+            "Path: `streaming` replays a recorded trace through a PageHistorySink — the",
+            "marking reduction DSM cells run while they generate — and feeds the history to",
+            "both parallel simulators (TreadMarks and HLRC).  The reduction is pinned",
+            "against the reference pipeline by dsm's proptest_pipeline, not re-checked",
+            "here.  Cells run sequentially for honest wall-clock.",
         ],
         run: run_bench_dsm_throughput,
     },
@@ -1093,61 +1089,32 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
         let accesses = run.trace.total_accesses() as u64;
         let preset = OriginPreset::origin2000(procs);
 
-        // Path 1 — the directory machine over the materialized trace.
-        let mut mat_ms = f64::INFINITY;
-        let mut mat_result = None;
-        for _ in 0..repetitions {
-            let mut machine = preset.build_machine();
-            let t0 = Instant::now();
-            let result = machine.run_trace_with_layout(&run.trace, &run.layout);
-            mat_ms = mat_ms.min(ms(t0));
-            mat_result = Some(result);
-        }
-        let mat_result = mat_result.expect("at least one repetition");
-
-        // Path 2 — the directory machine fed through the streaming sink.
+        // The directory machine fed through the streaming sink.
         let mut stream_ms = f64::INFINITY;
-        let mut stream_result = None;
+        let mut result = None;
         for _ in 0..repetitions {
             let mut sink = SimSink::new(preset.build_machine(), run.layout.clone());
             let t0 = Instant::now();
             run.trace.replay_into(&mut sink);
-            let result = sink.finish().machine;
+            result = Some(sink.finish().machine);
             stream_ms = stream_ms.min(ms(t0));
-            stream_result = Some(result);
         }
-        let stream_result = stream_result.expect("at least one repetition");
-
-        // Identical counters across both paths is a hard correctness requirement, not
-        // a statistical expectation — a divergence here is a simulator bug.
-        assert_eq!(
-            mat_result,
-            stream_result,
-            "streaming replay diverged from materialized replay for {}",
-            app.name()
-        );
-
-        let paths: [(&str, f64, &SimulationResult); 2] =
-            [("materialized", mat_ms, &mat_result), ("streaming", stream_ms, &stream_result)];
-        for (path, path_ms, result) in paths {
-            rows.push(row![
-                app.name(),
-                run.num_objects,
-                procs,
-                path,
-                accesses,
-                path_ms,
-                accesses as f64 / (path_ms * 1e-3) / 1e6,
-                result.l2_misses(),
-                result.tlb_misses(),
-                result.coherence_misses(),
-                mat_ms / path_ms
-            ]);
-        }
+        let result = result.expect("at least one repetition");
+        rows.push(row![
+            app.name(),
+            run.num_objects,
+            procs,
+            "streaming",
+            accesses,
+            stream_ms,
+            accesses as f64 / (stream_ms * 1e-3) / 1e6,
+            result.l2_misses(),
+            result.tlb_misses(),
+            result.coherence_misses()
+        ]);
     }
-    // Summary rows: aggregate throughput over all five applications plus the geomean
-    // per-application speedup — the headline replay-throughput claim.
-    for s in summarize_bench_paths(&rows, &["materialized", "streaming"], 3, 4, 5, &[7, 8, 9], 10) {
+    // Summary row: aggregate throughput and counters over all five applications.
+    for s in summarize_bench_paths(&rows, &["streaming"], 3, 4, 5, &[7, 8, 9], None) {
         rows.push(row![
             "(all)",
             0usize,
@@ -1158,8 +1125,7 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
             s.maccess_s,
             s.col_sums[0],
             s.col_sums[1],
-            s.col_sums[2],
-            s.geomean_speedup
+            s.col_sums[2]
         ]);
     }
     rows
@@ -1173,14 +1139,14 @@ struct PathSummary {
     maccess_s: f64,
     /// Sums of the caller's extra counter columns, in the order requested.
     col_sums: Vec<u64>,
-    /// Geometric mean of the per-application speedup column.
-    geomean_speedup: f64,
+    /// Geometric mean of the caller's per-application speedup column, if any.
+    geomean_speedup: Option<f64>,
 }
 
 /// Aggregate the `(all)` summary per path: total accesses and wall-clock, aggregate
 /// throughput, sums of the requested counter columns, and the geomean per-application
-/// speedup.  Shared by the sim-, dsm- and trace-throughput benches, which differ only in
-/// column layout and path names.
+/// speedup when the bench has a speedup column.  Shared by the sim-, dsm- and
+/// trace-throughput benches, which differ only in column layout and path names.
 fn summarize_bench_paths(
     rows: &[Row],
     paths: &[&'static str],
@@ -1188,7 +1154,7 @@ fn summarize_bench_paths(
     accesses_col: usize,
     ms_col: usize,
     sum_cols: &[usize],
-    speedup_col: usize,
+    speedup_col: Option<usize>,
 ) -> Vec<PathSummary> {
     let cell = |r: &Row, i: usize| match &r.cells[i] {
         crate::runner::Value::Int(v) => *v as f64,
@@ -1205,10 +1171,10 @@ fn summarize_bench_paths(
                 .collect();
             let accesses: f64 = path_rows.iter().map(|r| cell(r, accesses_col)).sum();
             let ms: f64 = path_rows.iter().map(|r| cell(r, ms_col)).sum();
-            let geomean_speedup =
-                (path_rows.iter().map(|r| cell(r, speedup_col).ln()).sum::<f64>()
-                    / path_rows.len() as f64)
-                    .exp();
+            let geomean_speedup = speedup_col.map(|c| {
+                (path_rows.iter().map(|r| cell(r, c).ln()).sum::<f64>() / path_rows.len() as f64)
+                    .exp()
+            });
             PathSummary {
                 path,
                 accesses: accesses as u64,
@@ -1248,24 +1214,10 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
         let run = build_run(app, crate::Ordering::Original, scale, procs, seed);
         let accesses = run.trace.total_accesses() as u64;
 
-        // Path 1 — one flat reduction of the materialized trace feeds both parallel
-        // simulators.
-        let mut mat_ms = f64::INFINITY;
-        let mut mat_results = None;
-        for _ in 0..repetitions {
-            let t0 = Instant::now();
-            let history = PageWriteHistory::build(&run.trace, &run.layout, config.page_bytes);
-            let tmk = TreadMarksSim::new(config).run_history(&history);
-            let hlrc = HlrcSim::new(config).run_history(&history);
-            mat_ms = mat_ms.min(ms(t0));
-            mat_results = Some((tmk, hlrc));
-        }
-        let mat_results = mat_results.expect("at least one repetition");
-
-        // Path 2 — the trace streams through a PageHistorySink (the no-materialized-
-        // trace path applications use) into the same simulators.
+        // The trace streams through a PageHistorySink (the reduction DSM cells run
+        // while they generate) into both parallel simulators.
         let mut stream_ms = f64::INFINITY;
-        let mut stream_results = None;
+        let mut results = None;
         for _ in 0..repetitions {
             let t0 = Instant::now();
             let mut sink = PageHistorySink::new(run.layout.clone(), procs, config.page_bytes);
@@ -1274,46 +1226,26 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
             let tmk = TreadMarksSim::new(config).run_history(&history);
             let hlrc = HlrcSim::new(config).run_history(&history);
             stream_ms = stream_ms.min(ms(t0));
-            stream_results = Some((tmk, hlrc));
+            results = Some((tmk, hlrc));
         }
-        let stream_results = stream_results.expect("at least one repetition");
-
-        // Bit-identical DsmRunResults (aggregate + per-processor, both protocols)
-        // across both paths is a hard correctness requirement, not a statistical
-        // expectation — a divergence here is a pipeline bug.
-        assert_eq!(
-            mat_results,
-            stream_results,
-            "streaming DSM pipeline diverged from the materialized one for {}",
-            app.name()
-        );
-
-        // Each path's row reports that path's *own* protocol counters (asserted
-        // identical above), so the CI artifact check can independently re-verify the
-        // cross-path agreement.
-        let paths: [(&str, f64, &(dsm::DsmRunResult, dsm::DsmRunResult)); 2] =
-            [("materialized", mat_ms, &mat_results), ("streaming", stream_ms, &stream_results)];
-        for (path, path_ms, (tmk, hlrc)) in paths {
-            rows.push(row![
-                app.name(),
-                workload,
-                run.num_objects,
-                procs,
-                path,
-                accesses,
-                path_ms,
-                accesses as f64 / (path_ms * 1e-3) / 1e6,
-                tmk.stats.messages,
-                tmk.stats.data_mbytes(),
-                hlrc.stats.messages,
-                hlrc.stats.data_mbytes(),
-                mat_ms / path_ms
-            ]);
-        }
+        let (tmk, hlrc) = results.expect("at least one repetition");
+        rows.push(row![
+            app.name(),
+            workload,
+            run.num_objects,
+            procs,
+            "streaming",
+            accesses,
+            stream_ms,
+            accesses as f64 / (stream_ms * 1e-3) / 1e6,
+            tmk.stats.messages,
+            tmk.stats.data_mbytes(),
+            hlrc.stats.messages,
+            hlrc.stats.data_mbytes()
+        ]);
     }
-    // Summary rows: aggregate throughput over the three applications plus the geomean
-    // per-application speedup — the headline pipeline-throughput claim.
-    for s in summarize_bench_paths(&rows, &["materialized", "streaming"], 4, 5, 6, &[], 12) {
+    // Summary row: aggregate throughput over the three applications.
+    for s in summarize_bench_paths(&rows, &["streaming"], 4, 5, 6, &[], None) {
         rows.push(row![
             "(all)",
             "-",
@@ -1326,8 +1258,7 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
             0u64,
             0.0f64,
             0u64,
-            0.0f64,
-            s.geomean_speedup
+            0.0f64
         ]);
     }
     rows
@@ -1433,7 +1364,7 @@ fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
     }
     // Summary rows: aggregate throughput over all five applications plus the geomean
     // per-application speedup — the headline decode-bound-replay claim.
-    for s in summarize_bench_paths(&rows, &["live", "replay"], 3, 4, 5, &[9, 10, 11], 12) {
+    for s in summarize_bench_paths(&rows, &["live", "replay"], 3, 4, 5, &[9, 10, 11], Some(12)) {
         rows.push(row![
             "(all)",
             0usize,
@@ -1447,7 +1378,7 @@ fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
             s.col_sums[0],
             s.col_sums[1],
             s.col_sums[2],
-            s.geomean_speedup
+            s.geomean_speedup.expect("trace-throughput has a speedup column")
         ]);
     }
     rows
@@ -1563,36 +1494,30 @@ mod tests {
     }
 
     #[test]
-    fn sim_throughput_bench_covers_all_apps_and_paths() {
+    fn sim_throughput_bench_streams_every_app() {
         let spec = find("sim-throughput").unwrap();
         assert_eq!(spec.id, "bench_sim_throughput");
         let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: Some(4), seed: None });
-        // 5 applications × 2 replay paths, plus one summary row per path; the run
-        // itself asserts that both paths produced identical per-processor counters.
-        assert_eq!(result.rows.len(), 12);
+        // 5 applications on the streaming path, plus one summary row.
+        assert_eq!(result.rows.len(), 6);
         let json = result.render(Format::Json);
-        assert!(json.contains("\"path\": \"materialized\""));
-        assert!(json.contains("\"path\": \"streaming\""));
+        assert_eq!(json.matches("\"path\": \"streaming\"").count(), 6);
         assert!(json.contains("\"app\": \"(all)\""));
-        assert!(json.contains("\"speedup_vs_materialized\": 1"), "materialized vs itself is 1.0");
     }
 
     #[test]
-    fn dsm_throughput_bench_covers_all_apps_and_paths() {
+    fn dsm_throughput_bench_streams_every_app() {
         let spec = find("dsm-throughput").unwrap();
         assert_eq!(spec.id, "bench_dsm_throughput");
         let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: Some(4), seed: None });
-        // 3 applications × 2 pipeline paths, plus one summary row per path; the run
-        // itself asserts that both paths produced bit-identical DsmRunResults.
-        assert_eq!(result.rows.len(), 8);
+        // 3 applications on the streaming path, plus one summary row.
+        assert_eq!(result.rows.len(), 4);
         let json = result.render(Format::Json);
-        assert!(json.contains("\"path\": \"materialized\""));
-        assert!(json.contains("\"path\": \"streaming\""));
+        assert_eq!(json.matches("\"path\": \"streaming\"").count(), 4);
         assert!(json.contains("\"workload\": \"plummer\""));
         assert!(json.contains("\"workload\": \"mesh\""));
         assert!(json.contains("\"workload\": \"lattice\""));
         assert!(json.contains("\"app\": \"(all)\""));
-        assert!(json.contains("\"speedup_vs_materialized\": 1"), "materialized vs itself is 1.0");
     }
 
     #[test]

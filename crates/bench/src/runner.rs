@@ -11,14 +11,14 @@
 //! Execution lives in [`crate::scheduler`]: a spec runs only under
 //! [`Scheduler::execute`] (plain [`ExperimentSpec::execute`] delegates to a
 //! pool-sized scheduler), and its cells run only through
-//! [`crate::scheduler::run_keyed_cells`] — guarded per attempt, retried under a
-//! [`FaultPolicy`](crate::scheduler::FaultPolicy), and classified into
-//! [`CellOutcome`]s that every output format ships alongside the surviving rows.
-//! See DESIGN.md §13 for the fault model.
+//! [`crate::scheduler::run_keyed_cells`] — each run once under a panic guard,
+//! with every failure classified into a [`CellOutcome`] that every output
+//! format ships alongside the surviving rows.  See DESIGN.md §13 for the fault
+//! model.
 
 use std::fmt::Write as _;
 
-use crate::scheduler::{CellOutcome, CellStatus, JobSession, Scheduler};
+use crate::scheduler::{CellOutcome, JobSession, Scheduler};
 use crate::{fmt_f, Scale};
 
 /// One cell value: a label, a count, or a measurement.
@@ -167,9 +167,8 @@ impl ExperimentSpec {
         self.id == name || self.aliases.contains(&name)
     }
 
-    /// Execute the spec under a pool-sized [`Scheduler`] and a default session:
-    /// no cache, the fault policy from the environment (`XP_CELL_ATTEMPTS` /
-    /// `XP_CELL_BACKOFF_MS` / `XP_CELL_TIMEOUT_MS`).
+    /// Execute the spec under a pool-sized [`Scheduler`] and a default session
+    /// (no cache, no events, no cancellation).
     pub fn execute(&self, config: &RunConfig) -> ExperimentResult {
         Scheduler::pool_sized().execute(self, config, JobSession::default())
     }
@@ -222,33 +221,30 @@ pub struct ExperimentResult {
     pub config: RunConfig,
     /// Data rows.
     pub rows: Vec<Row>,
-    /// Interesting cell outcomes (failures and retry-recoveries); empty for a
-    /// clean run, in which case every render is byte-identical to the
-    /// pre-fault-model output.
+    /// Failed cells, in cell order; empty for a clean run, in which case every
+    /// render is byte-identical to the pre-fault-model output.
     pub cell_faults: Vec<CellOutcome>,
     /// Wall-clock cost of producing the rows.
     pub elapsed_seconds: f64,
 }
 
 impl ExperimentResult {
-    /// Cells that terminally failed (every retry exhausted); recovered cells
-    /// (ok after >1 attempts) are tracked in `cell_faults` but not counted here.
+    /// Cells that failed.
     pub fn failed_cells(&self) -> usize {
-        self.cell_faults.iter().filter(|o| o.status != CellStatus::Ok).count()
+        self.cell_faults.len()
     }
 
-    /// `Some(reason)` when any cell terminally failed — what `xp` prints before
-    /// exiting nonzero so CI cannot mistake partial results for a clean run.
+    /// `Some(reason)` when any cell failed — what `xp` prints before exiting
+    /// nonzero so CI cannot mistake partial results for a clean run.
     pub fn failure_error(&self) -> Option<String> {
-        let first = self.cell_faults.iter().find(|o| o.status != CellStatus::Ok)?;
+        let first = self.cell_faults.first()?;
         Some(format!(
-            "experiment {:?}: {} cell(s) failed (first: cell {} {} after {} attempts: {})",
+            "experiment {:?}: {} cell(s) failed (first: cell {} {}: {})",
             self.id,
             self.failed_cells(),
             first.cell,
             first.status.name(),
-            first.attempts,
-            first.error.as_deref().unwrap_or("no error message")
+            first.error
         ))
     }
 
@@ -291,26 +287,14 @@ impl ExperimentResult {
         if !self.cell_faults.is_empty() {
             let _ = writeln!(out, "\ncell faults ({} failed):", self.failed_cells());
             for outcome in &self.cell_faults {
-                match &outcome.error {
-                    Some(error) => {
-                        let _ = writeln!(
-                            out,
-                            "  cell {}: {} after {} attempts ({:.2}s): {}",
-                            outcome.cell,
-                            outcome.status.name(),
-                            outcome.attempts,
-                            outcome.elapsed_seconds,
-                            error
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(
-                            out,
-                            "  cell {}: recovered on attempt {} ({:.2}s)",
-                            outcome.cell, outcome.attempts, outcome.elapsed_seconds
-                        );
-                    }
-                }
+                let _ = writeln!(
+                    out,
+                    "  cell {}: {} ({:.2}s): {}",
+                    outcome.cell,
+                    outcome.status.name(),
+                    outcome.elapsed_seconds,
+                    outcome.error
+                );
             }
         }
         let _ = writeln!(
@@ -359,20 +343,15 @@ impl ExperimentResult {
             let _ = writeln!(out, "  \"cells_failed\": {},", self.failed_cells());
             out.push_str("  \"cell_faults\": [\n");
             for (i, outcome) in self.cell_faults.iter().enumerate() {
-                let error = match &outcome.error {
-                    Some(error) => json_string(error),
-                    None => "null".to_string(),
-                };
                 let comma = if i + 1 < self.cell_faults.len() { "," } else { "" };
                 let _ = writeln!(
                     out,
-                    "    {{\"cell\": {}, \"status\": {}, \"attempts\": {}, \
-                     \"elapsed_seconds\": {}, \"error\": {}}}{comma}",
+                    "    {{\"cell\": {}, \"status\": {}, \"elapsed_seconds\": {}, \
+                     \"error\": {}}}{comma}",
                     outcome.cell,
                     json_string(outcome.status.name()),
-                    outcome.attempts,
                     json_f64(outcome.elapsed_seconds),
-                    error
+                    json_string(&outcome.error)
                 );
             }
             out.push_str("  ],\n");
@@ -402,11 +381,10 @@ impl ExperimentResult {
         for outcome in &self.cell_faults {
             let _ = writeln!(
                 out,
-                "# cell-fault,cell={},status={},attempts={},error={}",
+                "# cell-fault,cell={},status={},error={}",
                 outcome.cell,
                 outcome.status.name(),
-                outcome.attempts,
-                csv_field(&outcome.error.clone().unwrap_or_default().replace('\n', " "))
+                csv_field(&outcome.error.replace('\n', " "))
             );
         }
         out

@@ -3,16 +3,16 @@
 //!
 //! - [`Scheduler::execute`] is the only way a spec runs.  It installs one
 //!   thread-local job context around the spec's `run` function; the context
-//!   carries the fault policy, the outcome list, the optional cache, event
-//!   stream, cancel flag and counters, and a handle on the fair slot queue.
+//!   carries the outcome list, the optional cache, event stream, cancel flag
+//!   and counters, and a handle on the fair slot queue.
 //!   Plain `ExperimentSpec::execute` delegates here with a pool-sized scheduler
 //!   and a default session.
 //! - [`run_keyed_cells`] is the only way a cell runs.  Every cell carries a
 //!   [`CellKey`] content address ([`crate::cache`]); when the job has a cache,
-//!   hits skip computation and terminal successes are written back.  Each
-//!   attempt runs under `catch_unwind` with deterministic backoff rounds and a
-//!   classify-not-preempt watchdog (DESIGN.md §13).  Called outside
-//!   `Scheduler::execute` it panics: there are no bare cells.
+//!   hits skip computation and successes are written back.  Each pending cell
+//!   runs exactly once, under `catch_unwind` (DESIGN.md §13): a cell is a pure
+//!   function of its key, so a failure is reported, not retried.  Called
+//!   outside `Scheduler::execute` it panics: there are no bare cells.
 //! - [`Scheduler`]: a bounded, *fair* slot queue shared by every in-flight
 //!   experiment.  Cell waves only fan out onto the rayon pool after acquiring
 //!   slots; experiments with waiting waves are granted slots round-robin, so one
@@ -40,21 +40,16 @@ use crate::runner::{ExperimentResult, ExperimentSpec, Row, RunConfig};
 /// wakes it: another process's publish or release signals no condvar here.
 const PARK_POLL: Duration = Duration::from_millis(50);
 
-/// How one cell of an experiment ended up, after all retries.
+/// How one cell of an experiment ended up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellStatus {
-    /// The cell produced rows (possibly only after a retry — see
-    /// [`CellOutcome::attempts`]).
+    /// The cell produced rows.
     Ok,
     /// The cell reported a failure (today only injectable via the `runner/cell`
     /// failpoint; the variant is the hook serve-managed fallible cell bodies use).
     Failed,
-    /// The cell panicked; the unwind was caught at the attempt boundary.
+    /// The cell panicked; the unwind was caught at the cell boundary.
     Panicked,
-    /// The cell finished but blew its wall-clock budget, so its rows were
-    /// discarded and the attempt retried (classify-and-retry, not preemption —
-    /// see DESIGN.md §13).
-    TimedOut,
 }
 
 impl CellStatus {
@@ -64,76 +59,25 @@ impl CellStatus {
             CellStatus::Ok => "ok",
             CellStatus::Failed => "failed",
             CellStatus::Panicked => "panicked",
-            CellStatus::TimedOut => "timed-out",
         }
     }
 }
 
-/// Per-cell fault record: what happened to cell `cell` across its attempts.
+/// Per-cell fault record: how cell `cell` failed.
 ///
-/// Only *interesting* outcomes are kept (anything not first-attempt-ok): a clean
-/// experiment carries an empty fault list and renders byte-identically to the
-/// pre-fault-model harness.  A cache hit is indistinguishable from a clean first
-/// attempt here — by construction it returns the same rows.
+/// Only failures are kept: a clean experiment carries an empty fault list and
+/// renders byte-identically to the pre-fault-model harness.  A cell runs once —
+/// it is a pure function of its key, so a second run would fail the same way.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
     /// Index of the cell in its `run_keyed_cells` call, in input order.
     pub cell: usize,
-    /// Final classification after the last attempt.
+    /// `Failed` or `Panicked`.
     pub status: CellStatus,
-    /// Attempts consumed (1..=`FaultPolicy::max_attempts`).
-    pub attempts: u32,
-    /// The last attempt's failure message (`None` once a retry succeeded).
-    pub error: Option<String>,
-    /// Wall-clock seconds of the last attempt.
+    /// The failure message (a panic's payload is preserved verbatim).
+    pub error: String,
+    /// Wall-clock seconds the cell ran before it failed.
     pub elapsed_seconds: f64,
-}
-
-/// Retry/backoff/watchdog knobs for guarded cell execution.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPolicy {
-    /// Attempts per cell before it is reported as failed (≥ 1).
-    pub max_attempts: u32,
-    /// Base backoff slept before retry round `r` (doubling each round: the delay
-    /// schedule is a pure function of the policy, so reruns are deterministic).
-    pub backoff: Duration,
-    /// Wall-clock budget per attempt; `None` disables the watchdog.
-    pub timeout: Option<Duration>,
-}
-
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy { max_attempts: 3, backoff: Duration::from_millis(25), timeout: None }
-    }
-}
-
-impl FaultPolicy {
-    /// Defaults overridden by `XP_CELL_ATTEMPTS`, `XP_CELL_BACKOFF_MS`, and
-    /// `XP_CELL_TIMEOUT_MS` (0 disables the watchdog).
-    pub fn from_env() -> Self {
-        let mut policy = FaultPolicy::default();
-        if let Some(v) = env_u64("XP_CELL_ATTEMPTS") {
-            policy.max_attempts = v.clamp(1, 1000) as u32;
-        }
-        if let Some(v) = env_u64("XP_CELL_BACKOFF_MS") {
-            policy.backoff = Duration::from_millis(v);
-        }
-        if let Some(v) = env_u64("XP_CELL_TIMEOUT_MS") {
-            policy.timeout = (v > 0).then(|| Duration::from_millis(v));
-        }
-        policy
-    }
-
-    /// Backoff before retry round `attempt` (the second attempt is round 2):
-    /// `backoff * 2^(attempt - 2)`, shift-capped so pathological attempt counts
-    /// cannot overflow.
-    fn backoff_before(&self, attempt: u32) -> Duration {
-        self.backoff * (1u32 << (attempt.saturating_sub(2)).min(10))
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -143,8 +87,7 @@ fn env_u64(name: &str) -> Option<u64> {
 /// waves, and [`Scheduler::execute`] once more after the spec returns, when the
 /// job's cancel flag is set; the serve front end's per-job `catch_unwind`
 /// classifies it as a cancellation rather than a crash.  Nothing below the wave
-/// boundary observes it — attempts in flight run to completion first (same
-/// classify-not-preempt stance as the watchdog).
+/// boundary observes it — cells in flight run to completion first.
 #[derive(Debug)]
 pub struct Cancelled {
     /// The cancelled job's id.
@@ -163,7 +106,7 @@ pub struct JobCounters {
 
 /// What one job brings to [`Scheduler::execute`]; every field is optional, and
 /// `JobSession::default()` is what plain `ExperimentSpec::execute` runs under
-/// (no cache, no events, no cancellation, the environment's fault policy).
+/// (no cache, no events, no cancellation).
 #[derive(Debug, Default, Clone)]
 pub struct JobSession {
     /// Job id for fairness, events, and [`Cancelled`].
@@ -176,27 +119,23 @@ pub struct JobSession {
     pub cancel: Option<Arc<AtomicBool>>,
     /// Hit/computed counters for the job's summary.
     pub counters: Option<Arc<JobCounters>>,
-    /// Per-job fault policy override; `None` falls back to the environment
-    /// (`XP_CELL_ATTEMPTS` / `XP_CELL_BACKOFF_MS` / `XP_CELL_TIMEOUT_MS`).
-    pub policy: Option<FaultPolicy>,
 }
 
-/// One streamed per-cell progress record (`attempt == 0` means a cache hit; a
-/// non-`Ok` status is one failed *attempt*, not necessarily a failed cell — the
-/// next event for that cell index is its retry).
+/// One streamed per-cell progress record: one per cell, whether it was a cache
+/// hit, a computed cell or a failed one.
 #[derive(Debug, Clone)]
 pub struct CellEvent {
     /// The owning job.
     pub job: u64,
     /// Cell index within its `run_keyed_cells` call.
     pub cell: usize,
-    /// This attempt's classification.
+    /// The cell's classification.
     pub status: CellStatus,
-    /// Attempt number (0 for a cache hit).
+    /// 0 for a cache hit, 1 for a computed (or failed) cell.
     pub attempt: u32,
     /// Whether the rows came from the cache.
     pub cache_hit: bool,
-    /// Wall-clock seconds of this attempt (0 for a cache hit).
+    /// Wall-clock seconds the cell ran (0 for a cache hit).
     pub elapsed_seconds: f64,
 }
 
@@ -204,7 +143,7 @@ pub struct CellEvent {
 ///
 /// Concurrency is metered in *slots* (default: the rayon pool width, overridden
 /// by `--jobs`): a job's wave of pending cells first acquires up to `slots`
-/// permits, then fans exactly that many attempts onto the pool.  Jobs waiting
+/// permits, then fans exactly that many cells onto the pool.  Jobs waiting
 /// for slots are served round-robin by job id — after each grant the job goes to
 /// the back of the rotation — which is the per-experiment fairness guarantee:
 /// with `k` experiments in flight, each gets ~`1/k` of the pool per rotation
@@ -216,7 +155,7 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler metering `jobs` concurrent cell attempts (≥ 1).
+    /// A scheduler metering `jobs` concurrent cells (≥ 1).
     pub fn new(jobs: usize) -> Scheduler {
         assert!(jobs >= 1, "a scheduler needs at least one slot");
         Scheduler { queue: Arc::new(SlotQueue::new(jobs)), next_job: AtomicU64::new(1) }
@@ -239,8 +178,8 @@ impl Scheduler {
 
     /// Execute `spec` under this scheduler: one job context is installed
     /// thread-locally around the spec's `run` function, so every cell run inside
-    /// it is guarded under the session's fault policy, metered, cached, streamed
-    /// and cancellable, and reports its outcome into the returned result.
+    /// it is guarded, metered, cached, streamed and cancellable, and reports its
+    /// failure, if any, into the returned result.
     ///
     /// Cancellation surfaces as a [`Cancelled`] unwind out of this call — between
     /// waves, or after the spec returns if the flag was set during its last wave.
@@ -262,7 +201,6 @@ impl Scheduler {
         let ctx = Rc::new(JobCtx {
             job: session.job,
             queue: Arc::clone(&self.queue),
-            policy: session.policy.unwrap_or_else(FaultPolicy::from_env),
             cache: session.cache,
             events: session.events,
             cancel: session.cancel,
@@ -303,12 +241,11 @@ impl Scheduler {
 struct JobCtx {
     job: u64,
     queue: Arc<SlotQueue>,
-    policy: FaultPolicy,
     cache: Option<Arc<CellCache>>,
     events: Option<Sender<CellEvent>>,
     cancel: Option<Arc<AtomicBool>>,
     counters: Option<Arc<JobCounters>>,
-    /// Interesting cell outcomes of every `run_keyed_cells` call of the job.
+    /// Failed cells of every `run_keyed_cells` call of the job.
     outcomes: RefCell<Vec<CellOutcome>>,
 }
 
@@ -395,7 +332,7 @@ impl Drop for SlotGrant {
 }
 
 // ---------------------------------------------------------------------------
-// Guarded cell execution (the PR 8 fault model, now wave-scheduled).
+// Guarded cell execution, wave-scheduled.
 
 /// Execute one experiment function per cell on rayon worker threads, flattening the
 /// produced rows in cell order.
@@ -403,13 +340,11 @@ impl Drop for SlotGrant {
 /// This is the parallelism point of the harness: a spec builds the independent,
 /// content-addressed cells of its method × workload × substrate matrix and the
 /// scheduler fans them out.  When the job has a cache, each key is consulted before
-/// — and filled after — computation.  Round structure: round 1 fans every pending
-/// cell out in slot-metered waves; each later round sleeps the policy's
-/// deterministic backoff, then retries only the cells that failed, panicked, or
-/// timed out.  Attempts run under `catch_unwind`, leaning on the executor's panic
-/// contract (DESIGN.md §7): a panicking cell's siblings run to completion and the
-/// pool survives for the next round.  A terminally failed cell contributes no
-/// rows; its outcome lands in the job's result.
+/// — and filled after — computation.  Every pending cell runs once, in slot-metered
+/// waves, under `catch_unwind`, leaning on the executor's panic contract
+/// (DESIGN.md §7): a panicking cell's siblings run to completion and the pool
+/// survives for the next wave.  A failed cell contributes no rows; its outcome
+/// lands in the job's result.
 ///
 /// # Panics
 /// Panics when called outside [`Scheduler::execute`]: there is no job to meter,
@@ -426,20 +361,17 @@ where
     run_guarded(cells, &keys, &ctx, &f)
 }
 
-/// The execution core: cache resolution, wave-metered rounds, retry bookkeeping.
-/// Returns the surviving rows (cell order preserved) and appends the interesting
-/// outcomes (anything not first-attempt-ok) to the job's list.
+/// The execution core: cache resolution, then slot-metered waves that run each
+/// pending cell once.  Returns the surviving rows (cell order preserved) and
+/// appends the failed cells' outcomes, in cell order, to the job's list.
 fn run_guarded<C, F>(cells: Vec<C>, keys: &[CellKey], ctx: &JobCtx, f: &F) -> Vec<Row>
 where
     C: Clone + Send,
     F: Fn(C) -> Vec<Row> + Sync,
 {
-    let policy = ctx.policy;
     let n = cells.len();
     let mut slots: Vec<Option<Vec<Row>>> = (0..n).map(|_| None).collect();
-    let mut last_failure: Vec<Option<(CellStatus, String)>> = vec![None; n];
-    let mut attempts = vec![0u32; n];
-    let mut last_elapsed = vec![0.0f64; n];
+    let mut failures: Vec<CellOutcome> = Vec::new();
     let mut pending: Vec<usize> = (0..n).collect();
 
     // Cache resolution: hits are settled here, before any slot is taken — a
@@ -477,88 +409,67 @@ where
     }
 
     loop {
-        let mut round = 0u32;
-        while !pending.is_empty() && round < policy.max_attempts.max(1) {
-            round += 1;
-            if round > 1 {
-                std::thread::sleep(policy.backoff_before(round));
-            }
-            let mut next_pending = Vec::new();
-            let mut at = 0usize;
-            while at < pending.len() {
-                check_cancelled(ctx);
-                // Meter the wave: take as many slots as the fair queue grants
-                // this turn, then clone the wave's cells on the supervising
-                // thread (cells stay `Clone + Send`, not `Sync`) and fan the
-                // attempts out.
-                let grant = ctx.queue.acquire_up_to(ctx.job, pending.len() - at);
-                let batch: Vec<(usize, C)> = pending[at..(at + grant.granted).min(pending.len())]
-                    .iter()
-                    .map(|&i| (i, cells[i].clone()))
-                    .collect();
-                at += batch.len();
-                let results: Vec<_> = batch
-                    .into_par_iter()
-                    .map(|(i, cell)| (i, run_attempt(cell, f, policy.timeout)))
-                    .collect();
-                drop(grant);
-                for (i, (result, elapsed)) in results {
-                    attempts[i] = round;
-                    last_elapsed[i] = elapsed;
-                    let status = match &result {
-                        Ok(_) => CellStatus::Ok,
-                        Err((status, _)) => *status,
-                    };
-                    match result {
-                        Ok(rows) => {
-                            // Write-back on the supervising thread: later lookups
-                            // (same sweep or same serve session) already see it.
-                            // Persistence failures degrade to in-memory caching,
-                            // loudly.
-                            if let Some(cache) = &ctx.cache {
-                                if let Err(error) = cache.insert(keys[i], Arc::new(rows.clone())) {
-                                    eprintln!(
-                                        "xp: cache write for cell {} failed: {error}",
-                                        keys[i]
-                                    );
-                                }
+        let mut at = 0usize;
+        while at < pending.len() {
+            check_cancelled(ctx);
+            // Meter the wave: take as many slots as the fair queue grants this
+            // turn, then clone the wave's cells on the supervising thread (cells
+            // stay `Clone + Send`, not `Sync`) and fan them out.
+            let grant = ctx.queue.acquire_up_to(ctx.job, pending.len() - at);
+            let batch: Vec<(usize, C)> = pending[at..(at + grant.granted).min(pending.len())]
+                .iter()
+                .map(|&i| (i, cells[i].clone()))
+                .collect();
+            at += batch.len();
+            let results: Vec<_> =
+                batch.into_par_iter().map(|(i, cell)| (i, run_cell(cell, f))).collect();
+            drop(grant);
+            for (i, (result, elapsed)) in results {
+                let status = match result {
+                    Ok(rows) => {
+                        // Write-back on the supervising thread: later lookups (same
+                        // sweep or same serve session) already see it.  Persistence
+                        // failures degrade to in-memory caching, loudly.
+                        if let Some(cache) = &ctx.cache {
+                            if let Err(error) = cache.insert(keys[i], Arc::new(rows.clone())) {
+                                eprintln!("xp: cache write for cell {} failed: {error}", keys[i]);
                             }
-                            if let Some(counters) = &ctx.counters {
-                                counters.computed_cells.fetch_add(1, Ordering::Relaxed);
-                            }
-                            slots[i] = Some(rows);
-                            last_failure[i] = None;
-                            // Publish happened above (cache.insert): only now is the
-                            // single-flight claim released, so waiters wake to a hit.
-                            guards.remove(&i);
                         }
-                        Err(failure) => {
-                            last_failure[i] = Some(failure);
-                            next_pending.push(i);
+                        if let Some(counters) = &ctx.counters {
+                            counters.computed_cells.fetch_add(1, Ordering::Relaxed);
                         }
+                        slots[i] = Some(rows);
+                        CellStatus::Ok
                     }
-                    emit(
-                        ctx,
-                        CellEvent {
-                            job: ctx.job,
+                    Err((status, error)) => {
+                        failures.push(CellOutcome {
                             cell: i,
                             status,
-                            attempt: round,
-                            cache_hit: false,
+                            error,
                             elapsed_seconds: elapsed,
-                        },
-                    );
-                }
+                        });
+                        status
+                    }
+                };
+                // Release the single-flight claim: after the publish above on
+                // success, so waiters wake to a hit; at once on failure, so a
+                // parked waiter (this process or another) claims the cell and
+                // runs it itself instead of wedging on a failed claimant.
+                guards.remove(&i);
+                emit(
+                    ctx,
+                    CellEvent {
+                        job: ctx.job,
+                        cell: i,
+                        status,
+                        attempt: 1,
+                        cache_hit: false,
+                        elapsed_seconds: elapsed,
+                    },
+                );
             }
-            pending = next_pending;
         }
-
-        // Cells still pending exhausted their retry budget: abandon their
-        // claims so a parked waiter (this process or another) claims and tries
-        // for itself instead of wedging on a terminally failed claimant.
-        for i in pending.drain(..) {
-            guards.remove(&i);
-        }
+        pending.clear();
         if waiting.is_empty() {
             break;
         }
@@ -579,8 +490,8 @@ where
                     progressed = true;
                 }
                 Flight::Claimed(guard) => {
-                    // The claimant died or gave up — the claim is ours now; the
-                    // cell re-enters the wave loop with a fresh retry budget.
+                    // The claimant died or failed — the claim is ours now, and
+                    // the cell runs in the next wave.
                     guards.insert(i, guard);
                     pending.push(i);
                     progressed = true;
@@ -595,22 +506,8 @@ where
             cache.wait_change(PARK_POLL);
         }
     }
-    let mut outcomes = ctx.outcomes.borrow_mut();
-    for i in 0..n {
-        let (status, error) = match last_failure[i].take() {
-            None => (CellStatus::Ok, None),
-            Some((status, msg)) => (status, Some(msg)),
-        };
-        if status != CellStatus::Ok || attempts[i] > 1 {
-            outcomes.push(CellOutcome {
-                cell: i,
-                status,
-                attempts: attempts[i],
-                error,
-                elapsed_seconds: last_elapsed[i],
-            });
-        }
-    }
+    failures.sort_by_key(|outcome| outcome.cell);
+    ctx.outcomes.borrow_mut().extend(failures);
     slots.into_iter().flatten().flatten().collect()
 }
 
@@ -651,18 +548,9 @@ fn check_cancelled(ctx: &JobCtx) {
     }
 }
 
-/// One guarded attempt: catch unwinds, classify explicit failures, and check the
-/// wall-clock watchdog.  Returns the classified result plus the attempt's elapsed
-/// seconds.
-///
-/// The watchdog *classifies*, it does not preempt: an attempt that exceeds its
-/// budget still runs to completion on the worker, then its rows are discarded and
-/// the cell is retried.  (Preemption needs process isolation; see DESIGN.md §13.)
-fn run_attempt<C, F>(
-    cell: C,
-    f: &F,
-    timeout: Option<Duration>,
-) -> (Result<Vec<Row>, (CellStatus, String)>, f64)
+/// A cell's one guarded run: catch unwinds and classify explicit failures.
+/// Returns the classified result plus the elapsed seconds.
+fn run_cell<C, F>(cell: C, f: &F) -> (Result<Vec<Row>, (CellStatus, String)>, f64)
 where
     C: Send,
     F: Fn(C) -> Vec<Row> + Sync,
@@ -673,23 +561,12 @@ where
             failpoint::point!("runner/cell", |msg: String| Err(msg));
             Ok(f(cell))
         }));
-    let elapsed = start.elapsed();
     let result = match caught {
-        Ok(Ok(rows)) => match timeout.filter(|budget| elapsed > *budget) {
-            Some(budget) => Err((
-                CellStatus::TimedOut,
-                format!(
-                    "attempt took {:.1} ms against a {:.1} ms budget",
-                    elapsed.as_secs_f64() * 1e3,
-                    budget.as_secs_f64() * 1e3
-                ),
-            )),
-            None => Ok(rows),
-        },
+        Ok(Ok(rows)) => Ok(rows),
         Ok(Err(msg)) => Err((CellStatus::Failed, msg)),
         Err(payload) => Err((CellStatus::Panicked, panic_message(payload.as_ref()))),
     };
-    (result, elapsed.as_secs_f64())
+    (result, start.elapsed().as_secs_f64())
 }
 
 /// Best-effort text of a caught panic payload (`&str` and `String` payloads cover
@@ -765,7 +642,7 @@ mod tests {
         for (a, b) in first.rows.iter().zip(&second.rows) {
             assert_eq!(a.cells, b.cells, "cached rows are identical to computed rows");
         }
-        assert!(second.cell_faults.is_empty(), "hits look like clean first attempts");
+        assert!(second.cell_faults.is_empty(), "hits look like clean computed cells");
     }
 
     #[test]

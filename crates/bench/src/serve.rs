@@ -62,7 +62,7 @@ pub struct ServeShared {
 }
 
 impl ServeShared {
-    /// A shared state with `slots` concurrent cell attempts and the default
+    /// A shared state with `slots` concurrent cells and the default
     /// admission bound of `4 × slots` in-flight jobs.
     pub fn new(slots: usize, cache: Arc<CellCache>) -> ServeShared {
         ServeShared { scheduler: Scheduler::new(slots), cache, queue_limit: 4 * slots.max(2) }
@@ -335,7 +335,6 @@ fn handle_submit(
             events: Some(cell_tx),
             cancel: Some(cancel),
             counters: Some(Arc::clone(&counters)),
-            policy: None,
         };
         let outcome =
             catch_unwind(AssertUnwindSafe(|| shared.scheduler.execute(spec, &config, session)));

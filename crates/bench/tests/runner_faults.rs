@@ -1,28 +1,21 @@
-//! Fault-isolation contract of guarded cell execution: a panicking, failing or
-//! over-budget cell never takes the experiment (or the worker pool) down with it —
-//! siblings complete, the cell is retried under a deterministic backoff schedule,
-//! and whatever remains terminally failed is reported per cell instead of aborting.
+//! Fault-isolation contract of guarded cell execution: a panicking or failing cell
+//! never takes the experiment (or the worker pool) down with it — siblings
+//! complete, and the cell, run once, is reported per cell instead of aborting.
 //! Every fixture runs its cells the one way cells run: through `run_keyed_cells`
-//! inside a spec under `Scheduler::execute`, with the policy in the `JobSession`.
+//! inside a spec under `Scheduler::execute`.
 //!
-//! The nested `join`/`par_iter` tests double as the proof obligation for the pool's
+//! The nested `join`/`par_iter` test doubles as the proof obligation for the pool's
 //! panic contract (DESIGN.md §7): after a cell panics *inside* nested pool
-//! constructs, the very next round — scheduled on the same persistent pool — must
-//! run normally, or retries would deadlock.
+//! constructs, the next job — scheduled on the same persistent pool — must run
+//! normally, or the pool would deadlock.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
 
 use repro_bench::cache::{CellKey, KeyBuilder};
 use repro_bench::row;
 use repro_bench::runner::{ExperimentResult, ExperimentSpec, Format, Row, RunConfig, Value};
-use repro_bench::scheduler::{run_keyed_cells, CellStatus, FaultPolicy, JobSession, Scheduler};
+use repro_bench::scheduler::{run_keyed_cells, CellStatus};
 use repro_bench::Scale;
-
-/// A policy with no backoff sleeps, so the retry tests run in microseconds.
-fn quick(max_attempts: u32) -> FaultPolicy {
-    FaultPolicy { max_attempts, backoff: Duration::ZERO, timeout: None }
-}
 
 /// Cells `cells`, each under its own content address.
 fn keyed(cells: impl IntoIterator<Item = u32>) -> Vec<(CellKey, u32)> {
@@ -34,11 +27,9 @@ fn keyed(cells: impl IntoIterator<Item = u32>) -> Vec<(CellKey, u32)> {
         .collect()
 }
 
-/// Execute `spec` under a pool-sized scheduler with `policy`.
-fn execute(spec: &ExperimentSpec, policy: FaultPolicy) -> ExperimentResult {
-    let config = RunConfig { scale: Scale::Tiny, procs: None, seed: None };
-    let session = JobSession { policy: Some(policy), ..JobSession::default() };
-    Scheduler::pool_sized().execute(spec, &config, session)
+/// Execute `spec` under a pool-sized scheduler and a default session.
+fn execute(spec: &ExperimentSpec) -> ExperimentResult {
+    spec.execute(&RunConfig { scale: Scale::Tiny, procs: None, seed: None })
 }
 
 /// A one-column fixture spec around `run`.
@@ -63,7 +54,7 @@ fn a_panicking_cell_is_isolated_and_its_siblings_complete() {
             vec![row![u64::from(cell)]]
         })
     });
-    let result = execute(&spec, quick(2));
+    let result = execute(&spec);
     // Three survivors, in cell order, with the failed cell's rows absent.
     assert_eq!(result.rows.len(), 3);
     assert_eq!(result.rows[2].cells[0], Value::Int(3));
@@ -71,41 +62,19 @@ fn a_panicking_cell_is_isolated_and_its_siblings_complete() {
     let outcome = &result.cell_faults[0];
     assert_eq!(outcome.cell, 2);
     assert_eq!(outcome.status, CellStatus::Panicked);
-    assert_eq!(outcome.attempts, 2, "a deterministic panic exhausts every attempt");
     assert!(
-        outcome.error.as_deref().unwrap().contains("cell two exploded"),
+        outcome.error.contains("cell two exploded"),
         "the original panic payload is preserved: {:?}",
         outcome.error
     );
 }
 
 #[test]
-fn a_flaky_cell_recovers_on_retry_and_reports_ok() {
-    static FIRST_ATTEMPT_DONE: AtomicU32 = AtomicU32::new(0);
-    let spec = fixture(|_| {
-        run_keyed_cells(keyed([10, 20]), |cell| {
-            if cell == 20 && FIRST_ATTEMPT_DONE.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
-            vec![row![u64::from(cell)]]
-        })
-    });
-    let result = execute(&spec, quick(3));
-    assert_eq!(result.rows.len(), 2, "the recovered cell's rows are kept");
-    assert_eq!(result.cell_faults.len(), 1, "only the interesting (retried) cell is reported");
-    let outcome = &result.cell_faults[0];
-    assert_eq!((outcome.cell, outcome.status), (1, CellStatus::Ok));
-    assert_eq!(outcome.attempts, 2);
-    assert!(outcome.error.is_none(), "a recovery clears the failure message");
-    assert!(result.failure_error().is_none(), "a recovered cell is not a failure");
-}
-
-#[test]
-fn a_panic_inside_nested_join_and_par_iter_leaves_the_pool_usable_for_the_retry() {
+fn a_panic_inside_nested_join_and_par_iter_leaves_the_pool_usable_for_the_next_job() {
     // The failing cell panics from a par_iter nested inside a join, on a pool
-    // worker, on its first attempt only.  The retry round reuses the same
-    // persistent pool — if the panic killed a worker or poisoned a lock, this
-    // test hangs or fails instead of recovering.
+    // worker, in the first job only.  The second job reuses the same persistent
+    // pool — if the panic killed a worker or poisoned a lock, this test hangs or
+    // fails instead of completing.
     static FAILED_ONCE: AtomicU32 = AtomicU32::new(0);
     let spec = ExperimentSpec {
         columns: &["cell", "sum"],
@@ -135,46 +104,25 @@ fn a_panic_inside_nested_join_and_par_iter_leaves_the_pool_usable_for_the_retry(
         })
     };
     rayon::with_num_threads(4, || {
-        let result = execute(&spec, quick(2));
-        assert_eq!(result.rows.len(), 3, "every cell completes once the flaky one is retried");
-        assert!(result.rows.iter().all(|r| r.cells[1] == Value::Int(120)));
-        assert_eq!(result.cell_faults.len(), 1);
-        assert_eq!(result.cell_faults[0].status, CellStatus::Ok);
-        assert_eq!(result.cell_faults[0].attempts, 2);
+        let first = execute(&spec);
+        assert_eq!(first.rows.len(), 2, "the panicking cell's siblings complete");
+        assert_eq!(first.cell_faults.len(), 1);
+        assert_eq!(
+            (first.cell_faults[0].cell, first.cell_faults[0].status),
+            (1, CellStatus::Panicked)
+        );
+        assert!(first.cell_faults[0].error.contains("worker task died"), "{:?}", first.cell_faults);
+
+        let second = execute(&spec);
+        assert_eq!(second.rows.len(), 3, "the next job runs every cell normally");
+        assert!(second.rows.iter().all(|r| r.cells[1] == Value::Int(120)));
+        assert!(second.cell_faults.is_empty(), "{:?}", second.cell_faults);
         // And the pool is still fully operational after the whole episode.
         use rayon::prelude::*;
         let check: u64 =
             (0..32u64).collect::<Vec<_>>().par_iter().map(|&i| i).collect::<Vec<_>>().iter().sum();
         assert_eq!(check, 496);
     });
-}
-
-#[test]
-fn an_over_budget_cell_is_classified_timed_out_and_its_rows_discarded() {
-    let policy = FaultPolicy {
-        max_attempts: 2,
-        backoff: Duration::ZERO,
-        timeout: Some(Duration::from_millis(1)),
-    };
-    let spec = fixture(|_| {
-        run_keyed_cells(keyed(0..2), |cell| {
-            if cell == 1 {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            vec![row![u64::from(cell)]]
-        })
-    });
-    let result = execute(&spec, policy);
-    assert_eq!(result.rows.len(), 1, "the slow cell's rows are discarded, not half-kept");
-    assert_eq!(result.cell_faults.len(), 1);
-    let outcome = &result.cell_faults[0];
-    assert_eq!(outcome.status, CellStatus::TimedOut);
-    assert_eq!(outcome.attempts, 2);
-    assert!(
-        outcome.error.as_deref().unwrap().contains("budget"),
-        "the watchdog names the budget: {:?}",
-        outcome.error
-    );
 }
 
 /// A spec whose second cell always panics: the experiment still completes with the
@@ -199,7 +147,7 @@ const HALF_FAILING: ExperimentSpec = ExperimentSpec {
 
 #[test]
 fn experiments_complete_with_partial_results_and_render_the_failures() {
-    let result = execute(&HALF_FAILING, quick(2));
+    let result = execute(&HALF_FAILING);
     assert_eq!(result.rows.len(), 1, "partial results survive");
     assert_eq!(result.failed_cells(), 1);
     let reason = result.failure_error().expect("a failed cell must surface");
@@ -236,7 +184,7 @@ fn clean_runs_render_byte_identically_to_the_pre_fault_harness() {
         notes: &[],
         run: clean_run,
     };
-    let result = execute(&CLEAN, quick(3));
+    let result = execute(&CLEAN);
     assert!(result.cell_faults.is_empty());
     assert!(result.failure_error().is_none());
     for format in [Format::Text, Format::Json, Format::Csv] {
@@ -248,8 +196,8 @@ fn clean_runs_render_byte_identically_to_the_pre_fault_harness() {
 
 #[test]
 fn cells_outside_a_scheduled_job_panic_naming_scheduler_execute() {
-    // There are no bare cells: outside a job there is no policy to retry under,
-    // no slot queue to meter and no result to report a failure into.
+    // There are no bare cells: outside a job there is no slot queue to meter and
+    // no result to report a failure into.
     let payload = std::panic::catch_unwind(|| {
         run_keyed_cells(keyed([0]), |cell| vec![row![u64::from(cell)]])
     })

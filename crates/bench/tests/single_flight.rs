@@ -1,22 +1,20 @@
 //! Scheduler-level single-flight: concurrent identical jobs compute each cell
 //! exactly once with counters bit-identical to serial submission, parked jobs
 //! settle when the claimant publishes, lock files left by dead processes are
-//! taken over, and terminal failures (including `TimedOut` under the wave
-//! scheduler) release the claim instead of wedging the next job.
+//! taken over, and a failed cell releases its claim instead of wedging the next
+//! job.
 //!
 //! Tests in this file serialize on one mutex: several mutate process-global
-//! state (static compute counters, `XP_CELL_TIMEOUT_MS`).
+//! state (static compute counters).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use repro_bench::cache::{CacheConfig, CellCache, CellKey, KeyBuilder};
+use repro_bench::cache::{CacheConfig, CellCache, CellKey, ClaimGuard, Flight, KeyBuilder};
 use repro_bench::row;
-use repro_bench::runner::{ExperimentSpec, RunConfig};
-use repro_bench::scheduler::{
-    run_keyed_cells, CellStatus, FaultPolicy, JobCounters, JobSession, Scheduler,
-};
+use repro_bench::runner::{ExperimentResult, ExperimentSpec, RunConfig};
+use repro_bench::scheduler::{run_keyed_cells, CellStatus, JobCounters, JobSession, Scheduler};
 use repro_bench::Scale;
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -156,23 +154,24 @@ fn park_spec() -> ExperimentSpec {
     }
 }
 
-#[test]
-fn a_parked_job_settles_when_the_claimant_publishes() {
-    let _serial = serialize();
+/// Run `park_spec` while the test plays the claimant of cell 1: claim it before
+/// the job starts, wait until the job has provably parked on it, then hand the
+/// claim to `release`, which ends it (publishing first, or not).
+fn run_parked_behind_the_test(
+    cache: &Arc<CellCache>,
+    release: impl FnOnce(ClaimGuard),
+) -> (ExperimentResult, Arc<JobCounters>) {
     PARK_STARTED.store(false, Ordering::SeqCst);
-    let cache = flight_cache();
     let scheduler = Scheduler::new(2);
-
-    // The test plays the claimant for cell 1: claim it before the job starts.
     let guard = match cache.acquire(park_key(1)) {
-        repro_bench::cache::Flight::Claimed(guard) => guard,
+        Flight::Claimed(guard) => guard,
         other => panic!("expected to claim an empty cache, got {other:?}"),
     };
 
     let counters = Arc::new(JobCounters::default());
     let result = std::thread::scope(|scope| {
         let job = {
-            let (cache, counters) = (Arc::clone(&cache), Arc::clone(&counters));
+            let (cache, counters) = (Arc::clone(cache), Arc::clone(&counters));
             let (scheduler, spec, config) = (&scheduler, park_spec(), tiny());
             scope.spawn(move || {
                 let session = JobSession {
@@ -185,16 +184,26 @@ fn a_parked_job_settles_when_the_claimant_publishes() {
             })
         };
         // Wait until the job's resolution phase has run (cell 0 computed), so
-        // cell 1 is provably parked on our claim, then publish and release.
+        // cell 1 is provably parked on our claim.
         let mut spins = 0;
         while !PARK_STARTED.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(5));
             spins += 1;
             assert!(spins < 1000, "job never reached its compute phase");
         }
+        release(guard);
+        job.join().unwrap()
+    });
+    (result, counters)
+}
+
+#[test]
+fn a_parked_job_settles_when_the_claimant_publishes() {
+    let _serial = serialize();
+    let cache = flight_cache();
+    let (result, counters) = run_parked_behind_the_test(&cache, |guard| {
         cache.insert(park_key(1), Arc::new(vec![row![99u64]])).unwrap();
         drop(guard);
-        job.join().unwrap()
     });
 
     assert_eq!(result.rows.len(), 2);
@@ -202,6 +211,22 @@ fn a_parked_job_settles_when_the_claimant_publishes() {
     assert_eq!(counters.computed_cells.load(Ordering::SeqCst), 1, "only cell 0 computed here");
     assert_eq!(counters.cache_hits.load(Ordering::SeqCst), 1, "cell 1 settled by waiting");
     assert_eq!(cache.stats().flight_waits, 1, "the wait is visible in cache stats");
+}
+
+#[test]
+fn a_parked_job_runs_the_cell_itself_when_the_claimant_fails() {
+    // A failed claimant releases its claim without publishing: the parked job
+    // takes the claim over and runs the cell once, itself.
+    let _serial = serialize();
+    let cache = flight_cache();
+    let (result, counters) = run_parked_behind_the_test(&cache, drop);
+
+    assert_eq!(result.rows.len(), 2);
+    assert_eq!(format!("{:?}", result.rows[1].cells), format!("{:?}", vec![row![1u64]][0].cells));
+    assert!(result.cell_faults.is_empty(), "{:?}", result.cell_faults);
+    assert_eq!(counters.computed_cells.load(Ordering::SeqCst), 2, "both cells computed here");
+    assert_eq!(counters.cache_hits.load(Ordering::SeqCst), 0);
+    assert_eq!(cache.stats().flight_waits, 0, "nothing was settled by waiting");
 }
 
 // ---------------------------------------------------------------------------
@@ -279,13 +304,10 @@ fn a_terminal_failure_releases_the_claim_for_the_next_job() {
     let cache = flight_cache();
     let scheduler = Scheduler::new(2);
 
-    // Job A: one attempt, which panics — the cell fails terminally and its
-    // claim must be abandoned, not leaked.
+    // Job A: its one run of the cell panics — the cell fails and its claim must
+    // be abandoned, not leaked.
     let a = Arc::new(JobCounters::default());
-    let mut session_a = session(&scheduler, &cache, &a);
-    session_a.policy =
-        Some(FaultPolicy { max_attempts: 1, backoff: Duration::ZERO, timeout: None });
-    let result_a = scheduler.execute(&fail_spec(), &tiny(), session_a);
+    let result_a = scheduler.execute(&fail_spec(), &tiny(), session(&scheduler, &cache, &a));
     assert!(result_a.rows.is_empty());
     assert_eq!(result_a.cell_faults.len(), 1);
     assert_eq!(result_a.cell_faults[0].status, CellStatus::Panicked);
@@ -297,93 +319,4 @@ fn a_terminal_failure_releases_the_claim_for_the_next_job() {
     assert_eq!(result_b.rows.len(), 1);
     assert!(result_b.cell_faults.is_empty());
     assert_eq!(b.computed_cells.load(Ordering::SeqCst), 1, "B computed after A's release");
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: timeouts under the wave scheduler classify TimedOut, release the
-// claim, and leave the queue fair — via the per-job policy and via the
-// XP_CELL_TIMEOUT_MS environment knob.
-
-static SLOW_ONCE: AtomicBool = AtomicBool::new(true);
-
-fn slow_key() -> CellKey {
-    KeyBuilder::new("single-flight-slow").field_u64("cell", 0).finish()
-}
-
-fn slow_spec() -> ExperimentSpec {
-    ExperimentSpec {
-        id: "sf_slow",
-        aliases: &[],
-        title: "Single-flight timeout",
-        columns: &["x"],
-        notes: &[],
-        run: |_cfg| {
-            run_keyed_cells(vec![(slow_key(), 0usize)], |_| {
-                if SLOW_ONCE.swap(false, Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(200));
-                }
-                vec![row![5u64]]
-            })
-        },
-    }
-}
-
-fn assert_timeout_released_and_queue_fair(scheduler: &Scheduler, cache: &Arc<CellCache>) {
-    // The claim was released on terminal timeout: a fresh job claims the same
-    // cell and succeeds (the slow path only fires once).
-    let b = Arc::new(JobCounters::default());
-    let result_b = scheduler.execute(&slow_spec(), &tiny(), session(scheduler, cache, &b));
-    assert_eq!(result_b.rows.len(), 1);
-    assert!(result_b.cell_faults.is_empty());
-    assert_eq!(b.computed_cells.load(Ordering::SeqCst), 1);
-
-    // The wave queue stayed fair: an unrelated job still gets slots.
-    let c = Arc::new(JobCounters::default());
-    let result_c = scheduler.execute(&once_spec(), &tiny(), session(scheduler, cache, &c));
-    assert_eq!(result_c.rows.len(), 3);
-}
-
-#[test]
-fn a_wave_scheduler_timeout_classifies_timed_out_and_releases_the_claim() {
-    let _serial = serialize();
-    SLOW_ONCE.store(true, Ordering::SeqCst);
-    let cache = flight_cache();
-    let scheduler = Scheduler::new(2);
-
-    let a = Arc::new(JobCounters::default());
-    let mut session_a = session(&scheduler, &cache, &a);
-    session_a.policy = Some(FaultPolicy {
-        max_attempts: 1,
-        backoff: Duration::ZERO,
-        timeout: Some(Duration::from_millis(25)),
-    });
-    let result_a = scheduler.execute(&slow_spec(), &tiny(), session_a);
-    assert!(result_a.rows.is_empty(), "a timed-out cell contributes no rows");
-    assert_eq!(result_a.cell_faults.len(), 1);
-    assert_eq!(result_a.cell_faults[0].status, CellStatus::TimedOut);
-
-    assert_timeout_released_and_queue_fair(&scheduler, &cache);
-}
-
-#[test]
-fn xp_cell_timeout_ms_applies_under_the_wave_scheduler() {
-    let _serial = serialize();
-    SLOW_ONCE.store(true, Ordering::SeqCst);
-    let cache = flight_cache();
-    let scheduler = Scheduler::new(2);
-
-    // No per-job policy: the scheduler path must honour the environment knobs
-    // exactly like the bare runner path does.
-    std::env::set_var("XP_CELL_TIMEOUT_MS", "25");
-    std::env::set_var("XP_CELL_ATTEMPTS", "1");
-    let a = Arc::new(JobCounters::default());
-    let result_a = scheduler.execute(&slow_spec(), &tiny(), session(&scheduler, &cache, &a));
-    std::env::remove_var("XP_CELL_TIMEOUT_MS");
-    std::env::remove_var("XP_CELL_ATTEMPTS");
-
-    assert!(result_a.rows.is_empty());
-    assert_eq!(result_a.cell_faults.len(), 1);
-    assert_eq!(result_a.cell_faults[0].status, CellStatus::TimedOut);
-
-    assert_timeout_released_and_queue_fair(&scheduler, &cache);
 }

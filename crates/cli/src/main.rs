@@ -59,7 +59,7 @@ OPTIONS:
     --scale <tiny|small|paper> problem sizes (default: small)
     --procs <N>               override the virtual-processor count
     --seed <N>                override the workload seed
-    --jobs <N>                bound concurrent cell attempts (default: pool width)
+    --jobs <N>                bound concurrent cells (default: pool width)
     --cache-dir <path>        persist computed cells on disk (sweep, serve, cache)
     --single-flight           dedupe identical *in-flight* cells (sweep and serve):
                               the first job claims a cell, identical waiters park
@@ -102,7 +102,7 @@ struct Options {
     format: Format,
     out: Option<PathBuf>,
     config: RunConfig,
-    /// `--jobs N`: bound on concurrent cell attempts (scheduler slots, and the
+    /// `--jobs N`: bound on concurrent cells (scheduler slots, and the
     /// executor pool width for direct commands).
     jobs: Option<usize>,
     /// `--cache-dir PATH`: on-disk layer of the cell cache (sweep, serve, cache).

@@ -122,11 +122,20 @@ fn procs_one_computes_one_cell_per_unique_run() {
 fn origin_cells_reject_more_processors_than_the_directory_tracks() {
     // The Origin machine tracks sharers in a 64-bit mask per line, so table2 at 65
     // processors fails every cell with that reason (each cell builds its machine
-    // before it generates anything).  The DSM models have no such limit.
+    // before it generates anything).  A cell is a pure function of its key, so
+    // each of the 12 runs once: one panic-hook report per cell, no retries.  The
+    // DSM models have no such limit.
     let out = xp().args(["run", "table2", "--scale", "tiny", "--procs", "65"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("directory masks support at most 64 processors"), "got: {stderr}");
+    assert!(stderr.contains("12 cell(s) failed"), "got: {stderr}");
+    assert_eq!(stderr.matches("panicked at").count(), 12, "one panic per cell: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for cell in 0..12 {
+        let report = format!("  cell {cell}: panicked (");
+        assert_eq!(stdout.matches(&report).count(), 1, "cell {cell} reported once: {stdout}");
+    }
 
     let out = xp()
         .args(["run", "table3", "--scale", "tiny", "--procs", "65", "--format", "csv"])
@@ -149,7 +158,6 @@ fn a_failed_substrate_cell_drops_only_its_dependent_rows() {
     let _ = std::fs::remove_dir_all(&dir);
     let out = xp()
         .env("FAILPOINTS", "runner/cell=2/13@63*return(injected failure)")
-        .env("XP_CELL_ATTEMPTS", "1")
         .args(["sweep", "table2", "fig07", "--scale", "tiny", "--jobs", "1", "--format", "csv"])
         .arg("--out")
         .arg(&dir)
