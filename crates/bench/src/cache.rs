@@ -46,14 +46,14 @@
 //! # Crash safety
 //!
 //! The disk layer stores one file per key (`<hex key>.cell`) written through
-//! [`smtrace::AtomicFile`]: bytes stage into a `.tmp` sibling named uniquely per
+//! [`AtomicFile`]: bytes stage into a `.tmp` sibling named uniquely per
 //! writer (`<hex key>.cell.<pid>.<seq>.tmp`, so two processes committing the same
 //! key never share a staging file) and rename onto the final path only after an
-//! fsync.  The `serve/cache-commit` failpoint sits between
-//! encode and commit, and `tests/failpoints_cache.rs` proves a crash there leaves
-//! *no* partial entry — the final path is absent and the temp is cleaned up (or,
-//! after SIGKILL, ignored by lookups and reaped by [`gc_dir`]), mirroring the PR 8
-//! corpus contract.  A corrupt or truncated entry (bad magic, checksum, or key
+//! fsync.  The `serve/cache-commit` failpoint sits between encode and commit, and
+//! `tests/failpoints_cache.rs` proves a crash there (or a failed commit at
+//! `durable/commit`) leaves *no* partial entry — the final path is absent and the
+//! temp is cleaned up (or, after SIGKILL, ignored by lookups and reaped by
+//! [`gc_dir`]).  A corrupt or truncated entry (bad magic, checksum, or key
 //! echo) reads as a miss, never as wrong rows.  Disk *errors* (as opposed to
 //! absence) are classified: the offending path is named on stderr and counted in
 //! [`CacheStats::disk_errors`], and the lookup degrades to a miss.
@@ -92,8 +92,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use smtrace::AtomicFile;
-
+use crate::durable::AtomicFile;
 use crate::runner::{Row, Value};
 
 /// Fixed public SipHash key for cell addresses: content addressing wants a stable,
@@ -1223,7 +1222,8 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let dest = dir.join("abandoned.cell");
         {
-            let mut file = AtomicFile::create(&dest).unwrap();
+            let mut file =
+                AtomicFile::create_staged(&dest, dir.join("abandoned.cell.tmp")).unwrap();
             file.write_all(b"partial bytes, never committed").unwrap();
             // Dropped without commit: an early-exit process must not litter.
         }

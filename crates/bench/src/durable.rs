@@ -1,20 +1,19 @@
-//! Crash-safe file creation: write through a temp sibling, fsync, atomically rename.
+//! Crash-safe file creation: write through a staging sibling, fsync, atomically rename.
 //!
-//! A corpus recording that dies mid-run (crash, OOM kill, ^C) must never leave a
-//! half-written file at the *final* path where a later `xp trace replay` would trip
-//! over it.  [`AtomicFile`] gives the writer the standard durability discipline:
+//! A cache entry whose writer dies mid-write (crash, OOM kill, ^C) must never leave
+//! a half-written file at the *final* path, where a later lookup would read it.
+//! [`AtomicFile`] gives the writer the standard durability discipline:
 //!
-//! 1. All bytes go to `<path>.tmp` in the destination directory (same filesystem,
+//! 1. All bytes go to a staging file in the destination directory (same filesystem,
 //!    so the rename in step 3 is atomic).
 //! 2. [`AtomicFile::commit`] flushes, `fsync`s the file, then
-//! 3. renames `<path>.tmp` onto `<path>` and `fsync`s the parent directory so the
-//!    rename itself survives a power cut.
+//! 3. renames the staging file onto the final path and `fsync`s the parent
+//!    directory so the rename itself survives a power cut.
 //!
-//! If the process dies before `commit`, the final path is untouched and the `.tmp`
-//! sibling holds a clean prefix of the corpus — exactly what
-//! [`crate::codec::CorpusReader::salvage_into`] (and `xp trace recover`) consume.
-//! Dropping an uncommitted `AtomicFile` deletes the temp file, so error paths that
-//! unwind do not litter the corpus directory.
+//! If the process dies before `commit`, the final path is untouched and the staging
+//! file is left for [`crate::cache::gc_dir`] to reap.  Dropping an uncommitted
+//! `AtomicFile` deletes the staging file, so error paths that unwind do not litter
+//! the directory.
 
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
@@ -22,9 +21,8 @@ use std::path::{Path, PathBuf};
 
 /// A [`Write`] implementation with rename-on-commit durability (see module docs).
 ///
-/// Buffered with the same 1 MiB window the corpus writer always used: a corpus
-/// interval is hundreds of KB of blocks, and an 8 KB default buffer would syscall
-/// over a hundred times per MB.
+/// Buffered with a 1 MiB window, so an entry of a few MB is written in a handful of
+/// syscalls rather than one per 8 KB.
 #[derive(Debug)]
 pub struct AtomicFile {
     /// `None` only transiently inside [`AtomicFile::commit`].
@@ -35,11 +33,6 @@ pub struct AtomicFile {
 }
 
 impl AtomicFile {
-    /// Start writing `dest` through its `.tmp` sibling (created truncating).
-    pub fn create(dest: &Path) -> io::Result<AtomicFile> {
-        AtomicFile::create_staged(dest, tmp_path(dest))
-    }
-
     /// Start writing `dest` through the staging file `tmp` (created truncating), which
     /// must sit in `dest`'s directory.  Writers that may race on one destination each
     /// pass a unique `tmp`, so none truncates or renames another's staged bytes.
@@ -53,16 +46,11 @@ impl AtomicFile {
         })
     }
 
-    /// The temp path all bytes are staged through until [`AtomicFile::commit`].
-    pub fn staging_path(&self) -> &Path {
-        &self.tmp
-    }
-
     /// Flush and `fsync` the staged bytes, atomically rename them onto the final
     /// path, and `fsync` the parent directory.  On error the temp file is removed
     /// and the final path is left untouched.
     pub fn commit(mut self) -> io::Result<()> {
-        failpoint::point!("codec/commit", |msg: String| Err(io::Error::other(msg)));
+        failpoint::point!("durable/commit", |msg: String| Err(io::Error::other(msg)));
         let writer = self.inner.take().expect("writer present until commit");
         let file = writer.into_inner().map_err(io::IntoInnerError::into_error)?;
         file.sync_all()?;
@@ -90,18 +78,11 @@ impl Drop for AtomicFile {
         if !self.committed {
             // Release the buffered handle first so the unlink happens on a closed
             // file; ignore errors — drop cleanup is best-effort by construction
-            // (a SIGKILL skips it entirely, which is what recovery handles).
+            // (a SIGKILL skips it entirely, and `gc_dir` reaps what that leaves).
             self.inner.take();
             let _ = fs::remove_file(&self.tmp);
         }
     }
-}
-
-/// `<dir>/<file>.tmp` — advertised in the docs and CI smoke (recovery looks for it).
-fn tmp_path(dest: &Path) -> PathBuf {
-    let mut name = dest.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    dest.with_file_name(name)
 }
 
 /// Durability for the rename itself: `fsync` the directory on Unix (directory
@@ -121,21 +102,26 @@ mod tests {
     use super::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("smtrace-durable-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("xp-durable-{tag}-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn create(dest: &Path) -> AtomicFile {
+        let mut name = dest.file_name().unwrap().to_os_string();
+        name.push(".tmp");
+        AtomicFile::create_staged(dest, dest.with_file_name(name)).unwrap()
     }
 
     #[test]
     fn commit_publishes_exactly_the_written_bytes() {
         let dir = temp_dir("commit");
         let dest = dir.join("out.bin");
-        let mut file = AtomicFile::create(&dest).unwrap();
-        file.write_all(b"hello corpus").unwrap();
+        let mut file = create(&dest);
+        file.write_all(b"hello cell").unwrap();
         assert!(!dest.exists(), "nothing at the final path before commit");
         file.commit().unwrap();
-        assert_eq!(fs::read(&dest).unwrap(), b"hello corpus");
+        assert_eq!(fs::read(&dest).unwrap(), b"hello cell");
         assert!(!dest.with_file_name("out.bin.tmp").exists(), "temp renamed away");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -146,8 +132,8 @@ mod tests {
         let dest = dir.join("out.bin");
         fs::write(&dest, b"previous run").unwrap();
         {
-            let mut file = AtomicFile::create(&dest).unwrap();
-            file.write_all(b"half a corpus").unwrap();
+            let mut file = create(&dest);
+            file.write_all(b"half a cell").unwrap();
         }
         assert_eq!(fs::read(&dest).unwrap(), b"previous run", "final path untouched");
         assert!(!dir.join("out.bin.tmp").exists(), "temp cleaned up on drop");
@@ -159,7 +145,7 @@ mod tests {
         let dir = temp_dir("replace");
         let dest = dir.join("out.bin");
         fs::write(&dest, b"old").unwrap();
-        let mut file = AtomicFile::create(&dest).unwrap();
+        let mut file = create(&dest);
         file.write_all(b"new").unwrap();
         file.commit().unwrap();
         assert_eq!(fs::read(&dest).unwrap(), b"new");

@@ -10,8 +10,8 @@ use std::time::Instant;
 
 use dsm::{DsmConfig, HlrcSim, NetworkCostModel, PageHistorySink, TreadMarksSim};
 use memsim::{
-    CostModel, OriginPreset, PageSharingReport, ProcessorUnitSetsSink, SimSink, SimulationResult,
-    SinkResult,
+    CostModel, Directory, OriginPreset, PageSharingReport, ProcessorUnitSetsSink, SimSink,
+    SimulationResult, SinkResult,
 };
 use molecular::{Moldyn, MoldynParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
@@ -239,30 +239,6 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
         run: run_bench_dsm_throughput,
     },
     ExperimentSpec {
-        id: "bench_trace_throughput",
-        aliases: &["trace-throughput", "trace_throughput", "bench-trace-throughput"],
-        title: "Trace-throughput bench: live generation vs on-disk corpus replay into the Origin 2000 model",
-        columns: &[
-            "app", "n", "procs", "path", "accesses", "ms", "maccess_s", "corpus_bytes",
-            "bytes_per_access", "l2_misses", "tlb_misses", "coherence_misses",
-            "speedup_vs_live",
-        ],
-        notes: &[
-            "Paths: `live` runs the full application (physics + tree builds + sweeps) into",
-            "a streaming SimSink — what every experiment paid per run before the corpus",
-            "existed; `replay` decodes a previously recorded corpus (delta/varint blocks,",
-            "checksum-validated) into the identical sink.  The corpus is recorded once per",
-            "app outside the timed region; both paths' SimulationResults are asserted",
-            "bit-identical, so replay is a faithful substitute, not an approximation.",
-            "corpus_bytes/bytes_per_access row the compression headline (the packed",
-            "in-memory Access is 4 bytes).  Expected shape: replay wins on every app —",
-            "decode is a linear varint scan while generation pays the physics — with the",
-            "margin largest on the evaluation-heavy apps (Barnes-Hut, FMM, Water-Spatial).",
-            "Cells run sequentially for honest wall-clock.",
-        ],
-        run: run_bench_trace_throughput,
-    },
-    ExperimentSpec {
         id: "ablation_unit_sweep",
         aliases: &["unit-sweep", "unit_sweep"],
         title: "Ablation: consistency-unit-size sweep, Moldyn (TreadMarks-model messages/data)",
@@ -287,6 +263,28 @@ pub fn all() -> &'static [ExperimentSpec] {
 /// Look an experiment up by id or alias.
 pub fn find(name: &str) -> Option<&'static ExperimentSpec> {
     EXPERIMENTS.iter().find(|spec| spec.matches(name))
+}
+
+/// The specs that build an Origin 2000 machine on the configured processor count
+/// (fig07 through table2's cells).
+const ORIGIN_SPECS: [&str; 3] = ["table2", "fig07", "bench_sim_throughput"];
+
+/// Reject a configuration that no run of `spec` can serve, before any cell is
+/// scheduled: the Origin model's directory keeps one sharer bit per processor in a
+/// 64-bit mask, so the Origin specs cannot run on more than
+/// [`Directory::MAX_PROCS`] processors.
+pub fn check_config(spec: &ExperimentSpec, cfg: &RunConfig) -> Result<(), String> {
+    match cfg.procs {
+        Some(procs) if procs > Directory::MAX_PROCS && ORIGIN_SPECS.contains(&spec.id) => {
+            Err(format!(
+                "experiment {:?}: the Origin 2000 model's directory masks support at most {} \
+                 processors, got {procs}",
+                spec.id,
+                Directory::MAX_PROCS
+            ))
+        }
+        _ => Ok(()),
+    }
 }
 
 fn orderings_for(app: AppKind, dsm_order: bool) -> Vec<Ordering> {
@@ -725,13 +723,11 @@ fn run_fig02_05(cfg: &RunConfig) -> Vec<Row> {
     // --procs narrows the sweep to one processor count; default is the paper's 2-16.
     let ladder = cfg.procs.map(|p| vec![p]).unwrap_or_else(|| vec![2, 4, 8, 16]);
     let traced = ladder.iter().copied().max().expect("a non-empty ladder");
-    let dump = std::env::var("REPRO_DUMP_PAGES").map(|v| v == "1").unwrap_or(false);
     // One cell per ordering traces Barnes-Hut once on the largest ladder P and folds
     // that trace onto every ladder P that divides it: with one iteration, the Q-processor
     // stream k is the concatenation of P-processor streams k·P/Q .. (k+1)·P/Q
     // (crates/bench/tests/seq_trace_is_par_concatenation.rs pins it).  The key names the
-    // ladder because the rows do; tiny and small share `bodies`.  REPRO_DUMP_PAGES is
-    // stderr-only diagnostics, so it stays out of the key.
+    // ladder because the rows do; tiny and small share `bodies`.
     let ladder_name = ladder.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
     let cells: Vec<(CellKey, (&str, Ordering))> =
         [("original", Ordering::Original), ("hilbert", Ordering::Reordered(Method::Hilbert))]
@@ -757,11 +753,6 @@ fn run_fig02_05(cfg: &RunConfig) -> Vec<Row> {
             .filter(|&&procs| traced.is_multiple_of(procs))
             .map(|&procs| {
                 let report = PageSharingReport::folded(&per_proc, procs, num_units, page_bytes);
-                if dump {
-                    // Per-page series for plotting the paper's histograms (stderr keeps
-                    // the table / JSON / CSV artifact on stdout clean).
-                    eprintln!("# pages P={procs} {label}: {:?}", report.sharers);
-                }
                 let max = report.sharers.iter().copied().max().unwrap_or(0);
                 row![
                     procs,
@@ -1114,80 +1105,28 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
         ]);
     }
     // Summary row: aggregate throughput and counters over all five applications.
-    for s in summarize_bench_paths(&rows, &["streaming"], 3, 4, 5, &[7, 8, 9], None) {
-        rows.push(row![
-            "(all)",
-            0usize,
-            procs,
-            s.path,
-            s.accesses,
-            s.ms,
-            s.maccess_s,
-            s.col_sums[0],
-            s.col_sums[1],
-            s.col_sums[2]
-        ]);
-    }
+    rows.push(bench_total_row(&rows, row!["(all)", 0usize, procs, "streaming"]));
     rows
 }
 
-/// The per-path summary of a throughput bench's rows.
-struct PathSummary {
-    path: &'static str,
-    accesses: u64,
-    ms: f64,
-    maccess_s: f64,
-    /// Sums of the caller's extra counter columns, in the order requested.
-    col_sums: Vec<u64>,
-    /// Geometric mean of the caller's per-application speedup column, if any.
-    geomean_speedup: Option<f64>,
-}
-
-/// Aggregate the `(all)` summary per path: total accesses and wall-clock, aggregate
-/// throughput, sums of the requested counter columns, and the geomean per-application
-/// speedup when the bench has a speedup column.  Shared by the sim-, dsm- and
-/// trace-throughput benches, which differ only in column layout and path names.
-fn summarize_bench_paths(
-    rows: &[Row],
-    paths: &[&'static str],
-    path_col: usize,
-    accesses_col: usize,
-    ms_col: usize,
-    sum_cols: &[usize],
-    speedup_col: Option<usize>,
-) -> Vec<PathSummary> {
-    let cell = |r: &Row, i: usize| match &r.cells[i] {
-        crate::runner::Value::Int(v) => *v as f64,
-        crate::runner::Value::Float(v) => *v,
-        crate::runner::Value::Str(_) => 0.0,
-    };
-    paths
-        .iter()
-        .copied()
-        .map(|path| {
-            let path_rows: Vec<&Row> = rows
-                .iter()
-                .filter(|r| r.cells[path_col] == crate::runner::Value::Str(path.into()))
-                .collect();
-            let accesses: f64 = path_rows.iter().map(|r| cell(r, accesses_col)).sum();
-            let ms: f64 = path_rows.iter().map(|r| cell(r, ms_col)).sum();
-            let geomean_speedup = speedup_col.map(|c| {
-                (path_rows.iter().map(|r| cell(r, c).ln()).sum::<f64>() / path_rows.len() as f64)
-                    .exp()
-            });
-            PathSummary {
-                path,
-                accesses: accesses as u64,
-                ms,
-                maccess_s: accesses / (ms * 1e-3) / 1e6,
-                col_sums: sum_cols
-                    .iter()
-                    .map(|&c| path_rows.iter().map(|r| cell(r, c)).sum::<f64>() as u64)
-                    .collect(),
-                geomean_speedup,
-            }
-        })
-        .collect()
+/// The `(all)` row of a throughput bench: `total` holds its label cells, and every
+/// later column is the total over the per-application `rows` — accesses, wall-clock
+/// ms, then the aggregate Maccess/s in place of a sum, then each counter (counts
+/// stay counts, megabytes stay floats).  Shared by the sim- and dsm-throughput
+/// benches, which differ only in how many label columns precede `accesses`.
+fn bench_total_row(rows: &[Row], mut total: Row) -> Row {
+    let accesses_col = total.cells.len();
+    for c in accesses_col..rows[0].cells.len() {
+        let sum = rows.iter().map(|r| float(&r.cells[c])).sum::<f64>();
+        total.cells.push(match rows[0].cells[c] {
+            Value::Int(_) => Value::Int(sum as i64),
+            _ => Value::Float(sum),
+        });
+    }
+    let accesses = float(&total.cells[accesses_col]);
+    let ms = float(&total.cells[accesses_col + 1]);
+    total.cells[accesses_col + 2] = Value::Float(accesses / (ms * 1e-3) / 1e6);
+    total
 }
 
 /// The applications the DSM-throughput bench replays, with the workload each one's
@@ -1244,143 +1183,8 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
             hlrc.stats.data_mbytes()
         ]);
     }
-    // Summary row: aggregate throughput over the three applications.
-    for s in summarize_bench_paths(&rows, &["streaming"], 4, 5, 6, &[], None) {
-        rows.push(row![
-            "(all)",
-            "-",
-            0usize,
-            procs,
-            s.path,
-            s.accesses,
-            s.ms,
-            s.maccess_s,
-            0u64,
-            0.0f64,
-            0u64,
-            0.0f64
-        ]);
-    }
-    rows
-}
-
-fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
-    use smtrace::codec::{CorpusReader, CorpusWriter};
-
-    let scale = cfg.scale;
-    let procs = cfg.procs_or(16);
-    let seed = cfg.seed_or(101);
-    // Best-of-N wall clock per path: both paths are deterministic, so repetition only
-    // filters scheduler noise.
-    let repetitions = if scale == Scale::Tiny { 1 } else { 5 };
-    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
-    let total_accesses = |r: &SimulationResult| r.per_proc.iter().map(|p| p.accesses).sum::<u64>();
-    // Wall-clock-timing experiment: cells run sequentially so each path gets the
-    // whole machine.
-    let mut rows = Vec::new();
-    for app in AppKind::ALL {
-        let n = scale.size_of(app);
-        let iters = scale.iterations_of(app);
-        let initial = crate::LiveApp::build(app, n, seed);
-        let layout = initial.layout();
-        let preset = OriginPreset::origin2000(procs);
-
-        // Record the corpus once, outside the timed region: recording cost amortizes
-        // over every future replay, which is the whole point of the format.
-        let corpus_path = std::env::temp_dir().join(format!(
-            "xp-trace-throughput-{}-{}.smtc",
-            std::process::id(),
-            app.name()
-        ));
-        let corpus = {
-            let mut live = initial.clone();
-            let mut writer = CorpusWriter::create(&corpus_path, layout.clone(), procs)
-                .expect("create trace corpus");
-            live.stream_sharded(iters, &mut writer);
-            writer.finish_durable().expect("write trace corpus")
-        };
-
-        // The two paths, interleaved: alternating live/replay repetitions sample the
-        // same scheduler and frequency conditions, so the marginal apps — where the
-        // paths are within a few percent — are not decided by drift between two
-        // back-to-back timing blocks.
-        let mut live_ms = f64::INFINITY;
-        let mut live_result = None;
-        let mut replay_ms = f64::INFINITY;
-        let mut replay_result = None;
-        for _ in 0..repetitions {
-            // Path 1 — live generation into the streaming sink (the status quo).
-            let mut live = initial.clone();
-            let mut sink = SimSink::new(preset.build_machine(), layout.clone());
-            let t0 = Instant::now();
-            live.stream_sharded(iters, &mut sink);
-            let result = sink.finish().machine;
-            live_ms = live_ms.min(ms(t0));
-            live_result = Some(result);
-
-            // Path 2 — decode the corpus from disk into the identical sink.
-            let mut reader = CorpusReader::open(&corpus_path).expect("open trace corpus");
-            let mut sink = SimSink::new(preset.build_machine(), layout.clone());
-            let t0 = Instant::now();
-            reader.replay_into(&mut sink).expect("decode trace corpus");
-            let result = sink.finish().machine;
-            replay_ms = replay_ms.min(ms(t0));
-            replay_result = Some(result);
-        }
-        let live_result = live_result.expect("at least one repetition");
-        let replay_result = replay_result.expect("at least one repetition");
-        std::fs::remove_file(&corpus_path).ok();
-
-        // Bit-identical counters across both paths is a hard correctness requirement —
-        // a divergence here is a codec bug, not measurement noise.
-        assert_eq!(
-            live_result,
-            replay_result,
-            "corpus replay diverged from live generation for {}",
-            app.name()
-        );
-
-        let accesses = total_accesses(&live_result);
-        assert_eq!(accesses, corpus.accesses, "corpus summary disagrees with the sink");
-        let paths: [(&str, f64, &SimulationResult); 2] =
-            [("live", live_ms, &live_result), ("replay", replay_ms, &replay_result)];
-        for (path, path_ms, result) in paths {
-            rows.push(row![
-                app.name(),
-                initial.num_objects(),
-                procs,
-                path,
-                accesses,
-                path_ms,
-                accesses as f64 / (path_ms * 1e-3) / 1e6,
-                corpus.file_bytes,
-                corpus.bytes_per_access(),
-                result.l2_misses(),
-                result.tlb_misses(),
-                result.coherence_misses(),
-                live_ms / path_ms
-            ]);
-        }
-    }
-    // Summary rows: aggregate throughput over all five applications plus the geomean
-    // per-application speedup — the headline decode-bound-replay claim.
-    for s in summarize_bench_paths(&rows, &["live", "replay"], 3, 4, 5, &[9, 10, 11], Some(12)) {
-        rows.push(row![
-            "(all)",
-            0usize,
-            procs,
-            s.path,
-            s.accesses,
-            s.ms,
-            s.maccess_s,
-            0u64,
-            0.0f64,
-            s.col_sums[0],
-            s.col_sums[1],
-            s.col_sums[2],
-            s.geomean_speedup.expect("trace-throughput has a speedup column")
-        ]);
-    }
+    // Summary row: aggregate throughput and traffic over the three applications.
+    rows.push(bench_total_row(&rows, row!["(all)", "-", 0usize, procs, "streaming"]));
     rows
 }
 
@@ -1454,8 +1258,8 @@ mod tests {
         }
         assert_eq!(
             all().len(),
-            16,
-            "12 paper specs + the reorder-cost, sim-, dsm- and trace-throughput benches"
+            15,
+            "12 paper specs + the reorder-cost, sim- and dsm-throughput benches"
         );
     }
 
@@ -1517,32 +1321,15 @@ mod tests {
         assert!(json.contains("\"workload\": \"plummer\""));
         assert!(json.contains("\"workload\": \"mesh\""));
         assert!(json.contains("\"workload\": \"lattice\""));
-        assert!(json.contains("\"app\": \"(all)\""));
-    }
-
-    #[test]
-    fn trace_throughput_bench_covers_all_apps_and_paths() {
-        let spec = find("trace-throughput").unwrap();
-        assert_eq!(spec.id, "bench_trace_throughput");
-        let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: Some(4), seed: None });
-        // 5 applications × 2 paths, plus one summary row per path; the run itself
-        // asserts bit-identical SimulationResults between live gen and corpus replay.
-        assert_eq!(result.rows.len(), 12);
-        let json = result.render(Format::Json);
-        assert!(json.contains("\"path\": \"live\""));
-        assert!(json.contains("\"path\": \"replay\""));
-        assert!(json.contains("\"app\": \"(all)\""));
-        assert!(json.contains("\"speedup_vs_live\": 1"), "live speedup vs itself is 1.0");
-        // Every recorded corpus must beat the packed 4-byte in-memory stream.
-        for row in &result.rows {
-            if let (crate::runner::Value::Str(app), crate::runner::Value::Float(bpa)) =
-                (&row.cells[0], &row.cells[8])
-            {
-                if app != "(all)" {
-                    assert!(*bpa < 4.0, "{app}: {bpa} bytes/access");
-                }
-            }
+        // The (all) row sums each traffic column over the three applications.
+        let (all, apps) = result.rows.split_last().unwrap();
+        assert_eq!(all.cells[0], Value::Str("(all)".into()));
+        for col in 8..=11 {
+            let sum: f64 = apps.iter().map(|r| float(&r.cells[col])).sum();
+            assert!(float(&all.cells[col]) > 0.0, "column {col}");
+            assert_eq!(float(&all.cells[col]), sum, "column {col}");
         }
+        assert!(matches!(all.cells[8], Value::Int(_)) && matches!(all.cells[9], Value::Float(_)));
     }
 
     #[test]

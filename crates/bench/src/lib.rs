@@ -22,11 +22,11 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod durable;
 pub mod experiments;
 pub mod runner;
 pub mod scheduler;
 pub mod serve;
-pub mod trace_cmd;
 
 use std::time::Instant;
 
@@ -69,18 +69,6 @@ impl AppKind {
             AppKind::WaterSpatial => "Water-Spatial",
             AppKind::Moldyn => "Moldyn",
             AppKind::Unstructured => "Unstructured",
-        }
-    }
-
-    /// Parse a CLI name (`xp trace record --app ...`) into an application.
-    pub fn parse(name: &str) -> Option<AppKind> {
-        match name.to_ascii_lowercase().as_str() {
-            "barnes-hut" | "barneshut" | "barnes_hut" | "bh" => Some(AppKind::BarnesHut),
-            "fmm" => Some(AppKind::Fmm),
-            "water-spatial" | "water_spatial" | "water" => Some(AppKind::WaterSpatial),
-            "moldyn" => Some(AppKind::Moldyn),
-            "unstructured" | "mesh" => Some(AppKind::Unstructured),
-            _ => None,
         }
     }
 
@@ -229,8 +217,8 @@ pub fn build_run_sized(
 
 /// A live application instance with the standard workload generator and default
 /// parameters for its [`AppKind`] — the single source of truth for "build app X at
-/// size n".  The paper specs, the trace-throughput bench and `xp trace record` stream
-/// from it directly, and [`build_run_sized`] records it into a materialized trace.
+/// size n".  The paper specs stream from it directly, and [`build_run_sized`]
+/// records it into a materialized trace.
 #[derive(Clone)]
 pub enum LiveApp {
     /// SPLASH-2 Barnes-Hut.

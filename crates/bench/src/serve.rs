@@ -267,6 +267,10 @@ fn handle_submit(
             }
         }
     }
+    if let Err(message) = experiments::check_config(spec, &config) {
+        let _ = out_tx.send(render_error(None, &message));
+        return;
+    }
 
     let mut table = jobs.lock().expect("jobs lock");
     let job = match request.get("job").map(|j| j.as_u64().ok_or(())) {

@@ -1,19 +1,21 @@
-//! Fault injection at the cell cache's commit site (`serve/cache-commit`): a
-//! crash between computing a cell and committing its on-disk entry must leave
-//! the cache directory salvage-or-absent — no partial `.cell` file, no stale
-//! `.tmp`, and a fresh cache over the same directory simply treats the cell as
-//! a miss.  Mirrors the trace corpus contract (`codec/commit`).
+//! Fault injection at the cell cache's commit sites (`serve/cache-commit` between
+//! encode and commit, `durable/commit` before the rename): a crash between
+//! computing a cell and committing its on-disk entry must leave the cache
+//! directory salvage-or-absent — no partial `.cell` file, no stale `.tmp`, and a
+//! fresh cache over the same directory simply treats the cell as a miss.
 //!
 //! Compiled only under `--features failpoints`.
 #![cfg(feature = "failpoints")]
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use repro_bench::cache::{CellCache, KeyBuilder};
+use repro_bench::durable::AtomicFile;
 use repro_bench::row;
 
-/// Every test configures the same global point, so they must not interleave.
+/// Every test configures a global commit point, so they must not interleave.
 fn serialize() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -90,5 +92,34 @@ fn a_commit_failure_does_not_clobber_an_existing_entry() {
     fresh.insert(key, Arc::new(vec![row!["rewrite"]])).expect_err("injected commit failure");
     assert_eq!(std::fs::read(dir.join(key.file_name())).unwrap(), committed_bytes);
     assert_eq!(dir_entries(&dir), vec![key.file_name()], "no stray staging file");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_injected_commit_failure_publishes_nothing_and_removes_the_staged_bytes() {
+    let _serial = serialize();
+    let dir = temp_dir("atomic");
+    let dest = dir.join("entry.cell");
+    let tmp = dir.join("entry.cell.tmp");
+
+    // `durable/commit` fires before the rename: the staged bytes are complete, yet
+    // commit must fail, the final path must not appear, and the staging file goes.
+    {
+        let _guard = failpoint::configure_guard("durable/commit", "1*return(power cut)").unwrap();
+        let mut file = AtomicFile::create_staged(&dest, tmp.clone()).unwrap();
+        file.write_all(b"a whole entry").unwrap();
+        file.flush().unwrap();
+        assert_eq!(std::fs::read(&tmp).unwrap(), b"a whole entry", "fully staged");
+        let err = file.commit().expect_err("injected commit failure");
+        assert!(err.to_string().contains("power cut"), "got {err}");
+        assert_eq!(dir_entries(&dir), Vec::<String>::new(), "nothing published, no staging");
+    }
+
+    // Disarmed, the same writer sequence publishes exactly the written bytes.
+    let mut file = AtomicFile::create_staged(&dest, tmp).unwrap();
+    file.write_all(b"a whole entry").unwrap();
+    file.commit().unwrap();
+    assert_eq!(std::fs::read(&dest).unwrap(), b"a whole entry");
+    assert_eq!(dir_entries(&dir), vec!["entry.cell".to_string()]);
     std::fs::remove_dir_all(&dir).unwrap();
 }

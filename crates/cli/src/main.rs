@@ -6,7 +6,7 @@
 //! xp table <1|2|3|4>                  one table of the paper
 //! xp fig <1..9>                       one figure (paired figures share a spec)
 //! xp ablation <reorder-frequency|unit-sweep>
-//! xp bench <reorder-cost|sim-throughput|dsm-throughput|trace-throughput>
+//! xp bench <reorder-cost|sim-throughput|dsm-throughput>
 //!                                     performance benches of the production paths
 //! xp run <id>                         any experiment by id or alias
 //! xp sweep                            every experiment (writes one artifact each)
@@ -24,14 +24,12 @@ use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use reorder::Method;
 use repro_bench::cache::{self, CacheConfig, CellCache, MemBudget};
 use repro_bench::experiments;
 use repro_bench::runner::{ExperimentSpec, Format, RunConfig};
 use repro_bench::scheduler::{JobCounters, JobSession, Scheduler};
 use repro_bench::serve::{serve_session, ServeShared};
-use repro_bench::trace_cmd::{self, ReplayTarget};
-use repro_bench::{AppKind, Scale};
+use repro_bench::Scale;
 
 const USAGE: &str = "\
 xp — experiment runner for the SC 2000 data-reordering reproduction
@@ -40,22 +38,16 @@ USAGE:
     xp table <1|2|3|4>        [options]
     xp fig <1|2|...|9>        [options]
     xp ablation <name>        [options]   (reorder-frequency | unit-sweep)
-    xp bench <name>           [options]   (reorder-cost | sim-throughput | dsm-throughput |
-                                           trace-throughput)
+    xp bench <name>           [options]   (reorder-cost | sim-throughput | dsm-throughput)
     xp run <id-or-alias>      [options]
     xp sweep [id...]          [options]   run every (or the listed) experiment(s)
     xp serve                  [options]   NDJSON job server on stdin/stdout
     xp cache <gc|info>        --cache-dir <path> [options]   manage a cache dir
     xp list                               list experiments
-    xp trace record  --app <name> --out <corpus> [--order <method>] [options]
-    xp trace replay  --in <corpus> [--into <sim|dsm>] [--lenient] [options]
-    xp trace info    --in <corpus> [options]
-    xp trace recover --in <corpus> --out <recovered> [options]
 
 OPTIONS:
     --format <text|json|csv>  output format (default: text)
-    --out <path>              write output to a file (sweep: to a directory;
-                              trace record: the corpus file)
+    --out <path>              write output to a file (sweep: to a directory)
     --scale <tiny|small|paper> problem sizes (default: small)
     --procs <N>               override the virtual-processor count
     --seed <N>                override the workload seed
@@ -84,16 +76,6 @@ identical cells across submissions are answered from the cell cache.  EOF or
 SIGTERM drains in-flight jobs before exiting.  `xp sweep` with a repeated or
 overlapping id list computes each unique cell once for the same reason.
 
-TRACE OPTIONS:
-    --app <name>              barnes-hut | fmm | water-spatial | moldyn | unstructured
-    --order <method>          hilbert | morton | column | row (record only)
-    --in <corpus>             corpus file to replay, inspect or recover
-    --into <sim|dsm>          replay substrate (default: sim)
-    --lenient                 replay a damaged corpus's longest valid prefix
-                              instead of failing (reports what was lost)
-
-`xp trace recover` salvages a damaged corpus — typically the `.tmp` staging
-file a killed `xp trace record` leaves behind — into a fresh valid corpus.
 `xp` exits nonzero when any experiment cell fails, even though partial
 results are still rendered.
 ";
@@ -245,12 +227,7 @@ fn emit(rendered: &str, out: Option<&Path>) -> Result<(), String> {
             Ok(())
         }
         Some(path) => {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)
-                        .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-                }
-            }
+            ensure_parent_dir(path)?;
             std::fs::write(path, rendered)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             eprintln!("wrote {}", path.display());
@@ -259,110 +236,18 @@ fn emit(rendered: &str, out: Option<&Path>) -> Result<(), String> {
     }
 }
 
-/// Flags specific to the `xp trace` subcommands, peeled off before the shared
-/// options are parsed.
-#[derive(Default)]
-struct TraceFlags {
-    app: Option<AppKind>,
-    order: Option<Method>,
-    input: Option<PathBuf>,
-    target: Option<ReplayTarget>,
-    lenient: bool,
-}
-
-fn split_trace_flags(args: &[String]) -> Result<(TraceFlags, Vec<String>), String> {
-    let mut flags = TraceFlags::default();
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_for =
-            |name: &str| it.next().map(|s| s.to_string()).ok_or(format!("{name} requires a value"));
-        match arg.as_str() {
-            "--app" => {
-                let v = value_for("--app")?;
-                flags.app = Some(AppKind::parse(&v).ok_or(format!(
-                    "unknown app {v:?} (try barnes-hut, fmm, water-spatial, moldyn, unstructured)"
-                ))?);
-            }
-            "--order" => {
-                let v = value_for("--order")?;
-                flags.order =
-                    Some(Method::ALL.into_iter().find(|m| m.name() == v).ok_or(format!(
-                        "unknown ordering {v:?} (try hilbert, morton, column, row)"
-                    ))?);
-            }
-            "--in" => flags.input = Some(PathBuf::from(value_for("--in")?)),
-            "--lenient" => flags.lenient = true,
-            "--into" => {
-                let v = value_for("--into")?;
-                flags.target = Some(
-                    ReplayTarget::parse(&v)
-                        .ok_or(format!("unknown replay target {v:?} (try sim or dsm)"))?,
-                );
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    Ok((flags, rest))
-}
-
-fn run_trace(args: &[String]) -> Result<(), String> {
-    let Some(action) = args.first().map(String::as_str) else {
-        return Err("`xp trace` needs an action: record, replay, info or recover".to_string());
-    };
-    let (flags, rest) = split_trace_flags(&args[1..])?;
-    let options = parse_options(&rest)?;
-    reject_cache_flags(&options)?;
-    // Validate the output path before any recording or decoding runs (for `record`
-    // and `recover` the --out path is the corpus itself and the command prepares it).
-    if action != "record" && action != "recover" {
-        if let Some(out) = &options.out {
-            trace_cmd::ensure_parent_dir(out)?;
-        }
-    }
-    let go = || match action {
-        "record" => {
-            let app = flags.app.ok_or("`xp trace record` needs --app <name>")?;
-            let out = options
-                .out
-                .clone()
-                .ok_or("`xp trace record` needs --out <corpus-path> for the corpus file")?;
-            let result = trace_cmd::record(app, flags.order, &options.config, &out)?;
-            // --out is the corpus itself; the stats table goes to stdout.
-            emit(&result.render(options.format), None)
-        }
-        "replay" => {
-            let input = flags.input.ok_or("`xp trace replay` needs --in <corpus-path>")?;
-            let target = flags.target.unwrap_or(ReplayTarget::Sim);
-            let result = trace_cmd::replay(&input, target, &options.config, flags.lenient)?;
-            emit(&result.render(options.format), options.out.as_deref())
-        }
-        "info" => {
-            let input = flags.input.ok_or("`xp trace info` needs --in <corpus-path>")?;
-            let result = trace_cmd::info(&input, &options.config)?;
-            emit(&result.render(options.format), options.out.as_deref())
-        }
-        "recover" => {
-            let input = flags.input.ok_or("`xp trace recover` needs --in <corpus-path>")?;
-            let out = options
-                .out
-                .clone()
-                .ok_or("`xp trace recover` needs --out <path> for the recovered corpus")?;
-            let result = trace_cmd::recover(&input, &out, &options.config)?;
-            // --out is the recovered corpus; the salvage report goes to stdout.
-            emit(&result.render(options.format), None)
-        }
-        other => {
-            Err(format!("unknown trace action {other:?} (try record, replay, info or recover)"))
-        }
-    };
-    match options.jobs {
-        Some(n) => rayon::with_num_threads(n, go),
-        None => go(),
+/// Create `path`'s missing parent directories, failing with an error that names the
+/// directory, so a bad `--out` fails before any experiment runs.
+fn ensure_parent_dir(path: &Path) -> Result<(), String> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent)
+            .map_err(|e| format!("cannot create output directory {}: {e}", parent.display())),
+        _ => Ok(()),
     }
 }
 
 fn run_one(spec: &ExperimentSpec, options: &Options) -> Result<(), String> {
+    experiments::check_config(spec, &options.config)?;
     let result = spec.execute(&options.config);
     // Partial results still render (the failure summary is part of the artifact),
     // but a terminally failed cell must not exit 0 — CI keys off the exit code.
@@ -469,6 +354,9 @@ fn run_sweep(ids: &[String], options: &Options) -> Result<(), String> {
             })
             .collect::<Result<_, _>>()?
     };
+    for spec in &specs {
+        experiments::check_config(spec, &options.config)?;
+    }
     let out_dir = options.out.clone().unwrap_or_else(|| PathBuf::from("xp-out"));
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
@@ -639,12 +527,6 @@ fn main() -> ExitCode {
         print_list();
         return ExitCode::SUCCESS;
     }
-    if command == "trace" {
-        return match run_trace(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => fail(&message),
-        };
-    }
     if command == "serve" {
         return match run_serve(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
@@ -695,7 +577,7 @@ fn main() -> ExitCode {
     // --out as a directory and prepares it itself.
     if command != "sweep" {
         if let Some(out) = &options.out {
-            if let Err(message) = trace_cmd::ensure_parent_dir(out) {
+            if let Err(message) = ensure_parent_dir(out) {
                 return fail(&message);
             }
         }

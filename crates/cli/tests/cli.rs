@@ -1,5 +1,5 @@
-//! Black-box tests of the `xp` binary surface added with the scheduler/cache
-//! split: `--jobs` validation, serve-over-stdin, and sweep-level deduplication.
+//! Black-box tests of the `xp` binary surface: `--jobs`, `--procs` and `--out`
+//! validation, serve-over-stdin, and sweep-level deduplication.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -119,23 +119,31 @@ fn procs_one_computes_one_cell_per_unique_run() {
 }
 
 #[test]
-fn origin_cells_reject_more_processors_than_the_directory_tracks() {
-    // The Origin machine tracks sharers in a 64-bit mask per line, so table2 at 65
-    // processors fails every cell with that reason (each cell builds its machine
-    // before it generates anything).  A cell is a pure function of its key, so
-    // each of the 12 runs once: one panic-hook report per cell, no retries.  The
-    // DSM models have no such limit.
-    let out = xp().args(["run", "table2", "--scale", "tiny", "--procs", "65"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("directory masks support at most 64 processors"), "got: {stderr}");
-    assert!(stderr.contains("12 cell(s) failed"), "got: {stderr}");
-    assert_eq!(stderr.matches("panicked at").count(), 12, "one panic per cell: {stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for cell in 0..12 {
-        let report = format!("  cell {cell}: panicked (");
-        assert_eq!(stdout.matches(&report).count(), 1, "cell {cell} reported once: {stdout}");
+fn origin_specs_reject_more_processors_than_the_directory_tracks_before_any_cell_runs() {
+    // The Origin machine tracks sharers in a 64-bit mask per line, so table2 and
+    // fig07 cannot run on 65 processors.  The limit is a property of the
+    // configuration, so it is reported once, up front: no cell runs, nothing
+    // panics, no artifact is rendered, and xp exits nonzero.  A sweep checks every
+    // listed spec before it runs the first one.  The DSM models have no such limit.
+    let dir = std::env::temp_dir().join(format!("xp-procs65-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sweep = ["sweep", "table3", "fig07", "--scale", "tiny", "--procs", "65", "--out"];
+    let runs: [Vec<&str>; 3] = [
+        vec!["run", "table2", "--scale", "tiny", "--procs", "65"],
+        vec!["fig", "7", "--scale", "tiny", "--procs", "65"],
+        sweep.iter().copied().chain([dir.to_str().unwrap()]).collect(),
+    ];
+    for args in runs {
+        let out = xp().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let limit = "directory masks support at most 64 processors, got 65";
+        assert_eq!(stderr.matches(limit).count(), 1, "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("running "), "no experiment starts: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stdout));
     }
+    assert!(!dir.exists(), "a rejected sweep writes no artifact");
 
     let out = xp()
         .args(["run", "table3", "--scale", "tiny", "--procs", "65", "--format", "csv"])
@@ -143,6 +151,55 @@ fn origin_cells_reject_more_processors_than_the_directory_tracks() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(csv_rows(&String::from_utf8_lossy(&out.stdout)).len(), 12);
+}
+
+#[test]
+fn serve_answers_an_origin_submit_beyond_the_directory_limit_with_one_error() {
+    let mut child = xp()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    stdin
+        .write_all(
+            b"{\"cmd\": \"submit\", \"experiment\": \"table2\", \"scale\": \"tiny\", \"procs\": 65}\n",
+        )
+        .unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let events: Vec<&str> = stdout.lines().collect();
+    assert_eq!(events.len(), 2, "one error, then bye: {events:?}");
+    assert!(events[0].contains("\"event\": \"error\""), "{events:?}");
+    assert!(events[0].contains("at most 64 processors"), "{events:?}");
+    assert!(
+        events[1].contains("\"event\": \"bye\"") && events[1].contains("\"jobs\": 0"),
+        "{events:?}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+}
+
+#[test]
+fn out_creates_missing_parent_directories_and_names_the_one_it_cannot() {
+    let dir = std::env::temp_dir().join(format!("xp-out-parents-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let nested = dir.join("a/b/fig03.csv");
+    let out = xp().args(["fig", "3", "--format", "csv", "--out"]).arg(&nested).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(std::fs::read_to_string(&nested).unwrap().starts_with("method,"));
+
+    // A parent that is a file fails up front, naming the directory it could not make.
+    let blocked = nested.join("x.csv");
+    let out = xp().args(["table", "2", "--scale", "tiny", "--out"]).arg(&blocked).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot create output directory"), "got: {stderr}");
+    assert!(stderr.contains("fig03.csv"), "got: {stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A substrate cell that fails terminally drops exactly the rows built on it, in

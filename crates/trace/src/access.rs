@@ -58,17 +58,6 @@ impl Access {
         Access { bits: object as u32 | WRITE_BIT }
     }
 
-    /// Assemble an access from an already-validated object index and a kind flag.
-    ///
-    /// Crate-internal fast path for the corpus decoder's hot loop, which has just
-    /// range-checked `object` itself and carries the kind as a per-run constant —
-    /// re-asserting per access would double the loop's branch count for nothing.
-    #[inline]
-    pub(crate) fn from_parts(object: u32, is_write: bool) -> Self {
-        debug_assert!(object as usize <= Self::MAX_OBJECT);
-        Access { bits: object | (u32::from(is_write) << 31) }
-    }
-
     /// An access of object `object` with the given kind.
     #[inline]
     pub fn new(object: usize, kind: AccessKind) -> Self {

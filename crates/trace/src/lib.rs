@@ -30,13 +30,7 @@
 //! * [`UnitAccessSets`] / [`UnitSetsSink`] — reduction of an interval's accesses to
 //!   per-consistency-unit read/write sets (the quantity false sharing is defined
 //!   over) held as [`DenseSet`] bitsets, available both from a materialized interval
-//!   and incrementally from the stream;
-//! * [`CorpusWriter`] / [`CorpusReader`] — the on-disk form of the stream: a
-//!   delta/varint-encoded, checksummed block format ([`codec`]) that records a run
-//!   once and replays it into any sink at decode bandwidth, event-for-event identical
-//!   to live generation.  File recordings go through [`AtomicFile`] (temp sibling +
-//!   fsync + atomic rename), and [`CorpusReader::salvage_into`] recovers the longest
-//!   valid block prefix of a truncated or corrupt corpus (DESIGN.md §13).
+//!   and incrementally from the stream.
 //!
 //! The benchmark applications (`nbody`, `molecular`, `unstructured`) are written so that
 //! the *same* partitioned computation both runs in parallel with rayon (for wall-clock
@@ -69,8 +63,6 @@
 #![forbid(unsafe_code)]
 
 pub mod access;
-pub mod codec;
-pub mod durable;
 pub mod layout;
 pub mod sets;
 pub mod shard;
@@ -78,8 +70,6 @@ pub mod sink;
 pub mod trace;
 
 pub use access::{Access, AccessKind};
-pub use codec::{CodecError, CorpusReader, CorpusSummary, CorpusWriter, SalvageOutcome};
-pub use durable::AtomicFile;
 pub use layout::{ConsistencyGranularity, ObjectLayout};
 pub use sets::{DenseSet, SharingHistogram, UnitAccessSets};
 pub use shard::{Shard, ShardSet};

@@ -58,8 +58,8 @@ pub trait TraceSink {
 }
 
 /// A sink that discards every event — the consumer for passes that only want a
-/// producer's side effects, such as `xp trace info` decoding a corpus purely for its
-/// validation and summary statistics.
+/// producer's side effects, such as timing or sizing generation on its own (the
+/// shards still fill and drain, but nothing downstream is kept).
 #[derive(Debug)]
 pub struct NullSink {
     num_procs: usize,
