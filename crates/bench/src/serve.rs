@@ -231,12 +231,21 @@ fn handle_submit(
     next_auto_job: &mut u64,
     out_tx: &mpsc::Sender<String>,
 ) {
+    // An explicit job id is read first, so every validation error names its job.
+    let explicit_job = match request.get("job").map(Json::as_u64) {
+        None => None,
+        Some(Some(job)) => Some(job),
+        Some(None) => {
+            let _ = out_tx.send(render_error(None, "job must be a non-negative integer"));
+            return;
+        }
+    };
     let Some(name) = request.get("experiment").and_then(Json::as_str) else {
-        let _ = out_tx.send(render_error(None, "submit needs \"experiment\""));
+        let _ = out_tx.send(render_error(explicit_job, "submit needs \"experiment\""));
         return;
     };
     let Some(spec) = experiments::find(name) else {
-        let _ = out_tx.send(render_error(None, &format!("unknown experiment {name:?}")));
+        let _ = out_tx.send(render_error(explicit_job, &format!("unknown experiment {name:?}")));
         return;
     };
     let mut config = RunConfig::default();
@@ -244,7 +253,7 @@ fn handle_submit(
         match scale.as_str().and_then(Scale::parse) {
             Some(scale) => config.scale = scale,
             None => {
-                let _ = out_tx.send(render_error(None, "scale must be tiny|small|paper"));
+                let _ = out_tx.send(render_error(explicit_job, "scale must be tiny|small|paper"));
                 return;
             }
         }
@@ -253,7 +262,7 @@ fn handle_submit(
         match procs.as_u64() {
             Some(p) if p >= 1 => config.procs = Some(p as usize),
             _ => {
-                let _ = out_tx.send(render_error(None, "procs must be an integer >= 1"));
+                let _ = out_tx.send(render_error(explicit_job, "procs must be an integer >= 1"));
                 return;
             }
         }
@@ -262,23 +271,20 @@ fn handle_submit(
         match seed.as_u64() {
             Some(s) => config.seed = Some(s),
             None => {
-                let _ = out_tx.send(render_error(None, "seed must be a non-negative integer"));
+                let _ =
+                    out_tx.send(render_error(explicit_job, "seed must be a non-negative integer"));
                 return;
             }
         }
     }
     if let Err(message) = experiments::check_config(spec, &config) {
-        let _ = out_tx.send(render_error(None, &message));
+        let _ = out_tx.send(render_error(explicit_job, &message));
         return;
     }
 
     let mut table = jobs.lock().expect("jobs lock");
-    let job = match request.get("job").map(|j| j.as_u64().ok_or(())) {
-        Some(Ok(explicit)) => explicit,
-        Some(Err(())) => {
-            let _ = out_tx.send(render_error(None, "job must be a non-negative integer"));
-            return;
-        }
+    let job = match explicit_job {
+        Some(explicit) => explicit,
         None => {
             while table.contains_key(next_auto_job) {
                 *next_auto_job += 1;

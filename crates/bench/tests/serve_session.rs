@@ -252,3 +252,15 @@ fn duplicate_job_ids_are_rejected() {
     assert_eq!(events(&all, "error").len(), 1, "{all:?}");
     assert_eq!(events(&all, "done").len(), 1);
 }
+
+#[test]
+fn validation_errors_name_an_explicit_job() {
+    // The Origin specs reject more than 64 processors before any cell runs; the
+    // error still carries the job id the client chose.
+    let script = "{\"cmd\": \"submit\", \"job\": 7, \"experiment\": \"table2\", \"procs\": 65}\n";
+    let all = run_session(script, 2);
+    let errors = events(&all, "error");
+    assert_eq!(errors.len(), 1, "{all:?}");
+    assert_eq!(field(errors[0], "job"), 7, "{all:?}");
+    assert!(events(&all, "accepted").is_empty(), "{all:?}");
+}

@@ -11,17 +11,20 @@
 //!    traversing the tree with the opening-angle criterion θ (barrier);
 //! 3. **Update** — each processor advances its bodies with a leapfrog step (barrier).
 //!
-//! The struct exposes three execution paths over the same partitioned computation:
-//! a sequential reference path, a rayon-parallel path (wall-clock measurements), and a
-//! traced path that records per-virtual-processor accesses to the body array for the
-//! `memsim`/`dsm` substrates.
+//! Every execution path — sequential, rayon-parallel (wall-clock measurements), the
+//! sharded traced path that records per-virtual-processor accesses to the body array
+//! for the `memsim`/`dsm` substrates, and its serial spec — evaluates forces with one
+//! kernel: a stackless walk over the octree's flat preorder layout
+//! ([`Octree::walk`]).  The kernel hands each body read to a caller's closure, so the
+//! untraced paths pass a no-op and the traced ones push the read straight into the
+//! processor's trace.
 
 use rayon::prelude::*;
 use reorder::{reorder_by_method, Method, Reordering};
 use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 
 use crate::body::{Body, BODY_BYTES_FIG};
-use crate::octree::{NodeId, Octree};
+use crate::octree::Octree;
 use crate::vec3::Vec3;
 
 /// Tunable parameters of the Barnes-Hut simulation.
@@ -54,24 +57,14 @@ struct ForceResult {
 }
 
 /// Reusable buffers for the sharded traced path: the costzones partition, the in-order
-/// traversal scratch, and per-virtual-processor read logs, traversal stacks and force
-/// results.  Held across iterations by [`BarnesHut::stream_iterations`] so steady-state
-/// trace generation performs no per-iteration allocations.
+/// traversal scratch, and per-virtual-processor force results.  Held across iterations
+/// by [`BarnesHut::stream_iterations`] so steady-state trace generation performs no
+/// per-iteration allocations.
 #[derive(Debug, Default)]
 struct ShardScratch {
     order: Vec<u32>,
     parts: Vec<Vec<u32>>,
     results: Vec<Vec<ForceResult>>,
-    reads: Vec<Vec<u32>>,
-    stacks: Vec<Vec<NodeId>>,
-}
-
-impl ShardScratch {
-    fn resize(&mut self, num_procs: usize) {
-        self.results.resize_with(num_procs, Vec::new);
-        self.reads.resize_with(num_procs, Vec::new);
-        self.stacks.resize_with(num_procs, Vec::new);
-    }
 }
 
 /// The Barnes-Hut application state.
@@ -164,73 +157,62 @@ impl BarnesHut {
     }
 
     /// Compute the gravitational acceleration, potential, and interaction count for
-    /// body `i` by partial traversal of `tree`.  If `reads` is provided, the indices of
-    /// every *body* read during the traversal (direct interactions within opened
-    /// leaves) are appended to it.
-    fn force_on_body(&self, tree: &Octree, i: u32, reads: Option<&mut Vec<u32>>) -> ForceResult {
-        let mut stack = Vec::new();
-        self.force_on_body_scratch(tree, i, reads, &mut stack)
-    }
-
-    /// [`BarnesHut::force_on_body`] with a caller-provided traversal stack, so hot
-    /// loops evaluate many bodies without a heap allocation per body.
-    fn force_on_body_scratch(
-        &self,
-        tree: &Octree,
-        i: u32,
-        mut reads: Option<&mut Vec<u32>>,
-        stack: &mut Vec<NodeId>,
-    ) -> ForceResult {
+    /// body `i` by a partial walk of `tree`, calling `read(j)` for every *body* read on
+    /// the way (direct interactions within opened leaves), in order.
+    ///
+    /// The walk visits nodes in the order a stack traversal would: a node with no mass
+    /// is skipped, an opened internal node steps into its subtree, and every other node
+    /// interacts (with its bodies if it is an opened leaf, with its centre of mass
+    /// otherwise) and jumps past its subtree.
+    fn force(&self, tree: &Octree, i: u32, mut read: impl FnMut(u32)) -> ForceResult {
         let theta = self.params.theta;
         let eps2 = self.params.eps * self.params.eps;
         let pos_i = self.bodies[i as usize].pos;
+        let (walk, ids, points) = tree.walk();
         let mut acc = Vec3::ZERO;
         let mut phi = 0.0;
         let mut cost = 0u32;
-        // Explicit stack to avoid recursion overhead in the hot loop.
-        stack.clear();
-        stack.push(tree.root());
-        while let Some(id) = stack.pop() {
-            let node = tree.node(id);
+        let mut k = 0;
+        while k < walk.len() {
+            let node = &walk[k];
             if node.mass == 0.0 {
+                k = node.skip as usize;
                 continue;
             }
             let delta = node.com - pos_i;
             let dist2 = delta.norm_sq() + eps2;
             let dist = dist2.sqrt();
-            let open = 2.0 * node.half >= theta * dist;
-            if node.is_leaf || !open {
-                if node.is_leaf && open {
-                    // Direct interactions with the bodies of the leaf.
-                    for &j in tree.leaf_bodies(id) {
-                        if j == i {
-                            continue;
-                        }
-                        let bj = &self.bodies[j as usize];
-                        if let Some(r) = reads.as_deref_mut() {
-                            r.push(j);
-                        }
-                        let d = bj.pos - pos_i;
-                        let r2 = d.norm_sq() + eps2;
-                        let r1 = r2.sqrt();
-                        let inv_r3 = 1.0 / (r2 * r1);
-                        acc += d * (bj.mass * inv_r3);
-                        phi -= bj.mass / r1;
-                        cost += 1;
+            let open = node.size >= theta * dist;
+            if open && node.body_len == 0 {
+                // Opened internal node: its first child is next in the walk.
+                k += 1;
+                continue;
+            }
+            if open {
+                // Direct interactions with the bodies of the leaf.
+                let leaf = node.body_start as usize..(node.body_start + node.body_len) as usize;
+                for (&j, &(pos_j, mass_j)) in ids[leaf.clone()].iter().zip(&points[leaf]) {
+                    if j == i {
+                        continue;
                     }
-                } else {
-                    // Cell approximation via centre of mass (reads tree data only, not
-                    // the body array).
-                    let inv_r3 = 1.0 / (dist2 * dist);
-                    acc += delta * (node.mass * inv_r3);
-                    phi -= node.mass / dist;
+                    read(j);
+                    let d = pos_j - pos_i;
+                    let r2 = d.norm_sq() + eps2;
+                    let r1 = r2.sqrt();
+                    let inv_r3 = 1.0 / (r2 * r1);
+                    acc += d * (mass_j * inv_r3);
+                    phi -= mass_j / r1;
                     cost += 1;
                 }
             } else {
-                for child in node.children.into_iter().flatten() {
-                    stack.push(child);
-                }
+                // Cell approximation via centre of mass (reads tree data only, not the
+                // body array).
+                let inv_r3 = 1.0 / (dist2 * dist);
+                acc += delta * (node.mass * inv_r3);
+                phi -= node.mass / dist;
+                cost += 1;
             }
+            k = node.skip as usize;
         }
         ForceResult { body: i, acc, phi, cost }
     }
@@ -258,7 +240,7 @@ impl BarnesHut {
     pub fn step_sequential(&mut self) {
         let tree = self.build_tree();
         let results: Vec<ForceResult> =
-            (0..self.bodies.len() as u32).map(|i| self.force_on_body(&tree, i, None)).collect();
+            (0..self.bodies.len() as u32).map(|i| self.force(&tree, i, |_| {})).collect();
         self.apply_forces(&results);
         let all: Vec<u32> = (0..self.bodies.len() as u32).collect();
         self.integrate_bodies(&all);
@@ -272,7 +254,7 @@ impl BarnesHut {
         let results: Vec<ForceResult> = parts
             .par_iter()
             .flat_map_iter(|chunk| {
-                chunk.iter().map(|&i| self.force_on_body(&tree, i, None)).collect::<Vec<_>>()
+                chunk.iter().map(|&i| self.force(&tree, i, |_| {})).collect::<Vec<_>>()
             })
             .collect();
         self.apply_forces(&results);
@@ -302,14 +284,9 @@ impl BarnesHut {
         let parts = self.partition(&tree, num_procs);
         let mut all_results = Vec::with_capacity(self.bodies.len());
         for (proc, chunk) in parts.iter().enumerate() {
-            let mut reads = Vec::new();
             for &i in chunk {
-                reads.clear();
-                let r = self.force_on_body(&tree, i, Some(&mut reads));
                 builder.read(proc, i as usize);
-                for &j in &reads {
-                    builder.read(proc, j as usize);
-                }
+                let r = self.force(&tree, i, |j| builder.read(proc, j as usize));
                 builder.write(proc, i as usize);
                 all_results.push(r);
             }
@@ -351,30 +328,21 @@ impl BarnesHut {
         // Interval 2: force evaluation — one task per virtual processor, each filling
         // its own shard in the exact order the serial loop emits.
         self.partition_into(&tree, num_procs, &mut scratch.order, &mut scratch.parts);
-        scratch.resize(num_procs);
+        scratch.results.resize_with(num_procs, Vec::new);
         {
             let this = &*self;
             let tree = &tree;
             let tasks: Vec<_> = shards
                 .shards_mut()
                 .iter_mut()
-                .zip(scratch.parts.iter())
-                .zip(scratch.results.iter_mut())
-                .zip(scratch.reads.iter_mut())
-                .zip(scratch.stacks.iter_mut())
-                .map(|((((shard, chunk), results), reads), stack)| {
-                    (shard, chunk, results, reads, stack)
-                })
+                .zip(&scratch.parts)
+                .zip(&mut scratch.results)
                 .collect();
-            tasks.into_par_iter().for_each(|(shard, chunk, results, reads, stack)| {
+            tasks.into_par_iter().for_each(|((shard, chunk), results)| {
                 results.clear();
                 for &i in chunk {
-                    reads.clear();
-                    let r = this.force_on_body_scratch(tree, i, Some(reads), stack);
                     shard.read(i as usize);
-                    for &j in reads.iter() {
-                        shard.read(j as usize);
-                    }
+                    let r = this.force(tree, i, |j| shard.read(j as usize));
                     shard.write(i as usize);
                     results.push(r);
                 }
@@ -441,6 +409,113 @@ impl BarnesHut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::octree::NodeId;
+    use proptest::prelude::*;
+
+    /// The kernel's oracle, a stack traversal of the octree's construction arena: it
+    /// pops nodes off an explicit stack, pushing an opened internal node's children in
+    /// ascending octant order, and logs every body read into `reads`.
+    fn force_on_body_scratch(
+        sim: &BarnesHut,
+        tree: &Octree,
+        i: u32,
+        reads: &mut Vec<u32>,
+        stack: &mut Vec<NodeId>,
+    ) -> ForceResult {
+        let theta = sim.params.theta;
+        let eps2 = sim.params.eps * sim.params.eps;
+        let pos_i = sim.bodies[i as usize].pos;
+        let mut acc = Vec3::ZERO;
+        let mut phi = 0.0;
+        let mut cost = 0u32;
+        stack.clear();
+        stack.push(tree.root());
+        while let Some(id) = stack.pop() {
+            let node = tree.node(id);
+            if node.mass == 0.0 {
+                continue;
+            }
+            let delta = node.com - pos_i;
+            let dist2 = delta.norm_sq() + eps2;
+            let dist = dist2.sqrt();
+            let open = 2.0 * node.half >= theta * dist;
+            if node.is_leaf || !open {
+                if node.is_leaf && open {
+                    for &j in tree.leaf_bodies(id) {
+                        if j == i {
+                            continue;
+                        }
+                        let bj = &sim.bodies[j as usize];
+                        reads.push(j);
+                        let d = bj.pos - pos_i;
+                        let r2 = d.norm_sq() + eps2;
+                        let r1 = r2.sqrt();
+                        let inv_r3 = 1.0 / (r2 * r1);
+                        acc += d * (bj.mass * inv_r3);
+                        phi -= bj.mass / r1;
+                        cost += 1;
+                    }
+                } else {
+                    let inv_r3 = 1.0 / (dist2 * dist);
+                    acc += delta * (node.mass * inv_r3);
+                    phi -= node.mass / dist;
+                    cost += 1;
+                }
+            } else {
+                for child in node.children.into_iter().flatten() {
+                    stack.push(child);
+                }
+            }
+        }
+        ForceResult { body: i, acc, phi, cost }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The walk and the stack traversal agree bit for bit on every body's force,
+        /// potential and cost, and read the same bodies in the same order.  Inputs
+        /// include coincident bodies (leaves that cannot split) and massless bodies
+        /// (zero-mass leaves and subtrees, which both traversals skip).
+        #[test]
+        fn walk_matches_the_stack_oracle(
+            n in 1usize..300,
+            seed in any::<u64>(),
+            theta in (0u32..4, 0.3f64..1.2).prop_map(|(pick, t)| if pick == 0 { 0.0 } else { t }),
+            leaf_capacity in 1usize..17,
+            shape in (0usize..3, 0usize..3),
+        ) {
+            let (coincident, massless) = shape;
+            let params = BarnesHutParams { theta, dt: 0.01, eps: 0.05, leaf_capacity };
+            let mut sim = BarnesHut::two_plummer(n, seed, params);
+            let anchor = sim.bodies[0].pos;
+            for (j, b) in sim.bodies.iter_mut().enumerate() {
+                // Stack every third or every other body onto body 0's position.
+                if coincident > 0 && j % (4 - coincident) == 0 {
+                    b.pos = anchor;
+                }
+                // Zero every other body's mass, or a whole half-space's.
+                if (massless == 1 && j % 2 == 1) || (massless == 2 && b.pos.x < anchor.x) {
+                    b.mass = 0.0;
+                }
+            }
+            let tree = sim.build_tree();
+            let (mut walk_reads, mut stack_reads, mut stack) = (Vec::new(), Vec::new(), Vec::new());
+            for i in 0..n as u32 {
+                walk_reads.clear();
+                stack_reads.clear();
+                let w = sim.force(&tree, i, |j| walk_reads.push(j));
+                let s = force_on_body_scratch(&sim, &tree, i, &mut stack_reads, &mut stack);
+                prop_assert_eq!(w.body, s.body);
+                prop_assert_eq!(w.acc.x.to_bits(), s.acc.x.to_bits(), "body {}", i);
+                prop_assert_eq!(w.acc.y.to_bits(), s.acc.y.to_bits(), "body {}", i);
+                prop_assert_eq!(w.acc.z.to_bits(), s.acc.z.to_bits(), "body {}", i);
+                prop_assert_eq!(w.phi.to_bits(), s.phi.to_bits(), "body {}", i);
+                prop_assert_eq!(w.cost, s.cost, "body {}", i);
+                prop_assert_eq!(&walk_reads, &stack_reads, "body {}", i);
+            }
+        }
+    }
 
     fn small_sim(n: usize, seed: u64, theta: f64) -> BarnesHut {
         BarnesHut::two_plummer(
@@ -463,7 +538,7 @@ mod tests {
             let r2 = d.norm_sq() + eps2;
             acc += d * (sim.bodies[j].mass / (r2 * r2.sqrt()));
         }
-        let r = sim.force_on_body(&tree, 0, None);
+        let r = sim.force(&tree, 0, |_| {});
         assert!((r.acc - acc).norm() < 1e-9 * acc.norm().max(1.0));
     }
 
@@ -475,8 +550,8 @@ mod tests {
         let tree_a = approx.build_tree();
         let mut rel_err_sum = 0.0;
         for i in 0..64u32 {
-            let fe = exact.force_on_body(&tree_e, i, None).acc;
-            let fa = approx.force_on_body(&tree_a, i, None).acc;
+            let fe = exact.force(&tree_e, i, |_| {}).acc;
+            let fa = approx.force(&tree_a, i, |_| {}).acc;
             rel_err_sum += (fe - fa).norm() / fe.norm().max(1e-12);
         }
         let mean_rel_err = rel_err_sum / 64.0;

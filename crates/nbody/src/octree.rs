@@ -11,10 +11,28 @@
 //! Because the tree is rebuilt every iteration, its construction cost is on the trace
 //! generation hot path.  Leaf body lists are therefore *not* stored as one `Vec<u32>`
 //! per leaf (thousands of small heap allocations per rebuild): during construction each
-//! leaf chains its bodies through a single `next[body]` array, and one flattening pass
-//! at the end packs every leaf's bodies — in insertion order, exactly as the old
-//! per-leaf vectors stored them — into one shared arena addressed by `(offset, len)`
-//! ranges.  A rebuild thus performs O(1) allocations regardless of leaf count.
+//! leaf chains its bodies through a single `next[body]` array, and one pass at the end
+//! packs every leaf's bodies, in insertion order, into shared arrays addressed by
+//! `(start, len)` ranges.  A rebuild thus performs O(1) allocations regardless of leaf
+//! count.
+//!
+//! **The force walk.**  That same final pass lays the tree out a second time, as the
+//! flat array the force kernel walks ([`Octree::walk`]): the nodes in preorder with
+//! the children of each node in *descending* octant order.  This is the order a stack
+//! traversal visits them — it pushes a node's children in ascending octant order, so it
+//! pops (and descends into) the highest octant first.  Each [`WalkNode`] carries its
+//! `skip` index, one past the end of its subtree, so the kernel needs no stack: an
+//! opened internal node steps to the next index, every other node jumps to `skip`.
+//! Each leaf's bodies are packed in walk order too, ids next to (position, mass)
+//! copies, so the kernel streams through contiguous memory instead of gathering from
+//! the randomly ordered body array.  The walk visits the same nodes and does the same
+//! floating-point operations in the same order as the stack traversal, so the two
+//! give the same forces bit for bit (a proptest in `barnes_hut` holds the kernel to the
+//! stack traversal).
+//!
+//! Reversing the walk's leaf sequence gives the leaves in ascending octant order, which
+//! is the in-order sequence the costzones partition hands out
+//! ([`Octree::inorder_bodies`]).
 
 use crate::body::Body;
 use crate::vec3::Vec3;
@@ -47,13 +65,39 @@ pub struct OctNode {
     body_len: u32,
 }
 
+/// One node of the force walk (see the module docs): the octree in the order a
+/// stack traversal visits it.
+#[derive(Debug, Clone, Copy)]
+pub struct WalkNode {
+    /// Centre of mass of the subtree.
+    pub com: Vec3,
+    /// Total mass of the subtree.
+    pub mass: f64,
+    /// Side length of the cell, `2 * half` (exact: doubling only changes the
+    /// exponent).
+    pub size: f64,
+    /// Walk index one past the end of this node's subtree.
+    pub skip: u32,
+    /// Start of this leaf's bodies in the walk-order body arrays; 0 for internal
+    /// nodes.
+    pub body_start: u32,
+    /// Number of bodies in this leaf; 0 for internal nodes (a leaf always holds at
+    /// least one body).
+    pub body_len: u32,
+}
+
 /// A Barnes-Hut octree over a body array.
 #[derive(Debug, Clone)]
 pub struct Octree {
+    /// The construction arena, in insertion order, linked by child ids.
     nodes: Vec<OctNode>,
-    /// Every leaf's body indices, packed back-to-back; leaves address it via
-    /// `(body_start, body_len)`.
-    body_arena: Vec<u32>,
+    /// The same nodes in walk order.
+    walk: Vec<WalkNode>,
+    /// Every leaf's body indices, packed back-to-back in walk order; leaves address it
+    /// via `(body_start, body_len)`.
+    body_ids: Vec<u32>,
+    /// `(position, mass)` of `body_ids[k]`.
+    body_points: Vec<(Vec3, f64)>,
     root: NodeId,
     leaf_capacity: usize,
 }
@@ -143,7 +187,9 @@ impl Octree {
                 body_start: 0,
                 body_len: 0,
             }],
-            body_arena: Vec::with_capacity(bodies.len()),
+            walk: Vec::new(),
+            body_ids: Vec::with_capacity(bodies.len()),
+            body_points: Vec::with_capacity(bodies.len()),
             root: 0,
             leaf_capacity,
         };
@@ -151,8 +197,9 @@ impl Octree {
         for (i, b) in bodies.iter().enumerate() {
             tree.insert(&mut chains, tree.root, i as u32, b.pos, bodies);
         }
-        tree.flatten(&mut chains);
-        tree.summarize(tree.root, bodies);
+        tree.walk.reserve_exact(tree.nodes.len());
+        let mut leaf = chains.pool.pop().unwrap_or_default();
+        tree.emit(&mut chains, &mut leaf, tree.root, bodies);
         tree
     }
 
@@ -175,7 +222,14 @@ impl Octree {
     /// nodes).
     pub fn leaf_bodies(&self, id: NodeId) -> &[u32] {
         let n = &self.nodes[id as usize];
-        &self.body_arena[n.body_start as usize..(n.body_start + n.body_len) as usize]
+        &self.body_ids[n.body_start as usize..(n.body_start + n.body_len) as usize]
+    }
+
+    /// The force walk: the nodes in visit order (the root first), and every leaf's
+    /// body ids and `(position, mass)` pairs, packed in the same order and addressed by
+    /// each leaf's `(body_start, body_len)`.
+    pub fn walk(&self) -> (&[WalkNode], &[u32], &[(Vec3, f64)]) {
+        (&self.walk, &self.body_ids, &self.body_points)
     }
 
     /// The octant (0..8) of `pos` relative to a cell centred at `center`.
@@ -259,52 +313,71 @@ impl Octree {
         self.insert(chains, child, body, pos, bodies);
     }
 
-    /// Pack every leaf's chained bodies into the shared arena, in insertion order.
-    fn flatten(&mut self, chains: &mut ChainBuilder) {
-        let mut ordered = chains.pool.pop().unwrap_or_default();
-        for id in 0..self.nodes.len() {
-            if !self.nodes[id].is_leaf {
-                continue;
-            }
-            let start = self.body_arena.len() as u32;
-            chains.take_into(id as NodeId, &mut ordered);
-            self.body_arena.extend_from_slice(&ordered);
-            self.nodes[id].body_start = start;
-            self.nodes[id].body_len = self.body_arena.len() as u32 - start;
-        }
-        chains.pool.push(ordered);
-    }
-
-    /// Compute mass and centre of mass bottom-up.
-    fn summarize(&mut self, node: NodeId, bodies: &[Body]) -> (f64, Vec3) {
+    /// Append the subtree of `node` to the walk, children in descending octant order,
+    /// packing each leaf's chained bodies (in insertion order) as it is reached, and
+    /// summarize masses bottom-up.  Returns the subtree's mass and centre of mass.
+    /// `leaf` is scratch for one leaf's bodies.
+    fn emit(
+        &mut self,
+        chains: &mut ChainBuilder,
+        leaf: &mut Vec<u32>,
+        node: NodeId,
+        bodies: &[Body],
+    ) -> (f64, Vec3) {
         let n = node as usize;
+        let k = self.walk.len();
+        self.walk.push(WalkNode {
+            com: Vec3::ZERO,
+            mass: 0.0,
+            size: 0.0,
+            skip: 0,
+            body_start: 0,
+            body_len: 0,
+        });
+        let mut mass = 0.0;
+        let mut weighted = Vec3::ZERO;
         if self.nodes[n].is_leaf {
-            let mut mass = 0.0;
-            let mut weighted = Vec3::ZERO;
-            let (start, len) = (self.nodes[n].body_start as usize, self.nodes[n].body_len as usize);
-            for k in start..start + len {
-                let body = &bodies[self.body_arena[k] as usize];
+            let start = self.body_ids.len() as u32;
+            chains.take_into(node, leaf);
+            for &b in leaf.iter() {
+                let body = &bodies[b as usize];
                 mass += body.mass;
                 weighted += body.pos * body.mass;
+                self.body_ids.push(b);
+                self.body_points.push((body.pos, body.mass));
             }
-            let com = if mass > 0.0 { weighted / mass } else { self.nodes[n].center };
-            self.nodes[n].mass = mass;
-            self.nodes[n].com = com;
-            (mass, com)
+            self.nodes[n].body_start = start;
+            self.nodes[n].body_len = self.body_ids.len() as u32 - start;
         } else {
+            // Emit in visit order, but sum the children in ascending octant order:
+            // that order fixes the bits of every centre of mass.
             let children = self.nodes[n].children;
-            let mut mass = 0.0;
-            let mut weighted = Vec3::ZERO;
-            for child in children.into_iter().flatten() {
-                let (m, c) = self.summarize(child, bodies);
-                mass += m;
-                weighted += c * m;
+            let mut sums = [(0.0, Vec3::ZERO); 8];
+            for oct in (0..8).rev() {
+                if let Some(child) = children[oct] {
+                    sums[oct] = self.emit(chains, leaf, child, bodies);
+                }
             }
-            let com = if mass > 0.0 { weighted / mass } else { self.nodes[n].center };
-            self.nodes[n].mass = mass;
-            self.nodes[n].com = com;
-            (mass, com)
+            for (child, &(m, c)) in children.iter().zip(&sums) {
+                if child.is_some() {
+                    mass += m;
+                    weighted += c * m;
+                }
+            }
         }
+        let node = &mut self.nodes[n];
+        let com = if mass > 0.0 { weighted / mass } else { node.center };
+        node.mass = mass;
+        node.com = com;
+        self.walk[k] = WalkNode {
+            com,
+            mass,
+            size: 2.0 * node.half,
+            skip: self.walk.len() as u32,
+            body_start: node.body_start,
+            body_len: node.body_len,
+        };
+        (mass, com)
     }
 
     /// In-order (depth-first, octant order) traversal of the leaves, returning body
@@ -319,19 +392,15 @@ impl Octree {
 
     /// [`Octree::inorder_bodies`] into a caller-provided buffer (cleared first), so
     /// per-iteration traversals can reuse one allocation.
+    ///
+    /// The walk lists the leaves in descending octant order, so its leaves read
+    /// backwards are the ascending in-order sequence; each leaf's bodies stay in
+    /// insertion order.
     pub fn inorder_bodies_into(&self, out: &mut Vec<u32>) {
         out.clear();
-        self.collect_inorder(self.root, out);
-    }
-
-    fn collect_inorder(&self, node: NodeId, out: &mut Vec<u32>) {
-        let n = &self.nodes[node as usize];
-        if n.is_leaf {
-            out.extend_from_slice(self.leaf_bodies(node));
-        } else {
-            for child in n.children.into_iter().flatten() {
-                self.collect_inorder(child, out);
-            }
+        for node in self.walk.iter().rev() {
+            let start = node.body_start as usize;
+            out.extend_from_slice(&self.body_ids[start..start + node.body_len as usize]);
         }
     }
 }
@@ -390,7 +459,7 @@ mod tests {
             }
         }
         assert_eq!(total, bs.len(), "leaf ranges must tile the arena");
-        let mut all: Vec<u32> = tree.body_arena.clone();
+        let mut all: Vec<u32> = tree.body_ids.clone();
         all.sort_unstable();
         assert_eq!(all, (0..bs.len() as u32).collect::<Vec<_>>());
     }
@@ -433,6 +502,62 @@ mod tests {
         };
         let array_order: Vec<u32> = (0..bs.len() as u32).collect();
         assert!(mean_dist(&order) * 2.0 < mean_dist(&array_order));
+    }
+
+    fn subtree_size(tree: &Octree, id: NodeId) -> usize {
+        1 + tree
+            .node(id)
+            .children
+            .into_iter()
+            .flatten()
+            .map(|c| subtree_size(tree, c))
+            .sum::<usize>()
+    }
+
+    fn collect_inorder(tree: &Octree, id: NodeId, out: &mut Vec<u32>) {
+        out.extend_from_slice(tree.leaf_bodies(id));
+        for child in tree.node(id).children.into_iter().flatten() {
+            collect_inorder(tree, child, out);
+        }
+    }
+
+    /// The walk lists the arena's nodes in the order a stack traversal pops them, with
+    /// each node's summary, its leaf bodies, and a skip that ends its subtree.
+    #[test]
+    fn walk_is_the_stack_visit_order() {
+        let bs = bodies(600, 10);
+        let tree = Octree::build(&bs, 4);
+        let mut order = Vec::new();
+        let mut stack = vec![tree.root()];
+        while let Some(id) = stack.pop() {
+            order.push(id);
+            stack.extend(tree.node(id).children.into_iter().flatten());
+        }
+        let (walk, ids, points) = tree.walk();
+        assert_eq!(walk.len(), order.len());
+        for (k, &id) in order.iter().enumerate() {
+            let (w, node) = (&walk[k], tree.node(id));
+            assert_eq!(w.mass.to_bits(), node.mass.to_bits());
+            assert_eq!(w.com, node.com);
+            assert_eq!(w.size, 2.0 * node.half);
+            assert_eq!(w.skip as usize, k + subtree_size(&tree, id));
+            let range = w.body_start as usize..(w.body_start + w.body_len) as usize;
+            assert_eq!(&ids[range.clone()], tree.leaf_bodies(id));
+            for (&b, &(pos, mass)) in ids[range.clone()].iter().zip(&points[range]) {
+                assert_eq!((pos, mass), (bs[b as usize].pos, bs[b as usize].mass));
+            }
+        }
+    }
+
+    #[test]
+    fn reversed_walk_leaves_are_the_ascending_inorder() {
+        for cap in [1, 3, 8] {
+            let bs = bodies(400, 11);
+            let tree = Octree::build(&bs, cap);
+            let mut expected = Vec::new();
+            collect_inorder(&tree, tree.root(), &mut expected);
+            assert_eq!(tree.inorder_bodies(), expected);
+        }
     }
 
     #[test]
