@@ -11,7 +11,7 @@
 //!    directory so the rename itself survives a power cut.
 //!
 //! If the process dies before `commit`, the final path is untouched and the staging
-//! file is left for [`crate::cache::gc_dir`] to reap.  Dropping an uncommitted
+//! file is left behind, where no lookup reads it.  Dropping an uncommitted
 //! `AtomicFile` deletes the staging file, so error paths that unwind do not litter
 //! the directory.
 
@@ -78,7 +78,7 @@ impl Drop for AtomicFile {
         if !self.committed {
             // Release the buffered handle first so the unlink happens on a closed
             // file; ignore errors — drop cleanup is best-effort by construction
-            // (a SIGKILL skips it entirely, and `gc_dir` reaps what that leaves).
+            // (a SIGKILL skips it entirely, leaving a staging file nothing reads).
             self.inner.take();
             let _ = fs::remove_file(&self.tmp);
         }

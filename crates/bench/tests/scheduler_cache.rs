@@ -9,7 +9,7 @@ use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use repro_bench::cache::{CacheConfig, CellCache, CellKey, KeyBuilder, MemBudget};
+use repro_bench::cache::{CellCache, CellKey, KeyBuilder};
 use repro_bench::experiments;
 use repro_bench::runner::{ExperimentResult, ExperimentSpec, RunConfig, Value};
 use repro_bench::scheduler::{JobCounters, JobSession, Scheduler};
@@ -190,90 +190,69 @@ fn warm_cache_reproduces_every_registered_spec_bit_identically() {
 /// Keyed specs whose rows are pure data (no measured-time columns), so even a
 /// *recompute* reproduces them bit for bit.  `table2`/`table3`/`fig07`/
 /// `fig08_09` carry reorder-cost timings in their rows: a cache *hit* returns
-/// the recorded measurement, but an eviction-forced recompute re-measures —
-/// for those, bit-identity under eviction is guaranteed by the disk layer
-/// (tested below), not by re-execution.
+/// the recorded measurement, but a recompute re-measures — for those,
+/// bit-identity across processes is guaranteed by the disk layer (tested
+/// below), not by re-execution.
 const PURE_KEYED_SPECS: &[&str] =
     &["table4", "fig01_04", "fig02_05", "fig03", "fig06", "ablation_unit_sweep"];
 
 #[test]
-fn a_tiny_memory_budget_forces_constant_eviction_but_never_changes_results() {
+fn pure_keyed_specs_recompute_bit_identically_through_fresh_caches() {
     let config = tiny();
     let scheduler = Scheduler::pool_sized();
-    let dir = temp_dir("tinybudget");
-    // A budget small enough that nearly every insert evicts a predecessor, so
-    // the LRU churns through the whole registry.  The disk layer backs the
-    // churn: an evicted entry is re-promoted on the next lookup, so every
-    // warm cell is still answered from the cache — recorded timings included.
-    let tiny_budget = MemBudget { max_bytes: Some(512), max_entries: Some(2) };
-    let cache = Arc::new(
-        CellCache::with_config(CacheConfig {
-            disk: Some(dir.clone()),
-            mem_budget: tiny_budget,
-            ..CacheConfig::default()
-        })
-        .unwrap(),
-    );
-    // Unkeyed specs never consult the cache (proven by
-    // `warm_cache_reproduces_every_registered_spec_bit_identically`), so a
-    // budget cannot affect them; only the keyed specs are re-run here.
-    for id in KEYED_SPECS {
-        let spec = experiments::find(id).expect("registered");
-        let (cold, cold_hits, _) = run_cached(&scheduler, &cache, spec, &config);
-        assert!(cold.cell_faults.is_empty(), "{id}: cold faults under a tiny budget");
-        assert_eq!(
-            cold_hits,
-            runs_shared_with_an_earlier_table(id),
-            "{id}: a first run hits only the runs an earlier table computed"
-        );
-        let (mut warm, _, computed) = run_cached(&scheduler, &cache, spec, &config);
-        assert!(warm.cell_faults.is_empty(), "{id}: warm faults under a tiny budget");
-        assert_eq!(computed, 0, "{id}: disk backs every evicted entry");
-        assert_renders_bit_identical(&cold, &mut warm, id);
-    }
-    assert!(cache.stats().evictions > 0, "the tiny budget must actually evict");
-    let (entries, bytes) = cache.memory_usage();
-    assert!(entries <= 2, "entry budget held at the end: {entries}");
-    assert!(bytes <= 512, "byte budget held at the end: {bytes}");
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    // Memory-only variant: eviction forces real recomputes.  For pure-data
-    // specs the recompute itself must be bit-identical to the cold artifact.
-    let cache = Arc::new(
-        CellCache::with_config(CacheConfig { mem_budget: tiny_budget, ..CacheConfig::default() })
-            .unwrap(),
-    );
     for id in PURE_KEYED_SPECS {
         let spec = experiments::find(id).expect("registered");
-        let (cold, _, _) = run_cached(&scheduler, &cache, spec, &config);
-        let (mut warm, _, _) = run_cached(&scheduler, &cache, spec, &config);
-        assert!(warm.cell_faults.is_empty(), "{id}: warm faults under a tiny budget");
-        assert_renders_bit_identical(&cold, &mut warm, &format!("{id} (recompute)"));
+        let recompute = || {
+            let cache = Arc::new(CellCache::new());
+            let (result, hits, computed) = run_cached(&scheduler, &cache, spec, &config);
+            assert!(result.cell_faults.is_empty(), "{id}: faults");
+            assert_eq!(hits, 0, "{id}: a fresh cache cannot hit");
+            assert!(computed > 0, "{id}: every cell is computed");
+            result
+        };
+        let first = recompute();
+        let mut second = recompute();
+        assert_renders_bit_identical(&first, &mut second, &format!("{id} (recompute)"));
     }
-    assert!(cache.stats().evictions > 0, "the memory-only tiny budget must evict");
 }
 
 #[test]
 fn disk_cache_round_trips_bit_identically_across_cache_instances() {
     let dir = temp_dir("roundtrip");
-    let spec = experiments::find("fig06").expect("fig06 registered");
     let config = tiny();
 
-    let cold = {
+    let cold: Vec<ExperimentResult> = {
         let scheduler = Scheduler::new(2);
         let cache = Arc::new(CellCache::with_disk(&dir).unwrap());
-        let (cold, _, computed) = run_cached(&scheduler, &cache, spec, &config);
-        assert_eq!(computed, 3);
-        cold
+        KEYED_SPECS
+            .iter()
+            .map(|id| {
+                let spec = experiments::find(id).expect("registered");
+                let (cold, hits, computed) = run_cached(&scheduler, &cache, spec, &config);
+                assert!(cold.cell_faults.is_empty(), "{id}: cold faults");
+                assert_eq!(hits, runs_shared_with_an_earlier_table(id), "{id}: cold hits");
+                assert!(hits + computed > 0, "{id}: a keyed spec looks its cells up");
+                cold
+            })
+            .collect()
     };
+    let committed = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "cell"))
+        .count() as u64;
     // A fresh cache over the same directory models a new process with the same
     // --cache-dir: memory is empty, so every cell must come back off disk.
     let scheduler = Scheduler::new(2);
     let cache = Arc::new(CellCache::with_disk(&dir).unwrap());
-    let (mut warm, hits, computed) = run_cached(&scheduler, &cache, spec, &config);
-    assert_eq!((hits, computed), (3, 0), "all cells served from disk");
-    assert_eq!(cache.stats().disk_hits, 3);
-    assert_renders_bit_identical(&cold, &mut warm, "disk warm vs cold");
+    for (id, cold) in KEYED_SPECS.iter().zip(&cold) {
+        let spec = experiments::find(id).expect("registered");
+        let (mut warm, hits, computed) = run_cached(&scheduler, &cache, spec, &config);
+        assert!(hits > 0 && computed == 0, "{id}: all cells served from the cache");
+        assert_renders_bit_identical(cold, &mut warm, &format!("{id} (disk warm vs cold)"));
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.misses, 0, "nothing is recomputed");
+    assert_eq!(stats.disk_hits, committed, "each committed entry is promoted exactly once");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -255,8 +255,7 @@ fn a_lock_file_left_by_a_dead_process_is_taken_over() {
     // when the process died.
     std::fs::write(dir.join(steal_key().lock_file_name()), b"").unwrap();
 
-    let config =
-        CacheConfig { disk: Some(dir.clone()), single_flight: true, ..CacheConfig::default() };
+    let config = CacheConfig { disk: Some(dir.clone()), single_flight: true };
     let cache = Arc::new(CellCache::with_config(config).unwrap());
     let scheduler = Scheduler::new(2);
     let counters = Arc::new(JobCounters::default());

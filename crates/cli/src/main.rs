@@ -1,6 +1,5 @@
-//! `xp` — the unified experiment runner.
-//!
-//! One binary subsumes the twelve per-table/figure binaries of `repro-bench`:
+//! `xp` — the experiment runner: every table, figure, ablation and bench of
+//! `repro-bench` behind one binary.
 //!
 //! ```text
 //! xp table <1|2|3|4>                  one table of the paper
@@ -10,6 +9,7 @@
 //!                                     performance benches of the production paths
 //! xp run <id>                         any experiment by id or alias
 //! xp sweep                            every experiment (writes one artifact each)
+//! xp serve                            NDJSON job server (stdin/stdout or a socket)
 //! xp list                             what exists, with ids and aliases
 //! ```
 //!
@@ -24,7 +24,7 @@ use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use repro_bench::cache::{self, CacheConfig, CellCache, MemBudget};
+use repro_bench::cache::{CacheConfig, CellCache};
 use repro_bench::experiments;
 use repro_bench::runner::{ExperimentSpec, Format, RunConfig};
 use repro_bench::scheduler::{JobCounters, JobSession, Scheduler};
@@ -42,7 +42,6 @@ USAGE:
     xp run <id-or-alias>      [options]
     xp sweep [id...]          [options]   run every (or the listed) experiment(s)
     xp serve                  [options]   NDJSON job server on stdin/stdout
-    xp cache <gc|info>        --cache-dir <path> [options]   manage a cache dir
     xp list                               list experiments
 
 OPTIONS:
@@ -52,19 +51,13 @@ OPTIONS:
     --procs <N>               override the virtual-processor count
     --seed <N>                override the workload seed
     --jobs <N>                bound concurrent cells (default: pool width)
-    --cache-dir <path>        persist computed cells on disk (sweep, serve, cache)
+    --cache-dir <path>        persist computed cells on disk (sweep and serve)
     --single-flight           dedupe identical *in-flight* cells (sweep and serve):
                               the first job claims a cell, identical waiters park
                               instead of recomputing; with --cache-dir two
                               processes single-flight against each other through
                               kernel-locked files, freed the moment a claimant
                               exits (kill -9 included)
-    --cache-mem-budget <sz>   bound the in-memory cell cache (LRU eviction):
-                              bytes with an optional k/m/g suffix, or an entry
-                              count with an `e` suffix (e.g. 64m, 100e)
-    --cache-disk-budget <sz>  bound the --cache-dir byte size (k/m/g suffix);
-                              entries are garbage-collected oldest-first, and
-                              `xp cache gc` applies the same policy on demand
     -h, --help                this help
 
 SERVE OPTIONS:
@@ -72,9 +65,11 @@ SERVE OPTIONS:
 
 `xp serve` reads one JSON request per line ({\"cmd\": \"submit\" | \"status\" |
 \"cancel\" | \"result\" | \"shutdown\"}) and streams one JSON event per line back;
-identical cells across submissions are answered from the cell cache.  EOF or
-SIGTERM drains in-flight jobs before exiting.  `xp sweep` with a repeated or
-overlapping id list computes each unique cell once for the same reason.
+identical cells across submissions are answered from the cell cache.  Each
+submit names its own scale, procs and seed, so `xp serve` rejects --scale,
+--procs, --seed, --format and --out.  EOF or SIGTERM drains in-flight jobs
+before exiting.  `xp sweep` with a repeated or overlapping id list computes
+each unique cell once for the same reason.
 
 `xp` exits nonzero when any experiment cell fails, even though partial
 results are still rendered.
@@ -87,14 +82,10 @@ struct Options {
     /// `--jobs N`: bound on concurrent cells (scheduler slots, and the
     /// executor pool width for direct commands).
     jobs: Option<usize>,
-    /// `--cache-dir PATH`: on-disk layer of the cell cache (sweep, serve, cache).
+    /// `--cache-dir PATH`: on-disk layer of the cell cache (sweep and serve).
     cache_dir: Option<PathBuf>,
     /// `--single-flight`: dedupe identical in-flight cells via claims + lock files.
     single_flight: bool,
-    /// `--cache-mem-budget SZ`: LRU bound on the in-memory cell cache.
-    cache_mem_budget: MemBudget,
-    /// `--cache-disk-budget SZ`: byte bound on the `--cache-dir` disk layer.
-    cache_disk_budget: Option<u64>,
 }
 
 fn fail(message: &str) -> ExitCode {
@@ -110,8 +101,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut jobs = None;
     let mut cache_dir = None;
     let mut single_flight = false;
-    let mut cache_mem_budget = MemBudget::default();
-    let mut cache_disk_budget = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value_for =
@@ -153,69 +142,19 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--cache-dir" => cache_dir = Some(PathBuf::from(value_for("--cache-dir")?)),
             "--single-flight" => single_flight = true,
-            "--cache-mem-budget" => {
-                let v = value_for("--cache-mem-budget")?;
-                // An `e` suffix counts entries; anything else is a byte size.
-                if let Some(entries) = v.trim().strip_suffix(['e', 'E']) {
-                    let n: usize = entries.parse().map_err(|_| {
-                        format!("--cache-mem-budget expects an entry count before `e`, got {v:?}")
-                    })?;
-                    cache_mem_budget.max_entries = Some(n);
-                } else {
-                    cache_mem_budget.max_bytes = Some(parse_bytes("--cache-mem-budget", &v)?);
-                }
-            }
-            "--cache-disk-budget" => {
-                cache_disk_budget =
-                    Some(parse_bytes("--cache-disk-budget", &value_for("--cache-disk-budget")?)?);
-            }
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    Ok(Options {
-        format,
-        out,
-        config,
-        jobs,
-        cache_dir,
-        single_flight,
-        cache_mem_budget,
-        cache_disk_budget,
-    })
-}
-
-/// Parse a byte size: plain digits, or a `k`/`m`/`g` binary suffix.
-fn parse_bytes(flag: &str, v: &str) -> Result<u64, String> {
-    let s = v.trim().to_ascii_lowercase();
-    let (digits, mult): (&str, u64) = if let Some(d) = s.strip_suffix('k') {
-        (d, 1 << 10)
-    } else if let Some(d) = s.strip_suffix('m') {
-        (d, 1 << 20)
-    } else if let Some(d) = s.strip_suffix('g') {
-        (d, 1 << 30)
-    } else {
-        (s.as_str(), 1)
-    };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("{flag} expects a size like 1000000, 64k, 500m or 2g, got {v:?}"))?;
-    n.checked_mul(mult).ok_or(format!("{flag}: {v:?} overflows"))
+    Ok(Options { format, out, config, jobs, cache_dir, single_flight })
 }
 
 /// Reject the cache family of flags for commands that have no cell cache.
 fn reject_cache_flags(options: &Options) -> Result<(), String> {
     if options.cache_dir.is_some() {
-        return Err("--cache-dir only applies to `xp sweep`, `xp serve` and `xp cache`".to_string());
+        return Err("--cache-dir only applies to `xp sweep` and `xp serve`".to_string());
     }
     if options.single_flight {
         return Err("--single-flight only applies to `xp sweep` and `xp serve`".to_string());
-    }
-    if options.cache_mem_budget.is_bounded() {
-        return Err("--cache-mem-budget only applies to `xp sweep` and `xp serve`".to_string());
-    }
-    if options.cache_disk_budget.is_some() {
-        return Err("--cache-disk-budget only applies to `xp sweep`, `xp serve` and `xp cache gc`"
-            .to_string());
     }
     Ok(())
 }
@@ -259,89 +198,14 @@ fn run_one(spec: &ExperimentSpec, options: &Options) -> Result<(), String> {
 }
 
 /// Build the cell cache an `xp sweep` or `xp serve` invocation shares across
-/// experiments: in-memory always (LRU-bounded under `--cache-mem-budget`),
-/// disk-backed when `--cache-dir` is given, single-flighting when asked.
+/// experiments: in-memory always, disk-backed when `--cache-dir` is given,
+/// single-flighting when asked.
 fn open_cache(options: &Options) -> Result<Arc<CellCache>, String> {
-    if options.cache_disk_budget.is_some() && options.cache_dir.is_none() {
-        return Err("--cache-disk-budget requires --cache-dir".to_string());
-    }
-    let config = CacheConfig {
-        disk: options.cache_dir.clone(),
-        single_flight: options.single_flight,
-        mem_budget: options.cache_mem_budget,
-        disk_budget: options.cache_disk_budget,
-    };
+    let config =
+        CacheConfig { disk: options.cache_dir.clone(), single_flight: options.single_flight };
     let cache =
         CellCache::with_config(config).map_err(|e| format!("cannot open cell cache: {e}"))?;
     Ok(Arc::new(cache))
-}
-
-/// `xp cache gc|info` — operate on a `--cache-dir` without running experiments.
-fn run_cache(args: &[String]) -> Result<(), String> {
-    let Some(action) = args.first().map(String::as_str) else {
-        return Err("`xp cache` needs an action: gc or info".to_string());
-    };
-    let options = parse_options(&args[1..])?;
-    if options.single_flight || options.cache_mem_budget.is_bounded() {
-        return Err(
-            "--single-flight and --cache-mem-budget only apply to `xp sweep` and `xp serve`"
-                .to_string(),
-        );
-    }
-    let Some(dir) = options.cache_dir.as_deref() else {
-        return Err(format!("`xp cache {action}` needs --cache-dir <path>"));
-    };
-    let rendered = match action {
-        "gc" => {
-            let report = cache::gc_dir(dir, options.cache_disk_budget)
-                .map_err(|e| format!("cache gc: {e}"))?;
-            match options.format {
-                Format::Json => format!(
-                    "{{\"reaped_tmp\": {}, \"reaped_locks\": {}, \"evicted_entries\": {}, \
-                     \"evicted_bytes\": {}, \"kept_entries\": {}, \"kept_bytes\": {}}}\n",
-                    report.reaped_tmp,
-                    report.reaped_locks,
-                    report.evicted_entries,
-                    report.evicted_bytes,
-                    report.kept_entries,
-                    report.kept_bytes
-                ),
-                _ => format!(
-                    "cache gc {}: reaped {} staging file(s) and {} lock file(s), evicted {} \
-                     entr(y/ies) ({} bytes), kept {} ({} bytes)\n",
-                    dir.display(),
-                    report.reaped_tmp,
-                    report.reaped_locks,
-                    report.evicted_entries,
-                    report.evicted_bytes,
-                    report.kept_entries,
-                    report.kept_bytes
-                ),
-            }
-        }
-        "info" => {
-            let info = cache::disk_info(dir).map_err(|e| format!("cache info: {e}"))?;
-            match options.format {
-                Format::Json => format!(
-                    "{{\"entries\": {}, \"bytes\": {}, \"staging\": {}, \"locks\": {}, \
-                     \"held_locks\": {}}}\n",
-                    info.entries, info.bytes, info.staging, info.locks, info.held_locks
-                ),
-                _ => format!(
-                    "cache {}: {} entr(y/ies), {} bytes, {} staging file(s), {} lock file(s) \
-                     ({} held)\n",
-                    dir.display(),
-                    info.entries,
-                    info.bytes,
-                    info.staging,
-                    info.locks,
-                    info.held_locks
-                ),
-            }
-        }
-        other => return Err(format!("unknown cache action {other:?} (try gc or info)")),
-    };
-    emit(&rendered, options.out.as_deref())
 }
 
 fn run_sweep(ids: &[String], options: &Options) -> Result<(), String> {
@@ -470,15 +334,26 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 let v = it.next().ok_or("--socket requires a value")?;
                 socket = Some(PathBuf::from(v));
             }
+            // Every submit request carries its own scale, procs and seed.
+            "--scale" | "--procs" | "--seed" => {
+                return Err(format!(
+                    "`xp serve` takes {arg} from each submit request, not as a flag"
+                ));
+            }
+            "--format" => {
+                return Err(
+                    "`xp serve` always streams NDJSON; --format is not supported".to_string()
+                )
+            }
+            "--out" => {
+                return Err(
+                    "`xp serve` streams NDJSON to stdout; --out is not supported".to_string()
+                )
+            }
             other => rest.push(other.to_string()),
         }
     }
     let options = parse_options(&rest)?;
-    if options.out.is_some() {
-        return Err("`xp serve` streams NDJSON to stdout; --out is not supported".to_string());
-    }
-    // --scale/--procs/--seed/--format have no global meaning here: every submit
-    // request carries its own scale, procs and seed.
     let slots = options.jobs.unwrap_or_else(|| rayon::current_num_threads().max(1));
     let cache = open_cache(&options)?;
     let shared = Arc::new(ServeShared::new(slots, cache));
@@ -529,12 +404,6 @@ fn main() -> ExitCode {
     }
     if command == "serve" {
         return match run_serve(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => fail(&message),
-        };
-    }
-    if command == "cache" {
-        return match run_cache(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(message) => fail(&message),
         };

@@ -184,6 +184,24 @@ fn serve_answers_an_origin_submit_beyond_the_directory_limit_with_one_error() {
 }
 
 #[test]
+fn serve_rejects_the_flags_each_submit_request_carries() {
+    for (flag, value) in
+        [("--scale", "paper"), ("--procs", "3"), ("--seed", "7"), ("--format", "json")]
+    {
+        let out = xp().args(["serve", flag, value]).stdin(Stdio::null()).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "`xp serve {flag}` must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.matches("error:").count(), 1, "one error: {stderr}");
+        assert!(stderr.contains(flag), "the error names {flag}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "no session starts: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
+#[test]
 fn out_creates_missing_parent_directories_and_names_the_one_it_cannot() {
     let dir = std::env::temp_dir().join(format!("xp-out-parents-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

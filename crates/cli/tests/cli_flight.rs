@@ -1,4 +1,4 @@
-//! Black-box tests of the cache-robustness surface: `xp cache gc|info`,
+//! Black-box tests of the cache-robustness surface: the cache flags' scope,
 //! two processes coordinating through a shared `--cache-dir`, and the crash
 //! smoke — a kill -9'd claimant whose claims a second process takes over, with
 //! the final artifact bit-identical to a clean run.
@@ -10,7 +10,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 fn xp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_xp"))
@@ -34,68 +34,11 @@ fn files_with_extension(dir: &Path, ext: &str) -> Vec<PathBuf> {
 }
 
 #[test]
-fn cache_gc_and_info_manage_a_cache_dir() {
-    let cache = temp_dir("gc-cache");
-    let out = temp_dir("gc-out");
-
-    // Seed the cache dir through a sweep.
-    let seeded = xp()
-        .args(["sweep", "fig3", "--scale", "tiny", "--cache-dir"])
-        .arg(&cache)
-        .arg("--out")
-        .arg(&out)
-        .output()
-        .unwrap();
-    assert!(seeded.status.success(), "{}", String::from_utf8_lossy(&seeded.stderr));
-    let cells = files_with_extension(&cache, "cell").len();
-    assert!(cells > 0, "the sweep must commit cache entries");
-
-    // A stray staging file an hour old is reaped; entries stay.
-    let stray = cache.join("stray.tmp");
-    std::fs::write(&stray, b"leftover staging").unwrap();
-    let an_hour_ago = SystemTime::now() - Duration::from_secs(3600);
-    std::fs::File::options().write(true).open(&stray).unwrap().set_modified(an_hour_ago).unwrap();
-    let gc = xp().args(["cache", "gc", "--cache-dir"]).arg(&cache).output().unwrap();
-    assert!(gc.status.success(), "{}", String::from_utf8_lossy(&gc.stderr));
-    let stdout = String::from_utf8_lossy(&gc.stdout);
-    assert!(stdout.contains("reaped 1 staging file(s)"), "got: {stdout}");
-    assert!(!cache.join("stray.tmp").exists());
-    assert_eq!(files_with_extension(&cache, "cell").len(), cells, "entries survive a plain gc");
-
-    // A one-byte disk budget evicts every entry, oldest first.
-    let gc = xp()
-        .args(["cache", "gc", "--cache-disk-budget", "1", "--cache-dir"])
-        .arg(&cache)
-        .output()
-        .unwrap();
-    assert!(gc.status.success(), "{}", String::from_utf8_lossy(&gc.stderr));
-    assert_eq!(files_with_extension(&cache, "cell").len(), 0, "budget gc empties the layer");
-
-    // And info renders the (now empty) layer.
-    let info = xp()
-        .args(["cache", "info", "--format", "json", "--cache-dir"])
-        .arg(&cache)
-        .output()
-        .unwrap();
-    assert!(info.status.success(), "{}", String::from_utf8_lossy(&info.stderr));
-    let stdout = String::from_utf8_lossy(&info.stdout);
-    assert!(stdout.contains("\"entries\": 0"), "got: {stdout}");
-
-    std::fs::remove_dir_all(&cache).unwrap();
-    std::fs::remove_dir_all(&out).unwrap();
-}
-
-#[test]
 fn cache_flags_are_rejected_where_they_do_not_apply() {
     let out = xp().args(["run", "fig3", "--single-flight"]).output().unwrap();
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--single-flight"), "got: {stderr}");
-
-    let out = xp().args(["cache", "gc"]).output().unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("needs --cache-dir"), "got: {stderr}");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! Production code marks interesting fault sites with [`point!`]:
 //!
 //! ```ignore
-//! failpoint::point!("cache/gc", |msg: String| Err(io::Error::other(msg)));
+//! failpoint::point!("serve/cache-commit", |msg: String| Err(io::Error::other(msg)));
 //! ```
 //!
 //! By default (feature `failpoints` off) every `point!` expands to an empty block —
