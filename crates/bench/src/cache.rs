@@ -60,7 +60,7 @@
 //!
 //! [`CellCache::acquire`] is the opt-in dedup point for *in-flight* work: the
 //! first caller to reach a missing key gets [`Flight::Claimed`] (a [`ClaimGuard`])
-//! and computes; identical callers get [`Flight::Busy`] and park outside the wave
+//! and computes; identical callers get [`Flight::Busy`] and park outside the slot
 //! queue until the claimant publishes.  Liveness does not depend on the claimant
 //! surviving:
 //!
@@ -302,7 +302,7 @@ pub enum Flight {
     /// [`CellCache::insert`], then drop the guard.
     Claimed(ClaimGuard),
     /// Another job (possibly another process) is computing this cell; park
-    /// outside the wave queue and re-acquire after [`CellCache::wait_change`].
+    /// outside the slot queue and re-acquire after [`CellCache::wait_change`].
     Busy,
 }
 

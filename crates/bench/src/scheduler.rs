@@ -14,11 +14,12 @@
 //!   function of its key, so a failure is reported, not retried.  Called
 //!   outside `Scheduler::execute` it panics: there are no bare cells.
 //! - [`Scheduler`]: a bounded, *fair* slot queue shared by every in-flight
-//!   experiment.  Cell waves only fan out onto the rayon pool after acquiring
-//!   slots; experiments with waiting waves are granted slots round-robin, so one
-//!   wide sweep cannot starve an interactive `submit`.  Slots are acquired on the
-//!   supervising (job) thread — never on a pool worker — so the limiter cannot
-//!   deadlock the pool it meters.
+//!   experiment.  A cell is spawned onto the rayon pool only after its slot is
+//!   granted, and it hands the slot back the moment it is settled, so the next
+//!   pending cell starts at once; jobs waiting for a slot are granted one cell at a
+//!   time, round-robin, so one wide sweep cannot starve an interactive `submit`.
+//!   Slots are acquired on the supervising (job) thread — never on a pool worker —
+//!   so the limiter cannot deadlock the pool it meters.
 //!
 //! The declarative side (specs, results, rendering) lives in [`crate::runner`].
 
@@ -28,10 +29,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-use rayon::prelude::*;
 
 use crate::cache::{CellCache, CellKey, ClaimGuard, Flight};
 use crate::runner::{ExperimentResult, ExperimentSpec, Row, RunConfig};
@@ -83,11 +82,11 @@ pub struct CellOutcome {
 // ---------------------------------------------------------------------------
 // The scheduler: fair bounded slots shared by concurrent experiments.
 
-/// Payload of the cancellation unwind: [`run_keyed_cells`] raises it between
-/// waves, and [`Scheduler::execute`] once more after the spec returns, when the
-/// job's cancel flag is set; the serve front end's per-job `catch_unwind`
-/// classifies it as a cancellation rather than a crash.  Nothing below the wave
-/// boundary observes it — cells in flight run to completion first.
+/// Payload of the cancellation unwind: [`run_keyed_cells`] raises it before
+/// starting a cell, and [`Scheduler::execute`] once more after the spec returns,
+/// when the job's cancel flag is set; the serve front end's per-job
+/// `catch_unwind` classifies it as a cancellation rather than a crash.  No cell
+/// observes it — cells already started run to completion and are settled first.
 #[derive(Debug)]
 pub struct Cancelled {
     /// The cancelled job's id.
@@ -115,7 +114,7 @@ pub struct JobSession {
     pub cache: Option<Arc<CellCache>>,
     /// Streamed per-cell progress events.
     pub events: Option<Sender<CellEvent>>,
-    /// Cooperative cancellation flag (checked between waves).
+    /// Cooperative cancellation flag (checked before each cell starts).
     pub cancel: Option<Arc<AtomicBool>>,
     /// Hit/computed counters for the job's summary.
     pub counters: Option<Arc<JobCounters>>,
@@ -142,11 +141,11 @@ pub struct CellEvent {
 /// Bounded fair dispatcher for cells from multiple in-flight experiments.
 ///
 /// Concurrency is metered in *slots* (default: the rayon pool width, overridden
-/// by `--jobs`): a job's wave of pending cells first acquires up to `slots`
-/// permits, then fans exactly that many cells onto the pool.  Jobs waiting
-/// for slots are served round-robin by job id — after each grant the job goes to
-/// the back of the rotation — which is the per-experiment fairness guarantee:
-/// with `k` experiments in flight, each gets ~`1/k` of the pool per rotation
+/// by `--jobs`): each pending cell acquires one slot, runs on the pool, and
+/// releases it once settled, so at most `slots` cells are in flight.  Jobs
+/// waiting for a slot are served round-robin by job id — after each grant the
+/// job goes to the back of the rotation — which is the per-experiment fairness
+/// guarantee: with `k` experiments in flight, each gets ~`1/k` of the slots
 /// regardless of how many cells it has queued.
 #[derive(Debug)]
 pub struct Scheduler {
@@ -181,8 +180,9 @@ impl Scheduler {
     /// it is guarded, metered, cached, streamed and cancellable, and reports its
     /// failure, if any, into the returned result.
     ///
-    /// Cancellation surfaces as a [`Cancelled`] unwind out of this call — between
-    /// waves, or after the spec returns if the flag was set during its last wave.
+    /// Cancellation surfaces as a [`Cancelled`] unwind out of this call — before
+    /// the next cell would start, or after the spec returns if the flag was set
+    /// while its last cells ran.
     /// The serve front end wraps it in `catch_unwind`; callers that never set a
     /// cancel flag never see it.
     pub fn execute(
@@ -205,7 +205,7 @@ impl Scheduler {
             events: session.events,
             cancel: session.cancel,
             counters: session.counters,
-            outcomes: RefCell::new(Vec::new()),
+            outcomes: Mutex::new(Vec::new()),
         });
         let t0 = Instant::now();
         let rows = {
@@ -223,6 +223,7 @@ impl Scheduler {
                 spec.columns.len()
             );
         }
+        let cell_faults = std::mem::take(&mut *ctx.outcomes.lock().expect("outcome lock"));
         ExperimentResult {
             id: spec.id,
             title: spec.title,
@@ -230,13 +231,14 @@ impl Scheduler {
             notes: spec.notes,
             config: *config,
             rows,
-            cell_faults: ctx.outcomes.take(),
+            cell_faults,
             elapsed_seconds: t0.elapsed().as_secs_f64(),
         }
     }
 }
 
-/// The job context `Scheduler::execute` installs around a spec's `run`.
+/// The job context `Scheduler::execute` installs around a spec's `run`.  It is
+/// `Sync`: cells settle themselves through it on the workers that ran them.
 #[derive(Debug)]
 struct JobCtx {
     job: u64,
@@ -246,7 +248,7 @@ struct JobCtx {
     cancel: Option<Arc<AtomicBool>>,
     counters: Option<Arc<JobCounters>>,
     /// Failed cells of every `run_keyed_cells` call of the job.
-    outcomes: RefCell<Vec<CellOutcome>>,
+    outcomes: Mutex<Vec<CellOutcome>>,
 }
 
 thread_local! {
@@ -263,9 +265,9 @@ struct SlotQueue {
 #[derive(Debug, Default)]
 struct SlotState {
     free: usize,
-    /// Jobs with a blocked wave, in grant order; the front job is served next.
+    /// Jobs with a blocked acquire, in grant order; the front job is served next.
     rotation: VecDeque<u64>,
-    /// Blocked-wave count per job (a job leaves `rotation` only at zero).
+    /// Blocked-acquire count per job (a job leaves `rotation` only at zero).
     waiting: HashMap<u64, usize>,
 }
 
@@ -278,11 +280,10 @@ impl SlotQueue {
         }
     }
 
-    /// Block until it is `job`'s turn and at least one slot is free, then take up
-    /// to `want` slots at once (a whole wave where possible).  Fairness: served
-    /// jobs rotate to the back, so concurrent experiments interleave waves.
-    fn acquire_up_to(self: &Arc<SlotQueue>, job: u64, want: usize) -> SlotGrant {
-        let want = want.max(1);
+    /// Block until it is `job`'s turn and a slot is free, then take it.
+    /// Fairness: a served job rotates to the back, so concurrent experiments
+    /// interleave cell by cell.
+    fn acquire(self: &Arc<SlotQueue>, job: u64) -> SlotGrant {
         let mut state = self.state.lock().expect("slot lock");
         *state.waiting.entry(job).or_insert(0) += 1;
         if !state.rotation.contains(&job) {
@@ -290,8 +291,7 @@ impl SlotQueue {
         }
         loop {
             if state.free > 0 && state.rotation.front() == Some(&job) {
-                let granted = state.free.min(want);
-                state.free -= granted;
+                state.free -= 1;
                 let remaining = {
                     let count = state.waiting.get_mut(&job).expect("waiting entry");
                     *count -= 1;
@@ -305,34 +305,33 @@ impl SlotQueue {
                 }
                 // Another job may now be at the front with slots still free.
                 self.available.notify_all();
-                return SlotGrant { queue: Arc::clone(self), granted };
+                return SlotGrant { queue: Arc::clone(self) };
             }
             state = self.available.wait(state).expect("slot lock");
         }
     }
 
-    fn release(&self, granted: usize) {
+    fn release(&self) {
         let mut state = self.state.lock().expect("slot lock");
-        state.free += granted;
+        state.free += 1;
         self.available.notify_all();
     }
 }
 
-/// RAII slot grant; releasing wakes the next job in rotation.
+/// RAII grant of one slot; releasing wakes the next job in rotation.
 #[derive(Debug)]
 struct SlotGrant {
     queue: Arc<SlotQueue>,
-    granted: usize,
 }
 
 impl Drop for SlotGrant {
     fn drop(&mut self) {
-        self.queue.release(self.granted);
+        self.queue.release();
     }
 }
 
 // ---------------------------------------------------------------------------
-// Guarded cell execution, wave-scheduled.
+// Guarded cell execution, dispatched one cell per slot.
 
 /// Execute one experiment function per cell on rayon worker threads, flattening the
 /// produced rows in cell order.
@@ -340,10 +339,10 @@ impl Drop for SlotGrant {
 /// This is the parallelism point of the harness: a spec builds the independent,
 /// content-addressed cells of its method × workload × substrate matrix and the
 /// scheduler fans them out.  When the job has a cache, each key is consulted before
-/// — and filled after — computation.  Every pending cell runs once, in slot-metered
-/// waves, under `catch_unwind`, leaning on the executor's panic contract
+/// — and filled after — computation.  Every pending cell runs once, on its own
+/// slot, under `catch_unwind`, leaning on the executor's panic contract
 /// (DESIGN.md §7): a panicking cell's siblings run to completion and the pool
-/// survives for the next wave.  A failed cell contributes no rows; its outcome
+/// survives for the next cell.  A failed cell contributes no rows; its outcome
 /// lands in the job's result.
 ///
 /// # Panics
@@ -351,7 +350,7 @@ impl Drop for SlotGrant {
 /// guard or report the cells.
 pub fn run_keyed_cells<C, F>(cells: Vec<(CellKey, C)>, f: F) -> Vec<Row>
 where
-    C: Clone + Send,
+    C: Send,
     F: Fn(C) -> Vec<Row> + Sync,
 {
     let ctx = JOB_CTX.with(|slot| slot.borrow().clone()).expect(
@@ -361,31 +360,33 @@ where
     run_guarded(cells, &keys, &ctx, &f)
 }
 
-/// The execution core: cache resolution, then slot-metered waves that run each
+/// The execution core: cache resolution, then per-cell dispatch that runs each
 /// pending cell once.  Returns the surviving rows (cell order preserved) and
 /// appends the failed cells' outcomes, in cell order, to the job's list.
 fn run_guarded<C, F>(cells: Vec<C>, keys: &[CellKey], ctx: &JobCtx, f: &F) -> Vec<Row>
 where
-    C: Clone + Send,
+    C: Send,
     F: Fn(C) -> Vec<Row> + Sync,
 {
     let n = cells.len();
-    let mut slots: Vec<Option<Vec<Row>>> = (0..n).map(|_| None).collect();
-    let mut failures: Vec<CellOutcome> = Vec::new();
+    // Each cell runs at most once, so dispatch moves it out instead of cloning.
+    let mut cells: Vec<Option<C>> = cells.into_iter().map(Some).collect();
+    let rows: Vec<OnceLock<Vec<Row>>> = (0..n).map(|_| OnceLock::new()).collect();
+    let failures: Mutex<Vec<CellOutcome>> = Mutex::new(Vec::new());
     let mut pending: Vec<usize> = (0..n).collect();
 
     // Cache resolution: hits are settled here, before any slot is taken — a
     // fully cached experiment costs zero pool time.  Under single-flight, each
     // missing cell is either *claimed* (we own it, with a guard that releases
     // on any exit path) or *parked* (another job or process is computing it;
-    // we wait outside the wave queue and re-acquire below).
+    // we wait outside the slot queue and re-acquire below).
     let mut waiting: Vec<usize> = Vec::new();
     let mut guards: HashMap<usize, ClaimGuard> = HashMap::new();
     if let Some(cache) = &ctx.cache {
         if cache.single_flight() {
             pending.retain(|&i| match cache.acquire(keys[i]) {
-                Flight::Hit(rows) => {
-                    settle_cache_hit(ctx, &mut slots, i, &rows);
+                Flight::Hit(hit) => {
+                    settle_cache_hit(ctx, &rows[i], i, &hit);
                     false
                 }
                 Flight::Claimed(guard) => {
@@ -399,8 +400,8 @@ where
             });
         } else {
             pending.retain(|&i| match cache.get(keys[i]) {
-                Some(rows) => {
-                    settle_cache_hit(ctx, &mut slots, i, &rows);
+                Some(hit) => {
+                    settle_cache_hit(ctx, &rows[i], i, &hit);
                     false
                 }
                 None => true,
@@ -409,73 +410,32 @@ where
     }
 
     loop {
-        let mut at = 0usize;
-        while at < pending.len() {
-            check_cancelled(ctx);
-            // Meter the wave: take as many slots as the fair queue grants this
-            // turn, then clone the wave's cells on the supervising thread (cells
-            // stay `Clone + Send`, not `Sync`) and fan them out.
-            let grant = ctx.queue.acquire_up_to(ctx.job, pending.len() - at);
-            let batch: Vec<(usize, C)> = pending[at..(at + grant.granted).min(pending.len())]
-                .iter()
-                .map(|&i| (i, cells[i].clone()))
-                .collect();
-            at += batch.len();
-            let results: Vec<_> =
-                batch.into_par_iter().map(|(i, cell)| (i, run_cell(cell, f))).collect();
-            drop(grant);
-            for (i, (result, elapsed)) in results {
-                let status = match result {
-                    Ok(rows) => {
-                        // Write-back on the supervising thread: later lookups (same
-                        // sweep or same serve session) already see it.  Persistence
-                        // failures degrade to in-memory caching, loudly.
-                        if let Some(cache) = &ctx.cache {
-                            if let Err(error) = cache.insert(keys[i], Arc::new(rows.clone())) {
-                                eprintln!("xp: cache write for cell {} failed: {error}", keys[i]);
-                            }
-                        }
-                        if let Some(counters) = &ctx.counters {
-                            counters.computed_cells.fetch_add(1, Ordering::Relaxed);
-                        }
-                        slots[i] = Some(rows);
-                        CellStatus::Ok
-                    }
-                    Err((status, error)) => {
-                        failures.push(CellOutcome {
-                            cell: i,
-                            status,
-                            error,
-                            elapsed_seconds: elapsed,
-                        });
-                        status
-                    }
-                };
-                // Release the single-flight claim: after the publish above on
-                // success, so waiters wake to a hit; at once on failure, so a
-                // parked waiter (this process or another) claims the cell and
-                // runs it itself instead of wedging on a failed claimant.
-                guards.remove(&i);
-                emit(
-                    ctx,
-                    CellEvent {
-                        job: ctx.job,
-                        cell: i,
-                        status,
-                        attempt: 1,
-                        cache_hit: false,
-                        elapsed_seconds: elapsed,
-                    },
-                );
+        // Per-cell dispatch: take one slot, spawn the cell onto the pool at once,
+        // repeat.  A cell settles itself on the worker that ran it and hands its
+        // slot back as its last act, so the supervising thread's next acquire
+        // starts the next pending cell the moment any slot frees.  A cancel stops
+        // the dispatch; the scope still waits for the cells already started.
+        rayon::scope(|scope| {
+            for &i in &pending {
+                check_cancelled(ctx);
+                let slot = ctx.queue.acquire(ctx.job);
+                let cell = cells[i].take().expect("each cell is dispatched once");
+                let claim = guards.remove(&i);
+                let (cell_rows, failures) = (&rows[i], &failures);
+                scope.spawn(move |_| {
+                    let outcome = run_cell(cell, f);
+                    settle_computed(ctx, keys[i], i, outcome, cell_rows, failures, claim);
+                    drop(slot);
+                });
             }
-        }
+        });
         pending.clear();
         if waiting.is_empty() {
             break;
         }
 
         // Re-poll parked cells.  This happens on the supervising thread with
-        // zero slots held — waiting never occupies the wave queue, so
+        // zero slots held — waiting never occupies the slot queue, so
         // cross-job blocking cannot deadlock the pool or starve the rotation.
         check_cancelled(ctx);
         let cache = ctx.cache.as_ref().expect("waiting implies a cache");
@@ -483,15 +443,15 @@ where
         let mut still_waiting = Vec::new();
         for i in waiting.drain(..) {
             match cache.acquire(keys[i]) {
-                Flight::Hit(rows) => {
+                Flight::Hit(hit) => {
                     // A single-flight win: settled by someone else's compute.
                     cache.note_flight_wait();
-                    settle_cache_hit(ctx, &mut slots, i, &rows);
+                    settle_cache_hit(ctx, &rows[i], i, &hit);
                     progressed = true;
                 }
                 Flight::Claimed(guard) => {
                     // The claimant died or failed — the claim is ours now, and
-                    // the cell runs in the next wave.
+                    // the cell is dispatched in the next round.
                     guards.insert(i, guard);
                     pending.push(i);
                     progressed = true;
@@ -506,16 +466,68 @@ where
             cache.wait_change(PARK_POLL);
         }
     }
+    let mut failures = failures.into_inner().expect("failure lock");
     failures.sort_by_key(|outcome| outcome.cell);
-    ctx.outcomes.borrow_mut().extend(failures);
-    slots.into_iter().flatten().flatten().collect()
+    ctx.outcomes.lock().expect("outcome lock").extend(failures);
+    rows.into_iter().filter_map(OnceLock::into_inner).flatten().collect()
+}
+
+/// Settle a computed cell as it finishes, on the worker that ran it: publish
+/// its rows to the cache and count it, or record its failure; then release its
+/// single-flight claim and stream its event.  Later lookups (same sweep or same
+/// serve session) already see the rows; persistence failures degrade to
+/// in-memory caching, loudly.
+fn settle_computed(
+    ctx: &JobCtx,
+    key: CellKey,
+    i: usize,
+    (result, elapsed): (Result<Vec<Row>, (CellStatus, String)>, f64),
+    rows: &OnceLock<Vec<Row>>,
+    failures: &Mutex<Vec<CellOutcome>>,
+    claim: Option<ClaimGuard>,
+) {
+    let status = match result {
+        Ok(computed) => {
+            if let Some(cache) = &ctx.cache {
+                if let Err(error) = cache.insert(key, Arc::new(computed.clone())) {
+                    eprintln!("xp: cache write for cell {key} failed: {error}");
+                }
+            }
+            if let Some(counters) = &ctx.counters {
+                counters.computed_cells.fetch_add(1, Ordering::Relaxed);
+            }
+            assert!(rows.set(computed).is_ok(), "cell {i} settled twice");
+            CellStatus::Ok
+        }
+        Err((status, error)) => {
+            let outcome = CellOutcome { cell: i, status, error, elapsed_seconds: elapsed };
+            failures.lock().expect("failure lock").push(outcome);
+            status
+        }
+    };
+    // Release the single-flight claim: after the publish above on success, so
+    // waiters wake to a hit; at once on failure, so a parked waiter (this process
+    // or another) claims the cell and runs it itself instead of wedging on a
+    // failed claimant.
+    drop(claim);
+    emit(
+        ctx,
+        CellEvent {
+            job: ctx.job,
+            cell: i,
+            status,
+            attempt: 1,
+            cache_hit: false,
+            elapsed_seconds: elapsed,
+        },
+    );
 }
 
 /// Settle cell `i` from cached rows: count it as a hit and stream the attempt-0
 /// event.  Cells settled by waiting on another job's claim go through here too,
 /// so concurrent single-flight counters match serial submission bit-for-bit.
-fn settle_cache_hit(ctx: &JobCtx, slots: &mut [Option<Vec<Row>>], i: usize, rows: &[Row]) {
-    slots[i] = Some(rows.to_vec());
+fn settle_cache_hit(ctx: &JobCtx, slot: &OnceLock<Vec<Row>>, i: usize, rows: &[Row]) {
+    assert!(slot.set(rows.to_vec()).is_ok(), "cell {i} settled twice");
     if let Some(counters) = &ctx.counters {
         counters.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
@@ -647,7 +659,7 @@ mod tests {
 
     #[test]
     fn concurrent_jobs_share_one_slot_without_deadlock() {
-        // Two jobs, one slot: every wave serializes through the fair queue and
+        // Two jobs, one slot: every cell serializes through the fair queue and
         // both experiments still complete.  (A lost wakeup or rotation bug hangs
         // this test instead of failing it.)
         let scheduler = Arc::new(Scheduler::new(1));
@@ -676,6 +688,96 @@ mod tests {
             }
         });
         assert_eq!(done.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_freed_slot_starts_the_next_cell_while_a_slow_cell_runs() {
+        // Two slots, four cells, and cell 0 finishes only after cells 1-3 have.
+        // Cells 2 and 3 can run only on the slot cell 1 frees, so a scheduler that
+        // held them back until cell 0 ended (a wave barrier) times cell 0 out and
+        // reports it panicked instead of hanging.
+        static FINISHED: OnceLock<(Sender<usize>, Mutex<std::sync::mpsc::Receiver<usize>>)> =
+            OnceLock::new();
+        fn finished() -> &'static (Sender<usize>, Mutex<std::sync::mpsc::Receiver<usize>>) {
+            FINISHED.get_or_init(|| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                (tx, Mutex::new(rx))
+            })
+        }
+        let spec = ExperimentSpec {
+            id: "sched_conserve",
+            aliases: &[],
+            title: "Work conservation demo",
+            columns: &["x"],
+            notes: &[],
+            run: |_cfg| {
+                run_keyed_cells((0..4).map(keyed).collect(), |i| {
+                    let (tx, rx) = finished();
+                    if i == 0 {
+                        let rx = rx.lock().expect("receiver lock");
+                        for _ in 1..4 {
+                            rx.recv_timeout(Duration::from_secs(10))
+                                .expect("cells 1-3 finish while cell 0 holds its slot");
+                        }
+                    } else {
+                        tx.send(i).expect("receiver lives in a static");
+                    }
+                    vec![row![i as u64]]
+                })
+            },
+        };
+        let config = RunConfig { scale: crate::Scale::Tiny, procs: None, seed: None };
+        let result = rayon::with_num_threads(2, || {
+            Scheduler::new(2).execute(&spec, &config, JobSession::default())
+        });
+        assert!(result.cell_faults.is_empty(), "{:?}", result.cell_faults);
+        let cells: Vec<_> = result.rows.iter().map(|row| row.cells[0].clone()).collect();
+        let expected: Vec<_> = (0..4).map(crate::runner::Value::Int).collect();
+        assert_eq!(cells, expected, "rows land by cell index");
+    }
+
+    #[test]
+    fn cells_in_flight_never_exceed_the_slot_count() {
+        // Two concurrent jobs of eight cells each on a pool wider than the slot
+        // count: the high-water mark of cells running at once stays within it.
+        static RUNNING: AtomicUsize = AtomicUsize::new(0);
+        static HIGH: AtomicUsize = AtomicUsize::new(0);
+        let spec = ExperimentSpec {
+            id: "sched_bound",
+            aliases: &[],
+            title: "Slot bound demo",
+            columns: &["x"],
+            notes: &[],
+            run: |_cfg| {
+                run_keyed_cells((0..8).map(keyed).collect(), |i| {
+                    let now = RUNNING.fetch_add(1, Ordering::SeqCst) + 1;
+                    HIGH.fetch_max(now, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(2));
+                    RUNNING.fetch_sub(1, Ordering::SeqCst);
+                    vec![row![i as u64]]
+                })
+            },
+        };
+        for slots in 1..=3 {
+            HIGH.store(0, Ordering::SeqCst);
+            let scheduler = Scheduler::new(slots);
+            std::thread::scope(|scope| {
+                for job in 1..=2u64 {
+                    let (scheduler, spec) = (&scheduler, &spec);
+                    scope.spawn(move || {
+                        let config =
+                            RunConfig { scale: crate::Scale::Tiny, procs: None, seed: None };
+                        let session = JobSession { job, ..JobSession::default() };
+                        let result = rayon::with_num_threads(4, || {
+                            scheduler.execute(spec, &config, session)
+                        });
+                        assert_eq!(result.rows.len(), 8);
+                    });
+                }
+            });
+            let high = HIGH.load(Ordering::SeqCst);
+            assert!((1..=slots).contains(&high), "{high} cells ran at once on {slots} slot(s)");
+        }
     }
 
     #[test]

@@ -205,7 +205,8 @@ where
     }
 
     // Drain: no new work is accepted past this point; in-flight jobs finish
-    // (cancelled ones unwind at their next wave boundary).
+    // (cancelled ones start no further cell and unwind once their started cells
+    // have settled).
     for handle in handles {
         let _ = handle.join();
     }
@@ -428,9 +429,9 @@ fn handle_cancel(request: &Json, jobs: &Jobs, out_tx: &mpsc::Sender<String>) {
     let table = jobs.lock().expect("jobs lock");
     match table.get(&job) {
         Some(record) => {
-            // Setting the flag is all there is to do: the job unwinds at its
-            // next wave boundary and reports `done` with status `cancelled`.  A
-            // finished job ignores the flag (its done event already shipped).
+            // Setting the flag is all there is to do: the job starts no further
+            // cell and reports `done` with status `cancelled`.  A finished job
+            // ignores the flag (its done event already shipped).
             let pending = record.state == JobState::Running;
             record.cancel.store(true, Ordering::SeqCst);
             let _ = out_tx.send(format!(

@@ -195,10 +195,10 @@ fn result_replays_a_finished_artifact() {
 #[test]
 fn cancel_unwinds_a_running_job_gracefully() {
     // The unit-size ablation traces two Moldyn runs, one per cell.  A cancel
-    // sent right behind the submit is observed at a wave boundary, or — if it
-    // lands while the last wave runs — by the check `Scheduler::execute` makes
-    // after the spec returns, so the job always ends "cancelled", the session
-    // survives, and the drain still emits bye.
+    // sent right behind the submit is observed before the next cell starts, or —
+    // if it lands after the last cell started — by the check `Scheduler::execute`
+    // makes after the spec returns, so the job always ends "cancelled", the
+    // session survives, and the drain still emits bye.
     let script = concat!(
         "{\"cmd\": \"submit\", \"experiment\": \"unit-sweep\", \"scale\": \"small\", \"job\": 9}\n",
         "{\"cmd\": \"cancel\", \"job\": 9}\n",

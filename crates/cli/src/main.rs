@@ -394,12 +394,15 @@ fn main() -> ExitCode {
         print!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    if command == "-h" || command == "--help" || command == "help" {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if command == "list" {
-        print_list();
+    if matches!(command, "-h" | "--help" | "help" | "list") {
+        if let Some(extra) = args.get(1) {
+            return fail(&format!("`xp {command}` takes no arguments, got {extra:?}"));
+        }
+        if command == "list" {
+            print_list();
+        } else {
+            print!("{USAGE}");
+        }
         return ExitCode::SUCCESS;
     }
     if command == "serve" {

@@ -1,5 +1,5 @@
 //! Black-box tests of the `xp` binary surface: `--jobs`, `--procs` and `--out`
-//! validation, serve-over-stdin, and sweep-level deduplication.
+//! validation, trailing arguments, serve-over-stdin, and sweep-level deduplication.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -275,5 +275,27 @@ fn help_names_every_registered_bench() {
     let benches = repro_bench::experiments::all().iter().filter(|s| s.id.starts_with("bench_"));
     for spec in benches {
         assert!(help.contains(spec.aliases[0]), "`xp --help` omits `xp bench {}`", spec.aliases[0]);
+    }
+}
+
+#[test]
+fn list_and_help_reject_trailing_arguments() {
+    for args in [
+        &["list", "--format", "json", "--bogus"][..],
+        &["list", "extra"],
+        &["help", "table"],
+        &["--help", "--bogus"],
+    ] {
+        let out = xp().args(args).output().unwrap();
+        assert!(!out.status.success(), "`xp {}` must fail", args.join(" "));
+        assert!(out.stdout.is_empty(), "`xp {}` printed {:?}", args.join(" "), out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let named = format!("`xp {}` takes no arguments, got {:?}", args[0], args[1]);
+        assert!(stderr.contains(&named), "got: {stderr}");
+    }
+    for command in ["list", "help"] {
+        let out = xp().arg(command).output().unwrap();
+        assert!(out.status.success(), "bare `xp {command}` still works");
+        assert!(!out.stdout.is_empty());
     }
 }

@@ -10,11 +10,13 @@
 //! latch has tripped, so the erased pointers never outlive the stack they point into.
 //!
 //! The complete safety contract, relied on by every `unsafe` block in this module and
-//! checked at the two call sites in [`crate::pool`]:
+//! checked at the call sites in [`crate::pool`] and in `Scope::spawn`:
 //!
 //! 1. A [`StackJob`] is pinned for the duration: it is never moved between
 //!    [`StackJob::as_job_ref`] and the trip of its latch (the pool builds the full
 //!    `Vec<StackJob>` *before* taking any `JobRef`, and only consumes it afterwards).
+//!    A heap job ([`heap_job_ref`], what `Scope::spawn` queues) owns its own memory,
+//!    so only items 2–4 apply to it.
 //! 2. Each [`JobRef`] is executed exactly once: it is pushed onto exactly one queue,
 //!    and whoever pops it calls [`JobRef::execute`] on the owned value.
 //! 3. The creating frame blocks in `Pool::wait_until_done` until the latch reports
@@ -23,11 +25,13 @@
 //! 4. [`execute_erased`] touches the job's memory in this order: take the closure,
 //!    read the latch pointer, store the result, and *last* trip the latch.  After the
 //!    `fetch_sub` the executor never touches caller-owned memory again, so the caller
-//!    observing `done()` may immediately pop its frame.
+//!    observing `done()` may immediately pop its frame.  A heap job's closure keeps
+//!    the same order itself: it stores its panic, then trips its scope's latch last.
 //!
 //! Closure panics are caught here ([`std::panic::catch_unwind`]) and stored as the
-//! job's result, so a panic never unwinds through a worker's run loop (no lock is
-//! poisoned, no worker dies) and the original payload reaches the caller intact.
+//! job's result — or, for a heap job, by the scope's closure — so a panic never
+//! unwinds through a worker's run loop (no lock is poisoned, no worker dies) and the
+//! original payload reaches the caller intact.
 
 #![allow(unsafe_code)]
 
@@ -35,7 +39,8 @@ use std::cell::UnsafeCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Countdown latch: one completion per job in a batch.
+/// Countdown latch: one completion per job in a batch (or, for a scope, one per
+/// spawned job plus one for the scope's own body).
 ///
 /// `complete` uses `Release` and `done` uses `Acquire`, so the result slot written
 /// before the countdown is visible to the thread that observes zero.
@@ -53,7 +58,13 @@ impl Latch {
         self.remaining.load(Ordering::Acquire) == 0
     }
 
-    fn complete(&self) {
+    /// Count one more job.  Only called while the count is held above zero (by the
+    /// scope body or by the spawning job), so the latch never trips early.
+    pub(crate) fn increment(&self) {
+        self.remaining.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn complete(&self) {
         self.remaining.fetch_sub(1, Ordering::Release);
     }
 }
@@ -81,6 +92,35 @@ impl JobRef {
     pub(crate) unsafe fn execute(self) {
         (self.execute_fn)(self.data)
     }
+}
+
+/// A boxed closure the pool owns: what `Scope::spawn` queues.  The box is freed by
+/// whoever executes it; the closure itself trips its scope's latch as its last step.
+type HeapFn<'a> = Box<dyn FnOnce() + Send + 'a>;
+
+/// Erase a boxed closure's lifetime into a queueable [`JobRef`] (the heap half of
+/// the job core: the job owns its memory, so only the *borrows inside* it need the
+/// blocking protocol).
+///
+/// # Safety
+///
+/// Caller promises contract items 2–4 for the closure's borrows: the ref is executed
+/// exactly once, and the frame owning everything `func` borrows blocks until `func`
+/// has run to its end — `Scope` waits on its latch, which `func` trips last.
+pub(crate) unsafe fn heap_job_ref(func: HeapFn<'_>) -> JobRef {
+    let func: HeapFn<'static> = std::mem::transmute(func);
+    JobRef { data: Box::into_raw(Box::new(func)) as *const (), execute_fn: execute_heap }
+}
+
+/// The executor behind [`heap_job_ref`]: reclaim the box and run the closure (which
+/// catches its own panics and trips its latch).
+///
+/// # Safety
+///
+/// `data` came from [`heap_job_ref`] and this is its only execution.
+unsafe fn execute_heap(data: *const ()) {
+    let func = Box::from_raw(data as *mut HeapFn<'static>);
+    func();
 }
 
 /// A job pinned on the stack of the thread that created it: the closure to run, a

@@ -11,10 +11,10 @@
 //! unchanged: the pool's job core (`job`) re-creates scoped-thread lifetimes by
 //! blocking the submitting frame until its jobs finish.
 //!
-//! Only the adapters the workspace calls are provided: `join`, `par_iter`,
-//! `par_iter_mut`, `par_chunks`, `par_chunks_mut`, `into_par_iter` (on ranges and
-//! vectors), and the `map` / `flat_map_iter` / `zip` / `for_each` / `reduce` /
-//! `collect` combinators.  Unlike rayon proper,
+//! Only the adapters the workspace calls are provided: `join`, `scope` /
+//! `Scope::spawn`, `par_iter`, `par_iter_mut`, `par_chunks`, `par_chunks_mut`,
+//! `into_par_iter` (on ranges and vectors), and the `map` / `flat_map_iter` / `zip` /
+//! `for_each` / `reduce` / `collect` combinators.  Unlike rayon proper,
 //! adapters are *eager*: each combinator that does per-item work runs it in parallel
 //! immediately and materializes the results, which keeps the implementation tiny at the
 //! cost of one intermediate `Vec` per stage.  All call sites in this workspace use
@@ -24,8 +24,8 @@
 //!
 //! Panic contract (pinned by `tests/panic_semantics.rs`): a panicking task's original
 //! payload reaches the caller via `resume_unwind`, sibling tasks of the same batch
-//! always run to completion first, and the pool survives — no worker dies, no lock is
-//! poisoned, the very next `par_*` call works.
+//! (or jobs of the same scope) always run to completion first, and the pool
+//! survives — no worker dies, no lock is poisoned, the very next `par_*` call works.
 
 #![deny(unsafe_code)]
 
@@ -33,8 +33,10 @@ use std::ops::Range;
 
 mod job;
 mod pool;
+mod scope;
 
 pub use pool::with_num_threads;
+pub use scope::{scope, Scope};
 
 pub mod prelude {
     //! Glob-import target mirroring `rayon::prelude`.

@@ -19,6 +19,15 @@
 //! out for free), other batches' jobs otherwise.  This is what makes nested
 //! parallelism deadlock-free: a blocked-on-a-latch thread is always also an executor.
 //!
+//! [`crate::Scope::spawn`] jobs sit in a queue of their own, the **spawn queue**
+//! (FIFO, each entry tagged with its scope).  Idle workers take any of them; a scope
+//! owner waiting at the end of its scope takes only its own; a `join`/`run_batch`
+//! waiter takes none.  A spawned job is a long unit of work (one scheduler cell), and
+//! a thread waiting inside one cell's `par_iter` that started a second cell would
+//! leave the first cell's serial remainder queued behind the whole second one.
+//! Progress never depends on a batch waiter: a spawned job is run either by an idle
+//! worker or, at the latest, by its own scope's owner.
+//!
 //! Pools are created lazily, cached per thread count, and live for the process (the
 //! `Box::leak` is deliberate: workers park forever on the condvar and the soak test
 //! in `tests/pool_stress.rs` pins that the thread count stays flat across thousands
@@ -77,7 +86,20 @@ pub(crate) struct Pool {
     threads: usize,
     injector: Mutex<VecDeque<JobRef>>,
     locals: Vec<Mutex<VecDeque<JobRef>>>,
+    /// `Scope::spawn` jobs, oldest first, each tagged with its scope's address.
+    spawned: Mutex<VecDeque<(usize, JobRef)>>,
     notifier: Notifier,
+}
+
+/// Which spawn-queue entries a thread looking for work may take.
+#[derive(Clone, Copy)]
+enum Spawned {
+    /// An idle worker: any of them.
+    Any,
+    /// A scope owner waiting for its jobs: only those of the scope with this tag.
+    Own(usize),
+    /// A `join`/`run_batch` waiter: none.
+    None,
 }
 
 thread_local! {
@@ -116,10 +138,18 @@ impl Pool {
         self.notifier.notify();
     }
 
+    /// Queue one `Scope::spawn` job for the scope tagged `scope`.
+    pub(crate) fn push_spawned(&self, scope: usize, job: JobRef) {
+        lock(&self.spawned).push_back((scope, job));
+        self.notifier.notify();
+    }
+
     /// One round of the find-work policy: own deque back → injector front → steal
     /// from the other workers' fronts (scanning from the right neighbour so thieves
-    /// spread out instead of all hammering worker 0).
-    fn find_work(&self, me: Option<usize>) -> Option<JobRef> {
+    /// spread out instead of all hammering worker 0) → the spawn queue, as far as
+    /// `spawned` allows.  Batch work comes first: it belongs to units already
+    /// running, which a new spawned unit would only delay.
+    fn find_work(&self, me: Option<usize>, spawned: Spawned) -> Option<JobRef> {
         if let Some(index) = me {
             if let Some(job) = lock(&self.locals[index]).pop_back() {
                 return Some(job);
@@ -139,30 +169,36 @@ impl Pool {
                 return Some(job);
             }
         }
-        None
+        let mut queue = lock(&self.spawned);
+        let at = match spawned {
+            Spawned::Any => 0,
+            Spawned::Own(scope) => queue.iter().position(|&(tag, _)| tag == scope)?,
+            Spawned::None => return None,
+        };
+        queue.remove(at).map(|(_, job)| job)
     }
 
     /// Run one job and publish its completion (the waiter whose latch it tripped may
     /// be parked).
-    #[allow(unsafe_code)] // One of the three reviewed call sites of the job-core contract.
+    #[allow(unsafe_code)] // One of the reviewed call sites of the job-core contract.
     fn execute(&self, job: JobRef) {
         // Safety: every JobRef in this pool's queues was pushed exactly once by
-        // `push`/`push_many` and popped exactly once by `find_work`, and its owning
-        // frame is blocked in `wait_until_done` (contract in `job.rs`).
+        // `push`/`push_many`/`push_spawned` and popped exactly once by `find_work`,
+        // and its owning frame is blocked in `wait_until_done` (contract in `job.rs`).
         unsafe { job.execute() };
         self.notifier.notify();
     }
 
     /// Block until `latch` trips, executing queued work the whole time.  Never
-    /// parks while any queue is non-empty, so a waiter can always drain the very
-    /// jobs it is waiting for.
-    fn wait_until_done(&self, latch: &Latch) {
+    /// parks while a queue holds work it may take, so a waiter can always drain the
+    /// very jobs it is waiting for.
+    fn wait_until_done(&self, latch: &Latch, spawned: Spawned) {
         let me = self.worker_index();
         loop {
             if latch.done() {
                 return;
             }
-            if let Some(job) = self.find_work(me) {
+            if let Some(job) = self.find_work(me, spawned) {
                 self.execute(job);
                 continue;
             }
@@ -170,7 +206,7 @@ impl Pool {
             if latch.done() {
                 return;
             }
-            if let Some(job) = self.find_work(me) {
+            if let Some(job) = self.find_work(me, spawned) {
                 self.execute(job);
                 continue;
             }
@@ -182,12 +218,12 @@ impl Pool {
     fn worker_loop(&'static self, index: usize) {
         WORKER.with(|w| w.set(Some((self, index))));
         loop {
-            if let Some(job) = self.find_work(Some(index)) {
+            if let Some(job) = self.find_work(Some(index), Spawned::Any) {
                 self.execute(job);
                 continue;
             }
             let snapshot = self.notifier.snapshot();
-            if let Some(job) = self.find_work(Some(index)) {
+            if let Some(job) = self.find_work(Some(index), Spawned::Any) {
                 self.execute(job);
                 continue;
             }
@@ -200,7 +236,7 @@ impl Pool {
     /// All closures complete (or are executed-and-caught) before this returns; if
     /// any panicked, the **first panic in input order** is resumed with its original
     /// payload after the whole batch has settled, so sibling tasks always finish.
-    #[allow(unsafe_code)] // One of the three reviewed call sites of the job-core contract.
+    #[allow(unsafe_code)] // One of the reviewed call sites of the job-core contract.
     pub(crate) fn run_batch<F, R>(&self, fns: Vec<F>) -> Vec<R>
     where
         F: FnOnce() -> R + Send,
@@ -216,7 +252,7 @@ impl Pool {
         // moves while queued; each ref is pushed once; we block on the latch below.
         let refs: Vec<JobRef> = jobs.iter().map(|job| unsafe { job.as_job_ref() }).collect();
         self.push_many(refs);
-        self.wait_until_done(&latch);
+        self.wait_until_done(&latch, Spawned::None);
         let mut first_panic = None;
         let mut results = Vec::with_capacity(jobs.len());
         for job in jobs {
@@ -238,7 +274,7 @@ impl Pool {
     /// Panic contract (matches rayon): both closures always complete before this
     /// frame unwinds; if `a` panicked its payload is resumed (even if `b` also
     /// panicked), otherwise `b`'s payload is resumed.
-    #[allow(unsafe_code)] // One of the three reviewed call sites of the job-core contract.
+    #[allow(unsafe_code)] // One of the reviewed call sites of the job-core contract.
     pub(crate) fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
     where
         A: FnOnce() -> RA + Send,
@@ -257,13 +293,19 @@ impl Pool {
         let job_ref = unsafe { job_b.as_job_ref() };
         self.push(job_ref);
         let result_a = panic::catch_unwind(panic::AssertUnwindSafe(a));
-        self.wait_until_done(&latch);
+        self.wait_until_done(&latch, Spawned::None);
         let result_b = job_b.into_result();
         match (result_a, result_b) {
             (Ok(ra), Ok(rb)) => (ra, rb),
             (Err(payload), _) => panic::resume_unwind(payload),
             (Ok(_), Err(payload)) => panic::resume_unwind(payload),
         }
+    }
+
+    /// Block a scope owner until `latch` (its scope's count) trips, running its own
+    /// spawned jobs and any batch work meanwhile.
+    pub(crate) fn wait_scope(&self, latch: &Latch, scope: usize) {
+        self.wait_until_done(latch, Spawned::Own(scope));
     }
 }
 
@@ -274,6 +316,7 @@ fn build_pool(threads: usize) -> &'static Pool {
         threads: threads.max(1),
         injector: Mutex::new(VecDeque::new()),
         locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+        spawned: Mutex::new(VecDeque::new()),
         notifier: Notifier::new(),
     }));
     for index in 0..workers {

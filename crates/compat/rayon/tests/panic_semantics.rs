@@ -1,9 +1,10 @@
 //! Panic-semantics battery for the persistent pool.
 //!
-//! The contract these tests pin (documented on `Pool::join`/`Pool::run_batch` and in
-//! DESIGN.md §7): a panicking task propagates to the caller as a `resume_unwind` of
-//! the **original payload**; sibling tasks of the same batch always run to
-//! completion before the caller unwinds; and the pool stays fully usable afterwards
+//! The contract these tests pin (documented on `Pool::join`/`Pool::run_batch`,
+//! `rayon::scope` and in DESIGN.md §7): a panicking task propagates to the caller as
+//! a `resume_unwind` of the **original payload**; sibling tasks of the same batch (or
+//! jobs of the same scope) always run to completion before the caller unwinds; and
+//! the pool stays fully usable afterwards
 //! — workers survive (the panic is caught inside the job core, never unwinding a
 //! worker's run loop) and no lock is poisoned.
 //!
@@ -11,7 +12,7 @@
 //! this binary's output is intentionally noisy.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use rayon::prelude::*;
 use rayon::with_num_threads;
@@ -193,6 +194,105 @@ fn pool_remains_usable_after_panics() {
                 let squares: Vec<u64> =
                     (0..100usize).into_par_iter().map(|x| (x * x) as u64).collect();
                 assert_eq!(squares[99], 9801);
+                let (a, b) = rayon::join(|| join_depth(6), || join_depth(6));
+                assert_eq!(a, b);
+            }
+        });
+    }
+}
+
+#[test]
+fn a_spawned_jobs_panic_reaches_the_scope_owner_only_after_its_siblings_finish() {
+    // The panicking job is spawned first, so it starts first; its siblings finish
+    // only after it has begun to panic.  Every one of them must have finished by
+    // the time the owner sees the payload.  On a serial pool each spawn runs
+    // inline and keeps its panic, so the later siblings run too.
+    for threads in THREAD_COUNTS {
+        let panicking = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            with_num_threads(threads, || {
+                rayon::scope(|scope| {
+                    scope.spawn(|_| {
+                        panicking.store(true, Ordering::SeqCst);
+                        std::panic::panic_any(Payload(0x5C))
+                    });
+                    for _ in 0..8 {
+                        scope.spawn(|_| {
+                            while !panicking.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                            finished.fetch_add(1, Ordering::SeqCst);
+                        });
+                    }
+                })
+            })
+        }));
+        assert_eq!(payload_of(got), Payload(0x5C), "at {threads} threads");
+        assert_eq!(finished.load(Ordering::SeqCst), 8, "siblings cut short at {threads} threads");
+    }
+}
+
+#[test]
+fn a_scope_body_panic_still_waits_for_the_jobs_it_spawned() {
+    // The scheduler's cancellation unwinds out of a scope body with cells in
+    // flight: the body's payload must surface only after those jobs finished.
+    // On a pool the jobs finish only after the body has begun to panic; on a
+    // serial pool they ran inline before it.
+    for threads in THREAD_COUNTS {
+        let panicking = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            with_num_threads(threads, || {
+                rayon::scope(|scope| {
+                    for _ in 0..4 {
+                        scope.spawn(|_| {
+                            while threads > 1 && !panicking.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                            finished.fetch_add(1, Ordering::SeqCst);
+                        });
+                    }
+                    panicking.store(true, Ordering::SeqCst);
+                    std::panic::panic_any(Payload(0xB0D7))
+                })
+            })
+        }));
+        assert_eq!(payload_of(got), Payload(0xB0D7), "at {threads} threads");
+        assert_eq!(finished.load(Ordering::SeqCst), 4, "jobs abandoned at {threads} threads");
+    }
+}
+
+#[test]
+fn the_pool_survives_panicking_spawned_jobs() {
+    for threads in THREAD_COUNTS {
+        with_num_threads(threads, || {
+            for round in 0..25u64 {
+                let got = catch_unwind(AssertUnwindSafe(|| {
+                    rayon::scope(|scope| {
+                        for job in 0..4u64 {
+                            scope.spawn(move |_| {
+                                if job == round % 4 {
+                                    std::panic::panic_any(Payload(round));
+                                }
+                            });
+                        }
+                    })
+                }));
+                assert_eq!(payload_of(got), Payload(round));
+                // The very next scope and batch on the same pool behave normally.
+                let total = AtomicUsize::new(0);
+                rayon::scope(|scope| {
+                    for job in 1..=8 {
+                        let total = &total;
+                        scope.spawn(move |_| {
+                            let part =
+                                (0..job).into_par_iter().map(|x| x + 1).reduce(|| 0, |a, b| a + b);
+                            total.fetch_add(part, Ordering::SeqCst);
+                        });
+                    }
+                });
+                assert_eq!(total.load(Ordering::SeqCst), (1..=8).map(|j| j * (j + 1) / 2).sum());
                 let (a, b) = rayon::join(|| join_depth(6), || join_depth(6));
                 assert_eq!(a, b);
             }

@@ -6,6 +6,10 @@
 //! cannot vary between tests.  The CI matrix additionally runs the whole workspace
 //! with `RAYON_NUM_THREADS=2` so the *global* pool takes the multi-worker paths too.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::Duration;
+
 use rayon::prelude::*;
 use rayon::with_num_threads;
 
@@ -151,6 +155,62 @@ fn par_chunks_mut_disjoint_writes_under_every_thread_count() {
     }
 }
 
+#[test]
+fn scope_jobs_borrow_the_stack_and_spawn_nested_jobs() {
+    for threads in THREAD_COUNTS {
+        let mut slots = vec![0u64; 64];
+        with_num_threads(threads, || {
+            rayon::scope(|scope| {
+                for (i, chunk) in slots.chunks_mut(8).enumerate() {
+                    scope.spawn(move |scope| {
+                        let (head, tail) = chunk.split_at_mut(4);
+                        scope.spawn(move |_| tail.iter_mut().for_each(|x| *x = 2 * i as u64 + 1));
+                        head.iter_mut().for_each(|x| *x = 2 * i as u64);
+                    });
+                }
+            });
+        });
+        let expected: Vec<u64> =
+            (0..8u64).flat_map(|i| [2 * i; 4].into_iter().chain([2 * i + 1; 4])).collect();
+        assert_eq!(slots, expected, "scope jobs lost writes at {threads} threads");
+    }
+}
+
+#[test]
+fn a_worker_waiting_inside_a_spawned_job_never_starts_another() {
+    // The first job's worker waits inside its own par_iter while the spawn queue
+    // still holds jobs.  Starting one of them there would leave the first job's
+    // remainder queued behind it, so no spawned job may run on that thread while
+    // the first one is still in progress.
+    for threads in THREAD_COUNTS.into_iter().filter(|&t| t > 1) {
+        let first: Mutex<Option<std::thread::ThreadId>> = Mutex::new(None);
+        let first_running = AtomicBool::new(false);
+        let violations = AtomicUsize::new(0);
+        with_num_threads(threads, || {
+            rayon::scope(|scope| {
+                scope.spawn(|_| {
+                    *first.lock().unwrap() = Some(std::thread::current().id());
+                    first_running.store(true, Ordering::SeqCst);
+                    (0..8usize)
+                        .into_par_iter()
+                        .for_each(|_| std::thread::sleep(Duration::from_millis(2)));
+                    first_running.store(false, Ordering::SeqCst);
+                });
+                for _ in 0..32 {
+                    scope.spawn(|_| {
+                        let here = Some(std::thread::current().id());
+                        if first_running.load(Ordering::SeqCst) && *first.lock().unwrap() == here {
+                            violations.fetch_add(1, Ordering::SeqCst);
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    });
+                }
+            });
+        });
+        assert_eq!(violations.load(Ordering::SeqCst), 0, "nested start at {threads} threads");
+    }
+}
+
 /// Count live threads whose name carries the shim's worker prefix, via
 /// `/proc/self/task/<tid>/comm`.  `None` when `/proc` is unavailable (non-Linux).
 fn shim_worker_threads() -> Option<usize> {
@@ -189,4 +249,35 @@ fn soak_one_thousand_pool_uses_leak_no_workers() {
     }
     let after = shim_worker_threads().expect("/proc vanished mid-test");
     assert_eq!(before, after, "pool leaked worker threads across 1000 uses");
+}
+
+#[test]
+fn soak_thousands_of_scopes_leak_no_workers() {
+    // A scope runs its jobs on the persistent workers, never on threads of its own.
+    let mix = |round: usize| {
+        for threads in THREAD_COUNTS {
+            with_num_threads(threads, || {
+                let total = AtomicUsize::new(0);
+                rayon::scope(|scope| {
+                    for job in 0..4 + round % 3 {
+                        let total = &total;
+                        scope.spawn(move |_| {
+                            total.fetch_add(job, Ordering::Relaxed);
+                        });
+                    }
+                });
+                let jobs = 4 + round % 3;
+                assert_eq!(total.into_inner(), jobs * (jobs - 1) / 2);
+            });
+        }
+    };
+    mix(0);
+    let Some(before) = shim_worker_threads() else {
+        return; // no /proc: soak still ran, leak assertion not measurable
+    };
+    for round in 1..=3000 {
+        mix(round);
+    }
+    let after = shim_worker_threads().expect("/proc vanished mid-test");
+    assert_eq!(before, after, "scopes leaked worker threads across 9000 uses");
 }
