@@ -1233,7 +1233,14 @@ fn run_ablation_unit_sweep(cfg: &RunConfig) -> Vec<Row> {
         .filter_map(|unit| {
             let hilbert = measured(Method::Hilbert, unit)?;
             let column = measured(Method::Column, unit)?;
-            let fewer = if float(&hilbert[0]) <= float(&column[0]) { "hilbert" } else { "column" };
+            let (h, c) = (float(&hilbert[0]), float(&column[0]));
+            let fewer = if h < c {
+                "hilbert"
+            } else if c < h {
+                "column"
+            } else {
+                "tie"
+            };
             let mut cells = vec![unit.into()];
             cells.extend(hilbert.iter().chain(column).cloned());
             cells.push(fewer.into());
@@ -1281,6 +1288,19 @@ mod tests {
         assert_eq!(result.rows.len(), 32);
         for row in &result.rows {
             assert_eq!(row.cells.len(), 3);
+        }
+    }
+
+    #[test]
+    fn unit_sweep_reports_a_tie_when_both_orderings_send_as_many_messages() {
+        // One processor shares nothing, so both orderings send no message at any unit.
+        let spec = find("unit-sweep").unwrap();
+        let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: Some(1), seed: None });
+        assert_eq!(result.rows.len(), UNIT_SWEEP_BYTES.len());
+        for row in &result.rows {
+            assert_eq!(float(&row.cells[1]), 0.0, "hilbert messages: {row:?}");
+            assert_eq!(float(&row.cells[3]), 0.0, "column messages: {row:?}");
+            assert_eq!(row.cells[5], Value::Str("tie".into()), "{row:?}");
         }
     }
 

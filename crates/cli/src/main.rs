@@ -18,6 +18,7 @@
 //! Cells of each experiment's method × workload × substrate matrix run in parallel
 //! on all host cores (cap with `RAYON_NUM_THREADS`).
 
+use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -209,7 +210,7 @@ fn open_cache(options: &Options) -> Result<Arc<CellCache>, String> {
 }
 
 fn run_sweep(ids: &[String], options: &Options) -> Result<(), String> {
-    let specs: Vec<&'static ExperimentSpec> = if ids.is_empty() {
+    let mut specs: Vec<&'static ExperimentSpec> = if ids.is_empty() {
         experiments::all().iter().collect()
     } else {
         ids.iter()
@@ -218,6 +219,9 @@ fn run_sweep(ids: &[String], options: &Options) -> Result<(), String> {
             })
             .collect::<Result<_, _>>()?
     };
+    // A repeated id, or an id next to its alias, runs and writes its spec once.
+    let mut seen = HashSet::new();
+    specs.retain(|spec| seen.insert(spec.id));
     for spec in &specs {
         experiments::check_config(spec, &options.config)?;
     }
@@ -228,8 +232,8 @@ fn run_sweep(ids: &[String], options: &Options) -> Result<(), String> {
     // cores, so running two heavyweight experiments at once would only oversubscribe.
     // A cell failure does not stop the sweep — every experiment still writes its
     // artifact (with its failure summary) — but the sweep itself then exits nonzero.
-    // All experiments share one content-addressed cache: a repeated or overlapping
-    // id list computes each unique cell exactly once.
+    // All experiments share one content-addressed cache: overlapping specs compute
+    // each unique cell exactly once.
     let slots = options.jobs.unwrap_or_else(|| rayon::current_num_threads().max(1));
     let scheduler = Scheduler::new(slots);
     let cache = open_cache(options)?;

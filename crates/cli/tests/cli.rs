@@ -78,17 +78,24 @@ fn serve_on_stdin_dedupes_across_submissions() {
 }
 
 #[test]
-fn overlapping_sweep_reports_reused_cells() {
-    let dir = std::env::temp_dir().join(format!("xp-sweep-overlap-{}", std::process::id()));
+fn sweep_runs_a_repeated_id_or_alias_once() {
+    // `fig3` and `fig03` name one spec: the sweep runs it once, in first-seen order,
+    // and writes its artifact once.
+    let dir = std::env::temp_dir().join(format!("xp-sweep-repeat-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = xp()
-        .args(["sweep", "fig3", "fig03", "--scale", "tiny", "--out"])
+        .args(["sweep", "fig3", "table1", "fig03", "fig3", "--scale", "tiny", "--out"])
         .arg(&dir)
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("4 cache hits / 8 cell lookups"), "got: {stderr}");
+    assert_eq!(stderr.matches("running fig03").count(), 1, "got: {stderr}");
+    assert_eq!(stderr.matches("running table1").count(), 1, "got: {stderr}");
+    assert!(stderr.find("running fig03") < stderr.find("running table1"), "got: {stderr}");
+    assert!(stderr.contains("sweep complete: 2 experiments"), "got: {stderr}");
+    assert!(stderr.contains("0 cache hits / 4 cell lookups"), "got: {stderr}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -59,17 +59,6 @@ impl std::fmt::Display for Method {
     }
 }
 
-/// A sort key for one object: the object's original index plus the integer key its
-/// quantized coordinates map to under the chosen ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SortKey {
-    /// Original index of the object in the object array.
-    pub object: usize,
-    /// Ordering key; objects are ranked by ascending key, ties broken by object index
-    /// so the ranking is always a well-defined permutation.
-    pub key: u128,
-}
-
 /// Compute the key of a single quantized grid point under `method`.
 pub fn key_for_cells(method: Method, cells: &[u32], bits: u32) -> u128 {
     match method {
@@ -203,37 +192,6 @@ where
     out
 }
 
-/// Generate a sort key for each of `n` objects whose coordinates are produced by
-/// `coord(i, d)` for `d < dims`, quantized by `quantizer`.
-///
-/// The returned vector has exactly `n` entries, in object order (entry `i` describes
-/// object `i`); it is *not* yet sorted.
-///
-/// # Panics
-/// Panics if `dims` is 0 or exceeds [`MAX_DIMS`].
-pub fn sort_keys<F>(
-    method: Method,
-    n: usize,
-    dims: usize,
-    quantizer: &Quantizer,
-    mut coord: F,
-) -> Vec<SortKey>
-where
-    F: FnMut(usize, usize) -> f64,
-{
-    assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
-    let bits = quantizer.bits();
-    let mut cells = [0u32; MAX_DIMS];
-    (0..n)
-        .map(|i| {
-            for (d, slot) in cells[..dims].iter_mut().enumerate() {
-                *slot = quantizer.cell(d, coord(i, d));
-            }
-            SortKey { object: i, key: key_for_cells(method, &cells[..dims], bits) }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,14 +201,24 @@ mod tests {
         Quantizer::new(BoundingBox { min: vec![0.0; dims], max: vec![1.0; dims] }, bits)
     }
 
+    /// The packed keys of `pts` under `method`, widened to `u128`, in object order.
+    fn keys<const D: usize>(method: Method, q: &Quantizer, pts: &[[f64; D]]) -> Vec<u128> {
+        let coords: Vec<f64> = pts.iter().flatten().copied().collect();
+        match pack_keys(method, D, q, &coords, false) {
+            PackedKeys::U64(k) => k.into_iter().map(u128::from).collect(),
+            PackedKeys::U128(k) => k,
+        }
+    }
+
     #[test]
     fn keys_are_generated_in_object_order() {
         let pts = [[0.1, 0.2], [0.9, 0.8], [0.5, 0.5]];
         let q = unit_quantizer(2, 8);
-        let keys = sort_keys(Method::Hilbert, 3, 2, &q, |i, d| pts[i][d]);
+        let keys = keys(Method::Hilbert, &q, &pts);
         assert_eq!(keys.len(), 3);
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(k.object, i);
+        for (pt, &key) in pts.iter().zip(&keys) {
+            let cells = [q.cell(0, pt[0]), q.cell(1, pt[1])];
+            assert_eq!(key, key_for_cells(Method::Hilbert, &cells, 8));
         }
     }
 
@@ -258,17 +226,17 @@ mod tests {
     fn column_keys_order_by_x() {
         let pts = [[0.9, 0.1, 0.1], [0.1, 0.9, 0.9], [0.5, 0.5, 0.5]];
         let q = unit_quantizer(3, 8);
-        let keys = sort_keys(Method::Column, 3, 3, &q, |i, d| pts[i][d]);
-        assert!(keys[1].key < keys[2].key);
-        assert!(keys[2].key < keys[0].key);
+        let keys = keys(Method::Column, &q, &pts);
+        assert!(keys[1] < keys[2]);
+        assert!(keys[2] < keys[0]);
     }
 
     #[test]
     fn hilbert_keys_of_identical_points_are_equal() {
         let pts = [[0.25, 0.75], [0.25, 0.75]];
         let q = unit_quantizer(2, 12);
-        let keys = sort_keys(Method::Hilbert, 2, 2, &q, |i, d| pts[i][d]);
-        assert_eq!(keys[0].key, keys[1].key);
+        let keys = keys(Method::Hilbert, &q, &pts);
+        assert_eq!(keys[0], keys[1]);
     }
 
     #[test]
@@ -283,10 +251,7 @@ mod tests {
         }
         let q = unit_quantizer(2, 10);
         for method in Method::ALL {
-            let mut keys: Vec<u128> = sort_keys(method, pts.len(), 2, &q, |i, d| pts[i][d])
-                .into_iter()
-                .map(|k| k.key)
-                .collect();
+            let mut keys = keys(method, &q, &pts);
             keys.sort_unstable();
             keys.dedup();
             assert_eq!(keys.len(), pts.len(), "method {method} produced duplicate keys");

@@ -53,7 +53,6 @@
 // cell, dimension), so indexed loops read better than enumerate chains.
 #![allow(clippy::needless_range_loop)]
 
-pub mod graph;
 pub mod hilbert;
 pub mod keys;
 pub mod morton;
@@ -68,7 +67,7 @@ pub use api::{
     column_reorder, compute_reordering, compute_reordering_from_points, hilbert_reorder,
     morton_reorder, reorder_by_method, row_reorder, CoordFn, Reordering,
 };
-pub use keys::{pack_keys, sort_keys, Method, PackedKeys, SortKey};
+pub use keys::{pack_keys, Method, PackedKeys};
 pub use permute::{PermutableColumn, Permutation};
 pub use quantize::{BoundingBox, Quantizer, DEFAULT_BITS_PER_DIM};
 pub use radix::{rank_radix, RadixKey, PARALLEL_THRESHOLD};

@@ -6,9 +6,8 @@
 //! structures — interaction lists in Moldyn, edge endpoint arrays in Unstructured, leaf
 //! pointers in Barnes-Hut — the permutation also has to be applied to those indices;
 //! [`Permutation::remap_index`] and [`Permutation::remap_indices`] do exactly that.
-
-use crate::keys::SortKey;
-use crate::radix::{rank_radix, PARALLEL_THRESHOLD};
+//! The ranking itself is [`crate::radix::rank_radix`]; this module holds the result
+//! and applies it.
 
 /// One bit of cycle bookkeeping per object (the in-place appliers' only allocation).
 struct VisitedBits(Vec<u64>);
@@ -60,42 +59,6 @@ impl Permutation {
         debug_assert_eq!(rank.len(), perm.len());
         debug_assert!(rank.iter().enumerate().all(|(old, &r)| perm[r] == old));
         Permutation { rank, perm }
-    }
-
-    /// Build a permutation by ranking sort keys: objects are ordered by ascending key,
-    /// ties broken by original object index (so equal keys preserve their relative
-    /// order, making the ranking stable and deterministic).
-    ///
-    /// Internally this scatters the keys into object order and ranks them with the
-    /// parallel LSD radix sort ([`crate::radix::rank_radix`]), narrowing the key to
-    /// `u64` when every key fits; the proptest suite pins the result byte-for-byte to
-    /// a serial comparison sort over `(key, object)` tuples.
-    ///
-    /// # Panics
-    /// Panics if the keys do not describe objects `0..n` exactly once.
-    pub fn from_sort_keys(keys: &[SortKey]) -> Self {
-        let n = keys.len();
-        // Scatter keys positionally by object id, validating bijectivity; the stable
-        // radix sort then breaks key ties by position = object index, matching the
-        // comparison sort's (key, object) ordering.
-        let mut packed = vec![0u128; n];
-        let mut seen = VisitedBits::new(n);
-        let mut max_key = 0u128;
-        for k in keys {
-            let old = k.object;
-            assert!(old < n, "sort key refers to object {old} outside 0..{n}");
-            assert!(!seen.get(old), "object {old} appears in more than one sort key");
-            seen.set(old);
-            packed[old] = k.key;
-            max_key = max_key.max(k.key);
-        }
-        let parallel = n >= PARALLEL_THRESHOLD && rayon::current_num_threads() > 1;
-        if max_key <= u128::from(u64::MAX) {
-            let narrow: Vec<u64> = packed.iter().map(|&k| k as u64).collect();
-            rank_radix(&narrow, parallel)
-        } else {
-            rank_radix(&packed, parallel)
-        }
     }
 
     /// Build a permutation directly from a `rank` array (`rank[old] = new`).
@@ -321,13 +284,16 @@ impl<T> PermutableColumn for &mut [T] {
 mod tests {
     use super::*;
 
-    fn keys(vals: &[u128]) -> Vec<SortKey> {
-        vals.iter().enumerate().map(|(i, &key)| SortKey { object: i, key }).collect()
+    use crate::radix::rank_radix;
+
+    /// Rank objects `0..keys.len()` by ascending key, ties broken by object index.
+    fn ranked(keys: &[u64]) -> Permutation {
+        rank_radix(keys, false)
     }
 
     #[test]
     fn ranking_sorts_by_key() {
-        let p = Permutation::from_sort_keys(&keys(&[30, 10, 20]));
+        let p = ranked(&[30, 10, 20]);
         // Object 1 has the smallest key -> rank 0.
         assert_eq!(p.rank_of(1), 0);
         assert_eq!(p.rank_of(2), 1);
@@ -337,13 +303,13 @@ mod tests {
 
     #[test]
     fn ties_are_broken_by_object_index() {
-        let p = Permutation::from_sort_keys(&keys(&[5, 5, 5, 1]));
+        let p = ranked(&[5, 5, 5, 1]);
         assert_eq!(p.sources(), &[3, 0, 1, 2]);
     }
 
     #[test]
     fn rank_and_perm_are_inverses() {
-        let p = Permutation::from_sort_keys(&keys(&[9, 2, 7, 4, 0, 3]));
+        let p = ranked(&[9, 2, 7, 4, 0, 3]);
         for old in 0..p.len() {
             assert_eq!(p.source_of(p.rank_of(old)), old);
         }
@@ -355,7 +321,7 @@ mod tests {
 
     #[test]
     fn apply_cloned_matches_apply_in_place() {
-        let p = Permutation::from_sort_keys(&keys(&[4, 1, 3, 0, 2]));
+        let p = ranked(&[4, 1, 3, 0, 2]);
         let objects: Vec<String> = (0..5).map(|i| format!("obj{i}")).collect();
         let cloned = p.apply_cloned(&objects);
         let mut in_place = objects.clone();
@@ -367,7 +333,7 @@ mod tests {
 
     #[test]
     fn remap_indices_follows_objects() {
-        let p = Permutation::from_sort_keys(&keys(&[4, 1, 3, 0, 2]));
+        let p = ranked(&[4, 1, 3, 0, 2]);
         let objects: Vec<usize> = (0..5).collect();
         let new_objects = p.apply_cloned(&objects);
         // An interaction list that referred to old object `i` must, after remapping,
@@ -381,7 +347,7 @@ mod tests {
 
     #[test]
     fn remap_u32_matches_usize() {
-        let p = Permutation::from_sort_keys(&keys(&[2, 0, 1]));
+        let p = ranked(&[2, 0, 1]);
         let mut a = vec![0usize, 1, 2];
         let mut b = vec![0u32, 1, 2];
         p.remap_indices(&mut a);
@@ -391,9 +357,9 @@ mod tests {
 
     #[test]
     fn identity_detection() {
-        let p = Permutation::from_sort_keys(&keys(&[1, 2, 3]));
+        let p = ranked(&[1, 2, 3]);
         assert!(p.is_identity());
-        let q = Permutation::from_sort_keys(&keys(&[3, 2, 1]));
+        let q = ranked(&[3, 2, 1]);
         assert!(!q.is_identity());
         assert!(Permutation::identity(7).is_identity());
     }
@@ -413,7 +379,7 @@ mod tests {
 
     #[test]
     fn empty_permutation_is_fine() {
-        let p = Permutation::from_sort_keys(&[]);
+        let p = ranked(&[]);
         assert!(p.is_empty());
         let mut v: Vec<u8> = vec![];
         p.apply_in_place(&mut v);
@@ -422,7 +388,7 @@ mod tests {
 
     #[test]
     fn apply_with_aux_moves_both_arrays_together() {
-        let p = Permutation::from_sort_keys(&keys(&[4, 1, 3, 0, 2]));
+        let p = ranked(&[4, 1, 3, 0, 2]);
         let mut objects: Vec<usize> = (0..5).collect();
         let mut aux: Vec<String> = (0..5).map(|i| format!("aux{i}")).collect();
         p.apply_with_aux(&mut objects, &mut aux);
@@ -434,7 +400,7 @@ mod tests {
 
     #[test]
     fn apply_columns_matches_per_array_gather() {
-        let p = Permutation::from_sort_keys(&keys(&[9, 2, 7, 4, 0, 3]));
+        let p = ranked(&[9, 2, 7, 4, 0, 3]);
         let mut a: Vec<f64> = (0..6).map(|i| i as f64).collect();
         let mut b: Vec<u32> = (0..6).collect();
         let mut c: Vec<(usize, bool)> = (0..6).map(|i| (i, i % 2 == 0)).collect();
@@ -463,13 +429,6 @@ mod tests {
         let p = Permutation::identity(3);
         let mut short = vec![1u8, 2];
         p.apply_columns(&mut [&mut short]);
-    }
-
-    #[test]
-    #[should_panic(expected = "more than one sort key")]
-    fn duplicate_object_in_keys_panics() {
-        let bad = vec![SortKey { object: 0, key: 1 }, SortKey { object: 0, key: 2 }];
-        Permutation::from_sort_keys(&bad);
     }
 
     #[test]

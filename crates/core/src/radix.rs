@@ -1,10 +1,11 @@
-//! Parallel LSD radix-sort ranking: the fast path behind [`crate::permute::Permutation`].
+//! Parallel LSD radix-sort ranking: the one way the library turns sort keys into a
+//! [`crate::permute::Permutation`] ([`crate::PackedKeys::rank`] calls it).
 //!
 //! The paper argues that reordering pays for itself because the sort-and-permute phase
 //! is cheap next to the locality it buys; follow-up work (Asudeh et al., PAPERS.md)
 //! shows the reordering *cost* is what decides whether reordering wins end-to-end.
-//! Ranking sort keys is the dominant term of that cost, so this module replaces the
-//! comparison sort over `(u128, usize)` tuples with a least-significant-digit radix
+//! Ranking sort keys is the dominant term of that cost, so instead of a comparison
+//! sort over `(u128, usize)` tuples this module runs a least-significant-digit radix
 //! sort over packed `(key, u32)` pairs:
 //!
 //! 1. the maximum key is found with a chunked map-reduce, so only the *occupied* key
@@ -29,9 +30,8 @@ const DIGIT_BITS: u32 = 8;
 /// Number of histogram bins per pass (`2^DIGIT_BITS`).
 const NUM_BINS: usize = 1 << DIGIT_BITS;
 
-/// Below this many keys, thread fan-out costs more than it saves: callers that choose
-/// between serial and parallel ranking (`compute_reordering`,
-/// `Permutation::from_sort_keys`) pass `parallel = n >= PARALLEL_THRESHOLD` (and a
+/// Below this many keys, thread fan-out costs more than it saves: the reordering
+/// pipeline (`compute_reordering`) passes `parallel = n >= PARALLEL_THRESHOLD` (and a
 /// worker count above 1).  The radix algorithm itself is the same either way.
 pub const PARALLEL_THRESHOLD: usize = 8 * 1024;
 
@@ -83,7 +83,7 @@ impl RadixKey for u128 {
 
 /// Rank `keys` positionally: object `i` has key `keys[i]`, objects are ordered by
 /// ascending key with ties broken by object index, and the result maps each object to
-/// its rank (exactly like sorting [`crate::SortKey`]s built in object order).
+/// its rank (exactly like a comparison sort over `(key, object)` tuples).
 ///
 /// With `parallel` set, histogram and scatter phases of every pass run on rayon worker
 /// threads; the permutation produced is identical either way.

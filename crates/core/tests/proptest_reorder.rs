@@ -9,27 +9,24 @@ use reorder::keys::key_for_cells;
 use reorder::morton::{morton_decode, morton_encode};
 use reorder::permute::Permutation;
 use reorder::rowcol::{column_decode, column_key, row_decode, row_key};
-use reorder::{
-    compute_reordering, pack_keys, rank_radix, reorder_by_method, Method, SortKey, MAX_DIMS,
-};
+use reorder::{compute_reordering, pack_keys, rank_radix, reorder_by_method, Method, MAX_DIMS};
 
 /// The oracle for every radix ranking: a serial comparison sort over `(key, object)`
-/// tuples, so objects rank by ascending key with ties broken by object index.
-fn from_sort_keys_comparison(keys: &[SortKey]) -> Permutation {
-    let mut order: Vec<&SortKey> = keys.iter().collect();
-    order.sort_by_key(|k| (k.key, k.object));
+/// tuples, where object `i` has key `keys[i]`, so objects rank by ascending key with
+/// ties broken by object index.
+fn comparison_ranking(keys: &[u128]) -> Permutation {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| (keys[i], i));
     let mut rank = vec![usize::MAX; keys.len()];
-    for (r, k) in order.iter().enumerate() {
-        rank[k.object] = r;
+    for (r, &i) in order.iter().enumerate() {
+        rank[i] = r;
     }
     Permutation::from_rank(rank)
 }
 
-/// Sort keys for objects `0..keys.len()`, listed starting at object `rotate % n` so
-/// the slice is not in object order.
-fn rotated_sort_keys(keys: &[u128], rotate: usize) -> Vec<SortKey> {
-    let n = keys.len();
-    (0..n).map(|i| (i + rotate) % n).map(|object| SortKey { object, key: keys[object] }).collect()
+/// `keys` widened to `u64`, the narrowest key type the radix ranking takes.
+fn widened(keys: &[u32]) -> Vec<u64> {
+    keys.iter().map(|&k| u64::from(k)).collect()
 }
 
 /// Moduli for the narrow-key proptest: all-equal keys, heavy duplication, one and
@@ -97,12 +94,7 @@ proptest! {
 
     #[test]
     fn permutation_from_arbitrary_keys_is_bijective(keys in prop::collection::vec(any::<u64>(), 1..200)) {
-        let sort_keys: Vec<_> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| reorder::SortKey { object: i, key: u128::from(k) })
-            .collect();
-        let p = Permutation::from_sort_keys(&sort_keys);
+        let p = rank_radix(&keys, false);
         let mut seen_rank = vec![false; keys.len()];
         let mut seen_src = vec![false; keys.len()];
         for i in 0..keys.len() {
@@ -126,12 +118,7 @@ proptest! {
 
     #[test]
     fn in_place_and_cloned_application_agree(keys in prop::collection::vec(any::<u32>(), 1..300)) {
-        let sort_keys: Vec<_> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| reorder::SortKey { object: i, key: u128::from(k) })
-            .collect();
-        let p = Permutation::from_sort_keys(&sort_keys);
+        let p = rank_radix(&widened(&keys), false);
         let objects: Vec<usize> = (0..keys.len()).collect();
         let cloned = p.apply_cloned(&objects);
         let mut in_place = objects;
@@ -196,51 +183,31 @@ proptest! {
         // Small moduli guarantee duplicate keys; the stable radix rank must still match
         // the (key, object) comparison sort for both key widths, serial and parallel.
         let keys: Vec<u64> = raw.iter().map(|&k| k % MODULI[modulus_pick]).collect();
-        let sk: Vec<SortKey> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| SortKey { object: i, key: u128::from(k) })
-            .collect();
-        let comparison = from_sort_keys_comparison(&sk);
+        let wide: Vec<u128> = keys.iter().map(|&k| u128::from(k)).collect();
+        let comparison = comparison_ranking(&wide);
         let narrow = rank_radix(&keys, parallel);
         prop_assert_eq!(narrow.ranks(), comparison.ranks());
-        let wide: Vec<u128> = keys.iter().map(|&k| u128::from(k)).collect();
         let wide_rank = rank_radix(&wide, parallel);
         prop_assert_eq!(wide_rank.ranks(), comparison.ranks());
-        // The public entry point (radix internally) agrees too.
-        prop_assert_eq!(Permutation::from_sort_keys(&sk).ranks(), comparison.ranks());
     }
 
     #[test]
     fn radix_ranking_matches_comparison_on_full_width_keys(
         raw in prop::collection::vec((any::<u128>(), 0u8..3), 1..200),
-        rotate in any::<usize>(),
         parallel in any::<bool>(),
     ) {
-        // Mix full-width keys with small duplicated ones, so `from_sort_keys` must take
-        // its u128 path while still breaking ties by object index.
+        // Mix full-width keys with small duplicated ones, so the u128 ranking must
+        // still break ties by object index.
         let keys: Vec<u128> =
             raw.iter().map(|&(k, pick)| if pick == 0 { k % 4 } else { k }).collect();
-        let in_order: Vec<SortKey> =
-            keys.iter().enumerate().map(|(i, &key)| SortKey { object: i, key }).collect();
-        let comparison = from_sort_keys_comparison(&in_order);
-        prop_assert_eq!(rank_radix(&keys, parallel).ranks(), comparison.ranks());
-        // Keys listed out of object order rank the same.
-        let rotated = rotated_sort_keys(&keys, rotate);
-        prop_assert_eq!(from_sort_keys_comparison(&rotated).ranks(), comparison.ranks());
-        prop_assert_eq!(Permutation::from_sort_keys(&rotated).ranks(), comparison.ranks());
+        prop_assert_eq!(rank_radix(&keys, parallel).ranks(), comparison_ranking(&keys).ranks());
     }
 
     #[test]
     fn in_place_and_soa_application_match_the_gather(
         keys in prop::collection::vec(any::<u32>(), 1..300),
     ) {
-        let sk: Vec<SortKey> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| SortKey { object: i, key: u128::from(k) })
-            .collect();
-        let p = Permutation::from_sort_keys(&sk);
+        let p = rank_radix(&widened(&keys), false);
         let n = keys.len();
         // A SoA bundle of three parallel arrays of different element types.
         let mut ids: Vec<usize> = (0..n).collect();
@@ -279,14 +246,14 @@ proptest! {
             let packed = pack_keys(method, dims, quantizer, &coords, false);
             let narrow = dims as u32 * bits <= 64;
             prop_assert_eq!(packed.width_bits(), if narrow { 64 } else { 128 });
-            let keys: Vec<SortKey> = (0..n)
+            let keys: Vec<u128> = (0..n)
                 .map(|i| {
                     let cells: Vec<u32> =
                         (0..dims).map(|d| quantizer.cell(d, coords[i * dims + d])).collect();
-                    SortKey { object: i, key: key_for_cells(method, &cells, bits) }
+                    key_for_cells(method, &cells, bits)
                 })
                 .collect();
-            prop_assert_eq!(r.ranks(), from_sort_keys_comparison(&keys).ranks());
+            prop_assert_eq!(r.ranks(), comparison_ranking(&keys).ranks());
         }
     }
 

@@ -18,9 +18,10 @@
 //!   chase the interaction list all over the array.  Column reordering is the paper's
 //!   recommendation on page-based DSM; Hilbert wins on hardware shared memory.
 //!
-//! Both applications expose the same three execution paths as the `nbody` crate:
-//! sequential reference, rayon-parallel, and traced (per-virtual-processor access
-//! recording for the `memsim` / `dsm` substrates).
+//! Both applications expose the same execution paths as the `nbody` crate: a
+//! sequential reference step, a serial traced step (the oracle), and the sharded traced
+//! stream that records per-virtual-processor accesses for the `memsim` / `dsm`
+//! substrates.
 //!
 //! ```
 //! use molecular::{Moldyn, MoldynParams};

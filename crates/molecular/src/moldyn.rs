@@ -238,47 +238,6 @@ impl Moldyn {
         self.maybe_rebuild();
     }
 
-    /// One rayon-parallel time step: pairs are partitioned by the owner of their first
-    /// molecule; each task accumulates forces into a private buffer, and the buffers are
-    /// reduced before integration (the shared-memory code updates partners in place —
-    /// the reduction produces identical results without data races).
-    pub fn step_parallel(&mut self, num_chunks: usize) {
-        self.clear_forces();
-        let n = self.molecules.len();
-        let chunks = num_chunks.max(1);
-        let pair_chunks: Vec<Vec<(u32, u32)>> = {
-            let mut per = vec![Vec::new(); chunks];
-            for &(i, j) in &self.pairs {
-                per[self.owner_of(i as usize, chunks)].push((i, j));
-            }
-            per
-        };
-        let partials: Vec<Vec<[f64; 3]>> = pair_chunks
-            .par_iter()
-            .map(|pairs| {
-                let mut forces = vec![[0.0f64; 3]; n];
-                for &(i, j) in pairs {
-                    let f = self
-                        .pair_force(self.molecules[i as usize].pos, self.molecules[j as usize].pos);
-                    for k in 0..3 {
-                        forces[i as usize][k] += f[k];
-                        forces[j as usize][k] -= f[k];
-                    }
-                }
-                forces
-            })
-            .collect();
-        for partial in &partials {
-            for (m, f) in self.molecules.iter_mut().zip(partial) {
-                for k in 0..3 {
-                    m.force[k] += f[k];
-                }
-            }
-        }
-        self.integrate(0..n);
-        self.maybe_rebuild();
-    }
-
     /// One traced time step over `num_procs` virtual processors, streamed into any
     /// [`TraceSink`] (a materializing [`TraceBuilder`], a streaming simulator sink,
     /// ...).  Two intervals per step: force computation (owner of `i` reads both
@@ -463,21 +422,6 @@ mod tests {
         }
         expected.sort_unstable();
         assert_eq!(sim.pairs, expected);
-    }
-
-    #[test]
-    fn sequential_and_parallel_steps_agree() {
-        let mut a = small(300, 2);
-        let mut b = a.clone();
-        for _ in 0..3 {
-            a.step_sequential();
-            b.step_parallel(4);
-        }
-        for (x, y) in a.molecules.iter().zip(&b.molecules) {
-            for k in 0..3 {
-                assert!((x.pos[k] - y.pos[k]).abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

@@ -231,17 +231,6 @@ impl WaterSpatial {
         self.integrate_all(&forces);
     }
 
-    /// One rayon-parallel time step: molecules are processed cell-by-cell in owner
-    /// order, with the per-molecule force evaluations distributed over rayon tasks.
-    pub fn step_parallel(&mut self, num_chunks: usize) {
-        let _ = num_chunks;
-        let forces: Vec<([f64; 3], f64)> = (0..self.molecules.len())
-            .into_par_iter()
-            .map(|m| self.force_on_molecule(m, None))
-            .collect();
-        self.integrate_all(&forces);
-    }
-
     /// One traced time step over `num_procs` virtual processors, streamed into any
     /// [`TraceSink`].  Two intervals: force computation (a processor reads the
     /// neighbourhood of each of its molecules and writes the molecule) and
@@ -429,21 +418,6 @@ mod tests {
                     (got[k] - expected[k]).abs() < 1e-9,
                     "molecule {m} force mismatch: {got:?} vs {expected:?}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_and_parallel_steps_agree() {
-        let mut a = small(300, 2);
-        let mut b = a.clone();
-        for _ in 0..2 {
-            a.step_sequential();
-            b.step_parallel(4);
-        }
-        for (x, y) in a.molecules.iter().zip(&b.molecules) {
-            for k in 0..3 {
-                assert!((x.atom_pos[0][k] - y.atom_pos[0][k]).abs() < 1e-9);
             }
         }
     }

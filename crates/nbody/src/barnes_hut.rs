@@ -570,6 +570,32 @@ mod tests {
         }
     }
 
+    /// The reorder-frequency ablation drifts with `step_parallel` between its traced
+    /// iterations, so an untraced step must leave every body bit-identical to the
+    /// sharded traced stream, whatever the worker count.
+    #[test]
+    fn parallel_step_is_bit_identical_to_the_sharded_stream() {
+        let procs = 5;
+        for threads in [1, 3] {
+            let mut stepped = small_sim(400, 11, 0.5);
+            let mut streamed = stepped.clone();
+            rayon::with_num_threads(threads, || {
+                for _ in 0..4 {
+                    stepped.step_parallel(procs);
+                }
+                streamed.stream_iterations(4, &mut smtrace::NullSink::new(procs));
+            });
+            let bits = |v: Vec3| v.to_array().map(f64::to_bits);
+            for (a, b) in stepped.bodies.iter().zip(&streamed.bodies) {
+                assert_eq!(bits(a.pos), bits(b.pos), "{threads} worker(s)");
+                assert_eq!(bits(a.vel), bits(b.vel), "{threads} worker(s)");
+                assert_eq!(bits(a.acc), bits(b.acc), "{threads} worker(s)");
+                assert_eq!(a.phi.to_bits(), b.phi.to_bits(), "{threads} worker(s)");
+                assert_eq!(a.cost, b.cost, "{threads} worker(s)");
+            }
+        }
+    }
+
     #[test]
     fn traced_step_produces_three_intervals_per_iteration() {
         let mut sim = small_sim(128, 4, 0.6);

@@ -14,15 +14,13 @@
 //! measures is concentrated in the particle array — which is what Hilbert reordering
 //! fixes (Section 5.3.1, Table 4).
 //!
-//! The per-phase structure (build tree, build lists, partition, tree traversal,
-//! inter-particle, intra-particle) matches Table 4 of the paper; [`FmmPhaseBreakdown`]
-//! records wall-clock time per phase and the traced execution emits one synchronization
-//! interval per phase so the DSM simulators can attribute communication to phases.
+//! One iteration runs the phases of Table 4 of the paper (build tree, partition, tree
+//! traversal, inter-particle, intra-particle); the traced execution emits one
+//! synchronization interval per phase group so the DSM simulators can attribute
+//! communication to phases.
 
 pub mod expansion;
 pub mod quadtree;
-
-use std::time::Instant;
 
 use rayon::prelude::*;
 use reorder::{reorder_by_method, Method, Reordering};
@@ -49,52 +47,6 @@ pub struct FmmParams {
 impl Default for FmmParams {
     fn default() -> Self {
         FmmParams { order: 8, target_per_leaf: 16, dt: 0.025, eps: 0.05 }
-    }
-}
-
-/// Wall-clock seconds spent in each phase of one FMM iteration, named after the rows of
-/// Table 4 in the paper.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FmmPhaseBreakdown {
-    /// Sequential tree build (assigning particles to leaf cells).
-    pub build_tree: f64,
-    /// Interaction-list construction.
-    pub build_list: f64,
-    /// Partitioning leaf cells over processors.
-    pub partition: f64,
-    /// Upward pass (P2M, M2M), M2L translations and downward pass (L2L).
-    pub tree_traversal: f64,
-    /// Near-field particle-particle interactions between different leaves.
-    pub inter_particle: f64,
-    /// Particle-particle interactions within a leaf plus local-expansion evaluation.
-    pub intra_particle: f64,
-    /// Everything else (position update).
-    pub other: f64,
-}
-
-impl FmmPhaseBreakdown {
-    /// Total time over all phases.
-    pub fn total(&self) -> f64 {
-        self.build_tree
-            + self.build_list
-            + self.partition
-            + self.tree_traversal
-            + self.inter_particle
-            + self.intra_particle
-            + self.other
-    }
-
-    /// `(name, seconds)` pairs in Table 4 row order.
-    pub fn rows(&self) -> [(&'static str, f64); 7] {
-        [
-            ("Build tree", self.build_tree),
-            ("Build List", self.build_list),
-            ("Partition", self.partition),
-            ("Tree traversal", self.tree_traversal),
-            ("Inter particle", self.inter_particle),
-            ("Intra particle", self.intra_particle),
-            ("Other", self.other),
-        ]
     }
 }
 
@@ -348,48 +300,25 @@ impl Fmm {
         &self,
         tree: &QuadTree,
         record_reads: bool,
-    ) -> (Vec<(Vec3, f64)>, Vec<Vec<u32>>, FmmPhaseBreakdown) {
-        let mut breakdown = FmmPhaseBreakdown::default();
+    ) -> (Vec<(Vec3, f64)>, Vec<Vec<u32>>) {
         let leaf_level = tree.leaf_level();
-        let num_leaves = tree.leaf_bodies.len();
-
-        // --- Build interaction lists (cells only; no particle access).
-        let t0 = Instant::now();
-        let interaction_lists: Vec<Vec<CellId>> =
-            (0..num_leaves).map(|c| QuadTree::interaction_list(leaf_level, c as CellId)).collect();
-        let neighbor_lists: Vec<Vec<CellId>> =
-            (0..num_leaves).map(|c| QuadTree::neighbors(leaf_level, c as CellId)).collect();
-        breakdown.build_list = t0.elapsed().as_secs_f64();
-
-        // --- Upward pass, M2L, downward pass (the M2L loop rebuilds its interaction
-        // lists on the fly; `interaction_lists` above exists for the build-list timing).
-        let t0 = Instant::now();
         let locals = self.leaf_locals(tree);
-        breakdown.tree_traversal = t0.elapsed().as_secs_f64();
-        let _ = &interaction_lists;
 
-        // --- Evaluation: L2P plus near-field P2P, leaf by leaf via the shared
-        // per-leaf kernels (the sharded traced path runs the same kernels per
-        // processor, so the arithmetic is identical by construction).
+        // Evaluation: L2P plus near-field P2P, leaf by leaf via the shared per-leaf
+        // kernels (the sharded traced path runs the same kernels per processor, so the
+        // arithmetic is identical by construction).
         let mut results = vec![(Vec3::ZERO, 0.0); self.bodies.len()];
         let mut reads: Vec<Vec<u32>> =
             if record_reads { vec![Vec::new(); self.bodies.len()] } else { Vec::new() };
         let mut leaf_out: Vec<(Vec3, f64)> = Vec::new();
         let mut leaf_reads: Vec<Vec<u32>> = Vec::new();
-        let mut inter_time = 0.0;
-        let mut intra_time = 0.0;
-        for c in 0..num_leaves {
-            let leaf_bodies = &tree.leaf_bodies[c];
+        for (c, leaf_bodies) in tree.leaf_bodies.iter().enumerate() {
             leaf_reads.resize_with(leaf_bodies.len().max(leaf_reads.len()), Vec::new);
             let reads_arg = record_reads.then_some(&mut leaf_reads[..leaf_bodies.len()]);
-
-            let t_leaf = Instant::now();
             self.eval_leaf_intra(leaf_bodies, &locals[c], &mut leaf_out, reads_arg);
-            intra_time += t_leaf.elapsed().as_secs_f64();
 
             // Inter-leaf (neighbouring cells) direct interactions.
-            let t_inter = Instant::now();
-            for &n in &neighbor_lists[c] {
+            for &n in &QuadTree::neighbors(leaf_level, c as CellId) {
                 let reads_arg = record_reads.then_some(&mut leaf_reads[..leaf_bodies.len()]);
                 self.eval_leaf_inter(
                     leaf_bodies,
@@ -398,7 +327,6 @@ impl Fmm {
                     reads_arg,
                 );
             }
-            inter_time += t_inter.elapsed().as_secs_f64();
 
             for (idx, &bi) in leaf_bodies.iter().enumerate() {
                 results[bi as usize] = leaf_out[idx];
@@ -408,52 +336,14 @@ impl Fmm {
                 }
             }
         }
-        breakdown.inter_particle = inter_time;
-        breakdown.intra_particle = intra_time;
-        (results, reads, breakdown)
+        (results, reads)
     }
 
-    /// One sequential iteration; returns the per-phase wall-clock breakdown.
-    pub fn step_sequential(&mut self) -> FmmPhaseBreakdown {
-        let t0 = Instant::now();
+    /// One sequential iteration.
+    pub fn step_sequential(&mut self) {
         let tree = self.build_tree();
-        let mut breakdown;
-        let build_tree_time = t0.elapsed().as_secs_f64();
-        let (results, _, b) = self.compute_forces(&tree, false);
-        breakdown = b;
-        breakdown.build_tree = build_tree_time;
-        let t0 = Instant::now();
+        let (results, _) = self.compute_forces(&tree, false);
         self.apply_and_integrate(&results);
-        breakdown.other = t0.elapsed().as_secs_f64();
-        breakdown
-    }
-
-    /// One rayon-parallel iteration: the force evaluation for each processor's leaves
-    /// runs as a rayon task over the shared tree expansions.
-    pub fn step_parallel(&mut self, num_chunks: usize) -> FmmPhaseBreakdown {
-        // The expansion passes are cheap compared to P2P for the paper's configurations;
-        // we parallelize the per-body near-field work by splitting bodies into chunks.
-        let t0 = Instant::now();
-        let tree = self.build_tree();
-        let build_tree_time = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let partition = self.partition(&tree, num_chunks.max(1));
-        let partition_time = t0.elapsed().as_secs_f64();
-        let (results, _, mut breakdown) = self.compute_forces(&tree, false);
-        let _ = &partition;
-        breakdown.build_tree = build_tree_time;
-        breakdown.partition = partition_time;
-        // Integration is trivially parallel.
-        let dt = self.params.dt;
-        let t0 = Instant::now();
-        self.bodies.par_iter_mut().zip(results.par_iter()).for_each(|(b, &(acc, phi))| {
-            b.acc = acc;
-            b.phi = phi;
-            b.vel += acc * dt;
-            b.pos += b.vel * dt;
-        });
-        breakdown.other = t0.elapsed().as_secs_f64();
-        breakdown
     }
 
     fn apply_and_integrate(&mut self, results: &[(Vec3, f64)]) {
@@ -497,7 +387,7 @@ impl Fmm {
         builder.barrier();
 
         // Interval 3: evaluation — near-field reads plus writes of owned bodies.
-        let (results, reads, _) = self.compute_forces(&tree, true);
+        let (results, reads) = self.compute_forces(&tree, true);
         for (proc, leaves) in partition.leaves.iter().enumerate() {
             for &c in leaves {
                 for &b in &tree.leaf_bodies[c as usize] {
@@ -704,7 +594,7 @@ mod tests {
     fn fmm_forces_match_direct_summation() {
         let fmm = small_fmm(400, 1);
         let tree = fmm.build_tree();
-        let (approx, _, _) = fmm.compute_forces(&tree, false);
+        let (approx, _) = fmm.compute_forces(&tree, false);
         let exact = fmm.direct_forces();
         let mut rel_err = 0.0;
         let mut count = 0;
@@ -725,7 +615,7 @@ mod tests {
             let mut f = small_fmm(300, 2);
             f.params.order = order;
             let tree = f.build_tree();
-            let (approx, _, _) = f.compute_forces(&tree, false);
+            let (approx, _) = f.compute_forces(&tree, false);
             let exact = f.direct_forces();
             approx
                 .iter()
@@ -737,17 +627,6 @@ mod tests {
         let coarse = err_for(2);
         let fine = err_for(12);
         assert!(fine < coarse, "order 12 ({fine}) must beat order 2 ({coarse})");
-    }
-
-    #[test]
-    fn sequential_and_parallel_steps_agree() {
-        let mut a = small_fmm(300, 3);
-        let mut b = a.clone();
-        a.step_sequential();
-        b.step_parallel(4);
-        for (x, y) in a.bodies.iter().zip(&b.bodies) {
-            assert!(x.pos.dist(y.pos) < 1e-12);
-        }
     }
 
     #[test]
@@ -797,16 +676,6 @@ mod tests {
             s
         };
         assert!((sum(&original) - sum(&reordered)).norm() < 1e-9);
-    }
-
-    #[test]
-    fn phase_breakdown_rows_cover_all_time() {
-        let mut fmm = small_fmm(300, 7);
-        let breakdown = fmm.step_sequential();
-        let row_sum: f64 = breakdown.rows().iter().map(|(_, t)| t).sum();
-        assert!((row_sum - breakdown.total()).abs() < 1e-12);
-        assert!(breakdown.total() > 0.0);
-        assert!(breakdown.intra_particle > 0.0);
     }
 
     #[test]

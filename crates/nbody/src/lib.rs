@@ -9,12 +9,13 @@
 //! locality, and that Hilbert reordering of the particle array removes (Sections 2.1
 //! and 3.3 of the paper).
 //!
-//! Both applications provide the same three capabilities:
+//! Both applications provide the same capabilities:
 //!
-//! * a *real* parallel execution path (rayon) for wall-clock measurements;
+//! * an untraced sequential reference step;
 //! * deterministic *virtual-processor* partitioning plus access-trace capture
-//!   ([`smtrace::TraceBuilder`]) so that the `memsim` / `dsm` substrates can evaluate
-//!   any processor count regardless of host cores;
+//!   (sharded across the host's cores into any [`smtrace::TraceSink`]) so that the
+//!   `memsim` / `dsm` substrates can evaluate any processor count regardless of host
+//!   cores;
 //! * a reordering hook that applies a [`reorder::Method`] to the particle array
 //!   (the paper's one-line library call).
 //!
@@ -57,5 +58,5 @@ pub mod vec3;
 
 pub use barnes_hut::{BarnesHut, BarnesHutParams};
 pub use body::Body;
-pub use fmm::{Fmm, FmmParams, FmmPhaseBreakdown};
+pub use fmm::{Fmm, FmmParams};
 pub use vec3::Vec3;

@@ -15,8 +15,7 @@
 //! * a **node loop** that relaxes each node towards the new value.
 //!
 //! Data reordering permutes the node array (by column order or Hilbert order on the
-//! node coordinates — or, as an extension, by reverse Cuthill–McKee on the mesh graph)
-//! and remaps the edge and face endpoint indices.  The paper's finding: column ordering
+//! node coordinates) and remaps the edge and face endpoint indices.  The paper's finding: column ordering
 //! is best on page-based software DSM, Hilbert on hardware shared memory, and both
 //! roughly double the speedup over the original random ordering.
 //!
@@ -36,7 +35,6 @@
 #![forbid(unsafe_code)]
 
 use rayon::prelude::*;
-use reorder::graph::{rcm_ordering, Adjacency};
 use reorder::{compute_reordering, Method, Reordering};
 use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 use workloads::UnstructuredMesh;
@@ -144,26 +142,6 @@ impl Unstructured {
         reordering
     }
 
-    /// Apply a reverse Cuthill–McKee reordering derived purely from the mesh
-    /// connectivity (no geometry) — the extension baseline discussed in DESIGN.md.
-    pub fn reorder_rcm(&mut self) -> reorder::permute::Permutation {
-        let edges: Vec<(usize, usize)> =
-            self.edges.iter().map(|&(a, b)| (a as usize, b as usize)).collect();
-        let adj = Adjacency::from_edges(self.nodes.len(), &edges);
-        let perm = rcm_ordering(&adj);
-        perm.apply_in_place(&mut self.nodes);
-        for (a, b) in self.edges.iter_mut() {
-            *a = perm.remap_index(*a as usize) as u32;
-            *b = perm.remap_index(*b as usize) as u32;
-        }
-        for f in self.faces.iter_mut() {
-            for v in f.iter_mut() {
-                *v = perm.remap_index(*v as usize) as u32;
-            }
-        }
-        perm
-    }
-
     fn apply_permutation(&mut self, reordering: &Reordering) {
         reordering.apply_in_place(&mut self.nodes);
         for (a, b) in self.edges.iter_mut() {
@@ -185,8 +163,8 @@ impl Unstructured {
     }
 
     /// Compute all per-node deltas for one sweep: edge fluxes plus face corrections.
-    /// (Separated from the application of the deltas so the sequential, parallel and
-    /// traced paths share the arithmetic and stay bit-identical.)
+    /// (Separated from the application of the deltas so the sequential and traced paths
+    /// share the arithmetic and stay bit-identical.)
     fn compute_deltas(&self) -> Vec<f64> {
         let mut delta = vec![0.0f64; self.nodes.len()];
         for &(a, b) in &self.edges {
@@ -219,58 +197,6 @@ impl Unstructured {
     /// One sequential sweep (edge loop + face loop + node loop).
     pub fn sweep_sequential(&mut self) {
         let delta = self.compute_deltas();
-        self.apply_deltas(&delta);
-    }
-
-    /// One rayon-parallel sweep: the edge and face loops are block partitioned into
-    /// `num_chunks` chunks; each chunk accumulates deltas privately and the buffers are
-    /// reduced before the node loop (equivalent to the lock-protected in-place updates
-    /// of the shared-memory original, without the data race).
-    pub fn sweep_parallel(&mut self, num_chunks: usize) {
-        let chunks = num_chunks.max(1);
-        let n = self.nodes.len();
-        let edge_chunk = self.edges.len().div_ceil(chunks);
-        let face_chunk = self.faces.len().div_ceil(chunks).max(1);
-        let edge_deltas: Vec<Vec<f64>> = self
-            .edges
-            .par_chunks(edge_chunk.max(1))
-            .map(|edges| {
-                let mut delta = vec![0.0f64; n];
-                for &(a, b) in edges {
-                    let (a, b) = (a as usize, b as usize);
-                    let flux = self.params.edge_coeff
-                        * self.edge_weight(a, b)
-                        * (self.nodes[b].value - self.nodes[a].value);
-                    delta[a] += flux;
-                    delta[b] -= flux;
-                }
-                delta
-            })
-            .collect();
-        let face_deltas: Vec<Vec<f64>> = self
-            .faces
-            .par_chunks(face_chunk)
-            .map(|faces| {
-                let mut delta = vec![0.0f64; n];
-                for f in faces {
-                    let mean = (self.nodes[f[0] as usize].value
-                        + self.nodes[f[1] as usize].value
-                        + self.nodes[f[2] as usize].value)
-                        / 3.0;
-                    for &v in f {
-                        delta[v as usize] +=
-                            self.params.face_coeff * (mean - self.nodes[v as usize].value);
-                    }
-                }
-                delta
-            })
-            .collect();
-        let mut delta = vec![0.0f64; n];
-        for part in edge_deltas.iter().chain(face_deltas.iter()) {
-            for (d, p) in delta.iter_mut().zip(part) {
-                *d += p;
-            }
-        }
         self.apply_deltas(&delta);
     }
 
@@ -513,19 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_sweeps_agree() {
-        let mut a = small(3);
-        let mut b = a.clone();
-        for _ in 0..3 {
-            a.sweep_sequential();
-            b.sweep_parallel(4);
-        }
-        for (x, y) in a.nodes.iter().zip(&b.nodes) {
-            assert!((x.value - y.value).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn traced_sweep_emits_three_intervals() {
         let mut app = small(4);
         let trace = app.trace_sweeps(1, 8);
@@ -549,29 +462,6 @@ mod tests {
             b.sweep_sequential();
         }
         // Compare value multisets (arrays are permutations of each other).
-        let mut va: Vec<i64> = a.nodes.iter().map(|n| (n.value * 1e9).round() as i64).collect();
-        let mut vb: Vec<i64> = b.nodes.iter().map(|n| (n.value * 1e9).round() as i64).collect();
-        va.sort_unstable();
-        vb.sort_unstable();
-        assert_eq!(va, vb);
-    }
-
-    #[test]
-    fn rcm_reordering_preserves_the_solution_and_reduces_edge_span() {
-        let mut a = small(6);
-        let mut b = a.clone();
-        let span = |app: &Unstructured| {
-            app.edges.iter().map(|&(x, y)| (f64::from(x) - f64::from(y)).abs()).sum::<f64>()
-                / app.edges.len() as f64
-        };
-        let span_before = span(&b);
-        b.reorder_rcm();
-        let span_after = span(&b);
-        assert!(span_after < span_before / 2.0, "RCM should shrink the mean edge span");
-        for _ in 0..2 {
-            a.sweep_sequential();
-            b.sweep_sequential();
-        }
         let mut va: Vec<i64> = a.nodes.iter().map(|n| (n.value * 1e9).round() as i64).collect();
         let mut vb: Vec<i64> = b.nodes.iter().map(|n| (n.value * 1e9).round() as i64).collect();
         va.sort_unstable();

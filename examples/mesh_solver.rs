@@ -1,15 +1,15 @@
-//! Unstructured-mesh solver: geometric versus connectivity-based reordering.
+//! Unstructured-mesh solver: original versus geometric reordering.
 //!
-//! Runs the Unstructured CFD kernel over the synthetic ~10k-node mesh with four node
-//! orderings — the original random order, column, Hilbert, and reverse Cuthill–McKee
-//! (a geometry-free ordering built from the mesh graph, provided as an extension) — and
-//! reports the mean edge index span, the DSM traffic of a traced sweep, and the
-//! wall-clock time of ten real parallel sweeps.
+//! Runs the Unstructured CFD kernel over the synthetic ~10k-node mesh with three node
+//! orderings — the original random order, column and Hilbert — and reports the mean
+//! edge index span, the DSM traffic of a traced sweep, and the wall-clock time of ten
+//! sharded sweeps on 16 virtual processors (accesses discarded into a `NullSink`).
 //!
 //! Run with: `cargo run --release --example mesh_solver`
 
 use datareorder::dsm::{DsmConfig, TreadMarksSim};
 use datareorder::reorder::Method;
+use datareorder::smtrace::NullSink;
 use datareorder::unstructured::{Unstructured, UnstructuredParams};
 use std::time::Instant;
 
@@ -30,27 +30,18 @@ fn run(target_nodes: usize, sweeps: usize) {
         "{:<10} {:>14} {:>14} {:>12} {:>12}",
         "ordering", "edge span", "TMk messages", "TMk MB", "10 sweeps (s)"
     );
-    for label in ["original", "column", "hilbert", "rcm"] {
+    for (label, method) in
+        [("original", None), ("column", Some(Method::Column)), ("hilbert", Some(Method::Hilbert))]
+    {
         let mut app = Unstructured::generated(target_nodes, 21, UnstructuredParams::default());
-        match label {
-            "column" => {
-                app.reorder(Method::Column);
-            }
-            "hilbert" => {
-                app.reorder(Method::Hilbert);
-            }
-            "rcm" => {
-                app.reorder_rcm();
-            }
-            _ => {}
+        if let Some(method) = method {
+            app.reorder(method);
         }
         let span = edge_span(&app);
         let trace = app.trace_sweeps(1, 16);
         let tmk = TreadMarksSim::new(DsmConfig::cluster(16)).run(&trace);
         let t0 = Instant::now();
-        for _ in 0..sweeps {
-            app.sweep_parallel(rayon::current_num_threads());
-        }
+        app.stream_sweeps(sweeps, &mut NullSink::new(16));
         let wall = t0.elapsed().as_secs_f64();
         println!(
             "{label:<10} {span:>14.1} {:>14} {:>12.2} {wall:>12.3}",
@@ -58,9 +49,9 @@ fn run(target_nodes: usize, sweeps: usize) {
             tmk.stats.data_mbytes()
         );
     }
-    println!("\nAll three reorderings shrink the edge span and the DSM traffic relative to the");
+    println!("\nBoth reorderings shrink the edge span and the DSM traffic relative to the");
     println!("original random order; column is the paper's recommendation for this Category-2");
-    println!("application on page-based DSM, and RCM shows geometry is not strictly required.");
+    println!("application on page-based DSM.");
 }
 
 #[cfg(test)]
