@@ -124,49 +124,64 @@ impl Moldyn {
     }
 
     /// Rebuild the interaction list from the current positions using a cell grid.
+    /// Molecules are walked in index (owner) order, and each emits its partners
+    /// `j > i` from the neighbourhood of its cell as one row sorted by `j`, so the list
+    /// comes out sorted by `(i, j)` — the Chaos code's iteration order over its block —
+    /// without a global sort.
     pub fn rebuild_interaction_list(&mut self) {
         let positions: Vec<[f64; 3]> = self.molecules.iter().map(|m| m.pos).collect();
         let grid = CellGrid::build(&positions, self.params.box_side, self.params.cutoff);
         let cutoff2 = self.params.cutoff * self.params.cutoff;
-        let mut pairs = Vec::new();
-        for c in 0..grid.num_cells() {
-            for &i in &grid.members[c] {
-                for n in grid.neighborhood(c) {
-                    for &j in &grid.members[n] {
-                        if j <= i {
-                            continue;
-                        }
-                        let pi = positions[i as usize];
-                        let pj = positions[j as usize];
-                        let d2: f64 = (0..3).map(|d| (pi[d] - pj[d]).powi(2)).sum();
-                        if d2 < cutoff2 {
-                            pairs.push((i, j));
-                        }
+        let mut pairs = std::mem::take(&mut self.pairs);
+        pairs.clear();
+        for (i, (pi, &cell)) in positions.iter().zip(&grid.cell_of).enumerate() {
+            let i = i as u32;
+            let row = pairs.len();
+            for n in grid.neighborhood(cell as usize) {
+                for &j in &grid.members[n] {
+                    if j <= i {
+                        continue;
+                    }
+                    let pj = positions[j as usize];
+                    let d2: f64 = (0..3).map(|d| (pi[d] - pj[d]).powi(2)).sum();
+                    if d2 < cutoff2 {
+                        pairs.push((i, j));
                     }
                 }
             }
+            pairs[row..].sort_unstable();
         }
-        // Deterministic order: sort by the owning (first) molecule, matching the Chaos
-        // code's iteration order over its block.
-        pairs.sort_unstable();
         self.pairs = pairs;
         self.steps_since_rebuild = 0;
     }
 
-    /// Apply a data reordering to the molecule array and remap the interaction list.
+    /// Apply a data reordering to the molecule array and remap the interaction list,
+    /// keeping it sorted by `(owner, partner)`: the remapped pairs are counting-sorted
+    /// by their new owner, then each owner's row is sorted.
     pub fn reorder(&mut self, method: Method) -> Reordering {
         let reordering = reorder_by_method(method, &mut self.molecules, 3, |m, d| m.pos[d]);
+        let mut row_start = vec![0usize; self.molecules.len() + 1];
         for (a, b) in self.pairs.iter_mut() {
-            *a = reordering.remap_index(*a as usize) as u32;
-            *b = reordering.remap_index(*b as usize) as u32;
+            let (x, y) = (
+                reordering.remap_index(*a as usize) as u32,
+                reordering.remap_index(*b as usize) as u32,
+            );
+            (*a, *b) = (x.min(y), x.max(y));
+            row_start[*a as usize + 1] += 1;
         }
-        // Keep the pair list sorted by owner after remapping.
-        for p in self.pairs.iter_mut() {
-            if p.0 > p.1 {
-                *p = (p.1, p.0);
-            }
+        for i in 1..row_start.len() {
+            row_start[i] += row_start[i - 1];
         }
-        self.pairs.sort_unstable();
+        let mut cursor = row_start.clone();
+        let mut sorted = vec![(0, 0); self.pairs.len()];
+        for &(a, b) in &self.pairs {
+            sorted[cursor[a as usize]] = (a, b);
+            cursor[a as usize] += 1;
+        }
+        for row in row_start.windows(2) {
+            sorted[row[0]..row[1]].sort_unstable();
+        }
+        self.pairs = sorted;
         reordering
     }
 
@@ -403,6 +418,72 @@ mod tests {
             seed,
             MoldynParams { box_side: 8.0, cutoff: 2.0, dt: 1e-4, rebuild_interval: 5 },
         )
+    }
+
+    /// The sort-based construction the owner-order rebuild replaced: every pair from a
+    /// cell-by-cell scan, then one global sort.  Kept as the oracle.
+    fn pairs_by_global_sort(sim: &Moldyn) -> Vec<(u32, u32)> {
+        let positions: Vec<[f64; 3]> = sim.molecules.iter().map(|m| m.pos).collect();
+        let grid = CellGrid::build(&positions, sim.params.box_side, sim.params.cutoff);
+        let cutoff2 = sim.params.cutoff * sim.params.cutoff;
+        let mut pairs = Vec::new();
+        for c in 0..grid.num_cells() {
+            for &i in &grid.members[c] {
+                for n in grid.neighborhood(c) {
+                    for &j in &grid.members[n] {
+                        if j <= i {
+                            continue;
+                        }
+                        let pi = positions[i as usize];
+                        let pj = positions[j as usize];
+                        let d2: f64 = (0..3).map(|d| (pi[d] - pj[d]).powi(2)).sum();
+                        if d2 < cutoff2 {
+                            pairs.push((i, j));
+                        }
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// The sort-based remap the counting sort replaced: remap, orient, sort globally.
+    fn remapped_by_global_sort(pairs: &[(u32, u32)], reordering: &Reordering) -> Vec<(u32, u32)> {
+        let mut out: Vec<(u32, u32)> = pairs
+            .iter()
+            .map(|&(a, b)| {
+                let (x, y) = (
+                    reordering.remap_index(a as usize) as u32,
+                    reordering.remap_index(b as usize) as u32,
+                );
+                (x.min(y), x.max(y))
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn owner_order_interaction_list_equals_the_global_sort() {
+        let tight = MoldynParams { box_side: 8.0, cutoff: 2.0, dt: 1e-4, rebuild_interval: 5 };
+        for (n, seed, params) in
+            [(200, 1, tight), (777, 2, tight), (1500, 3, MoldynParams::default())]
+        {
+            let sim = Moldyn::lattice(n, seed, params);
+            assert!(!sim.pairs.is_empty());
+            assert_eq!(sim.pairs, pairs_by_global_sort(&sim), "{n} molecules");
+            for method in [Method::Hilbert, Method::Morton, Method::Column, Method::Row] {
+                let mut reordered = sim.clone();
+                let reordering = reordered.reorder(method);
+                let expected = remapped_by_global_sort(&sim.pairs, &reordering);
+                assert_eq!(reordered.pairs, expected, "{n} molecules, {method:?}");
+                // The remapped list is the list a rebuild finds in the new order.
+                assert_eq!(reordered.pairs, pairs_by_global_sort(&reordered), "{method:?}");
+                reordered.rebuild_interaction_list();
+                assert_eq!(reordered.pairs, expected, "{n} molecules, {method:?} rebuilt");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! traversal, inter-particle, intra-particle); the traced execution emits one
 //! synchronization interval per phase group so the DSM simulators can attribute
 //! communication to phases.
+//!
+//! The sharded traced path evaluates in two parallel phases.  Phase 1 computes each
+//! pair of particles in neighbouring leaves once — one `r2.ln()` feeds both particles —
+//! into per-(leaf, neighbour, particle) partial sums.  Phase 2 adds them per particle
+//! in the serial spec's order after L2P and the intra-leaf terms, pushing the reads
+//! straight into the processor's shard.  The serial [`Fmm::step_traced`] keeps the
+//! one-sided kernels as the oracle the sharded path is pinned to bit for bit.
 
 pub mod expansion;
 pub mod quadtree;
@@ -59,34 +66,80 @@ pub struct Fmm {
     pub params: FmmParams,
 }
 
-/// Per-leaf ownership and the per-processor leaf lists produced by the partitioner.
+/// The per-processor leaf lists produced by the partitioner.
 #[derive(Debug, Clone, Default)]
 struct FmmPartition {
     /// `leaves[p]` — leaf cells owned by processor `p`, in row-major cell order.
     leaves: Vec<Vec<CellId>>,
-    /// `owner[c]` — processor owning leaf `c`.
-    owner: Vec<usize>,
 }
 
-/// Reusable buffers for the sharded traced path: the leaf partition plus, per virtual
-/// processor, the leaf-local evaluation buffers, read logs, and `(body, acc, phi)`
-/// results; `all_results` is the scatter target the integrator consumes.  Held across
-/// iterations by [`Fmm::stream_iterations`].
+/// Most neighbours a leaf cell has (`QuadTree::neighbors` returns at most eight).
+const MAX_NEIGHBORS: usize = 8;
+
+/// The near-field partial sums of one iteration: one `(acc, pot)` slot per (leaf,
+/// neighbour slot, leaf body), where slot `(c, k, idx)` holds body `idx` of leaf `c`
+/// summed over the bodies of `QuadTree::neighbors(c)[k]`, in that leaf's order.
+///
+/// The slots are grouped by unordered leaf pair `(a, b)`, `a < b`, walked in the order
+/// the owner of `a` computes them: `a`'s block over `b`, then `b`'s block over `a`.  A
+/// processor's row-major leaf chunk therefore writes one contiguous range of
+/// `sums`, `bounds[p]..bounds[p + 1]`.
+#[derive(Debug, Default)]
+struct PairPartials {
+    /// `offsets[c * MAX_NEIGHBORS + k]` — index in `sums` of slot `(c, k, 0)`.
+    offsets: Vec<usize>,
+    /// `bounds[p]..bounds[p + 1]` — the slots processor `p` writes.
+    bounds: Vec<usize>,
+    sums: Vec<(Complex, f64)>,
+}
+
+impl PairPartials {
+    /// Lay the slots out for `tree` under `partition` (the pair walk of
+    /// [`Fmm::pair_partials`]); slot values are left for the pair walk to write.
+    fn layout(&mut self, tree: &QuadTree, partition: &FmmPartition) {
+        let leaf_level = tree.leaf_level();
+        self.offsets.clear();
+        self.offsets.resize(tree.leaf_bodies.len() * MAX_NEIGHBORS, usize::MAX);
+        self.bounds.clear();
+        let mut next = 0;
+        for leaves in &partition.leaves {
+            self.bounds.push(next);
+            for &a in leaves {
+                for (k, &b) in QuadTree::neighbors(leaf_level, a).iter().enumerate() {
+                    if b < a {
+                        continue;
+                    }
+                    let back = QuadTree::neighbors(leaf_level, b)
+                        .iter()
+                        .position(|&n| n == a)
+                        .expect("leaf adjacency is symmetric");
+                    self.offsets[a as usize * MAX_NEIGHBORS + k] = next;
+                    next += tree.leaf_bodies[a as usize].len();
+                    self.offsets[b as usize * MAX_NEIGHBORS + back] = next;
+                    next += tree.leaf_bodies[b as usize].len();
+                }
+            }
+        }
+        self.bounds.push(next);
+        self.sums.resize(next, (Complex::ZERO, 0.0));
+    }
+
+    /// Slot `(c, k, idx)`: body `idx` of leaf `c` summed over its `k`-th neighbour.
+    fn get(&self, c: CellId, k: usize, idx: usize) -> (Complex, f64) {
+        self.sums[self.offsets[c as usize * MAX_NEIGHBORS + k] + idx]
+    }
+}
+
+/// Reusable buffers for the sharded traced path: the leaf partition, the near-field
+/// partial sums, per virtual processor a leaf-local evaluation buffer, and `results`,
+/// one `(acc, phi)` per body, processor 0's leaves first, each leaf's bodies in leaf
+/// order.  Held across iterations by [`Fmm::stream_iterations`].
 #[derive(Debug, Default)]
 struct ShardScratch {
     partition: FmmPartition,
+    partials: PairPartials,
     leaf_out: Vec<Vec<(Vec3, f64)>>,
-    leaf_reads: Vec<Vec<Vec<u32>>>,
-    results: Vec<Vec<(u32, Vec3, f64)>>,
-    all_results: Vec<(Vec3, f64)>,
-}
-
-impl ShardScratch {
-    fn resize(&mut self, num_procs: usize) {
-        self.leaf_out.resize_with(num_procs, Vec::new);
-        self.leaf_reads.resize_with(num_procs, Vec::new);
-        self.results.resize_with(num_procs, Vec::new);
-    }
+    results: Vec<(Vec3, f64)>,
 }
 
 impl Fmm {
@@ -148,24 +201,20 @@ impl Fmm {
     /// reuse their allocations.
     /// Invariant: a 1-processor trace is the processor-order concatenation of a P-processor one.
     fn partition_into(&self, tree: &QuadTree, num_procs: usize, out: &mut FmmPartition) {
-        let num_leaves = tree.leaf_bodies.len();
         let total: usize = tree.leaf_bodies.iter().map(Vec::len).sum();
         let target = (total as f64 / num_procs as f64).max(1.0);
         out.leaves.resize_with(num_procs, Vec::new);
         for leaves in out.leaves.iter_mut() {
             leaves.clear();
         }
-        out.owner.clear();
-        out.owner.resize(num_leaves, 0);
         let mut acc = 0.0;
         let mut proc = 0usize;
-        for c in 0..num_leaves {
+        for (c, bodies) in tree.leaf_bodies.iter().enumerate() {
             if acc >= target * (proc + 1) as f64 && proc + 1 < num_procs {
                 proc += 1;
             }
             out.leaves[proc].push(c as CellId);
-            out.owner[c] = proc;
-            acc += tree.leaf_bodies[c].len() as f64;
+            acc += bodies.len() as f64;
         }
     }
 
@@ -229,7 +278,8 @@ impl Fmm {
 
     /// L2P plus intra-leaf P2P for one leaf: `out` receives one `(acc, phi)` per leaf
     /// body (in leaf order) and, when `reads` is provided, `reads[idx]` logs the bodies
-    /// body `idx` read.  Shared by the serial and sharded evaluation paths.
+    /// body `idx` read (every other body of the leaf, in leaf order).  Shared by the
+    /// serial and sharded evaluation paths.
     fn eval_leaf_intra(
         &self,
         leaf_bodies: &[u32],
@@ -264,8 +314,8 @@ impl Fmm {
     }
 
     /// Inter-leaf P2P between a home leaf and one neighbouring leaf, accumulating into
-    /// the home leaf's `out` buffer.  Shared by the serial and sharded evaluation
-    /// paths.
+    /// the home leaf's `out` buffer (the serial spec; the sharded path computes the
+    /// same partial sums in [`Fmm::pair_partials`]).
     fn eval_leaf_inter(
         &self,
         home_bodies: &[u32],
@@ -291,6 +341,50 @@ impl Fmm {
             out[idx].0 += Vec3::new(acc.re, acc.im, 0.0);
             out[idx].1 += pot;
         }
+    }
+
+    /// Phase 1 of the sharded evaluation, for one processor: for every leaf `a` in
+    /// `leaves` and every neighbour `b > a`, the P2P partial sums of `a`'s bodies over
+    /// `b`, then of `b`'s bodies over `a`, written in turn into `out` (the processor's
+    /// range of [`PairPartials::sums`]).  Each pair's `dz`, `r2` and `r2.ln()` are
+    /// computed once for both bodies: IEEE subtraction makes `a − b` exactly `−(b − a)`,
+    /// so `r2` and its logarithm are the same bits from either side, and every body
+    /// still sums its terms in the neighbour's body order — the bits
+    /// [`Fmm::eval_leaf_inter`] produces.
+    fn pair_partials(&self, tree: &QuadTree, leaves: &[CellId], mut out: &mut [(Complex, f64)]) {
+        let eps2 = self.params.eps * self.params.eps;
+        let leaf_level = tree.leaf_level();
+        for &a in leaves {
+            let a_bodies = &tree.leaf_bodies[a as usize];
+            for &b in &QuadTree::neighbors(leaf_level, a) {
+                if b < a {
+                    continue;
+                }
+                let b_bodies = &tree.leaf_bodies[b as usize];
+                let (a_sums, rest) = std::mem::take(&mut out).split_at_mut(a_bodies.len());
+                let (b_sums, rest) = rest.split_at_mut(b_bodies.len());
+                out = rest;
+                b_sums.fill((Complex::ZERO, 0.0));
+                for (&ai, a_sum) in a_bodies.iter().zip(a_sums.iter_mut()) {
+                    let body = &self.bodies[ai as usize];
+                    let mut acc = Complex::ZERO;
+                    let mut pot = 0.0;
+                    for (&bj, b_sum) in b_bodies.iter().zip(b_sums.iter_mut()) {
+                        let other = &self.bodies[bj as usize];
+                        let dz = Complex::new(other.pos.x - body.pos.x, other.pos.y - body.pos.y);
+                        let r2 = dz.norm_sq() + eps2;
+                        let ln = r2.ln();
+                        acc += dz * (other.mass / r2);
+                        pot += 0.5 * other.mass * ln;
+                        let back = Complex::new(body.pos.x - other.pos.x, body.pos.y - other.pos.y);
+                        b_sum.0 += back * (body.mass / r2);
+                        b_sum.1 += 0.5 * body.mass * ln;
+                    }
+                    *a_sum = (acc, pot);
+                }
+            }
+        }
+        debug_assert!(out.is_empty(), "the pair walk fills exactly its slot range");
     }
 
     /// Complete force computation for one iteration.  Returns per-body `(acc, phi)` and
@@ -349,10 +443,7 @@ impl Fmm {
     fn apply_and_integrate(&mut self, results: &[(Vec3, f64)]) {
         let dt = self.params.dt;
         for (b, &(acc, phi)) in self.bodies.iter_mut().zip(results) {
-            b.acc = acc;
-            b.phi = phi;
-            b.vel += acc * dt;
-            b.pos += b.vel * dt;
+            integrate_body(b, acc, phi, dt);
         }
     }
 
@@ -411,15 +502,17 @@ impl Fmm {
         }
         builder.barrier();
         self.apply_and_integrate(&results);
-        let _ = partition.owner;
     }
 
     /// One sharded traced iteration: the same intervals and per-processor access
     /// streams as [`Fmm::step_traced`] (the executable spec this path is pinned to),
-    /// but each virtual processor evaluates its own leaves — near-field P2P, L2P and
-    /// access recording — as a rayon task into its own [`smtrace::Shard`].  The
-    /// expansion passes stay sequential (they are cheap relative to P2P and shared by
-    /// all processors), exactly like the sequential tree build.
+    /// but each virtual processor records its own accesses as a rayon task into its own
+    /// [`smtrace::Shard`].  The expansion passes stay sequential (they are cheap
+    /// relative to P2P and shared by all processors), exactly like the sequential tree
+    /// build.  Evaluation runs in two parallel phases: phase 1 computes the near-field
+    /// partial sums once per pair of neighbouring leaves ([`Fmm::pair_partials`]),
+    /// phase 2 does L2P and intra-leaf P2P for each owned body, adds its partial sums in
+    /// neighbour order and emits its reads and write straight into the shard.
     fn step_traced_sharded<S: TraceSink>(
         &mut self,
         shards: &mut ShardSet,
@@ -436,7 +529,7 @@ impl Fmm {
         sink.barrier();
 
         self.partition_into(&tree, num_procs, &mut scratch.partition);
-        scratch.resize(num_procs);
+        scratch.leaf_out.resize_with(num_procs, Vec::new);
         // Interval 2: upward pass — P2M reads each leaf's bodies (by the leaf's owner).
         {
             let tree = &tree;
@@ -456,51 +549,69 @@ impl Fmm {
         let leaf_level = tree.leaf_level();
         let locals = self.leaf_locals(&tree);
 
-        // Interval 3: evaluation — each owner evaluates and records its own leaves.
+        // Interval 3, phase 1: each owner computes the pair partial sums of its leaves.
+        let partition = &scratch.partition;
+        let partials = &mut scratch.partials;
+        partials.layout(&tree, partition);
+        {
+            let this = &*self;
+            let tree = &tree;
+            let mut rest = &mut partials.sums[..];
+            let mut tasks = Vec::with_capacity(num_procs);
+            for (leaves, span) in partition.leaves.iter().zip(partials.bounds.windows(2)) {
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(span[1] - span[0]);
+                rest = tail;
+                tasks.push((leaves, mine));
+            }
+            tasks.into_par_iter().for_each(|(leaves, out)| this.pair_partials(tree, leaves, out));
+        }
+
+        // Interval 3, phase 2: each owner evaluates and records its own bodies.
+        scratch.results.resize(self.bodies.len(), (Vec3::ZERO, 0.0));
         {
             let this = &*self;
             let tree = &tree;
             let locals = &locals;
-            let tasks: Vec<_> = shards
+            let partials = &*partials;
+            let mut rest = &mut scratch.results[..];
+            let mut tasks = Vec::with_capacity(num_procs);
+            for ((shard, leaves), leaf_out) in shards
                 .shards_mut()
                 .iter_mut()
-                .zip(scratch.partition.leaves.iter())
+                .zip(partition.leaves.iter())
                 .zip(scratch.leaf_out.iter_mut())
-                .zip(scratch.leaf_reads.iter_mut())
-                .zip(scratch.results.iter_mut())
-                .map(|((((shard, leaves), leaf_out), leaf_reads), results)| {
-                    (shard, leaves, leaf_out, leaf_reads, results)
-                })
-                .collect();
-            tasks.into_par_iter().for_each(|(shard, leaves, leaf_out, leaf_reads, results)| {
-                results.clear();
+            {
+                let len = leaves.iter().map(|&c| tree.leaf_bodies[c as usize].len()).sum();
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                tasks.push((shard, leaves, leaf_out, mine));
+            }
+            tasks.into_par_iter().for_each(|(shard, leaves, leaf_out, mut results)| {
                 for &c in leaves {
                     let leaf_bodies = &tree.leaf_bodies[c as usize];
-                    leaf_reads.resize_with(leaf_bodies.len().max(leaf_reads.len()), Vec::new);
-                    this.eval_leaf_intra(
-                        leaf_bodies,
-                        &locals[c as usize],
-                        leaf_out,
-                        Some(&mut leaf_reads[..leaf_bodies.len()]),
-                    );
-                    for &n in &QuadTree::neighbors(leaf_level, c)[..] {
-                        this.eval_leaf_inter(
-                            leaf_bodies,
-                            &tree.leaf_bodies[n as usize],
-                            leaf_out,
-                            Some(&mut leaf_reads[..leaf_bodies.len()]),
-                        );
-                    }
+                    let neighbors = QuadTree::neighbors(leaf_level, c);
+                    this.eval_leaf_intra(leaf_bodies, &locals[c as usize], leaf_out, None);
                     for (idx, &bi) in leaf_bodies.iter().enumerate() {
                         shard.read(bi as usize);
-                        for &other in &leaf_reads[idx] {
-                            shard.read(other as usize);
+                        for &bj in leaf_bodies {
+                            if bj != bi {
+                                shard.read(bj as usize);
+                            }
+                        }
+                        let out = &mut leaf_out[idx];
+                        for (k, &n) in neighbors.iter().enumerate() {
+                            for &bj in &tree.leaf_bodies[n as usize] {
+                                shard.read(bj as usize);
+                            }
+                            let (acc, pot) = partials.get(c, k, idx);
+                            out.0 += Vec3::new(acc.re, acc.im, 0.0);
+                            out.1 += pot;
                         }
                         shard.write(bi as usize);
-                        let (acc, phi) = leaf_out[idx];
-                        results.push((bi, acc, phi));
-                        leaf_reads[idx].clear();
                     }
+                    let (mine, tail) = std::mem::take(&mut results).split_at_mut(leaf_bodies.len());
+                    mine.copy_from_slice(leaf_out);
+                    results = tail;
                 }
             });
         }
@@ -521,18 +632,14 @@ impl Fmm {
         }
         shards.drain_interval(sink);
 
-        // Scatter the per-processor results (every body is owned by exactly one leaf)
-        // and integrate, exactly as the serial spec does.
-        scratch.all_results.clear();
-        scratch.all_results.resize(self.bodies.len(), (Vec3::ZERO, 0.0));
-        for results in &scratch.results {
-            for &(bi, acc, phi) in results {
-                scratch.all_results[bi as usize] = (acc, phi);
-            }
+        // Integrate, exactly as the serial spec does (every body is in exactly one
+        // owned leaf, and `results` follows the processors' leaves in order).
+        let dt = self.params.dt;
+        let owned = scratch.partition.leaves.iter().flatten();
+        let bodies = owned.flat_map(|&c| &tree.leaf_bodies[c as usize]);
+        for (&bi, &(acc, phi)) in bodies.zip(&scratch.results) {
+            integrate_body(&mut self.bodies[bi as usize], acc, phi, dt);
         }
-        let all_results = std::mem::take(&mut scratch.all_results);
-        self.apply_and_integrate(&all_results);
-        scratch.all_results = all_results;
     }
 
     /// Run `iterations` traced iterations on `num_procs` virtual processors and return
@@ -580,6 +687,15 @@ impl Fmm {
         }
         out
     }
+}
+
+/// Store one body's evaluated `(acc, phi)` and advance it by one semi-implicit Euler
+/// step: the integrator shared by the serial and sharded paths.
+fn integrate_body(b: &mut Body, acc: Vec3, phi: f64, dt: f64) {
+    b.acc = acc;
+    b.phi = phi;
+    b.vel += acc * dt;
+    b.pos += b.vel * dt;
 }
 
 #[cfg(test)]
@@ -685,31 +801,70 @@ mod tests {
         let part = fmm.partition(&tree, 6);
         let mut all: Vec<CellId> = part.leaves.iter().flatten().copied().collect();
         all.sort_unstable();
-        assert_eq!(all.len(), tree.leaf_bodies.len());
-        for (c, &o) in part.owner.iter().enumerate() {
-            assert!(part.leaves[o].contains(&(c as CellId)));
+        assert_eq!(all, (0..tree.leaf_bodies.len() as CellId).collect::<Vec<_>>());
+    }
+
+    /// Loop the serial `step_traced` spec from `fmm`, run the sharded stream from the
+    /// same state under 1, 2 and 8 workers, and require the bit-identical trace and
+    /// bit-identical pos, vel, acc and phi for every body.
+    fn assert_sharded_matches_serial(fmm: &Fmm, procs: usize, iterations: usize) {
+        let mut serial = fmm.clone();
+        let mut builder = TraceBuilder::new(serial.layout(), procs);
+        for _ in 0..iterations {
+            serial.step_traced(procs, &mut builder);
+        }
+        let serial_trace = builder.finish();
+        let bits = |v: Vec3| v.to_array().map(f64::to_bits);
+        for threads in [1, 2, 8] {
+            let mut sharded = fmm.clone();
+            let trace =
+                rayon::with_num_threads(threads, || sharded.trace_iterations(iterations, procs));
+            let ctx = format!("{procs} procs, {threads} worker(s)");
+            assert_eq!(serial_trace, trace, "{ctx}");
+            for (a, b) in serial.bodies.iter().zip(&sharded.bodies) {
+                assert_eq!(bits(a.pos), bits(b.pos), "{ctx}");
+                assert_eq!(bits(a.vel), bits(b.vel), "{ctx}");
+                assert_eq!(bits(a.acc), bits(b.acc), "{ctx}");
+                assert_eq!(a.phi.to_bits(), b.phi.to_bits(), "{ctx}");
+            }
         }
     }
 
     /// The sharded parallel traced path must produce the bit-identical trace — and the
-    /// bit-identical body state — as looping the serial `step_traced` spec.
+    /// bit-identical body state — as looping the serial `step_traced` spec, on a tree
+    /// with empty leaves and with neighbouring leaves owned by different processors.
     #[test]
     fn sharded_stream_matches_the_serial_traced_spec() {
-        let mut serial = small_fmm(300, 23);
-        let mut sharded = serial.clone();
-        let iterations = 2;
-        let procs = 3;
-        let mut serial_builder = TraceBuilder::new(serial.layout(), procs);
-        for _ in 0..iterations {
-            serial.step_traced(procs, &mut serial_builder);
+        let fmm = small_fmm(300, 23);
+        let tree = fmm.build_tree();
+        assert!(tree.leaf_bodies.iter().any(Vec::is_empty), "some leaves must be empty");
+        for procs in [1, 3, 7, 16] {
+            let part = fmm.partition(&tree, procs);
+            let mut owner = vec![0; tree.leaf_bodies.len()];
+            for (p, leaves) in part.leaves.iter().enumerate() {
+                for &c in leaves {
+                    owner[c as usize] = p;
+                }
+            }
+            let split = (0..owner.len()).any(|c| {
+                QuadTree::neighbors(tree.leaf_level(), c as CellId)
+                    .iter()
+                    .any(|&n| owner[n as usize] != owner[c])
+            });
+            assert_eq!(split, procs > 1, "{procs} procs split neighbouring leaves");
+            assert_sharded_matches_serial(&fmm, procs, 2);
         }
-        let serial_trace = serial_builder.finish();
-        let sharded_trace = sharded.trace_iterations(iterations, procs);
-        assert_eq!(serial_trace, sharded_trace);
-        for (a, b) in serial.bodies.iter().zip(&sharded.bodies) {
-            assert_eq!(a.pos.x.to_bits(), b.pos.x.to_bits());
-            assert_eq!(a.vel.y.to_bits(), b.vel.y.to_bits());
-            assert_eq!(a.phi.to_bits(), b.phi.to_bits());
+    }
+
+    /// A tree of one leaf has no neighbour pairs: evaluation is L2P plus intra-leaf
+    /// P2P alone, and every processor but the first owns nothing.
+    #[test]
+    fn sharded_stream_matches_the_serial_traced_spec_on_a_single_leaf() {
+        let params = FmmParams { order: 6, target_per_leaf: 64, dt: 0.01, eps: 0.05 };
+        let fmm = Fmm::two_plummer(40, 29, params);
+        assert_eq!(fmm.build_tree().leaf_bodies.len(), 1);
+        for procs in [1, 3, 7, 16] {
+            assert_sharded_matches_serial(&fmm, procs, 2);
         }
     }
 
