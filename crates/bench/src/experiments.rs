@@ -24,7 +24,7 @@ use crate::cache::{CellKey, KeyBuilder};
 use crate::row;
 use crate::runner::{ExperimentSpec, Row, RunConfig, Value};
 use crate::scheduler::run_keyed_cells;
-use crate::{build_run, build_run_sized, AppKind, LiveApp, Ordering, Scale};
+use crate::{AppKind, LiveApp, Ordering, Scale};
 
 /// Canonical name of a scale for cell keys (lowercase, stable).
 fn scale_name(scale: Scale) -> &'static str {
@@ -201,44 +201,6 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
         run: run_bench_reorder_cost,
     },
     ExperimentSpec {
-        id: "bench_sim_throughput",
-        aliases: &["sim-throughput", "sim_throughput", "bench-sim-throughput"],
-        title: "Sim-throughput bench: streaming trace replay through the Origin 2000 model",
-        columns: &[
-            "app", "n", "procs", "path", "accesses", "replay_ms", "maccess_s", "l2_misses",
-            "tlb_misses", "coherence_misses",
-        ],
-        notes: &[
-            "Path: `streaming` feeds a recorded trace through a SimSink interval-by-interval",
-            "into the directory machine (sharer bitmasks, generation-timestamp LRU, batched",
-            "intervals), the path Origin cells use to simulate without materializing a",
-            "trace; its one pass also yields the counters folded onto one processor (an",
-            "extra TLB per stream).  Its counters are pinned against the reference",
-            "simulators by memsim's proptest_replay, not re-checked here.  FMM is sized",
-            "like Barnes-Hut (not Scale::size_of, which reflects FMM's compute cost) so its",
-            "object array exceeds the simulated TLB reach, the regime every paper-scale",
-            "workload replays in.  Cells run sequentially for honest wall-clock.",
-        ],
-        run: run_bench_sim_throughput,
-    },
-    ExperimentSpec {
-        id: "bench_dsm_throughput",
-        aliases: &["dsm-throughput", "dsm_throughput", "bench-dsm-throughput"],
-        title: "DSM-throughput bench: streaming trace-to-stats through the TreadMarks/HLRC models",
-        columns: &[
-            "app", "workload", "n", "procs", "path", "accesses", "replay_ms", "maccess_s",
-            "tmk_messages", "tmk_mb", "hlrc_messages", "hlrc_mb",
-        ],
-        notes: &[
-            "Path: `streaming` replays a recorded trace through a PageHistorySink — the",
-            "marking reduction DSM cells run while they generate — and feeds the history to",
-            "both parallel simulators (TreadMarks and HLRC).  The reduction is pinned",
-            "against the reference pipeline by dsm's proptest_pipeline, not re-checked",
-            "here.  Cells run sequentially for honest wall-clock.",
-        ],
-        run: run_bench_dsm_throughput,
-    },
-    ExperimentSpec {
         id: "ablation_unit_sweep",
         aliases: &["unit-sweep", "unit_sweep"],
         title: "Ablation: consistency-unit-size sweep, Moldyn (TreadMarks-model messages/data)",
@@ -267,7 +229,7 @@ pub fn find(name: &str) -> Option<&'static ExperimentSpec> {
 
 /// The specs that build an Origin 2000 machine on the configured processor count
 /// (fig07 through table2's cells).
-const ORIGIN_SPECS: [&str; 3] = ["table2", "fig07", "bench_sim_throughput"];
+const ORIGIN_SPECS: [&str; 2] = ["table2", "fig07"];
 
 /// Reject a configuration that no run of `spec` can serve, before any cell is
 /// scheduled: the Origin model's directory keeps one sharer bit per processor in a
@@ -1053,141 +1015,6 @@ fn run_bench_reorder_cost(cfg: &RunConfig) -> Vec<Row> {
     rows
 }
 
-fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
-    let scale = cfg.scale;
-    let procs = cfg.procs_or(16);
-    let seed = cfg.seed_or(61);
-    // Best-of-N wall clock per path: replay is deterministic, so repetition only
-    // filters scheduler noise out of the recorded throughput.
-    let repetitions = if scale == Scale::Tiny { 1 } else { 3 };
-    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
-    // This is a wall-clock-timing experiment: cells run *sequentially* so each replay
-    // gets the whole machine (like the reorder-cost bench).
-    let mut rows = Vec::new();
-    for app in AppKind::ALL {
-        // Replay-representative sizing: `Scale` picks FMM's object count for its
-        // *compute* cost (FMM builds expansions per iteration), which at small scale
-        // leaves the object array inside the simulated TLB reach — a regime paper-scale
-        // FMM (65 536 bodies, 6 MB) is never in.  The replay bench sizes FMM like
-        // Barnes-Hut so every trace exercises the same TLB/cache pressure as Table 2.
-        let n = if app == AppKind::Fmm {
-            scale.size_of(app).max(scale.size_of(AppKind::BarnesHut))
-        } else {
-            scale.size_of(app)
-        };
-        let iters = scale.iterations_of(app);
-        let run = build_run_sized(app, crate::Ordering::Original, n, iters, procs, seed);
-        let accesses = run.trace.total_accesses() as u64;
-        let preset = OriginPreset::origin2000(procs);
-
-        // The directory machine fed through the streaming sink.
-        let mut stream_ms = f64::INFINITY;
-        let mut result = None;
-        for _ in 0..repetitions {
-            let mut sink = SimSink::new(preset.build_machine(), run.layout.clone());
-            let t0 = Instant::now();
-            run.trace.replay_into(&mut sink);
-            result = Some(sink.finish().machine);
-            stream_ms = stream_ms.min(ms(t0));
-        }
-        let result = result.expect("at least one repetition");
-        rows.push(row![
-            app.name(),
-            run.num_objects,
-            procs,
-            "streaming",
-            accesses,
-            stream_ms,
-            accesses as f64 / (stream_ms * 1e-3) / 1e6,
-            result.l2_misses(),
-            result.tlb_misses(),
-            result.coherence_misses()
-        ]);
-    }
-    // Summary row: aggregate throughput and counters over all five applications.
-    rows.push(bench_total_row(&rows, row!["(all)", 0usize, procs, "streaming"]));
-    rows
-}
-
-/// The `(all)` row of a throughput bench: `total` holds its label cells, and every
-/// later column is the total over the per-application `rows` — accesses, wall-clock
-/// ms, then the aggregate Maccess/s in place of a sum, then each counter (counts
-/// stay counts, megabytes stay floats).  Shared by the sim- and dsm-throughput
-/// benches, which differ only in how many label columns precede `accesses`.
-fn bench_total_row(rows: &[Row], mut total: Row) -> Row {
-    let accesses_col = total.cells.len();
-    for c in accesses_col..rows[0].cells.len() {
-        let sum = rows.iter().map(|r| float(&r.cells[c])).sum::<f64>();
-        total.cells.push(match rows[0].cells[c] {
-            Value::Int(_) => Value::Int(sum as i64),
-            _ => Value::Float(sum),
-        });
-    }
-    let accesses = float(&total.cells[accesses_col]);
-    let ms = float(&total.cells[accesses_col + 1]);
-    total.cells[accesses_col + 2] = Value::Float(accesses / (ms * 1e-3) / 1e6);
-    total
-}
-
-/// The applications the DSM-throughput bench replays, with the workload each one's
-/// generator draws from (the reorder-cost bench's point sets come from the same three).
-const DSM_THROUGHPUT_APPS: [(AppKind, &str); 3] = [
-    (AppKind::BarnesHut, "plummer"),
-    (AppKind::Unstructured, "mesh"),
-    (AppKind::Moldyn, "lattice"),
-];
-
-fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
-    let scale = cfg.scale;
-    let procs = cfg.procs_or(16);
-    let seed = cfg.seed_or(71);
-    let config = DsmConfig::cluster(procs);
-    // Best-of-N wall clock per path: evaluation is deterministic, so repetition only
-    // filters scheduler noise out of the recorded throughput.
-    let repetitions = if scale == Scale::Tiny { 1 } else { 3 };
-    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
-    // This is a wall-clock-timing experiment: cells run *sequentially* so each path
-    // gets the whole machine (like the sim-throughput bench).
-    let mut rows = Vec::new();
-    for (app, workload) in DSM_THROUGHPUT_APPS {
-        let run = build_run(app, crate::Ordering::Original, scale, procs, seed);
-        let accesses = run.trace.total_accesses() as u64;
-
-        // The trace streams through a PageHistorySink (the reduction DSM cells run
-        // while they generate) into both parallel simulators.
-        let mut stream_ms = f64::INFINITY;
-        let mut results = None;
-        for _ in 0..repetitions {
-            let t0 = Instant::now();
-            let mut sink = PageHistorySink::new(run.layout.clone(), procs, config.page_bytes);
-            run.trace.replay_into(&mut sink);
-            let history = sink.finish();
-            let tmk = TreadMarksSim::new(config).run_history(&history);
-            let hlrc = HlrcSim::new(config).run_history(&history);
-            stream_ms = stream_ms.min(ms(t0));
-            results = Some((tmk, hlrc));
-        }
-        let (tmk, hlrc) = results.expect("at least one repetition");
-        rows.push(row![
-            app.name(),
-            workload,
-            run.num_objects,
-            procs,
-            "streaming",
-            accesses,
-            stream_ms,
-            accesses as f64 / (stream_ms * 1e-3) / 1e6,
-            tmk.stats.messages,
-            tmk.stats.data_mbytes(),
-            hlrc.stats.messages,
-            hlrc.stats.data_mbytes()
-        ]);
-    }
-    // Summary row: aggregate throughput and traffic over the three applications.
-    rows.push(bench_total_row(&rows, row!["(all)", "-", 0usize, procs, "streaming"]));
-    rows
-}
-
 /// Consistency-unit ladder of the unit-size ablation, in bytes.
 const UNIT_SWEEP_BYTES: [usize; 6] = [128, 512, 1024, 4096, 8192, 16384];
 
@@ -1253,6 +1080,7 @@ fn run_ablation_unit_sweep(cfg: &RunConfig) -> Vec<Row> {
 mod tests {
     use super::*;
     use crate::runner::Format;
+    use crate::tests::traced;
 
     #[test]
     fn registry_ids_and_aliases_are_unique() {
@@ -1263,11 +1091,7 @@ mod tests {
                 assert!(seen.insert(alias), "duplicate alias {alias}");
             }
         }
-        assert_eq!(
-            all().len(),
-            15,
-            "12 paper specs + the reorder-cost, sim- and dsm-throughput benches"
-        );
+        assert_eq!(all().len(), 13, "12 paper specs + the reorder-cost bench");
     }
 
     #[test]
@@ -1318,41 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_throughput_bench_streams_every_app() {
-        let spec = find("sim-throughput").unwrap();
-        assert_eq!(spec.id, "bench_sim_throughput");
-        let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: Some(4), seed: None });
-        // 5 applications on the streaming path, plus one summary row.
-        assert_eq!(result.rows.len(), 6);
-        let json = result.render(Format::Json);
-        assert_eq!(json.matches("\"path\": \"streaming\"").count(), 6);
-        assert!(json.contains("\"app\": \"(all)\""));
-    }
-
-    #[test]
-    fn dsm_throughput_bench_streams_every_app() {
-        let spec = find("dsm-throughput").unwrap();
-        assert_eq!(spec.id, "bench_dsm_throughput");
-        let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: Some(4), seed: None });
-        // 3 applications on the streaming path, plus one summary row.
-        assert_eq!(result.rows.len(), 4);
-        let json = result.render(Format::Json);
-        assert_eq!(json.matches("\"path\": \"streaming\"").count(), 4);
-        assert!(json.contains("\"workload\": \"plummer\""));
-        assert!(json.contains("\"workload\": \"mesh\""));
-        assert!(json.contains("\"workload\": \"lattice\""));
-        // The (all) row sums each traffic column over the three applications.
-        let (all, apps) = result.rows.split_last().unwrap();
-        assert_eq!(all.cells[0], Value::Str("(all)".into()));
-        for col in 8..=11 {
-            let sum: f64 = apps.iter().map(|r| float(&r.cells[col])).sum();
-            assert!(float(&all.cells[col]) > 0.0, "column {col}");
-            assert_eq!(float(&all.cells[col]), sum, "column {col}");
-        }
-        assert!(matches!(all.cells[8], Value::Int(_)) && matches!(all.cells[9], Value::Float(_)));
-    }
-
-    #[test]
     fn dsm_run_rows_match_per_protocol_run_with_layout() {
         // One shared page history per dsm_run cell must give exactly what each
         // protocol computes when it reduces the trace on its own.  The check runs
@@ -1370,10 +1159,11 @@ mod tests {
             let config = DsmConfig::cluster(procs);
             let cost = NetworkCostModel::default();
             for (app, ordering) in versions {
-                let traced = build_run(app, ordering, scale, procs, seed);
+                let (n, iters) = (scale.size_of(app), scale.iterations_of(app));
+                let (trace, _) = traced(app, ordering, n, iters, procs, seed);
                 let want: Vec<Value> = [
-                    TreadMarksSim::new(config).run_with_layout(&traced.trace, &traced.layout),
-                    HlrcSim::new(config).run_with_layout(&traced.trace, &traced.layout),
+                    TreadMarksSim::new(config).run_with_layout(&trace, &trace.layout),
+                    HlrcSim::new(config).run_with_layout(&trace, &trace.layout),
                 ]
                 .iter()
                 .flat_map(|result| {
@@ -1426,11 +1216,12 @@ mod tests {
                 versions.iter().flat_map(|&(app, o)| [run(app, o, 1), run(app, o, procs)]),
             );
             for (app, ordering) in versions {
+                let (n, iters) = (scale.size_of(app), scale.iterations_of(app));
                 for p in [1, procs] {
-                    let traced = build_run(app, ordering, scale, p, seed);
+                    let (trace, _) = traced(app, ordering, n, iters, p, seed);
                     let result = OriginPreset::origin2000(p)
                         .build_machine()
-                        .run_trace_with_layout(&traced.trace, &traced.layout);
+                        .run_trace_with_layout(&trace, &trace.layout);
                     let want = [
                         Value::Float(CostModel::default().machine_time(&result)),
                         Value::from(result.l2_misses()),

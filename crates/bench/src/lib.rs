@@ -12,12 +12,11 @@
 //!   and 3), and stream its accesses over a given number of virtual processors into
 //!   any trace sink; every paper spec reduces its runs this way, with no trace
 //!   materialized;
-//! * [`build_run`] — the same run recorded into a materialized trace, for the tests
-//!   and the throughput benches that replay one trace several ways;
 //! * [`Scale`] — problem sizes: `Paper` uses the sizes from Table 1 of the paper,
 //!   `Small` (the default) uses reduced sizes so every experiment finishes in
-//!   seconds, and `Tiny` is for smoke tests.  [`Scale::parse`] reads the one
-//!   spelling of each (`tiny|small|paper`) that `xp --scale` and `xp serve` accept.
+//!   seconds, and `Tiny` is the scale of the CI goldens and smoke runs.
+//!   [`Scale::parse`] reads the one spelling of each (`tiny|small|paper`) that
+//!   `xp --scale` and `xp serve` accept.
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +32,7 @@ use std::time::Instant;
 use molecular::{Moldyn, MoldynParams, WaterSpatial, WaterSpatialParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
 use reorder::Method;
-use smtrace::{ObjectLayout, ProgramTrace, TraceBuilder, TraceSink};
+use smtrace::{ObjectLayout, TraceSink};
 use unstructured::{Unstructured, UnstructuredParams};
 
 /// The five applications of the study.
@@ -111,8 +110,8 @@ impl Ordering {
 /// Problem sizes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scale {
-    /// Smoke-test sizes: every experiment finishes in well under a second (used by
-    /// the CI `xp bench reorder-cost --scale tiny` step).
+    /// Smoke-test sizes: every experiment finishes in about a second.  The
+    /// `tests/golden/` artifacts that CI diffs are recorded at this scale.
     Tiny,
     /// Reduced sizes so every experiment runs in seconds (default).
     #[default]
@@ -166,59 +165,9 @@ impl Scale {
     }
 }
 
-/// The result of building and tracing one application under one ordering.
-pub struct AppRun {
-    /// Which application.
-    pub app: AppKind,
-    /// Which ordering was applied.
-    pub ordering: Ordering,
-    /// Number of objects in the object array.
-    pub num_objects: usize,
-    /// Object-array layout (paper object sizes).
-    pub layout: ObjectLayout,
-    /// The recorded access trace over `num_procs` virtual processors.
-    pub trace: ProgramTrace,
-    /// Wall-clock seconds spent in the reordering routine (0 for the original order).
-    pub reorder_seconds: f64,
-}
-
-/// Build an application at the given scale, apply `ordering`, and record a trace over
-/// `num_procs` virtual processors.
-pub fn build_run(
-    app: AppKind,
-    ordering: Ordering,
-    scale: Scale,
-    num_procs: usize,
-    seed: u64,
-) -> AppRun {
-    let n = scale.size_of(app);
-    let iters = scale.iterations_of(app);
-    build_run_sized(app, ordering, n, iters, num_procs, seed)
-}
-
-/// Like [`build_run`] but with explicit object count and iteration count (used by the
-/// figure specs that need specific sizes, e.g. 168 or 32 768 bodies).
-pub fn build_run_sized(
-    app: AppKind,
-    ordering: Ordering,
-    n: usize,
-    iters: usize,
-    num_procs: usize,
-    seed: u64,
-) -> AppRun {
-    let (mut live, reorder_seconds) = LiveApp::ordered(app, ordering, n, seed);
-    let layout = live.layout();
-    let num_objects = live.num_objects();
-    let mut builder = TraceBuilder::new(layout.clone(), num_procs);
-    live.stream_sharded(iters, &mut builder);
-    let trace = builder.finish();
-    AppRun { app, ordering, num_objects, layout, trace, reorder_seconds }
-}
-
 /// A live application instance with the standard workload generator and default
 /// parameters for its [`AppKind`] — the single source of truth for "build app X at
-/// size n".  The paper specs stream from it directly, and [`build_run_sized`]
-/// records it into a materialized trace.
+/// size n".  The paper specs stream from it directly.
 #[derive(Clone)]
 pub enum LiveApp {
     /// SPLASH-2 Barnes-Hut.
@@ -339,6 +288,7 @@ pub fn fmt_f(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smtrace::{ProgramTrace, TraceBuilder};
 
     #[test]
     fn scale_sizes_match_table1_at_paper_scale() {
@@ -371,21 +321,39 @@ mod tests {
         assert!(!AppKind::Fmm.is_category2());
     }
 
+    /// A run traced into a materialized trace: the application built at `n` objects,
+    /// reordered, and streamed over `procs` virtual processors into a [`TraceBuilder`].
+    /// Returns the trace and the wall-clock seconds the reordering took.
+    pub(crate) fn traced(
+        app: AppKind,
+        ordering: Ordering,
+        n: usize,
+        iters: usize,
+        procs: usize,
+        seed: u64,
+    ) -> (ProgramTrace, f64) {
+        let (mut live, reorder_seconds) = LiveApp::ordered(app, ordering, n, seed);
+        let mut builder = TraceBuilder::new(live.layout(), procs);
+        live.stream_sharded(iters, &mut builder);
+        (builder.finish(), reorder_seconds)
+    }
+
     #[test]
-    fn build_run_produces_a_consistent_trace_for_each_app() {
+    fn a_traced_run_is_consistent_for_each_app() {
         for app in AppKind::ALL {
-            let run = build_run_sized(app, Ordering::Original, 512, 1, 4, 1);
-            assert_eq!(run.trace.num_procs, 4);
-            assert!(run.trace.total_accesses() > 0, "{app:?} recorded no accesses");
-            assert_eq!(run.layout.num_objects, run.num_objects);
+            let (trace, _) = traced(app, Ordering::Original, 512, 1, 4, 1);
+            assert_eq!(trace.num_procs, 4);
+            assert!(trace.total_accesses() > 0, "{app:?} recorded no accesses");
+            let live = LiveApp::build(app, 512, 1);
+            assert_eq!(trace.layout.num_objects, live.num_objects());
         }
     }
 
     #[test]
     fn reordered_runs_report_a_nonzero_reorder_cost() {
-        let run =
-            build_run_sized(AppKind::Moldyn, Ordering::Reordered(Method::Column), 1000, 1, 4, 2);
-        assert!(run.reorder_seconds > 0.0);
+        let ordering = Ordering::Reordered(Method::Column);
+        let (_, reorder_seconds) = traced(AppKind::Moldyn, ordering, 1000, 1, 4, 2);
+        assert!(reorder_seconds > 0.0);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 
 use rayon::prelude::*;
 use reorder::Method;
-use repro_bench::{build_run, build_run_sized, AppKind, Ordering, Scale};
-use smtrace::ProgramTrace;
+use repro_bench::{AppKind, LiveApp, Ordering, Scale};
+use smtrace::{ProgramTrace, TraceBuilder};
 
 const ORDERINGS: [Ordering; 5] = [
     Ordering::Original,
@@ -24,6 +24,22 @@ const ORDERINGS: [Ordering; 5] = [
     Ordering::Reordered(Method::Column),
     Ordering::Reordered(Method::Row),
 ];
+
+/// `app` built at `n` objects under `ordering`, with `iters` iterations traced over
+/// `procs` virtual processors.
+fn traced(
+    app: AppKind,
+    ordering: Ordering,
+    n: usize,
+    iters: usize,
+    procs: usize,
+    seed: u64,
+) -> ProgramTrace {
+    let (mut live, _) = LiveApp::ordered(app, ordering, n, seed);
+    let mut builder = TraceBuilder::new(live.layout(), procs);
+    live.stream_sharded(iters, &mut builder);
+    builder.finish()
+}
 
 /// Assert that every stream of `coarse` is the processor-order concatenation of its
 /// group of `par`'s streams, interval by interval: Q = `coarse.num_procs` contiguous
@@ -41,9 +57,10 @@ fn assert_concatenation(coarse: &ProgramTrace, par: &ProgramTrace, case: &str) {
 }
 
 fn check(app: AppKind, ordering: Ordering, scale: Scale, seed: u64, procs: &[usize]) {
-    let seq = build_run(app, ordering, scale, 1, seed).trace;
+    let (n, iters) = (scale.size_of(app), scale.iterations_of(app));
+    let seq = traced(app, ordering, n, iters, 1, seed);
     for &p in procs {
-        let par = build_run(app, ordering, scale, p, seed).trace;
+        let par = traced(app, ordering, n, iters, p, seed);
         let case = format!("{} {} seed {seed} P={p} {scale:?}", app.name(), ordering.name());
         assert_concatenation(&seq, &par, &case);
     }
@@ -75,11 +92,11 @@ fn fig02_05_barnes_hut_folds_from_16_processors_onto_every_smaller_ladder_count(
         .flat_map(|ordering| [7, 5, 123].map(|seed| (ordering, seed)))
         .collect();
     cases.into_par_iter().for_each(|(ordering, seed)| {
-        let trace = |procs| build_run_sized(AppKind::BarnesHut, ordering, BODIES, 1, procs, seed);
-        let par = trace(16).trace;
+        let trace = |procs| traced(AppKind::BarnesHut, ordering, BODIES, 1, procs, seed);
+        let par = trace(16);
         for q in [8, 4, 2, 1] {
             let case = format!("Barnes-Hut {} seed {seed} P=16 onto Q={q}", ordering.name());
-            assert_concatenation(&trace(q).trace, &par, &case);
+            assert_concatenation(&trace(q), &par, &case);
         }
     });
 }

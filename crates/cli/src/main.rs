@@ -5,8 +5,7 @@
 //! xp table <1|2|3|4>                  one table of the paper
 //! xp fig <1..9>                       one figure (paired figures share a spec)
 //! xp ablation <reorder-frequency|unit-sweep>
-//! xp bench <reorder-cost|sim-throughput|dsm-throughput>
-//!                                     performance benches of the production paths
+//! xp bench reorder-cost               key/rank/permute timing of the reordering pipeline
 //! xp run <id>                         any experiment by id or alias
 //! xp sweep                            every experiment (writes one artifact each)
 //! xp serve                            NDJSON job server (stdin/stdout or a socket)
@@ -39,7 +38,7 @@ USAGE:
     xp table <1|2|3|4>        [options]
     xp fig <1|2|...|9>        [options]
     xp ablation <name>        [options]   (reorder-frequency | unit-sweep)
-    xp bench <name>           [options]   (reorder-cost | sim-throughput | dsm-throughput)
+    xp bench <name>           [options]   (reorder-cost)
     xp run <id-or-alias>      [options]
     xp sweep [id...]          [options]   run every (or the listed) experiment(s)
     xp serve                  [options]   NDJSON job server on stdin/stdout
@@ -467,13 +466,18 @@ fn main() -> ExitCode {
 
     let go = || {
         if command == "sweep" {
-            run_sweep(&sweep_ids, &options)
-        } else {
-            match experiments::find(&spec_name) {
-                Some(spec) => run_one(spec, &options),
-                None => Err(format!("no experiment named {spec_name:?} (try `xp list`)")),
-            }
+            return run_sweep(&sweep_ids, &options);
         }
+        let spec = experiments::find(&spec_name)
+            .ok_or(format!("no experiment named {spec_name:?} (try `xp list`)"))?;
+        // `xp bench` and `xp ablation` run only their own family of specs.
+        if matches!(command, "bench" | "ablation") && !spec.id.starts_with(&format!("{command}_")) {
+            return Err(format!(
+                "`xp {command}` does not run {:?} (run it with `xp run {}`)",
+                spec.id, spec.id
+            ));
+        }
+        run_one(spec, &options)
     };
     // --jobs bounds the executor pool for this command (and, for sweep, the
     // scheduler's slot count built inside the override).

@@ -275,6 +275,24 @@ fn sweep_rejects_unknown_experiment_ids() {
 }
 
 #[test]
+fn bench_and_ablation_run_only_their_own_specs() {
+    // Both resolve any id or alias, then refuse a spec outside their family before
+    // anything runs, and point at `xp run`.
+    for (args, id) in [(["bench", "table1"], "table1"), (["ablation", "fig3"], "fig03")] {
+        let out = xp().args(args).args(["--scale", "tiny"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stdout));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let named = format!("`xp {}` does not run {id:?} (run it with `xp run {id}`)", args[0]);
+        assert!(stderr.contains(&named), "{args:?}: {stderr}");
+    }
+    let args = ["ablation", "unit-sweep", "--scale", "tiny", "--procs", "1", "--format", "csv"];
+    let out = xp().args(args).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("unit_bytes,"));
+}
+
+#[test]
 fn help_names_every_registered_bench() {
     let out = xp().arg("--help").output().unwrap();
     assert!(out.status.success());

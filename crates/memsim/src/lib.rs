@@ -74,7 +74,5 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use coherence::{MultiprocessorSim, ProcessorStats, SimSink, SimulationResult, SinkResult};
 pub use directory::Directory;
 pub use origin::{CostModel, OriginPreset};
-pub use sharing::{
-    page_sharing, page_update_map, processor_unit_sets, PageSharingReport, ProcessorUnitSetsSink,
-};
+pub use sharing::{page_sharing, processor_unit_sets, PageSharingReport, ProcessorUnitSetsSink};
 pub use tlb::{Tlb, TlbConfig, TlbStats};

@@ -7,9 +7,7 @@
 //! whole run, which [`ProcessorUnitSetsSink`] reduces as the run streams in (or as a
 //! materialized trace is replayed into it).
 
-use smtrace::{
-    Access, DenseSet, ObjectLayout, ProgramTrace, SharingHistogram, TraceSink, UnitAccessSets,
-};
+use smtrace::{Access, ObjectLayout, ProgramTrace, SharingHistogram, TraceSink, UnitAccessSets};
 
 /// The per-page sharing report for one trace at one consistency-unit size.
 #[derive(Debug, Clone)]
@@ -175,16 +173,6 @@ pub fn page_sharing(
     PageSharingReport::folded(&per_proc, trace.num_procs, layout.num_units(unit_bytes), unit_bytes)
 }
 
-/// For each processor, the set of units it *writes* anywhere in the trace — the data
-/// behind Figure 1 / Figure 4 ("locations to be updated by the four processors").
-pub fn page_update_map(
-    trace: &ProgramTrace,
-    layout: &ObjectLayout,
-    unit_bytes: usize,
-) -> Vec<DenseSet> {
-    processor_unit_sets(trace, layout, unit_bytes).into_iter().map(|s| s.write_units).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,39 +216,6 @@ mod tests {
         assert_eq!(rep_b.shared_units(), 0);
         assert!(rep_s.falsely_shared_units > 0);
         assert_eq!(rep_b.falsely_shared_units, 0);
-    }
-
-    #[test]
-    fn update_map_reports_written_pages_per_processor() {
-        let n = 168;
-        let layout = ObjectLayout::new(n, 96);
-        let mut b = TraceBuilder::new(layout.clone(), 4);
-        // Processor p updates objects scattered with stride 4 (like the paper's Figure 1).
-        for p in 0..4 {
-            for k in 0..(n / 4) {
-                b.write(p, p + 4 * k);
-            }
-        }
-        b.barrier();
-        let t = b.finish();
-        let map = page_update_map(&t, &layout, 4096);
-        // Every processor touches every one of the 4 pages.
-        for pages in &map {
-            assert_eq!(pages.len(), 4);
-        }
-        // Block assignment instead: each processor's writes stay on ~1 page.
-        let mut b = TraceBuilder::new(layout.clone(), 4);
-        for p in 0..4 {
-            for k in 0..(n / 4) {
-                b.write(p, p * (n / 4) + k);
-            }
-        }
-        b.barrier();
-        let t = b.finish();
-        let map = page_update_map(&t, &layout, 4096);
-        for pages in &map {
-            assert!(pages.len() <= 2, "block assignment must stay within 1-2 pages");
-        }
     }
 
     #[test]

@@ -15,7 +15,6 @@ use memsim::{CacheConfig, MultiprocessorSim, SimSink, SinkResult, TlbConfig};
 use reference::{run_trace_folded, ReferenceSim};
 use smtrace::{
     Access, AccessKind, ObjectLayout, ProgramTrace, ShardSet, SyncEvent, TraceBuilder, TraceSink,
-    UnitSetsSink,
 };
 
 /// One randomized trace event: an access, a lock, or a barrier.
@@ -232,35 +231,6 @@ proptest! {
         prop_assert_eq!(access.kind(), kind);
         prop_assert_eq!(access, Access::new(object, kind));
         prop_assert_ne!(Access::read(object), Access::write(object));
-    }
-
-    /// The incremental `UnitSetsSink` reduction equals the materialized per-interval
-    /// `unit_sets` reduction for arbitrary event streams.
-    #[test]
-    fn unit_sets_sink_matches_materialized_reduction(
-        procs in 1usize..5,
-        unit_pick in 0usize..3,
-        events in prop::collection::vec((0usize..100, 0usize..4, 0usize..64, any::<bool>()), 1..300),
-    ) {
-        let unit_bytes = [128usize, 512, 4096][unit_pick];
-        let events = decode_events(events, procs);
-        let layout = ObjectLayout::new(64, 96);
-
-        let mut builder = TraceBuilder::new(layout.clone(), procs);
-        drive(&events, &mut builder);
-        let trace = builder.finish();
-
-        let mut sink = UnitSetsSink::new(layout.clone(), procs, unit_bytes);
-        drive(&events, &mut sink);
-        let streamed = sink.finish();
-
-        prop_assert_eq!(trace.intervals.len(), streamed.len());
-        for (interval, stream) in trace.intervals.iter().zip(&streamed) {
-            prop_assert_eq!(interval.unit_sets(&layout, unit_bytes), stream.per_proc.clone());
-            prop_assert_eq!(interval.lock_acquisitions.clone(), stream.lock_acquisitions.clone());
-            let lens: Vec<u64> = interval.accesses.iter().map(|s| s.len() as u64).collect();
-            prop_assert_eq!(lens, stream.accesses.clone());
-        }
     }
 }
 

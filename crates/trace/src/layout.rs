@@ -8,25 +8,6 @@
 //! virtual-memory pages.  `ObjectLayout` performs the index → address → unit arithmetic
 //! all analyses share.
 
-/// The granularity at which a shared-memory system keeps data coherent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ConsistencyGranularity {
-    /// A hardware cache line of the given size in bytes (e.g. 128 for the Origin 2000).
-    CacheLine(usize),
-    /// A virtual-memory page of the given size in bytes (e.g. 4096 or 8192 for the
-    /// software DSM cluster, 16384 for the Origin 2000's TLB).
-    Page(usize),
-}
-
-impl ConsistencyGranularity {
-    /// The unit size in bytes.
-    pub fn bytes(self) -> usize {
-        match self {
-            ConsistencyGranularity::CacheLine(b) | ConsistencyGranularity::Page(b) => b,
-        }
-    }
-}
-
 /// Layout of an object array in the shared address space.
 ///
 /// Objects are assumed to be stored contiguously starting at `base_offset` bytes from
@@ -200,12 +181,6 @@ mod tests {
         let layout = ObjectLayout::new(0, 96);
         assert_eq!(layout.num_units(4096), 0);
         assert_eq!(layout.objects_in_unit(0, 4096), 0..0);
-    }
-
-    #[test]
-    fn granularity_reports_bytes() {
-        assert_eq!(ConsistencyGranularity::CacheLine(128).bytes(), 128);
-        assert_eq!(ConsistencyGranularity::Page(8192).bytes(), 8192);
     }
 
     #[test]

@@ -27,10 +27,9 @@
 //! * [`TraceBuilder`] / [`ProgramTrace`] — the materializing sink: per-processor,
 //!   per-interval access streams separated by barriers (and annotated with lock
 //!   acquisitions), kept for analyses that re-read the trace under several layouts;
-//! * [`UnitAccessSets`] / [`UnitSetsSink`] — reduction of an interval's accesses to
+//! * [`UnitAccessSets`] — reduction of a processor's accesses to
 //!   per-consistency-unit read/write sets (the quantity false sharing is defined
-//!   over) held as [`DenseSet`] bitsets, available both from a materialized interval
-//!   and incrementally from the stream.
+//!   over) held as [`DenseSet`] bitsets, folded in one access at a time.
 //!
 //! The benchmark applications (`nbody`, `molecular`, `unstructured`) are written so that
 //! the *same* partitioned computation both runs in parallel with rayon (for wall-clock
@@ -70,8 +69,8 @@ pub mod sink;
 pub mod trace;
 
 pub use access::{Access, AccessKind};
-pub use layout::{ConsistencyGranularity, ObjectLayout};
+pub use layout::ObjectLayout;
 pub use sets::{DenseSet, SharingHistogram, UnitAccessSets};
 pub use shard::{Shard, ShardSet};
-pub use sink::{IntervalUnitSets, NullSink, TeeSink, TraceSink, UnitSetsSink};
+pub use sink::{NullSink, TeeSink, TraceSink};
 pub use trace::{IntervalTrace, ProgramTrace, SyncEvent, TraceBuilder};

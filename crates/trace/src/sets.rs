@@ -145,18 +145,8 @@ pub struct UnitAccessSets {
 }
 
 impl UnitAccessSets {
-    /// Build the sets from an ordered access stream.  An object that straddles several
-    /// units contributes every unit it overlaps.
-    pub fn from_accesses(accesses: &[Access], layout: &ObjectLayout, unit_bytes: usize) -> Self {
-        let mut sets = UnitAccessSets::default();
-        for &a in accesses {
-            sets.add(a, layout, unit_bytes);
-        }
-        sets
-    }
-
-    /// Fold one access into the sets (the incremental form used by the streaming
-    /// [`crate::UnitSetsSink`]; [`UnitAccessSets::from_accesses`] is a loop over this).
+    /// Fold one access into the sets.  An object that straddles several units
+    /// contributes every unit it overlaps.
     #[inline]
     pub fn add(&mut self, a: Access, layout: &ObjectLayout, unit_bytes: usize) {
         let (first, last) = layout.units_of(a.object(), unit_bytes);
@@ -185,16 +175,6 @@ impl UnitAccessSets {
         touched.union_with(&self.write_units);
         touched
     }
-
-    /// Whether the processor wrote unit `unit`.
-    pub fn wrote_unit(&self, unit: usize) -> bool {
-        self.write_units.contains(unit)
-    }
-
-    /// Whether the processor read unit `unit`.
-    pub fn read_unit(&self, unit: usize) -> bool {
-        self.read_units.contains(unit)
-    }
 }
 
 /// Per-unit sharing statistics for one interval (or aggregated over a whole trace):
@@ -202,8 +182,6 @@ impl UnitAccessSets {
 /// whether the sharing is *false* (writers touch disjoint objects) or true.
 #[derive(Debug, Clone)]
 pub struct SharingHistogram {
-    /// Number of consistency units analysed.
-    pub num_units: usize,
     /// `sharers[u]` = number of processors that read or wrote unit `u`.
     pub sharers: Vec<u32>,
     /// `writers[u]` = number of processors that wrote unit `u`.
@@ -246,32 +224,7 @@ impl SharingHistogram {
         }
         let falsely_shared =
             (0..num_units).map(|u| writers[u] >= 2 && !truly_shared.contains(u)).collect();
-        SharingHistogram { num_units, sharers, writers, falsely_shared }
-    }
-
-    /// Average number of processors sharing a unit, over units touched by at least one
-    /// processor (the paper's "average number of processors sharing a page").
-    pub fn mean_sharers(&self) -> f64 {
-        let touched: Vec<u32> = self.sharers.iter().copied().filter(|&s| s > 0).collect();
-        if touched.is_empty() {
-            return 0.0;
-        }
-        touched.iter().map(|&s| f64::from(s)).sum::<f64>() / touched.len() as f64
-    }
-
-    /// Number of units shared (touched by ≥2 processors) at all.
-    pub fn shared_units(&self) -> usize {
-        self.sharers.iter().filter(|&&s| s >= 2).count()
-    }
-
-    /// Number of units that are write-shared (written by ≥1 and touched by ≥2).
-    pub fn write_shared_units(&self) -> usize {
-        (0..self.num_units).filter(|&u| self.sharers[u] >= 2 && self.writers[u] >= 1).count()
-    }
-
-    /// Number of units flagged as falsely shared.
-    pub fn falsely_shared_units(&self) -> usize {
-        self.falsely_shared.iter().filter(|&&f| f).count()
+        SharingHistogram { sharers, writers, falsely_shared }
     }
 }
 
@@ -282,6 +235,15 @@ mod tests {
     fn layout() -> ObjectLayout {
         // 8 objects of 64 bytes per 512-byte unit.
         ObjectLayout::new(64, 64)
+    }
+
+    /// The sets of one processor's ordered access stream.
+    fn sets_of(accesses: &[Access], layout: &ObjectLayout, unit_bytes: usize) -> UnitAccessSets {
+        let mut sets = UnitAccessSets::default();
+        for &a in accesses {
+            sets.add(a, layout, unit_bytes);
+        }
+        sets
     }
 
     #[test]
@@ -332,11 +294,11 @@ mod tests {
     fn sets_classify_reads_and_writes() {
         let l = layout();
         let accesses = vec![Access::read(0), Access::write(9), Access::read(17)];
-        let sets = UnitAccessSets::from_accesses(&accesses, &l, 512);
-        assert!(sets.read_unit(0));
-        assert!(sets.wrote_unit(1));
-        assert!(sets.read_unit(2));
-        assert!(!sets.wrote_unit(0));
+        let sets = sets_of(&accesses, &l, 512);
+        assert!(sets.read_units.contains(0));
+        assert!(sets.write_units.contains(1));
+        assert!(sets.read_units.contains(2));
+        assert!(!sets.write_units.contains(0));
         assert_eq!(sets.touched_units().len(), 3);
     }
 
@@ -344,30 +306,29 @@ mod tests {
     fn straddling_object_touches_every_overlapped_unit() {
         // 680-byte objects over 512-byte units: object 0 covers units 0 and 1.
         let l = ObjectLayout::new(4, 680);
-        let sets = UnitAccessSets::from_accesses(&[Access::write(0)], &l, 512);
-        assert!(sets.wrote_unit(0));
-        assert!(sets.wrote_unit(1));
+        let sets = sets_of(&[Access::write(0)], &l, 512);
+        assert!(sets.write_units.contains(0));
+        assert!(sets.write_units.contains(1));
     }
 
     #[test]
     fn false_sharing_detected_when_writers_touch_disjoint_objects() {
         let l = layout();
         // Two processors write different objects in the same unit.
-        let p0 = UnitAccessSets::from_accesses(&[Access::write(0)], &l, 512);
-        let p1 = UnitAccessSets::from_accesses(&[Access::write(1)], &l, 512);
+        let p0 = sets_of(&[Access::write(0)], &l, 512);
+        let p1 = sets_of(&[Access::write(1)], &l, 512);
         let h = SharingHistogram::from_unit_sets(&[p0, p1], l.num_units(512));
         assert_eq!(h.sharers[0], 2);
         assert_eq!(h.writers[0], 2);
-        assert!(h.falsely_shared[0]);
-        assert_eq!(h.falsely_shared_units(), 1);
+        assert_eq!(h.falsely_shared, [true, false, false, false, false, false, false, false]);
     }
 
     #[test]
     fn true_sharing_is_not_flagged_as_false_sharing() {
         let l = layout();
         // Both processors access the *same* object, one writes it: true sharing.
-        let p0 = UnitAccessSets::from_accesses(&[Access::write(3)], &l, 512);
-        let p1 = UnitAccessSets::from_accesses(&[Access::read(3)], &l, 512);
+        let p0 = sets_of(&[Access::write(3)], &l, 512);
+        let p1 = sets_of(&[Access::read(3)], &l, 512);
         let h = SharingHistogram::from_unit_sets(&[p0, p1], l.num_units(512));
         assert_eq!(h.sharers[0], 2);
         assert!(!h.falsely_shared[0]);
@@ -376,25 +337,23 @@ mod tests {
     #[test]
     fn read_only_sharing_is_not_false_sharing() {
         let l = layout();
-        let p0 = UnitAccessSets::from_accesses(&[Access::read(0)], &l, 512);
-        let p1 = UnitAccessSets::from_accesses(&[Access::read(1)], &l, 512);
+        let p0 = sets_of(&[Access::read(0)], &l, 512);
+        let p1 = sets_of(&[Access::read(1)], &l, 512);
         let h = SharingHistogram::from_unit_sets(&[p0, p1], l.num_units(512));
         assert_eq!(h.sharers[0], 2);
         assert_eq!(h.writers[0], 0);
         assert!(!h.falsely_shared[0]);
-        assert_eq!(h.write_shared_units(), 0);
     }
 
     #[test]
-    fn mean_sharers_ignores_untouched_units() {
+    fn untouched_units_have_no_sharers() {
         let l = ObjectLayout::new(64, 64); // 8 units of 512 B
-        let p0 = UnitAccessSets::from_accesses(&[Access::write(0)], &l, 512);
-        let p1 = UnitAccessSets::from_accesses(&[Access::write(1)], &l, 512);
-        let p2 = UnitAccessSets::from_accesses(&[Access::write(63)], &l, 512);
+        let p0 = sets_of(&[Access::write(0)], &l, 512);
+        let p1 = sets_of(&[Access::write(1)], &l, 512);
+        let p2 = sets_of(&[Access::write(63)], &l, 512);
         let h = SharingHistogram::from_unit_sets(&[p0, p1, p2], l.num_units(512));
-        // Unit 0 has 2 sharers, unit 7 has 1; mean over touched units = 1.5.
-        assert!((h.mean_sharers() - 1.5).abs() < 1e-12);
-        assert_eq!(h.shared_units(), 1);
+        assert_eq!(h.sharers, [2, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(h.writers, h.sharers);
     }
 
     #[test]
@@ -403,12 +362,11 @@ mod tests {
         let per_proc: Vec<UnitAccessSets> = (0..8)
             .map(|p| {
                 let accesses: Vec<Access> = (0..8).map(|i| Access::write(p * 8 + i)).collect();
-                UnitAccessSets::from_accesses(&accesses, &l, 512)
+                sets_of(&accesses, &l, 512)
             })
             .collect();
         let h = SharingHistogram::from_unit_sets(&per_proc, l.num_units(512));
-        assert_eq!(h.shared_units(), 0);
-        assert_eq!(h.falsely_shared_units(), 0);
-        assert!((h.mean_sharers() - 1.0).abs() < 1e-12);
+        assert_eq!(h.sharers, [1; 8]);
+        assert_eq!(h.falsely_shared, [false; 8]);
     }
 }

@@ -15,7 +15,7 @@
 //!   synchronization interval with a barrier.
 //!
 //! Determinism argument: every sink in this workspace ([`crate::TraceBuilder`],
-//! [`crate::UnitSetsSink`], the simulator and page-history sinks) keys its state on
+//! the simulator, page-history and unit-set sinks) keys its state on
 //! *(processor, interval)* — the cross-processor interleaving of `record` calls inside
 //! one interval is never observable, only each processor's own access order is.  A
 //! task that appends its processor's accesses in the same order the serial loop would

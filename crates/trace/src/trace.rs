@@ -10,7 +10,6 @@
 
 use crate::access::Access;
 use crate::layout::ObjectLayout;
-use crate::sets::UnitAccessSets;
 use crate::sink::TraceSink;
 
 /// A synchronization event separating intervals.
@@ -56,15 +55,6 @@ impl IntervalTrace {
     pub fn is_empty(&self) -> bool {
         self.accesses.iter().all(Vec::is_empty) && self.lock_acquisitions.iter().all(|&l| l == 0)
     }
-
-    /// Reduce this interval to per-processor read/write sets over consistency units of
-    /// `unit_bytes` bytes (the representation the DSM protocol simulators work on).
-    pub fn unit_sets(&self, layout: &ObjectLayout, unit_bytes: usize) -> Vec<UnitAccessSets> {
-        self.accesses
-            .iter()
-            .map(|stream| UnitAccessSets::from_accesses(stream, layout, unit_bytes))
-            .collect()
-    }
 }
 
 /// A complete traced execution: the object-array layout plus every interval.
@@ -95,12 +85,6 @@ impl ProgramTrace {
         self.intervals.iter().flat_map(|i| i.lock_acquisitions.iter()).map(|&l| u64::from(l)).sum()
     }
 
-    /// The ordered access stream of processor `p` across the whole program (intervals
-    /// concatenated); used by the per-processor cache and TLB simulations.
-    pub fn processor_stream(&self, p: usize) -> impl Iterator<Item = Access> + '_ {
-        self.intervals.iter().flat_map(move |i| i.accesses[p].iter().copied())
-    }
-
     /// Replay this materialized trace into a [`TraceSink`], reproducing the event
     /// stream that built it: per-processor access batches and lock acquisitions per
     /// interval, a `barrier` for every barrier-closed interval, and **no** barrier for
@@ -108,9 +92,8 @@ impl ProgramTrace {
     ///
     /// Feeding a `TraceBuilder` therefore reconstructs an equivalent trace, and feeding
     /// a streaming reducer (a simulator sink or a page-history sink) yields exactly the
-    /// counters the streaming application path would produce — which is how the replay
-    /// benches time the streaming paths in isolation and how the equivalence suites
-    /// pin streamed and materialized reductions to each other.
+    /// counters the streaming application path would produce — which is how the
+    /// equivalence suites pin streamed and materialized reductions to each other.
     ///
     /// Lock identities are not stored in the trace (only per-processor counts), so
     /// replayed acquisitions all use lock id 0; every current sink ignores the id.
@@ -301,20 +284,6 @@ mod tests {
         let t = b.finish();
         assert_eq!(t.intervals[0].lock_acquisitions, vec![2, 0, 1]);
         assert_eq!(t.num_lock_acquisitions(), 3);
-    }
-
-    #[test]
-    fn processor_stream_concatenates_intervals_in_order() {
-        let mut b = TraceBuilder::new(small_layout(), 2);
-        b.read(0, 1);
-        b.barrier();
-        b.write(0, 2);
-        b.read(0, 3);
-        b.barrier();
-        let t = b.finish();
-        let stream: Vec<Access> = t.processor_stream(0).collect();
-        assert_eq!(stream, vec![Access::read(1), Access::write(2), Access::read(3)]);
-        assert_eq!(t.processor_stream(1).count(), 0);
     }
 
     #[test]
