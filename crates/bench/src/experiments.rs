@@ -42,7 +42,12 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
         aliases: &["t1", "table1_apps"],
         title: "Table 1: applications, inputs, synchronization (b=barrier, l=lock), object sizes",
         columns: &["app", "paper_input", "run_objects", "run_iterations", "sync", "object_bytes", "category"],
-        notes: &["Paper sizes are selected with --scale paper; the run_* columns show this run."],
+        notes: &[
+            "Paper sizes are selected with --scale paper; the run_* columns show this run.",
+            "sync describes the paper's programs: these traces hold barriers only, and the \
+             TreadMarks/HLRC models charge barrier messages and barrier_time per interval, \
+             no lock traffic (DESIGN.md §4).",
+        ],
         run: run_table1,
     },
     ExperimentSpec {

@@ -6,9 +6,11 @@
 //! counters, bit-identical [`dsm::DsmRunResult`]s, and bit-identical final application
 //! state (so multi-iteration runs cannot drift apart through the physics).
 //!
-//! Each driven run feeds one tee of three consumers at once — a materializing
-//! [`TraceBuilder`], a streaming [`SimSink`] and a streaming [`PageHistorySink`] — so
-//! the comparison covers the raw event stream and both downstream reductions.
+//! Each sharded run feeds one tee of three consumers at once — a materializing
+//! [`TraceBuilder`], a streaming [`SimSink`] and a streaming [`PageHistorySink`]; each
+//! serial run records into a [`TraceBuilder`] and replays the finished trace into the
+//! other two — so the comparison covers the raw access streams and both downstream
+//! reductions.
 
 use proptest::prelude::*;
 
@@ -23,17 +25,37 @@ use unstructured::{Unstructured, UnstructuredParams};
 /// object sizes like Water's 680 B are exercised).
 const PAGE_BYTES: usize = 1024;
 
-/// Drive one traced run into all three consumers and collect their reductions.
-fn run_instrumented<F>(
+type Reductions = (ProgramTrace, SinkResult, PageWriteHistory);
+
+fn sim_sink(layout: &ObjectLayout, procs: usize) -> SimSink {
+    SimSink::new(OriginPreset::origin2000(procs).build_machine(), layout.clone())
+}
+
+/// Record one serial run into a builder, then replay the trace into the two
+/// streaming consumers.
+fn run_serial(
     layout: &ObjectLayout,
     procs: usize,
-    drive: F,
-) -> (ProgramTrace, SinkResult, PageWriteHistory)
+    record: impl FnOnce(&mut TraceBuilder),
+) -> Reductions {
+    let mut builder = TraceBuilder::new(layout.clone(), procs);
+    record(&mut builder);
+    let trace = builder.finish();
+    let mut sim = sim_sink(layout, procs);
+    let mut hist = PageHistorySink::new(layout.clone(), procs, PAGE_BYTES);
+    trace.replay_into(&mut sim);
+    trace.replay_into(&mut hist);
+    (trace, sim.finish(), hist.finish())
+}
+
+/// Stream one sharded run into all three consumers at once and collect their
+/// reductions.
+fn run_sharded<F>(layout: &ObjectLayout, procs: usize, drive: F) -> Reductions
 where
     F: for<'a, 'b> FnOnce(&mut TeeSink<'a, TraceBuilder, TeeSink<'b, SimSink, PageHistorySink>>),
 {
     let mut builder = TraceBuilder::new(layout.clone(), procs);
-    let mut sim = SimSink::new(OriginPreset::origin2000(procs).build_machine(), layout.clone());
+    let mut sim = sim_sink(layout, procs);
     let mut hist = PageHistorySink::new(layout.clone(), procs, PAGE_BYTES);
     {
         let mut inner = TeeSink::new(&mut sim, &mut hist);
@@ -45,11 +67,7 @@ where
 
 /// Assert every reduction of the two runs is identical, including the DSM protocol
 /// results computed from the two histories.
-fn assert_reductions_match(
-    serial: (ProgramTrace, SinkResult, PageWriteHistory),
-    sharded: (ProgramTrace, SinkResult, PageWriteHistory),
-    procs: usize,
-) {
+fn assert_reductions_match(serial: Reductions, sharded: Reductions, procs: usize) {
     assert_eq!(serial.0, sharded.0, "traces diverged");
     assert_eq!(serial.1, sharded.1, "simulator counters diverged");
     assert_eq!(serial.2, sharded.2, "page histories diverged");
@@ -71,12 +89,12 @@ proptest! {
         let mut serial = BarnesHut::two_plummer(n, seed, params);
         let mut sharded = serial.clone();
         let layout = serial.layout();
-        let a = run_instrumented(&layout, procs, |sink| {
+        let a = run_serial(&layout, procs, |builder| {
             for _ in 0..iters {
-                serial.step_traced(procs, sink);
+                serial.step_traced(procs, builder);
             }
         });
-        let b = run_instrumented(&layout, procs, |sink| sharded.stream_iterations(iters, sink));
+        let b = run_sharded(&layout, procs, |sink| sharded.stream_iterations(iters, sink));
         assert_reductions_match(a, b, procs);
         for (x, y) in serial.bodies.iter().zip(&sharded.bodies) {
             prop_assert_eq!(x.pos.x.to_bits(), y.pos.x.to_bits());
@@ -98,13 +116,13 @@ proptest! {
             let mut serial = Fmm::two_plummer(n, seed, params);
             let mut sharded = serial.clone();
             let layout = serial.layout();
-            let a = run_instrumented(&layout, procs, |sink| {
+            let a = run_serial(&layout, procs, |builder| {
                 for _ in 0..iters {
-                    serial.step_traced(procs, sink);
+                    serial.step_traced(procs, builder);
                 }
             });
             let b =
-                run_instrumented(&layout, procs, |sink| sharded.stream_iterations(iters, sink));
+                run_sharded(&layout, procs, |sink| sharded.stream_iterations(iters, sink));
             assert_reductions_match(a, b, procs);
             for (x, y) in serial.bodies.iter().zip(&sharded.bodies) {
                 prop_assert_eq!(bits(x.pos), bits(y.pos));
@@ -124,12 +142,12 @@ proptest! {
         let mut serial = WaterSpatial::lattice(n, seed, params);
         let mut sharded = serial.clone();
         let layout = serial.layout();
-        let a = run_instrumented(&layout, procs, |sink| {
+        let a = run_serial(&layout, procs, |builder| {
             for _ in 0..iters {
-                serial.step_traced(procs, sink);
+                serial.step_traced(procs, builder);
             }
         });
-        let b = run_instrumented(&layout, procs, |sink| sharded.stream_steps(iters, sink));
+        let b = run_sharded(&layout, procs, |sink| sharded.stream_steps(iters, sink));
         assert_reductions_match(a, b, procs);
         for (x, y) in serial.molecules.iter().zip(&sharded.molecules) {
             prop_assert_eq!(x.atom_pos[0][0].to_bits(), y.atom_pos[0][0].to_bits());
@@ -146,12 +164,12 @@ proptest! {
         let mut serial = Moldyn::lattice(n, seed, params);
         let mut sharded = serial.clone();
         let layout = serial.layout();
-        let a = run_instrumented(&layout, procs, |sink| {
+        let a = run_serial(&layout, procs, |builder| {
             for _ in 0..iters {
-                serial.step_traced(procs, sink);
+                serial.step_traced(procs, builder);
             }
         });
-        let b = run_instrumented(&layout, procs, |sink| sharded.stream_steps(iters, sink));
+        let b = run_sharded(&layout, procs, |sink| sharded.stream_steps(iters, sink));
         assert_reductions_match(a, b, procs);
         prop_assert_eq!(&serial.pairs, &sharded.pairs);
         for (x, y) in serial.molecules.iter().zip(&sharded.molecules) {
@@ -170,12 +188,12 @@ proptest! {
         let mut serial = Unstructured::generated(n, seed, UnstructuredParams::default());
         let mut sharded = serial.clone();
         let layout = serial.layout();
-        let a = run_instrumented(&layout, procs, |sink| {
+        let a = run_serial(&layout, procs, |builder| {
             for _ in 0..iters {
-                serial.sweep_traced(procs, sink);
+                serial.sweep_traced(procs, builder);
             }
         });
-        let b = run_instrumented(&layout, procs, |sink| sharded.stream_sweeps(iters, sink));
+        let b = run_sharded(&layout, procs, |sink| sharded.stream_sweeps(iters, sink));
         assert_reductions_match(a, b, procs);
         for (x, y) in serial.nodes.iter().zip(&sharded.nodes) {
             prop_assert_eq!(x.value.to_bits(), y.value.to_bits());
@@ -200,9 +218,9 @@ proptest! {
         let mut serial = BarnesHut::two_plummer(n, seed, params);
         let mut sharded = serial.clone();
         let layout = serial.layout();
-        let a = run_instrumented(&layout, procs, |sink| serial.step_traced(procs, sink));
+        let a = run_serial(&layout, procs, |builder| serial.step_traced(procs, builder));
         let b = rayon::with_num_threads(threads, || {
-            run_instrumented(&layout, procs, |sink| sharded.stream_iterations(1, sink))
+            run_sharded(&layout, procs, |sink| sharded.stream_iterations(1, sink))
         });
         assert_reductions_match(a, b, procs);
     }
@@ -216,9 +234,9 @@ proptest! {
         let mut serial = Unstructured::generated(n, seed, UnstructuredParams::default());
         let mut sharded = serial.clone();
         let layout = serial.layout();
-        let a = run_instrumented(&layout, procs, |sink| serial.sweep_traced(procs, sink));
+        let a = run_serial(&layout, procs, |builder| serial.sweep_traced(procs, builder));
         let b = rayon::with_num_threads(threads, || {
-            run_instrumented(&layout, procs, |sink| sharded.stream_sweeps(1, sink))
+            run_sharded(&layout, procs, |sink| sharded.stream_sweeps(1, sink))
         });
         assert_reductions_match(a, b, procs);
     }

@@ -4,7 +4,7 @@
 //! the 100 Mb/s Ethernet cluster of 300 MHz Pentium II machines:
 //!
 //! * round-trip latency for a 1-byte message: 126 µs;
-//! * lock acquisition: 178 – 272 µs;
+//! * lock acquisition: 178 – 272 µs (not modelled: the traces hold barriers only);
 //! * 16-processor barrier: 643 µs;
 //! * fetching a diff: 313 – 1 544 µs depending on size;
 //! * fetching a full page: 1 308 µs.
@@ -24,8 +24,6 @@ use crate::treadmarks::barrier_messages;
 pub struct NetworkCostModel {
     /// Round-trip time of a small control message (seconds).
     pub small_message_rtt: f64,
-    /// Time to acquire a remote lock (seconds).
-    pub lock_time: f64,
     /// Time for a full barrier across all processors (seconds).
     pub barrier_time: f64,
     /// Fixed cost of fetching one diff (seconds).
@@ -44,7 +42,6 @@ impl Default for NetworkCostModel {
         // slope = (1544 - 313) µs / 4096 B ≈ 0.3 µs per byte.
         NetworkCostModel {
             small_message_rtt: 126e-6,
-            lock_time: 225e-6,
             barrier_time: 643e-6,
             diff_base: 313e-6,
             diff_per_byte: (1544e-6 - 313e-6) / 4096.0,
@@ -68,7 +65,7 @@ pub struct TimeEstimate {
 
 impl NetworkCostModel {
     /// Communication + synchronization time of one processor, given its statistics and
-    /// the global barrier count.
+    /// the global barrier count (barriers are the only synchronization traced).
     pub fn proc_comm_time(&self, stats: &ProcStats, barriers: u64, num_procs: usize) -> f64 {
         // Diff fetches: we know the number of exchanges and the total bytes received.
         // Charge the base cost per exchange plus the per-byte cost of the data.
@@ -78,13 +75,12 @@ impl NetworkCostModel {
         } else {
             0.0
         };
-        let lock_time = stats.lock_acquires as f64 * self.lock_time;
         // Barriers are global; every processor waits for them.  The barrier cost grows
         // roughly linearly with the number of participants; scale the measured
         // 16-processor number.
         let barrier_time =
             barriers as f64 * self.barrier_time * (num_procs as f64 / 16.0).max(0.25);
-        diff_time + lock_time + barrier_time
+        diff_time + barrier_time
     }
 
     /// Communication time where every fetch exchange is a full-page fetch (HLRC).
@@ -94,10 +90,9 @@ impl NetworkCostModel {
         // the wire time of the diff bytes.
         let push_time = stats.diffs_sent as f64 * (self.small_message_rtt / 2.0)
             + stats.diff_bytes_sent as f64 * self.diff_per_byte * 0.5;
-        let lock_time = stats.lock_acquires as f64 * self.lock_time;
         let barrier_time =
             barriers as f64 * self.barrier_time * (num_procs as f64 / 16.0).max(0.25);
-        page_time + push_time + lock_time + barrier_time
+        page_time + push_time + barrier_time
     }
 
     /// Estimate sequential time, parallel time and speedup for a protocol run.

@@ -55,8 +55,6 @@ pub struct IntervalPageSets {
     pub reads: Vec<PageRead>,
     /// Pages the processor wrote (diff bytes per page, sorted by page).
     pub writes: Vec<PageWrite>,
-    /// Lock acquisitions performed in the interval.
-    pub lock_acquires: u32,
     /// Number of object accesses (compute-work proxy).
     pub accesses: u64,
 }
@@ -188,7 +186,8 @@ pub fn object_bytes_on_page(
 }
 
 /// The full reduction of a trace: `intervals[t][p]` is processor `p`'s page activity in
-/// interval `t`.
+/// interval `t`.  Every interval ends at a barrier, so the run's barrier count is
+/// `intervals.len()`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageWriteHistory {
     /// Page size in bytes used for the reduction.
@@ -199,8 +198,6 @@ pub struct PageWriteHistory {
     pub num_procs: usize,
     /// Per-interval, per-processor page sets.
     pub intervals: Vec<Vec<IntervalPageSets>>,
-    /// Number of barriers in the trace.
-    pub barriers: u64,
 }
 
 impl PageWriteHistory {
@@ -216,25 +213,15 @@ impl PageWriteHistory {
 
     /// The history of the run cut after its first `len` intervals: exactly what
     /// [`PageWriteHistory::build`] gives for the trace's first `len` intervals, since
-    /// intervals reduce independently and only the last interval of a run can close
-    /// without a barrier.
+    /// intervals reduce independently.
     pub fn prefix(&self, len: usize) -> PageWriteHistory {
         let len = len.min(self.intervals.len());
-        PageWriteHistory {
-            intervals: self.intervals[..len].to_vec(),
-            barriers: self.barriers.min(len as u64),
-            ..*self
-        }
+        PageWriteHistory { intervals: self.intervals[..len].to_vec(), ..*self }
     }
 
     /// Total object accesses performed by processor `p` across the run.
     pub fn proc_accesses(&self, p: usize) -> u64 {
         self.intervals.iter().map(|iv| iv[p].accesses).sum()
-    }
-
-    /// Total lock acquisitions performed by processor `p` across the run.
-    pub fn proc_lock_acquires(&self, p: usize) -> u64 {
-        self.intervals.iter().map(|iv| u64::from(iv[p].lock_acquires)).sum()
     }
 }
 
@@ -252,7 +239,6 @@ mod tests {
         b.write(0, 1);
         b.read(0, 100);
         b.write(1, 64);
-        b.lock(1, 3);
         b.barrier();
         let trace = b.finish();
         let h = PageWriteHistory::build(&trace, &layout, 4096);
@@ -264,10 +250,9 @@ mod tests {
         assert_eq!(p0.write_bytes_on(0), 128);
         assert_eq!(p0.read_objects_on(1), 1);
         assert_eq!(p0.accesses, 3);
-        // Processor 1 wrote one object on page 1 and acquired one lock.
+        // Processor 1 wrote one object on page 1.
         assert_eq!(p1.write_bytes_on(1), 64);
-        assert_eq!(p1.lock_acquires, 1);
-        assert_eq!(h.barriers, 1);
+        assert_eq!(h.intervals.len(), 1);
     }
 
     #[test]
@@ -377,9 +362,9 @@ mod tests {
         b.write(0, 0);
         b.read(1, 70);
         b.barrier();
-        b.lock(1, 4);
+        b.barrier(); // an empty interval
+        b.write(1, 127);
         b.barrier();
-        b.write(1, 127); // trailing End-closed interval
         let trace = b.finish();
         let history = PageWriteHistory::build(&trace, &layout, 4096);
         for len in 0..=trace.intervals.len() {
@@ -390,7 +375,7 @@ mod tests {
             };
             let cut = history.prefix(len);
             assert_eq!(cut, PageWriteHistory::build(&prefix, &layout, 4096), "len {len}");
-            assert_eq!(cut.barriers, len.min(2) as u64);
+            assert_eq!(cut.intervals.len(), len);
         }
     }
 
@@ -399,16 +384,13 @@ mod tests {
         let layout = ObjectLayout::new(64, 64);
         let mut b = TraceBuilder::new(layout.clone(), 2);
         b.write(0, 0);
-        b.lock(0, 1);
         b.barrier();
         b.write(0, 1);
-        b.lock(0, 1);
-        b.lock(0, 2);
+        b.read(0, 2);
         b.barrier();
         let trace = b.finish();
         let h = PageWriteHistory::build(&trace, &layout, 4096);
-        assert_eq!(h.proc_accesses(0), 2);
-        assert_eq!(h.proc_lock_acquires(0), 3);
+        assert_eq!(h.proc_accesses(0), 3);
         assert_eq!(h.proc_accesses(1), 0);
     }
 }

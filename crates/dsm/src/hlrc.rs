@@ -10,7 +10,7 @@
 //!   **eagerly sends it to the page's home** (one message, diff-sized data); the home
 //!   applies it so its copy is always up to date.  Writers that are themselves the home
 //!   of the page apply their changes locally for free.
-//! * Write notices travel with barrier/lock messages; non-home copies of modified pages
+//! * Write notices travel with barrier messages; non-home copies of modified pages
 //!   are invalidated.
 //! * On the first access to an invalidated page, the faulting processor fetches the
 //!   **whole page** from the home: one request/response exchange (2 messages) and
@@ -30,7 +30,7 @@ use smtrace::{ObjectLayout, ProgramTrace};
 
 use crate::history::PageWriteHistory;
 use crate::protocol::{single_proc_result, DsmConfig, DsmRunResult, DsmStats, ProcStats, Protocol};
-use crate::treadmarks::{barrier_messages, WriteTimeline, LOCK_MESSAGES};
+use crate::treadmarks::{barrier_messages, WriteTimeline};
 
 /// The HLRC-like protocol simulator.
 #[derive(Debug, Clone)]
@@ -79,7 +79,6 @@ impl HlrcSim {
         for (t, interval) in history.intervals.iter().enumerate() {
             let sets = &interval[proc];
             stats.accesses += sets.accesses;
-            stats.lock_acquires += u64::from(sets.lock_acquires);
             // Phase 1: page faults for this interval's accesses (reads and writes both
             // need an up-to-date copy under the invalidate protocol).
             for page in sets.touched_pages() {
@@ -118,7 +117,6 @@ impl HlrcSim {
                 stats.data_bytes += pw.bytes;
             }
         }
-        stats.messages += LOCK_MESSAGES * stats.lock_acquires;
         stats
     }
 
@@ -126,13 +124,13 @@ impl HlrcSim {
     pub fn run_history(&self, history: &PageWriteHistory) -> DsmRunResult {
         let p = self.config.num_procs;
         assert_eq!(history.num_procs, p, "history and configuration disagree on processor count");
+        let barriers = history.intervals.len() as u64;
         if p == 1 {
             return single_proc_result(
                 Protocol::Hlrc,
                 self.config,
                 history.proc_accesses(0),
-                history.proc_lock_acquires(0),
-                history.barriers,
+                barriers,
             );
         }
 
@@ -142,13 +140,9 @@ impl HlrcSim {
             .map(|proc| self.evaluate_proc(proc, history, &timeline))
             .collect();
 
-        let mut stats = DsmStats {
-            barriers: history.barriers,
-            lock_acquires: per_proc.iter().map(|s| s.lock_acquires).sum(),
-            ..Default::default()
-        };
-        stats.messages = per_proc.iter().map(|s| s.messages).sum::<u64>()
-            + history.barriers * barrier_messages(p);
+        let mut stats = DsmStats { barriers, ..Default::default() };
+        stats.messages =
+            per_proc.iter().map(|s| s.messages).sum::<u64>() + barriers * barrier_messages(p);
         stats.data_bytes = per_proc.iter().map(|s| s.data_bytes).sum();
         stats.remote_faults = per_proc.iter().map(|s| s.remote_faults).sum();
         stats.fetch_exchanges = per_proc.iter().map(|s| s.fetch_exchanges).sum();
@@ -283,7 +277,6 @@ mod tests {
             for k in 0..16 {
                 b.write(p, (p * 37 + k * 11) % 512);
             }
-            b.lock(p, p as u32);
         }
         b.barrier();
         for p in 0..4 {
@@ -296,7 +289,6 @@ mod tests {
         let r = HlrcSim::new(DsmConfig::new(4096, 4)).run(&trace);
         assert!(r.aggregate_consistent());
         assert_eq!(r.stats.barriers, 2);
-        assert_eq!(r.stats.lock_acquires, 4);
     }
 
     /// P=1 is a zero-communication fast path for HLRC as well.
@@ -305,12 +297,11 @@ mod tests {
         let layout = ObjectLayout::new(64, 64);
         let mut b = TraceBuilder::new(layout.clone(), 1);
         b.write(0, 3);
-        b.lock(0, 1);
         b.barrier();
         let trace = b.finish();
         let r = HlrcSim::new(DsmConfig::new(4096, 1)).run(&trace);
         assert_eq!(r.stats.messages, 0);
         assert_eq!(r.stats.data_bytes, 0);
-        assert_eq!(r.stats.lock_acquires, 1);
+        assert_eq!(r.stats.barriers, 1);
     }
 }

@@ -39,7 +39,7 @@ pub struct DsmConfig {
 impl DsmConfig {
     /// Validate a configuration: both fields must be positive.  A one-processor
     /// configuration is legal — the simulators treat it as a zero-communication fast
-    /// path (there is no remote node to exchange diffs, pages, or lock grants with).
+    /// path (there is no remote node to exchange diffs or pages with).
     pub fn try_new(page_bytes: usize, num_procs: usize) -> Result<Self, &'static str> {
         if page_bytes == 0 {
             return Err("page size must be positive");
@@ -86,8 +86,6 @@ pub struct ProcStats {
     pub diffs_sent: u64,
     /// Bytes of diffs this processor produced and transmitted.
     pub diff_bytes_sent: u64,
-    /// Lock acquisitions performed by this processor.
-    pub lock_acquires: u64,
     /// Number of object accesses (compute work proxy, copied from the trace).
     pub accesses: u64,
 }
@@ -107,8 +105,6 @@ pub struct DsmStats {
     pub diffs_created: u64,
     /// Total barriers executed.
     pub barriers: u64,
-    /// Total lock acquisitions.
-    pub lock_acquires: u64,
 }
 
 impl DsmStats {
@@ -146,21 +142,19 @@ impl DsmRunResult {
     }
 }
 
-/// The zero-communication result for a one-processor configuration: compute work,
-/// lock acquisitions and barriers are counted, but no messages, faults or data move —
-/// a single node has nobody to exchange diffs, pages, lock grants or barrier
-/// notifications with.  Both protocol simulators share this path so their P=1
-/// results stay bit-identical.
+/// The zero-communication result for a one-processor configuration: compute work and
+/// barriers are counted, but no messages, faults or data move — a single node has
+/// nobody to exchange diffs, pages or barrier notifications with.  Both protocol
+/// simulators share this path so their P=1 results stay bit-identical.
 pub(crate) fn single_proc_result(
     protocol: Protocol,
     config: DsmConfig,
     accesses: u64,
-    lock_acquires: u64,
     barriers: u64,
 ) -> DsmRunResult {
     debug_assert_eq!(config.num_procs, 1);
-    let per_proc = vec![ProcStats { accesses, lock_acquires, ..Default::default() }];
-    let stats = DsmStats { barriers, lock_acquires, ..Default::default() };
+    let per_proc = vec![ProcStats { accesses, ..Default::default() }];
+    let stats = DsmStats { barriers, ..Default::default() };
     DsmRunResult { protocol, config, stats, per_proc }
 }
 
@@ -202,11 +196,10 @@ mod tests {
 
     #[test]
     fn single_proc_result_is_communication_free() {
-        let r = single_proc_result(Protocol::TreadMarks, DsmConfig::new(4096, 1), 100, 3, 2);
+        let r = single_proc_result(Protocol::TreadMarks, DsmConfig::new(4096, 1), 100, 2);
         assert_eq!(r.stats.messages, 0);
         assert_eq!(r.stats.data_bytes, 0);
         assert_eq!(r.stats.barriers, 2);
-        assert_eq!(r.stats.lock_acquires, 3);
         assert_eq!(r.per_proc[0].accesses, 100);
         assert!(r.aggregate_consistent());
     }

@@ -3,20 +3,20 @@
 //! without ever materializing the trace.
 //!
 //! This is the DSM counterpart of `memsim::SimSink`: the applications' `stream_steps` /
-//! `stream_iterations` / `stream_sweeps` entry points emit accesses, locks and barriers
-//! into the sink, which keeps no per-access state.  Each access sets the object's bit
-//! in its processor's read or write [`DenseSet`] and bumps that processor's access
-//! count.  At every barrier the sink drains each processor's set bits in ascending
-//! order — exactly the distinct, sorted object ids the page reduction needs — zeroing
-//! the words as it goes, and folds them into flat sorted per-page vectors for **each**
+//! `stream_iterations` / `stream_sweeps` entry points hand the sink one closed
+//! synchronization interval at a time, and the sink keeps no per-access state.  For
+//! each processor in turn, every access of its stream sets the object's bit in a read
+//! or write [`DenseSet`]; then the sink drains the set bits in ascending order —
+//! exactly the distinct, sorted object ids the page reduction needs — zeroing the
+//! words as it goes, and folds them into flat sorted per-page vectors for **each**
 //! requested page size, so a single traced run can be evaluated at the 4 KB DSM page
 //! and the 16 KB hardware page in one pass.
 //!
-//! Cost: one bit-set per access, then per interval one scan of every processor's
+//! Cost: one bit-set per access, then per processor and interval one scan of the
 //! bitsets plus a linear page-emission pass per granularity.  Retained state is two
-//! bitsets of `num_objects` bits per processor (they grow if an object id lies beyond
-//! the layout) plus the histories; the only allocations in steady state are the
-//! per-page vectors stored in the resulting histories.
+//! bitsets of `num_objects` bits, shared by all processors (they grow if an object id
+//! lies beyond the layout), plus the histories; the only allocations in steady state
+//! are the per-page vectors stored in the resulting histories.
 
 use smtrace::{Access, DenseSet, ObjectLayout, TraceSink};
 
@@ -30,40 +30,17 @@ struct GranularityAcc {
     intervals: Vec<Vec<IntervalPageSets>>,
 }
 
-/// One processor's activity in the current (unflushed) interval.
-#[derive(Debug)]
-struct ProcInterval {
-    /// Objects read.
-    reads: DenseSet,
-    /// Objects written.
-    writes: DenseSet,
-    /// Accesses recorded, re-reads and re-writes included.
-    accesses: u64,
-    /// Lock acquisitions.
-    locks: u32,
-}
-
-impl ProcInterval {
-    #[inline]
-    fn mark(&mut self, access: Access) {
-        if access.is_write() {
-            self.writes.insert(access.object());
-        } else {
-            self.reads.insert(access.object());
-        }
-    }
-}
-
 /// A [`TraceSink`] that accumulates [`PageWriteHistory`] interval-by-interval, at one
 /// or several page granularities, straight from a streamed trace.
 #[derive(Debug)]
 pub struct PageHistorySink {
     layout: ObjectLayout,
     granularities: Vec<GranularityAcc>,
-    /// Per-processor state of the current interval (drained at every barrier).
-    procs: Vec<ProcInterval>,
-    /// Number of barriers seen.
-    barriers: u64,
+    num_procs: usize,
+    /// Objects the processor being reduced read (empty between reductions).
+    reads: DenseSet,
+    /// Objects the processor being reduced wrote (empty between reductions).
+    writes: DenseSet,
 }
 
 impl PageHistorySink {
@@ -100,15 +77,9 @@ impl PageHistorySink {
                 }
             })
             .collect();
-        let procs = (0..num_procs)
-            .map(|_| ProcInterval {
-                reads: DenseSet::with_capacity(layout.num_objects),
-                writes: DenseSet::with_capacity(layout.num_objects),
-                accesses: 0,
-                locks: 0,
-            })
-            .collect();
-        PageHistorySink { layout, granularities, procs, barriers: 0 }
+        let reads = DenseSet::with_capacity(layout.num_objects);
+        let writes = DenseSet::with_capacity(layout.num_objects);
+        PageHistorySink { layout, granularities, num_procs, reads, writes }
     }
 
     /// The page sizes being accumulated, in construction order.
@@ -116,60 +87,10 @@ impl PageHistorySink {
         self.granularities.iter().map(|g| g.page_bytes).collect()
     }
 
-    /// Whether the current (unflushed) interval holds no events.
-    fn current_is_empty(&self) -> bool {
-        self.procs.iter().all(|p| p.accesses == 0 && p.locks == 0)
-    }
-
-    /// Reduce the current interval into every granularity and reset the per-processor
-    /// state.  The last granularity drains the bitsets; the others only read them.
-    fn flush_interval(&mut self) {
-        let num_procs = self.procs.len();
-        for g in &mut self.granularities {
-            g.intervals.push(Vec::with_capacity(num_procs));
-        }
-        let last = self.granularities.len() - 1;
-        for proc in &mut self.procs {
-            for (i, g) in self.granularities.iter_mut().enumerate() {
-                let mut sets = IntervalPageSets {
-                    lock_acquires: proc.locks,
-                    accesses: proc.accesses,
-                    ..Default::default()
-                };
-                let (layout, page_bytes, num_pages) = (&self.layout, g.page_bytes, g.num_pages);
-                if i < last {
-                    sets.accumulate(
-                        proc.reads.iter(),
-                        proc.writes.iter(),
-                        layout,
-                        page_bytes,
-                        num_pages,
-                    );
-                } else {
-                    sets.accumulate(
-                        proc.reads.drain(),
-                        proc.writes.drain(),
-                        layout,
-                        page_bytes,
-                        num_pages,
-                    );
-                }
-                g.intervals.last_mut().expect("interval pushed above").push(sets);
-            }
-            proc.accesses = 0;
-            proc.locks = 0;
-        }
-    }
-
     /// Finish the stream and return one history per requested granularity, in the order
-    /// the page sizes were given.  A non-empty trailing interval is kept (it is not a
-    /// barrier), exactly like [`smtrace::TraceBuilder::finish`].
-    pub fn finish_all(mut self) -> Vec<PageWriteHistory> {
-        if !self.current_is_empty() {
-            self.flush_interval();
-        }
-        let num_procs = self.procs.len();
-        let barriers = self.barriers;
+    /// the page sizes were given.
+    pub fn finish_all(self) -> Vec<PageWriteHistory> {
+        let num_procs = self.num_procs;
         self.granularities
             .into_iter()
             .map(|g| PageWriteHistory {
@@ -177,7 +98,6 @@ impl PageHistorySink {
                 num_pages: g.num_pages,
                 num_procs,
                 intervals: g.intervals,
-                barriers,
             })
             .collect()
     }
@@ -195,67 +115,78 @@ impl PageHistorySink {
 
 impl TraceSink for PageHistorySink {
     fn num_procs(&self) -> usize {
-        self.procs.len()
+        self.num_procs
     }
 
-    fn record(&mut self, proc: usize, access: Access) {
-        let p = &mut self.procs[proc];
-        p.mark(access);
-        p.accesses += 1;
-    }
-
-    fn lock(&mut self, proc: usize, lock: u32) {
-        let _ = lock;
-        self.procs[proc].locks += 1;
-    }
-
-    fn barrier(&mut self) {
-        // A barrier always closes an interval, even an empty one, mirroring
-        // `TraceBuilder::barrier` so streamed and materialized reductions align.
-        self.flush_interval();
-        self.barriers += 1;
-    }
-
-    fn record_many(&mut self, proc: usize, accesses: &[Access]) {
-        let p = &mut self.procs[proc];
-        for &access in accesses {
-            p.mark(access);
+    /// Reduce the interval into every granularity.  Every interval is kept, even an
+    /// empty one, mirroring `TraceBuilder` so streamed and materialized reductions
+    /// align.  The last granularity drains the bitsets; the others only read them.
+    fn interval(&mut self, streams: &[&[Access]]) {
+        assert_eq!(streams.len(), self.num_procs, "one stream per processor");
+        for g in &mut self.granularities {
+            g.intervals.push(Vec::with_capacity(streams.len()));
         }
-        p.accesses += accesses.len() as u64;
+        let last = self.granularities.len() - 1;
+        let (reads, writes) = (&mut self.reads, &mut self.writes);
+        for stream in streams {
+            for &access in *stream {
+                if access.is_write() {
+                    writes.insert(access.object());
+                } else {
+                    reads.insert(access.object());
+                }
+            }
+            for (i, g) in self.granularities.iter_mut().enumerate() {
+                let mut sets =
+                    IntervalPageSets { accesses: stream.len() as u64, ..Default::default() };
+                let (layout, page_bytes, num_pages) = (&self.layout, g.page_bytes, g.num_pages);
+                if i < last {
+                    sets.accumulate(reads.iter(), writes.iter(), layout, page_bytes, num_pages);
+                } else {
+                    sets.accumulate(reads.drain(), writes.drain(), layout, page_bytes, num_pages);
+                }
+                g.intervals.last_mut().expect("interval pushed above").push(sets);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smtrace::{TeeSink, TraceBuilder};
+    use smtrace::{ProgramTrace, TeeSink, TraceBuilder};
 
     fn layout() -> ObjectLayout {
         ObjectLayout::new(256, 64)
     }
 
-    fn drive(sink: &mut dyn TraceSink) {
-        sink.write(0, 1);
-        sink.write(0, 1);
-        sink.read(1, 65);
-        sink.read(1, 65);
-        sink.lock(2, 5);
-        sink.barrier();
-        sink.read(0, 130);
-        sink.write(2, 130);
-        sink.write(2, 131);
+    /// Two intervals over three processors: re-reads and re-writes, an idle
+    /// processor, and a page written by one processor and read by another.
+    fn trace() -> ProgramTrace {
+        let mut b = TraceBuilder::new(layout(), 3);
+        b.write(0, 1);
+        b.write(0, 1);
+        b.read(1, 65);
+        b.read(1, 65);
+        b.barrier();
+        b.read(0, 130);
+        b.write(2, 130);
+        b.write(2, 131);
+        b.barrier();
+        b.finish()
     }
 
     #[test]
     fn sink_matches_the_materialized_reduction() {
-        let mut builder = TraceBuilder::new(layout(), 3);
+        let trace = trace();
         let mut sink = PageHistorySink::new(layout(), 3, 4096);
-        drive(&mut builder);
-        drive(&mut sink);
-        let trace = builder.finish();
+        trace.replay_into(&mut sink);
         let streamed = sink.finish();
-        let materialized = PageWriteHistory::build(&trace, &layout(), 4096);
-        assert_eq!(streamed, materialized);
+        assert_eq!(streamed.intervals.len(), 2);
+        assert_eq!(streamed.intervals[0][0].accesses, 2);
+        assert_eq!(streamed.intervals[0][0].write_bytes_on(0), 64, "object 1 once");
+        assert_eq!(streamed.intervals[0][2], IntervalPageSets::default(), "idle processor");
+        assert_eq!(streamed, PageWriteHistory::build(&trace, &layout(), 4096));
     }
 
     #[test]
@@ -264,7 +195,7 @@ mod tests {
         let mut sink = PageHistorySink::with_granularities(layout(), 3, &[1024, 4096, 16384]);
         {
             let mut tee = TeeSink::new(&mut builder, &mut sink);
-            drive(&mut tee);
+            trace().replay_into(&mut tee);
         }
         let trace = builder.finish();
         let streamed = sink.finish_all();
@@ -275,26 +206,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_trailing_interval_is_dropped_and_barriers_are_counted() {
+    fn empty_intervals_are_kept() {
         let mut sink = PageHistorySink::new(layout(), 2, 4096);
-        sink.write(0, 1);
-        sink.barrier();
-        sink.barrier(); // empty barrier-closed interval is kept
+        sink.interval(&[&[Access::write(1)], &[]]);
+        sink.interval(&[&[], &[]]);
         let h = sink.finish();
         assert_eq!(h.intervals.len(), 2);
-        assert_eq!(h.barriers, 2);
         assert!(h.intervals[1].iter().all(|s| s.accesses == 0));
-    }
-
-    #[test]
-    fn lock_only_trailing_interval_is_kept() {
-        let mut sink = PageHistorySink::new(layout(), 2, 4096);
-        sink.barrier();
-        sink.lock(1, 9);
-        let h = sink.finish();
-        assert_eq!(h.intervals.len(), 2);
-        assert_eq!(h.barriers, 1, "the trailing interval is closed by End, not a barrier");
-        assert_eq!(h.intervals[1][1].lock_acquires, 1);
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! * During an interval each processor writes its own copy of whatever pages it touches
 //!   (multiple-writer: no communication on writes); at the next synchronization point
 //!   it is understood to have created a *diff* per written page.
-//! * Write notices travel with the barrier/lock messages; pages for which another
+//! * Write notices travel with the barrier messages; pages for which another
 //!   processor holds newer diffs are invalidated.
 //! * On the first access to an invalidated page, the faulting processor requests the
 //!   missing diffs from **every** processor that wrote the page in intervals it has not
 //!   yet seen — one request/response exchange (2 messages) per such writer — and applies
 //!   them.  The data volume is the sum of the diff sizes.
-//! * Barriers cost `2 * (P - 1)` messages (arrival + departure with the manager), locks
-//!   cost 3 messages per acquisition, both as in TreadMarks.
+//! * Barriers cost `2 * (P - 1)` messages (arrival + departure with the manager), as
+//!   in TreadMarks.  The traces hold barriers only, so no lock traffic is modelled.
 //!
 //! The quantities the paper reports (messages, Mbytes) are therefore determined by the
 //! per-interval page write history alone — which is what the simulator consumes.
@@ -41,9 +41,6 @@ use crate::protocol::{single_proc_result, DsmConfig, DsmRunResult, DsmStats, Pro
 pub fn barrier_messages(num_procs: usize) -> u64 {
     2 * (num_procs as u64).saturating_sub(1)
 }
-
-/// Messages per lock acquisition (request, forward to last owner, grant).
-pub const LOCK_MESSAGES: u64 = 3;
 
 /// Per-page write timeline shared by the worker threads: every `(interval, writer,
 /// diff bytes)` triple, grouped by page and sorted by interval (construction order).
@@ -131,7 +128,6 @@ impl TreadMarksSim {
         for (t, interval) in history.intervals.iter().enumerate() {
             let sets = &interval[proc];
             stats.accesses += sets.accesses;
-            stats.lock_acquires += u64::from(sets.lock_acquires);
             // Pages this processor touches in this interval (read or write): it must
             // first validate them by fetching any missing diffs from other writers.
             for page in sets.touched_pages() {
@@ -168,7 +164,6 @@ impl TreadMarksSim {
                 writers.clear();
             }
         }
-        stats.messages += LOCK_MESSAGES * stats.lock_acquires;
         ProcOutcome { stats, served_diffs, served_bytes }
     }
 
@@ -176,13 +171,13 @@ impl TreadMarksSim {
     pub fn run_history(&self, history: &PageWriteHistory) -> DsmRunResult {
         let p = self.config.num_procs;
         assert_eq!(history.num_procs, p, "history and configuration disagree on processor count");
+        let barriers = history.intervals.len() as u64;
         if p == 1 {
             return single_proc_result(
                 Protocol::TreadMarks,
                 self.config,
                 history.proc_accesses(0),
-                history.proc_lock_acquires(0),
-                history.barriers,
+                barriers,
             );
         }
 
@@ -198,13 +193,9 @@ impl TreadMarksSim {
             stats.diff_bytes_sent = outcomes.iter().map(|o| o.served_bytes[proc]).sum();
         }
 
-        let mut stats = DsmStats {
-            barriers: history.barriers,
-            lock_acquires: per_proc.iter().map(|s| s.lock_acquires).sum(),
-            ..Default::default()
-        };
-        stats.messages = per_proc.iter().map(|s| s.messages).sum::<u64>()
-            + history.barriers * barrier_messages(p);
+        let mut stats = DsmStats { barriers, ..Default::default() };
+        stats.messages =
+            per_proc.iter().map(|s| s.messages).sum::<u64>() + barriers * barrier_messages(p);
         stats.data_bytes = per_proc.iter().map(|s| s.data_bytes).sum();
         stats.remote_faults = per_proc.iter().map(|s| s.remote_faults).sum();
         stats.fetch_exchanges = per_proc.iter().map(|s| s.fetch_exchanges).sum();
@@ -328,21 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn locks_add_three_messages_each() {
-        let layout = ObjectLayout::new(64, 64);
-        let mut b = TraceBuilder::new(layout.clone(), 2);
-        b.lock(0, 1);
-        b.lock(1, 1);
-        b.lock(1, 2);
-        b.barrier();
-        let trace = b.finish();
-        let sim = TreadMarksSim::new(DsmConfig::new(4096, 2));
-        let r = sim.run(&trace);
-        assert_eq!(r.stats.lock_acquires, 3);
-        assert_eq!(r.stats.messages, 3 * LOCK_MESSAGES + barrier_messages(2));
-    }
-
-    #[test]
     fn diffs_served_match_diffs_fetched() {
         let layout = ObjectLayout::new(128, 64);
         let mut b = TraceBuilder::new(layout.clone(), 3);
@@ -372,13 +348,12 @@ mod tests {
     }
 
     /// P=1 is a zero-communication fast path: work and synchronization are counted,
-    /// but no messages of any kind (no peers, no lock manager, no barrier manager).
+    /// but no messages of any kind (no peers, no barrier manager).
     #[test]
     fn single_processor_run_is_communication_free() {
         let layout = ObjectLayout::new(64, 64);
         let mut b = TraceBuilder::new(layout.clone(), 1);
         b.write(0, 1);
-        b.lock(0, 7);
         b.barrier();
         b.read(0, 1);
         b.barrier();
@@ -387,7 +362,6 @@ mod tests {
         assert_eq!(r.stats.messages, 0);
         assert_eq!(r.stats.data_bytes, 0);
         assert_eq!(r.stats.barriers, 2);
-        assert_eq!(r.stats.lock_acquires, 1);
         assert_eq!(r.per_proc[0].accesses, 2);
     }
 }

@@ -88,12 +88,7 @@ proptest! {
         {
             let layout = extended.layout.clone();
             let mut b = TraceBuilder::new(layout, 4);
-            for interval in &trace.intervals {
-                for (p, stream) in interval.accesses.iter().enumerate() {
-                    b.record_many(p, stream);
-                }
-                b.barrier();
-            }
+            trace.replay_into(&mut b);
             for o in 0..64 {
                 b.read(3, o);
             }

@@ -2,9 +2,9 @@
 //! [`PageHistorySink`], the materialized [`PageWriteHistory::build`] reduction, and
 //! the map-based serial executable spec in `reference/` must produce bit-identical
 //! histories and [`dsm::DsmRunResult`]s for *any* program — arbitrary access
-//! patterns, straddling object sizes, page sizes, processor counts, locks, partial
-//! trailing intervals, object ids beyond the layout, and any interleaving of the
-//! sink's `record` and `record_many` entry points.
+//! patterns, straddling object sizes, page sizes, processor counts, empty intervals,
+//! object ids beyond the layout, and single accesses, batches and long runs of one
+//! object appended to a processor's shard in any mix.
 
 mod reference;
 
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use dsm::{DsmConfig, HlrcSim, PageHistorySink, PageWriteHistory, TreadMarksSim};
 use reference::{RefIntervalPageSets, RefPageHistory};
-use smtrace::{Access, ObjectLayout, ProgramTrace, TraceBuilder, TraceSink};
+use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 
 /// Object sizes covering the paper's Table 1 plus a page-straddling giant: 32 B mesh
 /// nodes, 104 B bodies, 680 B molecules (straddles every page size used here), and a
@@ -22,35 +22,43 @@ const OBJECT_SIZES: [usize; 4] = [32, 104, 680, 5000];
 /// Page granularities: sub-page consistency units through the DSM 4 KB page.
 const PAGE_SIZES: [usize; 3] = [256, 1024, 4096];
 
-/// One generated program: intervals of (proc, object, is_write) accesses plus
-/// per-interval lock acquisitions, optionally ending in a partial (End-closed)
-/// interval.
-type Program = (Vec<(Vec<(usize, usize, bool)>, Vec<usize>)>, bool);
+/// One generated program: intervals of (proc, object, is_write) accesses.
+type Program = Vec<Vec<(usize, usize, bool)>>;
 
 fn program() -> impl Strategy<Value = Program> {
     let access = (0usize..8, 0usize..1000, any::<bool>());
-    let interval = (prop::collection::vec(access, 0..30), prop::collection::vec(0usize..8, 0..3));
-    (prop::collection::vec(interval, 1..6), any::<bool>())
+    prop::collection::vec(prop::collection::vec(access, 0..30), 1..6)
 }
 
-/// Drive the generated program into any sink, folding raw proc/object draws into the
-/// valid ranges.
-fn drive<S: TraceSink>(sink: &mut S, program: &Program, procs: usize, num_objects: usize) {
-    let (intervals, final_barrier) = program;
-    for (idx, (accesses, locks)) in intervals.iter().enumerate() {
+/// Record the generated program access by access into a builder, folding raw
+/// proc/object draws into the valid ranges.
+fn record(builder: &mut TraceBuilder, program: &Program, procs: usize, num_objects: usize) {
+    for accesses in program {
         for &(p, o, write) in accesses {
             if write {
-                sink.write(p % procs, o % num_objects);
+                builder.write(p % procs, o % num_objects);
             } else {
-                sink.read(p % procs, o % num_objects);
+                builder.read(p % procs, o % num_objects);
             }
         }
-        for &p in locks {
-            sink.lock(p % procs, 0);
+        builder.barrier();
+    }
+}
+
+/// Stream the same program into any sink through a `ShardSet`, one drain per
+/// interval, as the applications do.
+fn drive<S: TraceSink>(sink: &mut S, program: &Program, procs: usize, num_objects: usize) {
+    let mut shards = ShardSet::new(procs);
+    for accesses in program {
+        for &(p, o, write) in accesses {
+            let shard = shards.shard_mut(p % procs);
+            if write {
+                shard.write(o % num_objects);
+            } else {
+                shard.read(o % num_objects);
+            }
         }
-        if idx + 1 < intervals.len() || *final_barrier {
-            sink.barrier();
-        }
+        shards.drain_interval(sink);
     }
 }
 
@@ -63,40 +71,35 @@ const UNIT_SWEEP_BYTES: [usize; 6] = [128, 512, 1024, 4096, 8192, 16384];
 /// layout.
 #[derive(Debug, Clone)]
 enum SinkOp {
-    /// One `record` call.
+    /// One access.
     Record(usize, usize, bool),
-    /// One `record_many` call with a batch of (object, is_write) accesses.
+    /// A batch of (object, is_write) accesses by one processor.
     Many(usize, Vec<(usize, bool)>),
-    /// `count` consecutive accesses of one object, alternating `record` and a
-    /// `record_many` batch (heavy re-reads or re-writes).
+    /// `count` consecutive accesses of one object (heavy re-reads or re-writes).
     Hot(usize, usize, bool, usize),
-    /// One lock acquisition.
-    Lock(usize),
 }
 
-/// Intervals of [`SinkOp`]s (empty and lock-only intervals included), optionally
-/// ending in a partial (End-closed) interval.
-type SinkProgram = (Vec<Vec<SinkOp>>, bool);
+/// Intervals of [`SinkOp`]s, empty intervals included.
+type SinkProgram = Vec<Vec<SinkOp>>;
 
 fn sink_program() -> impl Strategy<Value = SinkProgram> {
     let batch = prop::collection::vec((0usize..1000, any::<bool>()), 0..12);
-    let op = ((0usize..4, 0usize..8), 0usize..1000, any::<bool>(), batch, 1usize..60).prop_map(
+    let op = ((0usize..3, 0usize..8), 0usize..1000, any::<bool>(), batch, 1usize..60).prop_map(
         |((kind, p), o, w, batch, count)| match kind {
             0 => SinkOp::Record(p, o, w),
             1 => SinkOp::Many(p, batch),
-            2 => SinkOp::Hot(p, o, w, count),
-            _ => SinkOp::Lock(p),
+            _ => SinkOp::Hot(p, o, w, count),
         },
     );
-    // One interval in three is empty, one in three lock-only.
-    let interval =
-        (0usize..3, prop::collection::vec(0usize..8, 1..4), prop::collection::vec(op, 1..16))
-            .prop_map(|(kind, locks, ops)| match kind {
-                0 => Vec::new(),
-                1 => locks.into_iter().map(SinkOp::Lock).collect(),
-                _ => ops,
-            });
-    (prop::collection::vec(interval, 1..7), any::<bool>())
+    // One interval in three is empty.
+    let interval = (0usize..3, prop::collection::vec(op, 1..16)).prop_map(|(kind, ops)| {
+        if kind == 0 {
+            Vec::new()
+        } else {
+            ops
+        }
+    });
+    prop::collection::vec(interval, 1..7)
 }
 
 /// The range object ids are drawn from.  `ObjectLayout` debug-asserts that an object
@@ -112,38 +115,35 @@ fn object_id_span(num_objects: usize) -> usize {
     }
 }
 
-/// Drive a [`SinkProgram`] into any sink.
+/// Drive a [`SinkProgram`] into any sink through a `ShardSet`, one drain per interval.
 fn drive_ops<S: TraceSink>(sink: &mut S, program: &SinkProgram, procs: usize, num_objects: usize) {
-    let (intervals, final_barrier) = program;
-    let access = |o: usize, write: bool| {
-        let o = o % object_id_span(num_objects);
+    let span = object_id_span(num_objects);
+    let access = |shards: &mut ShardSet, p: usize, o: usize, write: bool| {
+        let shard = shards.shard_mut(p % procs);
         if write {
-            Access::write(o)
+            shard.write(o % span);
         } else {
-            Access::read(o)
+            shard.read(o % span);
         }
     };
-    for (idx, ops) in intervals.iter().enumerate() {
+    let mut shards = ShardSet::new(procs);
+    for ops in program {
         for op in ops {
             match op {
-                SinkOp::Record(p, o, w) => sink.record(p % procs, access(*o, *w)),
+                SinkOp::Record(p, o, w) => access(&mut shards, *p, *o, *w),
                 SinkOp::Many(p, batch) => {
-                    let batch: Vec<Access> = batch.iter().map(|&(o, w)| access(o, w)).collect();
-                    sink.record_many(p % procs, &batch);
+                    for &(o, w) in batch {
+                        access(&mut shards, *p, o, w);
+                    }
                 }
                 SinkOp::Hot(p, o, w, count) => {
-                    let a = access(*o, *w);
-                    for _ in 0..count / 2 {
-                        sink.record(p % procs, a);
+                    for _ in 0..*count {
+                        access(&mut shards, *p, *o, *w);
                     }
-                    sink.record_many(p % procs, &vec![a; count - count / 2]);
                 }
-                SinkOp::Lock(p) => sink.lock(p % procs, 0),
             }
         }
-        if idx + 1 < intervals.len() || *final_barrier {
-            sink.barrier();
-        }
+        shards.drain_interval(sink);
     }
 }
 
@@ -161,13 +161,11 @@ fn as_reference(history: &PageWriteHistory) -> RefPageHistory {
                     .map(|sets| RefIntervalPageSets {
                         reads: sets.reads.iter().map(|r| (r.page as usize, r.objects)).collect(),
                         writes: sets.writes.iter().map(|w| (w.page as usize, w.bytes)).collect(),
-                        lock_acquires: sets.lock_acquires,
                         accesses: sets.accesses,
                     })
                     .collect()
             })
             .collect(),
-        barriers: history.barriers,
     }
 }
 
@@ -177,8 +175,8 @@ proptest! {
     /// The marking sink, run at all six unit sizes in one pass, equals the map-based
     /// reference reduction at each of them — and so do both protocols over it — for
     /// object ids at and (in release builds) beyond the layout, heavy re-reads and
-    /// re-writes of one object, any mix of `record` and `record_many` on one
-    /// processor, and empty and lock-only intervals.
+    /// re-writes of one object, any mix of single accesses and batches on one
+    /// processor, and empty intervals.
     #[test]
     fn marking_sink_matches_the_reference_at_every_unit_size(
         args in (1usize..5, 0usize..4, 1usize..150, sink_program())
@@ -211,7 +209,7 @@ proptest! {
     }
 
     /// Cutting a history after interval `len` gives exactly the history of the
-    /// trace's first `len` intervals, barrier count included.
+    /// trace's first `len` intervals.
     #[test]
     fn history_prefixes_equal_reductions_of_trace_prefixes(
         args in (1usize..5, 0usize..4, 0usize..3, 1usize..150, sink_program())
@@ -232,7 +230,7 @@ proptest! {
                 intervals: trace.intervals[..len].to_vec(),
             };
             let want = PageWriteHistory::build(&prefix, &layout, page_bytes);
-            prop_assert_eq!(want.barriers, prefix.num_barriers() as u64);
+            prop_assert_eq!(want.intervals.len(), len);
             prop_assert_eq!(history.prefix(len), want);
         }
     }
@@ -252,11 +250,11 @@ proptest! {
         let page_bytes = PAGE_SIZES[page_idx];
         let config = DsmConfig::new(page_bytes, procs);
 
-        // Drive the identical event stream into the materializing builder and the
-        // streaming page-history sink.
+        // Record the program access by access into the materializing builder, and
+        // stream it through shards into the page-history sink.
         let mut builder = TraceBuilder::new(layout.clone(), procs);
         let mut sink = PageHistorySink::new(layout.clone(), procs, page_bytes);
-        drive(&mut builder, &prog, procs, num_objects);
+        record(&mut builder, &prog, procs, num_objects);
         drive(&mut sink, &prog, procs, num_objects);
         let trace = builder.finish();
         let streamed = sink.finish();
@@ -285,7 +283,7 @@ proptest! {
         let layout = ObjectLayout::new(num_objects, OBJECT_SIZES[size_idx]);
         let mut builder = TraceBuilder::new(layout.clone(), procs);
         let mut sink = PageHistorySink::with_granularities(layout.clone(), procs, &PAGE_SIZES);
-        drive(&mut builder, &prog, procs, num_objects);
+        record(&mut builder, &prog, procs, num_objects);
         drive(&mut sink, &prog, procs, num_objects);
         let trace = builder.finish();
         let streamed = sink.finish_all();
@@ -307,7 +305,7 @@ proptest! {
         let layout = ObjectLayout::new(num_objects, object_size);
         let page_bytes = PAGE_SIZES[page_idx];
         let mut builder = TraceBuilder::new(layout.clone(), procs);
-        drive(&mut builder, &prog, procs, num_objects);
+        record(&mut builder, &prog, procs, num_objects);
         let trace = builder.finish();
         let history = PageWriteHistory::build(&trace, &layout, page_bytes);
         for (t, interval) in history.intervals.iter().enumerate() {

@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dsm::treadmarks::{barrier_messages, LOCK_MESSAGES};
+use dsm::treadmarks::barrier_messages;
 use dsm::{object_bytes_on_page, DsmConfig, DsmRunResult, DsmStats, ProcStats, Protocol};
 use smtrace::{ObjectLayout, ProgramTrace};
 
@@ -38,8 +38,6 @@ pub struct RefIntervalPageSets {
     pub reads: BTreeMap<usize, u32>,
     /// Page number → bytes modified on that page.
     pub writes: BTreeMap<usize, u64>,
-    /// Lock acquisitions performed in the interval.
-    pub lock_acquires: u32,
     /// Number of object accesses.
     pub accesses: u64,
 }
@@ -51,10 +49,8 @@ pub struct RefPageHistory {
     pub num_pages: usize,
     /// Number of processors.
     pub num_procs: usize,
-    /// Per-interval, per-processor page sets.
+    /// Per-interval, per-processor page sets; every interval ends at a barrier.
     pub intervals: Vec<Vec<RefIntervalPageSets>>,
-    /// Number of barriers in the trace.
-    pub barriers: u64,
 }
 
 impl RefPageHistory {
@@ -68,7 +64,6 @@ impl RefPageHistory {
             for (p, stream) in interval.accesses.iter().enumerate() {
                 let sets = &mut per_proc[p];
                 sets.accesses = stream.len() as u64;
-                sets.lock_acquires = interval.lock_acquisitions[p];
                 // Track distinct objects per page for reads and writes alike, so read
                 // counts and diff bytes both reflect modified/read *objects*, not raw
                 // access counts.
@@ -100,22 +95,16 @@ impl RefPageHistory {
             }
             intervals.push(per_proc);
         }
-        RefPageHistory {
-            num_pages,
-            num_procs: trace.num_procs,
-            intervals,
-            barriers: trace.num_barriers() as u64,
-        }
+        RefPageHistory { num_pages, num_procs: trace.num_procs, intervals }
     }
 }
 
-/// The one-processor result: compute work, lock acquisitions and barriers are counted,
-/// but a single node has nobody to exchange messages, pages or diffs with.
+/// The one-processor result: compute work and barriers are counted, but a single node
+/// has nobody to exchange messages, pages or diffs with.
 fn single_proc(protocol: Protocol, config: DsmConfig, history: &RefPageHistory) -> DsmRunResult {
     let accesses = history.intervals.iter().map(|iv| iv[0].accesses).sum();
-    let lock_acquires = history.intervals.iter().map(|iv| u64::from(iv[0].lock_acquires)).sum();
-    let per_proc = vec![ProcStats { accesses, lock_acquires, ..Default::default() }];
-    let stats = DsmStats { barriers: history.barriers, lock_acquires, ..Default::default() };
+    let per_proc = vec![ProcStats { accesses, ..Default::default() }];
+    let stats = DsmStats { barriers: history.intervals.len() as u64, ..Default::default() };
     DsmRunResult { protocol, config, stats, per_proc }
 }
 
@@ -158,7 +147,6 @@ pub fn run_treadmarks_history(config: DsmConfig, history: &RefPageHistory) -> Ds
         for (proc, sets) in interval.iter().enumerate() {
             let stats = &mut per_proc[proc];
             stats.accesses += sets.accesses;
-            stats.lock_acquires += u64::from(sets.lock_acquires);
             let touched: BTreeSet<usize> =
                 sets.reads.keys().chain(sets.writes.keys()).copied().collect();
             for page in touched {
@@ -190,10 +178,9 @@ pub fn run_treadmarks_history(config: DsmConfig, history: &RefPageHistory) -> Ds
     for proc in 0..p {
         per_proc[proc].diffs_sent = served_diffs[proc];
         per_proc[proc].diff_bytes_sent = served_bytes[proc];
-        per_proc[proc].messages += LOCK_MESSAGES * per_proc[proc].lock_acquires;
     }
 
-    finish(Protocol::TreadMarks, config, history.barriers, per_proc)
+    finish(Protocol::TreadMarks, config, history, per_proc)
 }
 
 /// Run the HLRC-like protocol over a trace with the original serial evaluation.
@@ -228,7 +215,6 @@ pub fn run_hlrc_history(config: DsmConfig, history: &RefPageHistory) -> DsmRunRe
         for (proc, sets) in interval.iter().enumerate() {
             let stats = &mut per_proc[proc];
             stats.accesses += sets.accesses;
-            stats.lock_acquires += u64::from(sets.lock_acquires);
             let touched: BTreeSet<usize> =
                 sets.reads.keys().chain(sets.writes.keys()).copied().collect();
             for page in touched {
@@ -265,24 +251,18 @@ pub fn run_hlrc_history(config: DsmConfig, history: &RefPageHistory) -> DsmRunRe
             }
         }
     }
-    for stats in per_proc.iter_mut() {
-        stats.messages += LOCK_MESSAGES * stats.lock_acquires;
-    }
 
-    finish(Protocol::Hlrc, config, history.barriers, per_proc)
+    finish(Protocol::Hlrc, config, history, per_proc)
 }
 
 fn finish(
     protocol: Protocol,
     config: DsmConfig,
-    barriers: u64,
+    history: &RefPageHistory,
     per_proc: Vec<ProcStats>,
 ) -> DsmRunResult {
-    let mut stats = DsmStats {
-        barriers,
-        lock_acquires: per_proc.iter().map(|s| s.lock_acquires).sum(),
-        ..Default::default()
-    };
+    let barriers = history.intervals.len() as u64;
+    let mut stats = DsmStats { barriers, ..Default::default() };
     stats.messages = per_proc.iter().map(|s| s.messages).sum::<u64>()
         + barriers * barrier_messages(config.num_procs);
     stats.data_bytes = per_proc.iter().map(|s| s.data_bytes).sum();
@@ -298,8 +278,8 @@ mod tests {
     use dsm::{HlrcSim, TreadMarksSim};
     use smtrace::TraceBuilder;
 
-    /// A hand-sized sharing pattern with straddling 680-byte objects, repeated reads
-    /// and locks: the reference must agree with the optimized pipeline bit-for-bit.
+    /// A hand-sized sharing pattern with straddling 680-byte objects and repeated
+    /// reads: the reference must agree with the optimized pipeline bit-for-bit.
     #[test]
     fn reference_matches_the_optimized_pipeline() {
         let layout = ObjectLayout::new(48, 680); // straddles every 4 KB boundary
@@ -308,7 +288,6 @@ mod tests {
             for k in 0..8 {
                 b.write(p, (p * 11 + k * 5) % 48);
             }
-            b.lock(p, p as u32);
         }
         b.barrier();
         for p in 0..4 {
@@ -317,7 +296,8 @@ mod tests {
             }
         }
         b.barrier();
-        b.write(0, 6); // trailing partial interval
+        b.write(0, 6);
+        b.barrier();
         let trace = b.finish();
         let config = DsmConfig::new(4096, 4);
 
@@ -335,7 +315,6 @@ mod tests {
         let layout = ObjectLayout::new(16, 64);
         let mut b = TraceBuilder::new(layout.clone(), 1);
         b.write(0, 1);
-        b.lock(0, 2);
         b.barrier();
         let trace = b.finish();
         let config = DsmConfig::new(4096, 1);

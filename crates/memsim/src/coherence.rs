@@ -36,8 +36,9 @@
 //!
 //! Traces can be replayed from a materialized [`ProgramTrace`]
 //! ([`MultiprocessorSim::run_trace`]) or streamed straight from a running application
-//! through [`SimSink`], which buffers one synchronization interval at a time and never
-//! materializes the whole trace.
+//! through [`SimSink`], which replays each synchronization interval as the producer
+//! hands it over, straight from the producer's buffers, and never materializes the
+//! whole trace.
 //!
 //! The sink's one pass also answers the run on one processor: the [`SinkResult`]
 //! carries the counters of a 1-processor machine that runs each interval's streams
@@ -245,8 +246,11 @@ impl MultiprocessorSim {
         layout: &ObjectLayout,
     ) -> SimulationResult {
         assert_eq!(trace.num_procs, self.num_procs(), "trace and machine sizes differ");
+        let mut streams: Vec<&[Access]> = Vec::with_capacity(trace.num_procs);
         for interval in &trace.intervals {
-            self.run_interval(&interval.accesses, layout);
+            streams.clear();
+            streams.extend(interval.accesses.iter().map(Vec::as_slice));
+            self.replay_interval(&streams, layout, None);
         }
         self.result()
     }
@@ -255,23 +259,18 @@ impl MultiprocessorSim {
     /// access stream.  A per-processor pass first replays each TLB and counts each
     /// processor's line accesses, neither of which depends on the interleaving; the
     /// cache accesses then replay round-robin, one access per processor per cycle in
-    /// ascending processor order.
+    /// ascending processor order.  When `folded` is given, the same per-processor
+    /// pass also feeds the 1-processor machine that runs the interval's streams one
+    /// after another in processor order: its TLB translates each stream's spans in the
+    /// same loop as the stream's own TLB, and its cache (LRU regime only) sees each
+    /// stream's lines in turn.
     ///
     /// # Panics
     /// Panics if the machine is bound to a different layout, or if an access falls
     /// outside the layout's footprint.
-    pub fn run_interval(&mut self, streams: &[Vec<Access>], layout: &ObjectLayout) {
-        self.replay_interval(streams, layout, None);
-    }
-
-    /// [`MultiprocessorSim::run_interval`], also feeding `folded` — the 1-processor
-    /// machine that runs the interval's streams one after another in processor order —
-    /// from the same per-processor pass: its TLB translates each stream's spans in the
-    /// same loop as the stream's own TLB, and its cache (LRU regime only) sees each
-    /// stream's lines in turn.
     fn replay_interval(
         &mut self,
-        streams: &[Vec<Access>],
+        streams: &[&[Access]],
         layout: &ObjectLayout,
         mut folded: Option<&mut Folded>,
     ) {
@@ -300,7 +299,7 @@ impl MultiprocessorSim {
             }
             *lines += count;
             if let Some(Folded { cache: Some(cache), .. }) = folded.as_deref_mut() {
-                for &a in stream {
+                for &a in *stream {
                     let (first, last) = objects.lines(a);
                     for line in first..last + 1 {
                         cache.access_line(line);
@@ -423,7 +422,7 @@ trait CacheStep {
 /// processor is left (e.g. the sequential phases every application has) its
 /// interleaving with itself is program order, so the rest of its stream runs as one
 /// tight private loop.
-fn interleave(streams: &[Vec<Access>], step: &mut impl CacheStep) {
+fn interleave(streams: &[&[Access]], step: &mut impl CacheStep) {
     let mut active: Vec<(usize, std::slice::Iter<'_, Access>)> = streams
         .iter()
         .enumerate()
@@ -563,14 +562,14 @@ pub struct SinkResult {
 /// A [`TraceSink`] that drives a [`MultiprocessorSim`] directly from a running
 /// application: streaming trace replay with no materialized [`ProgramTrace`].
 ///
-/// The sink buffers one synchronization interval at a time (the round-robin
-/// interleaving needs the complete interval) and replays it at every barrier; the
-/// per-processor buffers are reused across intervals, so steady-state replay allocates
-/// nothing.  The machine's counters are byte-identical to materializing the trace and
-/// calling [`MultiprocessorSim::run_trace_with_layout`], because both paths feed the
-/// same per-interval replay.  The same pass also yields the folded 1-processor
-/// counters (see [`SinkResult::folded`]), so a P-processor run answers the
-/// 1-processor one without a second replay.
+/// Each interval the sink receives is replayed straight from the producer's buffers
+/// (the round-robin interleaving needs the complete interval, which the sink contract
+/// delivers whole), so the sink keeps no access of its own.  The machine's counters
+/// are byte-identical to materializing the trace and calling
+/// [`MultiprocessorSim::run_trace_with_layout`], because both paths feed the same
+/// per-interval replay.  The same pass also yields the folded 1-processor counters
+/// (see [`SinkResult::folded`]), so a P-processor run answers the 1-processor one
+/// without a second replay.
 #[derive(Debug)]
 pub struct SimSink {
     sim: MultiprocessorSim,
@@ -578,8 +577,6 @@ pub struct SimSink {
     /// The folded 1-processor machine (`None` when the machine has one processor: it is
     /// its own fold).
     folded: Option<Folded>,
-    /// The current interval's per-processor streams (cleared, not dropped, per barrier).
-    buffers: Vec<Vec<Access>>,
 }
 
 impl SimSink {
@@ -596,21 +593,11 @@ impl SimSink {
         let (procs, cache, tlb) = (sim.num_procs, sim.cache, sim.tlb);
         let bound = sim.bind(&layout);
         let folded = (procs > 1).then(|| bound.folded(cache, tlb));
-        let buffers = vec![Vec::new(); procs];
-        SimSink { sim, layout, folded, buffers }
+        SimSink { sim, layout, folded }
     }
 
-    fn replay_buffered(&mut self) {
-        self.sim.replay_interval(&self.buffers, &self.layout, self.folded.as_mut());
-        for buffer in &mut self.buffers {
-            buffer.clear();
-        }
-    }
-
-    /// Replay any buffered partial interval and return the machine's and the folded
-    /// counters.
-    pub fn finish(mut self) -> SinkResult {
-        self.replay_buffered();
+    /// The machine's and the folded counters.
+    pub fn finish(self) -> SinkResult {
         let machine = self.sim.result();
         let folded = match &self.folded {
             Some(folded) => self.sim.folded_result(folded),
@@ -625,23 +612,8 @@ impl TraceSink for SimSink {
         self.sim.num_procs()
     }
 
-    fn record(&mut self, proc: usize, access: Access) {
-        debug_assert!(proc < self.buffers.len());
-        self.buffers[proc].push(access);
-    }
-
-    fn lock(&mut self, proc: usize, lock: u32) {
-        // The hardware model does not charge lock traffic (matching the materialized
-        // replay, which ignores recorded lock acquisitions).
-        let _ = (proc, lock);
-    }
-
-    fn barrier(&mut self) {
-        self.replay_buffered();
-    }
-
-    fn record_many(&mut self, proc: usize, accesses: &[Access]) {
-        self.buffers[proc].extend_from_slice(accesses);
+    fn interval(&mut self, streams: &[&[Access]]) {
+        self.sim.replay_interval(streams, &self.layout, self.folded.as_mut());
     }
 }
 
@@ -677,6 +649,7 @@ mod tests {
                         b.read(p, object);
                     }
                 }
+                b.barrier();
                 tiny_machine(procs).run_trace(&b.finish())
             })
             .collect();
@@ -751,6 +724,7 @@ mod tests {
                 b.read(0, o);
             }
         }
+        b.barrier();
         let trace = b.finish();
 
         // Original layout: object i at position i.
@@ -767,6 +741,7 @@ mod tests {
                 b2.read(0, i);
             }
         }
+        b2.barrier();
         let trace2 = b2.finish();
         let mut m2 =
             MultiprocessorSim::new(1, CacheConfig::new(512, 64, 2), TlbConfig::new(2, 256));

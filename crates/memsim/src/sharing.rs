@@ -133,18 +133,12 @@ impl TraceSink for ProcessorUnitSetsSink {
         self.per_proc.len()
     }
 
-    fn record(&mut self, proc: usize, access: Access) {
-        self.per_proc[proc].add(access, &self.layout, self.unit_bytes);
-    }
-
-    fn lock(&mut self, _proc: usize, _lock: u32) {}
-
-    fn barrier(&mut self) {}
-
-    fn record_many(&mut self, proc: usize, accesses: &[Access]) {
-        let sets = &mut self.per_proc[proc];
-        for &a in accesses {
-            sets.add(a, &self.layout, self.unit_bytes);
+    fn interval(&mut self, streams: &[&[Access]]) {
+        assert_eq!(streams.len(), self.per_proc.len(), "one stream per processor");
+        for (sets, stream) in self.per_proc.iter_mut().zip(streams) {
+            for &a in *stream {
+                sets.add(a, &self.layout, self.unit_bytes);
+            }
         }
     }
 }

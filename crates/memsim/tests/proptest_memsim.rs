@@ -69,6 +69,7 @@ proptest! {
                 b.barrier();
             }
         }
+        b.barrier();
         let trace = b.finish();
         let mut machine = MultiprocessorSim::new(
             4,

@@ -13,83 +13,73 @@ use proptest::prelude::*;
 
 use memsim::{CacheConfig, MultiprocessorSim, SimSink, SinkResult, TlbConfig};
 use reference::{run_trace_folded, ReferenceSim};
-use smtrace::{
-    Access, AccessKind, ObjectLayout, ProgramTrace, ShardSet, SyncEvent, TraceBuilder, TraceSink,
-};
+use smtrace::{Access, AccessKind, ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 
-/// One randomized trace event: an access, a lock, or a barrier.
+/// One randomized trace event: an access or a barrier.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     Access { proc: usize, object: usize, write: bool },
-    Lock { proc: usize, lock: u32 },
     Barrier,
 }
 
-/// Decode the raw generated tuples into events (~90% accesses, ~5% locks, ~5%
-/// barriers).
+/// Decode the raw generated tuples into events (~95% accesses, ~5% barriers).
 fn decode_events(raw: Vec<(usize, usize, usize, bool)>, procs: usize) -> Vec<Event> {
     raw.into_iter()
         .map(|(kind, proc, object, write)| match kind {
-            0..=89 => Event::Access { proc: proc % procs, object, write },
-            90..=94 => Event::Lock { proc: proc % procs, lock: (object % 7) as u32 },
+            0..=94 => Event::Access { proc: proc % procs, object, write },
             _ => Event::Barrier,
         })
         .collect()
 }
 
-/// Drive the same event stream into any sink.
-fn drive(events: &[Event], sink: &mut dyn TraceSink) {
+/// Record the event stream access by access into a `TraceBuilder`, closing the last
+/// interval with a barrier.
+fn record(events: &[Event], builder: &mut TraceBuilder) {
     for &event in events {
         match event {
-            Event::Access { proc, object, write } => {
-                if write {
-                    sink.write(proc, object);
-                } else {
-                    sink.read(proc, object);
-                }
-            }
-            Event::Lock { proc, lock } => sink.lock(proc, lock),
-            Event::Barrier => sink.barrier(),
+            Event::Access { proc, object, write: true } => builder.write(proc, object),
+            Event::Access { proc, object, write: false } => builder.read(proc, object),
+            Event::Barrier => builder.barrier(),
         }
     }
+    builder.barrier();
 }
 
-/// Stream `trace` into `sink` the ways generation delivers it, interval `k` by
-/// `arrivals[k % arrivals.len()]`: 0 records every access on its own, round-robin
-/// across processors; 1 hands each processor's stream over as one `record_many`
-/// batch; 2 fills a `ShardSet` and drains it.  A trailing interval gets no barrier,
-/// as in `ProgramTrace::replay_into`.
+/// Stream the same event stream into any sink the way the applications do: each
+/// access appended to its processor's shard, each barrier (and the end) a drain.
+fn drive(events: &[Event], sink: &mut impl TraceSink) {
+    let mut shards = ShardSet::new(sink.num_procs());
+    for &event in events {
+        match event {
+            Event::Access { proc, object, write: true } => shards.shard_mut(proc).write(object),
+            Event::Access { proc, object, write: false } => shards.shard_mut(proc).read(object),
+            Event::Barrier => shards.drain_interval(sink),
+        }
+    }
+    shards.drain_interval(sink);
+}
+
+/// Stream `trace` into `sink` the ways an interval can arrive, interval `k` by
+/// `arrivals[k % arrivals.len()]`: 0 hands the trace's own streams over, as
+/// `ProgramTrace::replay_into` does; 1 fills a `ShardSet` and drains it.
 fn stream_mixed(trace: &ProgramTrace, arrivals: &[usize], sink: &mut impl TraceSink) {
     let mut shards = ShardSet::new(trace.num_procs);
     for (k, interval) in trace.intervals.iter().enumerate() {
         let streams = &interval.accesses;
-        match arrivals[k % arrivals.len()] {
-            0 => {
-                let longest = streams.iter().map(Vec::len).max().unwrap_or(0);
-                for i in 0..longest {
-                    for (p, stream) in streams.iter().enumerate() {
-                        if let Some(&a) = stream.get(i) {
-                            sink.record(p, a);
-                        }
+        if arrivals[k % arrivals.len()] == 0 {
+            let slices: Vec<&[Access]> = streams.iter().map(Vec::as_slice).collect();
+            sink.interval(&slices);
+        } else {
+            for (p, stream) in streams.iter().enumerate() {
+                for &a in stream {
+                    if a.is_write() {
+                        shards.shard_mut(p).write(a.object());
+                    } else {
+                        shards.shard_mut(p).read(a.object());
                     }
                 }
             }
-            1 => {
-                for (p, stream) in streams.iter().enumerate() {
-                    sink.record_many(p, stream);
-                }
-            }
-            _ => {
-                for (p, stream) in streams.iter().enumerate() {
-                    for &a in stream {
-                        shards.shard_mut(p).record(a);
-                    }
-                }
-                shards.drain_open(sink);
-            }
-        }
-        if matches!(interval.closing_sync, SyncEvent::Barrier) {
-            sink.barrier();
+            shards.drain_interval(sink);
         }
     }
 }
@@ -131,9 +121,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Materialized replay on the directory machine, streaming replay through
-    /// `SimSink`, and the reference simulator agree on every counter, for arbitrary
-    /// event streams (including partial trailing intervals), object sizes that
-    /// straddle cache lines, and both way-store representations.
+    /// `SimSink` (fed through a `ShardSet`), and the reference simulator agree on every
+    /// counter, for arbitrary event streams (empty intervals included), object sizes
+    /// that straddle cache lines, and both way-store representations.
     #[test]
     fn streaming_and_materialized_replay_match_the_reference(
         procs in 1usize..5,
@@ -147,7 +137,7 @@ proptest! {
 
         // Materialize once.
         let mut builder = TraceBuilder::new(layout.clone(), procs);
-        drive(&events, &mut builder);
+        record(&events, &mut builder);
         let trace = builder.finish();
 
         for (cache, tlb) in machines(&layout) {
@@ -171,15 +161,14 @@ proptest! {
     /// `TraceBuilder` — for any P (one included), with empty streams and empty
     /// intervals (a barrier draws one event in five, so many intervals are short or
     /// empty and most of their streams are empty), in both residency regimes, and
-    /// whether an interval's streams arrive one access at a time, as one batch per
-    /// processor, or drained from a `ShardSet`.  The materialized folded replay in
-    /// `reference/` agrees too.
+    /// whether an interval's streams arrive as the trace's own slices or drained from
+    /// a `ShardSet`.  The materialized folded replay in `reference/` agrees too.
     #[test]
     fn folded_replay_matches_the_concatenated_one_processor_trace(
         procs in 1usize..=8,
         size_pick in 0usize..4,
         events in prop::collection::vec((0usize..100, 0usize..8, 0usize..64, any::<bool>()), 0..400),
-        arrivals in prop::collection::vec(0usize..3, 1..16),
+        arrivals in prop::collection::vec(0usize..2, 1..16),
     ) {
         let object_size = [32usize, 96, 136, 680][size_pick];
         let layout = ObjectLayout::new(64, object_size);
@@ -191,14 +180,12 @@ proptest! {
                 _ => builder.barrier(),
             }
         }
+        builder.barrier();
         let trace = builder.finish();
 
         let mut concatenated = TraceBuilder::new(layout.clone(), 1);
         for interval in &trace.intervals {
-            for stream in &interval.accesses {
-                concatenated.record_many(0, stream);
-            }
-            concatenated.barrier();
+            concatenated.interval(&[&interval.accesses.concat()]);
         }
         let concatenated = concatenated.finish();
 
@@ -240,6 +227,7 @@ fn reads_of(object: usize, object_size: usize) -> smtrace::ProgramTrace {
     let mut builder = TraceBuilder::new(ObjectLayout::new(object + 1, object_size), 1);
     builder.read(0, 0);
     builder.read(0, object);
+    builder.barrier();
     builder.finish()
 }
 

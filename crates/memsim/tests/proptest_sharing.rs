@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 
 use memsim::{processor_unit_sets, PageSharingReport};
-use smtrace::{Access, DenseSet, ObjectLayout, ProgramTrace, TraceBuilder};
+use smtrace::{DenseSet, ObjectLayout, ProgramTrace, TraceBuilder};
 
 /// One processor's units read, units written and objects written, as `BTreeSet`s.
 #[derive(Default)]
@@ -108,11 +108,12 @@ proptest! {
         for (kind, proc, object, write) in events {
             let (proc, object) = (proc % procs, object % num_objects);
             match (kind, write) {
-                (0..=94, true) => builder.record(proc, Access::write(object)),
-                (0..=94, false) => builder.record(proc, Access::read(object)),
+                (0..=94, true) => builder.write(proc, object),
+                (0..=94, false) => builder.read(proc, object),
                 _ => builder.barrier(),
             }
         }
+        builder.barrier();
         let trace = builder.finish();
         let per_proc = processor_unit_sets(&trace, &layout, unit_bytes);
 

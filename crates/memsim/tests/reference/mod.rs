@@ -24,7 +24,7 @@ use memsim::{
     CacheConfig, CacheStats, MultiprocessorSim, ProcessorStats, SimulationResult, TlbConfig,
     TlbStats,
 };
-use smtrace::{ObjectLayout, ProgramTrace};
+use smtrace::{IntervalTrace, ObjectLayout, ProgramTrace};
 
 /// A set-associative LRU cache with positional (move-to-front) recency tracking.
 #[derive(Debug, Clone)]
@@ -214,8 +214,7 @@ impl ReferenceSim {
 }
 
 /// Replay a P-processor trace folded onto the 1-processor `machine`: each interval's
-/// streams run one after another in processor order, one `run_interval` call per
-/// stream.
+/// streams run one after another in processor order, each as an interval of its own.
 ///
 /// # Panics
 /// Panics unless the machine has exactly one processor.
@@ -225,12 +224,14 @@ pub fn run_trace_folded(
     layout: &ObjectLayout,
 ) -> SimulationResult {
     assert_eq!(machine.num_procs(), 1, "a folded replay runs on a 1-processor machine");
-    for interval in &trace.intervals {
-        for stream in &interval.accesses {
-            machine.run_interval(std::slice::from_ref(stream), layout);
-        }
-    }
-    machine.result()
+    let intervals = trace
+        .intervals
+        .iter()
+        .flat_map(|interval| &interval.accesses)
+        .map(|stream| IntervalTrace { accesses: vec![stream.clone()] })
+        .collect();
+    let folded = ProgramTrace { layout: layout.clone(), num_procs: 1, intervals };
+    machine.run_trace_with_layout(&folded, layout)
 }
 
 #[cfg(test)]

@@ -253,17 +253,16 @@ impl Moldyn {
         self.maybe_rebuild();
     }
 
-    /// One traced time step over `num_procs` virtual processors, streamed into any
-    /// [`TraceSink`] (a materializing [`TraceBuilder`], a streaming simulator sink,
-    /// ...).  Two intervals per step: force computation (owner of `i` reads both
-    /// molecules of each of its pairs and writes both), then integration (each
-    /// processor writes its own block).
+    /// One traced time step over `num_procs` virtual processors, recorded into
+    /// `builder` access by access.  Two intervals per step: force computation (owner
+    /// of `i` reads both molecules of each of its pairs and writes both), then
+    /// integration (each processor writes its own block).
     ///
     /// This serial path is the oracle, not a production path: production code traces
     /// through the sharded [`Moldyn::stream_steps`], which
     /// `sharded_stream_matches_the_serial_traced_spec` and the bench crate's
     /// `proptest_gen.rs` pin to it bit for bit.
-    pub fn step_traced<S: TraceSink>(&mut self, num_procs: usize, builder: &mut S) {
+    pub fn step_traced(&mut self, num_procs: usize, builder: &mut TraceBuilder) {
         assert_eq!(builder.num_procs(), num_procs, "sink must match the processor count");
         self.clear_forces();
         // Interval 1: force computation over the interaction list (the pair list is

@@ -231,8 +231,8 @@ impl WaterSpatial {
         self.integrate_all(&forces);
     }
 
-    /// One traced time step over `num_procs` virtual processors, streamed into any
-    /// [`TraceSink`].  Two intervals: force computation (a processor reads the
+    /// One traced time step over `num_procs` virtual processors, recorded into
+    /// `builder` access by access.  Two intervals: force computation (a processor reads the
     /// neighbourhood of each of its molecules and writes the molecule) and
     /// integration/cell-update (writes its molecules).
     ///
@@ -240,7 +240,7 @@ impl WaterSpatial {
     /// through the sharded [`WaterSpatial::stream_steps`], which
     /// `sharded_stream_matches_the_serial_traced_spec` and the bench crate's
     /// `proptest_gen.rs` pin to it bit for bit.
-    pub fn step_traced<S: TraceSink>(&mut self, num_procs: usize, builder: &mut S) {
+    pub fn step_traced(&mut self, num_procs: usize, builder: &mut TraceBuilder) {
         assert_eq!(builder.num_procs(), num_procs, "sink must match the processor count");
         let owners = self.cell_owners(num_procs);
         // Interval 1: force computation, cell by cell, owner by owner.

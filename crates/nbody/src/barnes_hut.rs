@@ -264,14 +264,14 @@ impl BarnesHut {
 
     /// One traced iteration over `num_procs` virtual processors: performs the same
     /// computation as [`BarnesHut::step_parallel`] and records the body-array accesses
-    /// of each virtual processor into any [`TraceSink`] (three intervals: tree build,
-    /// force evaluation, update).
+    /// of each virtual processor into `builder`, access by access (three intervals:
+    /// tree build, force evaluation, update).
     ///
     /// This serial path is the oracle, not a production path: production code traces
     /// through the sharded [`BarnesHut::stream_iterations`], which
     /// `sharded_stream_matches_the_serial_traced_spec` and the bench crate's
     /// `proptest_gen.rs` pin to it bit for bit.
-    pub fn step_traced<S: TraceSink>(&mut self, num_procs: usize, builder: &mut S) {
+    pub fn step_traced(&mut self, num_procs: usize, builder: &mut TraceBuilder) {
         assert_eq!(builder.num_procs(), num_procs, "sink must match the processor count");
         // Interval 1: sequential tree build — processor 0 reads every body.
         let tree = self.build_tree();
@@ -317,13 +317,14 @@ impl BarnesHut {
     ) {
         let num_procs = shards.num_procs();
         assert_eq!(sink.num_procs(), num_procs, "sink must match the processor count");
-        // Interval 1: sequential tree build — processor 0 reads every body (pure
-        // emission; there is no concurrent work to shard).
+        // Interval 1: sequential tree build — processor 0 reads every body (there is
+        // no concurrent work to shard, so shard 0 fills alone).
         let tree = self.build_tree();
+        let shard = shards.shard_mut(0);
         for i in 0..self.bodies.len() {
-            sink.read(0, i);
+            shard.read(i);
         }
-        sink.barrier();
+        shards.drain_interval(sink);
 
         // Interval 2: force evaluation — one task per virtual processor, each filling
         // its own shard in the exact order the serial loop emits.

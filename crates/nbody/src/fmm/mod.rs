@@ -447,17 +447,17 @@ impl Fmm {
         }
     }
 
-    /// One traced iteration over `num_procs` virtual processors, streamed into any
-    /// [`TraceSink`].  Intervals, in order: tree build (processor 0 reads all bodies),
-    /// upward pass (each processor reads the bodies of its leaves), evaluation
-    /// (near-field reads plus writes of owned bodies), and update (writes of owned
-    /// bodies) — each closed by a barrier.
+    /// One traced iteration over `num_procs` virtual processors, recorded into
+    /// `builder` access by access.  Intervals, in order: tree build (processor 0 reads
+    /// all bodies), upward pass (each processor reads the bodies of its leaves),
+    /// evaluation (near-field reads plus writes of owned bodies), and update (writes of
+    /// owned bodies) — each closed by a barrier.
     ///
     /// This serial path is the oracle, not a production path: production code traces
     /// through the sharded [`Fmm::stream_iterations`], which
     /// `sharded_stream_matches_the_serial_traced_spec` and the bench crate's
     /// `proptest_gen.rs` pin to it bit for bit.
-    pub fn step_traced<S: TraceSink>(&mut self, num_procs: usize, builder: &mut S) {
+    pub fn step_traced(&mut self, num_procs: usize, builder: &mut TraceBuilder) {
         assert_eq!(builder.num_procs(), num_procs, "sink must match the processor count");
         let tree = self.build_tree();
         // Interval 1: sequential tree build.
@@ -522,11 +522,12 @@ impl Fmm {
         let num_procs = shards.num_procs();
         assert_eq!(sink.num_procs(), num_procs, "sink must match the processor count");
         let tree = self.build_tree();
-        // Interval 1: sequential tree build.
+        // Interval 1: sequential tree build — shard 0 fills alone.
+        let shard = shards.shard_mut(0);
         for i in 0..self.bodies.len() {
-            sink.read(0, i);
+            shard.read(i);
         }
-        sink.barrier();
+        shards.drain_interval(sink);
 
         self.partition_into(&tree, num_procs, &mut scratch.partition);
         scratch.leaf_out.resize_with(num_procs, Vec::new);

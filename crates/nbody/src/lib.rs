@@ -40,7 +40,7 @@
 //! // (build, force, update) with every body touched.
 //! let trace = sim.trace_iterations(1, 4);
 //! assert_eq!(trace.num_procs, 4);
-//! assert!(trace.num_barriers() >= 3);
+//! assert_eq!(trace.intervals.len(), 3);
 //! assert!(trace.total_accesses() >= 256);
 //! ```
 

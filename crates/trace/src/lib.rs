@@ -17,16 +17,16 @@
 //! * [`ObjectLayout`] — how an object array maps onto bytes, cache lines and pages;
 //! * [`Access`], [`AccessKind`] — a single fine-grained object access, packed into
 //!   four bytes (kind in the top bit of the object index);
-//! * [`TraceSink`] — the streaming consumer contract: applications emit accesses,
-//!   locks and barriers into any sink, so a simulator can replay a run
-//!   interval-by-interval without a materialized trace;
-//! * [`ShardSet`] — the parallel producer side of that contract: per-virtual-processor
-//!   append-only buffers that rayon tasks fill concurrently, drained deterministically
-//!   into any sink so every downstream counter stays bit-identical to the serial
-//!   traced paths;
+//! * [`TraceSink`] — the streaming consumer contract: a sink takes a run one closed
+//!   barrier-to-barrier interval at a time, every processor's accesses in program
+//!   order, so a simulator can replay a run without a materialized trace;
+//! * [`ShardSet`] — the one producer side of that contract: per-virtual-processor
+//!   append-only buffers that rayon tasks fill concurrently, each interval drained
+//!   into any sink as one call so every downstream counter stays bit-identical to
+//!   the serial traced paths;
 //! * [`TraceBuilder`] / [`ProgramTrace`] — the materializing sink: per-processor,
-//!   per-interval access streams separated by barriers (and annotated with lock
-//!   acquisitions), kept for analyses that re-read the trace under several layouts;
+//!   per-interval access streams, each interval closed by a barrier, kept for
+//!   analyses that re-read the trace under several layouts;
 //! * [`UnitAccessSets`] — reduction of a processor's accesses to
 //!   per-consistency-unit read/write sets (the quantity false sharing is defined
 //!   over) held as [`DenseSet`] bitsets, folded in one access at a time.
@@ -53,7 +53,7 @@
 //!
 //! assert_eq!(trace.num_procs, 2);
 //! assert_eq!(trace.total_accesses(), 3);
-//! assert_eq!(trace.num_barriers(), 2);
+//! assert_eq!(trace.intervals.len(), 2);
 //! // Object 1 spans bytes 96..192, i.e. it straddles 128-byte lines 0 and 1.
 //! assert_eq!(trace.layout.units_of(1, 128), (0, 1));
 //! ```
@@ -73,4 +73,4 @@ pub use layout::ObjectLayout;
 pub use sets::{DenseSet, SharingHistogram, UnitAccessSets};
 pub use shard::{Shard, ShardSet};
 pub use sink::{NullSink, TeeSink, TraceSink};
-pub use trace::{IntervalTrace, ProgramTrace, SyncEvent, TraceBuilder};
+pub use trace::{IntervalTrace, ProgramTrace, TraceBuilder};

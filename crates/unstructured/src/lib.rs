@@ -200,8 +200,8 @@ impl Unstructured {
         self.apply_deltas(&delta);
     }
 
-    /// One traced sweep over `num_procs` virtual processors, streamed into any
-    /// [`TraceSink`].  Three intervals: the edge loop (block partition of edges; reads
+    /// One traced sweep over `num_procs` virtual processors, recorded into `builder`
+    /// access by access.  Three intervals: the edge loop (block partition of edges; reads
     /// and writes both endpoints), the face loop (block partition of faces), and the
     /// node loop (block partition of nodes).
     ///
@@ -209,7 +209,7 @@ impl Unstructured {
     /// through the sharded [`Unstructured::stream_sweeps`], which
     /// `sharded_stream_matches_the_serial_traced_spec` and the bench crate's
     /// `proptest_gen.rs` pin to it bit for bit.
-    pub fn sweep_traced<S: TraceSink>(&mut self, num_procs: usize, builder: &mut S) {
+    pub fn sweep_traced(&mut self, num_procs: usize, builder: &mut TraceBuilder) {
         assert_eq!(builder.num_procs(), num_procs, "sink must match the processor count");
         // Interval 1: edge loop.
         let edges_per_proc = self.edges.len().div_ceil(num_procs);
