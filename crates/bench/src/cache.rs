@@ -340,11 +340,6 @@ impl CellCache {
         })
     }
 
-    /// The disk directory, if this cache has one.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_deref()
-    }
-
     /// Whether in-flight claims are enabled (the scheduler routes through
     /// [`CellCache::acquire`] iff so).
     pub fn single_flight(&self) -> bool {

@@ -207,12 +207,6 @@ fn deinterleave_transpose(index: u128, x: &mut [u32], bits: u32) {
     }
 }
 
-/// Number of grid cells along one axis for a given number of bits.
-#[inline]
-pub fn grid_side(bits: u32) -> u64 {
-    1u64 << bits
-}
-
 /// Walk the full Hilbert curve on a small grid, returning the coordinates of every cell
 /// in curve order.  Intended for illustration and testing (Figure 3 of the paper);
 /// the total number of cells `2^(dims*bits)` must fit in memory.

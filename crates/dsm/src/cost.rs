@@ -17,7 +17,6 @@
 //! divided by the estimate.
 
 use crate::protocol::{DsmRunResult, ProcStats};
-use crate::treadmarks::barrier_messages;
 
 /// Latency parameters of the simulated cluster interconnect.
 #[derive(Debug, Clone, Copy)]
@@ -123,11 +122,6 @@ impl NetworkCostModel {
             if parallel_seconds > 0.0 { sequential_seconds / parallel_seconds } else { 0.0 };
         TimeEstimate { sequential_seconds, parallel_seconds, speedup }
     }
-
-    /// Total number of barrier messages a run of `barriers` barriers generates.
-    pub fn barrier_message_total(&self, barriers: u64, num_procs: usize) -> u64 {
-        barriers * barrier_messages(num_procs)
-    }
 }
 
 #[cfg(test)]
@@ -207,16 +201,5 @@ mod tests {
         let t16 = m.proc_comm_time(&stats, 10, 16);
         let t4 = m.proc_comm_time(&stats, 10, 4);
         assert!(t16 > t4);
-        assert_eq!(m.barrier_message_total(10, 16), 10 * 30);
-    }
-
-    #[test]
-    fn degenerate_processor_counts_cost_zero_barrier_messages() {
-        // Regression test for the `num_procs as u64 - 1` underflow: a single node has
-        // no barrier peers, and a zero-processor count must not wrap to 2^64 - 2
-        // messages per barrier.
-        let m = NetworkCostModel::default();
-        assert_eq!(m.barrier_message_total(10, 1), 0);
-        assert_eq!(m.barrier_message_total(10, 0), 0);
     }
 }

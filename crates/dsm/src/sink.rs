@@ -82,11 +82,6 @@ impl PageHistorySink {
         PageHistorySink { layout, granularities, num_procs, reads, writes }
     }
 
-    /// The page sizes being accumulated, in construction order.
-    pub fn page_sizes(&self) -> Vec<usize> {
-        self.granularities.iter().map(|g| g.page_bytes).collect()
-    }
-
     /// Finish the stream and return one history per requested granularity, in the order
     /// the page sizes were given.
     pub fn finish_all(self) -> Vec<PageWriteHistory> {

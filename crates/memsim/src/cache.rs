@@ -160,11 +160,6 @@ impl Cache {
         CacheStats { accesses: self.stats.hits + self.stats.misses, ..self.stats }
     }
 
-    /// Clear counters but keep cache contents (used between warm-up and measurement).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Line index (line number in the whole address space) of a byte address.
     #[inline]
     fn line_of(&self, addr: usize) -> u64 {

@@ -100,12 +100,6 @@ impl SimulationResult {
     pub fn coherence_misses(&self) -> u64 {
         self.per_proc.iter().map(|p| p.cache.coherence_misses).sum()
     }
-
-    /// The largest per-processor access count — a proxy for the critical-path work used
-    /// by the cost model.
-    pub fn max_proc_accesses(&self) -> u64 {
-        self.per_proc.iter().map(|p| p.accesses).max().unwrap_or(0)
-    }
 }
 
 /// Where cache residency lives, picked from the footprint and the cache geometry.

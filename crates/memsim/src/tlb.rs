@@ -197,11 +197,6 @@ impl Tlb {
         TlbStats { accesses: self.stats.hits + self.stats.misses, ..self.stats }
     }
 
-    /// Clear counters but keep TLB contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
     /// Translate the byte address `addr`; returns `true` on a TLB hit.
     pub fn access(&mut self, addr: usize) -> bool {
         let page = (addr / self.config.page_bytes) as u64;

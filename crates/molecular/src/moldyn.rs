@@ -13,7 +13,6 @@
 //! paper's guidance: column ordering on page-based software DSM, Hilbert on hardware
 //! shared memory.
 
-use rayon::prelude::*;
 use reorder::{reorder_by_method, Method, Reordering};
 use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 
@@ -104,11 +103,6 @@ impl Moldyn {
     /// Number of molecules.
     pub fn num_molecules(&self) -> usize {
         self.molecules.len()
-    }
-
-    /// Number of interaction pairs currently in the list.
-    pub fn num_pairs(&self) -> usize {
-        self.pairs.len()
     }
 
     /// Object-array layout for the address-space analyses (72-byte records, Table 1).
@@ -300,10 +294,11 @@ impl Moldyn {
     /// One sharded traced time step: the same computation and per-processor access
     /// streams as [`Moldyn::step_traced`] (the executable spec this path is pinned
     /// to), but each virtual processor sweeps its own contiguous range of the sorted
-    /// pair list as a rayon task into its own [`smtrace::Shard`].  The pair forces are
-    /// computed inside the tasks and *applied* serially in global pair order, so the
-    /// floating-point accumulation order — and therefore every subsequent rebuild of
-    /// the interaction list — is bit-identical to the serial sweep.
+    /// pair list into its own shard through [`ShardSet::run_interval`].  The pair
+    /// forces are computed inside the tasks and *applied* serially in global pair
+    /// order, so the floating-point accumulation order — and therefore every
+    /// subsequent rebuild of the interaction list — is bit-identical to the serial
+    /// sweep.
     fn step_traced_sharded<S: TraceSink>(
         &mut self,
         shards: &mut ShardSet,
@@ -311,7 +306,6 @@ impl Moldyn {
         sink: &mut S,
     ) {
         let num_procs = shards.num_procs();
-        assert_eq!(sink.num_procs(), num_procs, "sink must match the processor count");
         self.clear_forces();
         let n = self.molecules.len();
         // Owner of pair (i, j) is the owner of i, which is monotone in i; the pair
@@ -325,30 +319,19 @@ impl Moldyn {
         }
         scratch.forces.resize_with(num_procs, Vec::new);
         // Interval 1: force computation over the interaction list.
-        {
-            let this = &*self;
-            let tasks: Vec<_> = shards
-                .shards_mut()
-                .iter_mut()
-                .zip(scratch.ranges.iter().cloned())
-                .zip(scratch.forces.iter_mut())
-                .map(|((shard, range), forces)| (shard, range, forces))
-                .collect();
-            tasks.into_par_iter().for_each(|(shard, range, forces)| {
-                forces.clear();
-                for &(i, j) in &this.pairs[range] {
-                    shard.read(i as usize);
-                    shard.read(j as usize);
-                    forces.push(this.pair_force(
-                        this.molecules[i as usize].pos,
-                        this.molecules[j as usize].pos,
-                    ));
-                    shard.write(i as usize);
-                    shard.write(j as usize);
-                }
-            });
-        }
-        shards.drain_interval(sink);
+        let work = scratch.ranges.iter().cloned().zip(&mut scratch.forces);
+        shards.run_interval(sink, work, |shard, (range, forces)| {
+            forces.clear();
+            for &(i, j) in &self.pairs[range] {
+                shard.read(i as usize);
+                shard.read(j as usize);
+                forces.push(
+                    self.pair_force(self.molecules[i as usize].pos, self.molecules[j as usize].pos),
+                );
+                shard.write(i as usize);
+                shard.write(j as usize);
+            }
+        });
         // Apply the precomputed pair forces in global pair order (the ranges tile the
         // sorted list), reproducing the serial sweep's accumulation order exactly.
         for (range, forces) in scratch.ranges.iter().zip(&scratch.forces) {
@@ -360,21 +343,13 @@ impl Moldyn {
             }
         }
         // Interval 2: integration of each processor's own block.
-        {
-            let tasks: Vec<_> = shards
-                .shards_mut()
-                .iter_mut()
-                .enumerate()
-                .map(|(p, shard)| (shard, p * n / num_procs..(p + 1) * n / num_procs))
-                .collect();
-            tasks.into_par_iter().for_each(|(shard, range)| {
-                for i in range {
-                    shard.read(i);
-                    shard.write(i);
-                }
-            });
-        }
-        shards.drain_interval(sink);
+        let blocks = (0..num_procs).map(|p| p * n / num_procs..(p + 1) * n / num_procs);
+        shards.run_interval(sink, blocks, |shard, block| {
+            for i in block {
+                shard.read(i);
+                shard.write(i);
+            }
+        });
         self.integrate(0..n);
         self.maybe_rebuild();
     }
@@ -389,21 +364,15 @@ impl Moldyn {
     }
 
     /// Run `steps` traced time steps, streaming the accesses into `sink` without
-    /// materializing a trace.  Generation is sharded: each virtual processor sweeps
-    /// its pair range as a rayon task into a per-processor buffer, drained into `sink`
-    /// in deterministic processor order — every downstream counter is bit-identical to
-    /// looping [`Moldyn::step_traced`] over the same sink.
+    /// materializing a trace.  Generation is sharded: every interval runs through
+    /// [`ShardSet::run_interval`], one task per virtual processor, so every downstream
+    /// counter is bit-identical to looping [`Moldyn::step_traced`] over the same sink.
     pub fn stream_steps<S: TraceSink>(&mut self, steps: usize, sink: &mut S) {
         let mut shards = ShardSet::new(sink.num_procs());
         let mut scratch = ShardScratch::default();
         for _ in 0..steps {
             self.step_traced_sharded(&mut shards, &mut scratch, sink);
         }
-    }
-
-    /// Total kinetic energy (diagnostic).
-    pub fn kinetic_energy(&self) -> f64 {
-        self.molecules.iter().map(|m| 0.5 * m.vel.iter().map(|v| v * v).sum::<f64>()).sum()
     }
 }
 

@@ -14,7 +14,6 @@
 //! that size class: per-atom positions, velocities and forces for the three atoms of a
 //! water molecule.
 
-use rayon::prelude::*;
 use reorder::{reorder_by_method, Method, Reordering};
 use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 
@@ -24,13 +23,12 @@ use crate::cellgrid::CellGrid;
 type MoleculeForce = ([f64; 3], f64);
 
 /// Reusable buffers for the sharded traced path: the slab owners, each processor's
-/// cell list, per-processor read logs and `(molecule, force)` outputs, and the scatter
-/// target the integrator consumes.  Held across steps by [`WaterSpatial::stream_steps`].
+/// cell list and `(molecule, force)` outputs, and the scatter target the integrator
+/// consumes.  Held across steps by [`WaterSpatial::stream_steps`].
 #[derive(Debug, Default)]
 struct ShardScratch {
     owners: Vec<usize>,
     cells: Vec<Vec<u32>>,
-    reads: Vec<Vec<u32>>,
     outputs: Vec<Vec<(u32, MoleculeForce)>>,
     forces: Vec<MoleculeForce>,
 }
@@ -173,8 +171,8 @@ impl WaterSpatial {
     }
 
     /// Compute the total force on molecule `m` by scanning the 27-cell neighbourhood of
-    /// its cell; optionally records the indices of the molecules read.
-    fn force_on_molecule(&self, m: usize, mut reads: Option<&mut Vec<u32>>) -> ([f64; 3], f64) {
+    /// its cell, calling `read(other)` for every molecule read on the way, in order.
+    fn force_on_molecule(&self, m: usize, mut read: impl FnMut(u32)) -> ([f64; 3], f64) {
         let cell = self.grid.cell_of[m] as usize;
         let mut force = [0.0; 3];
         let mut pot = 0.0;
@@ -183,9 +181,7 @@ impl WaterSpatial {
                 if other as usize == m {
                     continue;
                 }
-                if let Some(r) = reads.as_deref_mut() {
-                    r.push(other);
-                }
+                read(other);
                 let (f, p) = self.pair_force(m, other as usize);
                 for k in 0..3 {
                     force[k] += f[k];
@@ -227,7 +223,7 @@ impl WaterSpatial {
     /// One sequential time step.
     pub fn step_sequential(&mut self) {
         let forces: Vec<([f64; 3], f64)> =
-            (0..self.molecules.len()).map(|m| self.force_on_molecule(m, None)).collect();
+            (0..self.molecules.len()).map(|m| self.force_on_molecule(m, |_| {})).collect();
         self.integrate_all(&forces);
     }
 
@@ -245,16 +241,11 @@ impl WaterSpatial {
         let owners = self.cell_owners(num_procs);
         // Interval 1: force computation, cell by cell, owner by owner.
         let mut forces = vec![([0.0; 3], 0.0); self.molecules.len()];
-        let mut reads = Vec::new();
         for c in 0..self.grid.num_cells() {
             let proc = owners[c];
             for &m in &self.grid.members[c] {
-                reads.clear();
-                let r = self.force_on_molecule(m as usize, Some(&mut reads));
                 builder.read(proc, m as usize);
-                for &other in &reads {
-                    builder.read(proc, other as usize);
-                }
+                let r = self.force_on_molecule(m as usize, |o| builder.read(proc, o as usize));
                 builder.write(proc, m as usize);
                 forces[m as usize] = r;
             }
@@ -274,8 +265,8 @@ impl WaterSpatial {
     /// One sharded traced time step: the same computation and per-processor access
     /// streams as [`WaterSpatial::step_traced`] (the executable spec this path is
     /// pinned to), but each virtual processor scans its own slab of cells — force
-    /// evaluation over the 27-cell neighbourhoods plus access recording — as a rayon
-    /// task into its own [`smtrace::Shard`].  Each molecule's force is computed by
+    /// evaluation over the 27-cell neighbourhoods plus access recording — into its own
+    /// shard through [`ShardSet::run_interval`].  Each molecule's force is computed by
     /// exactly one task, so the scattered force array is bit-identical to the serial
     /// cell sweep's.
     fn step_traced_sharded<S: TraceSink>(
@@ -285,7 +276,6 @@ impl WaterSpatial {
         sink: &mut S,
     ) {
         let num_procs = shards.num_procs();
-        assert_eq!(sink.num_procs(), num_procs, "sink must match the processor count");
         self.grid.partition_slabs_into(num_procs, &mut scratch.owners);
         // Each processor's cells, in ascending cell order — the serial sweep visits
         // cells in that order, so per-processor streams match the serial subsequences.
@@ -296,49 +286,28 @@ impl WaterSpatial {
         for c in 0..self.grid.num_cells() {
             scratch.cells[scratch.owners[c]].push(c as u32);
         }
-        scratch.reads.resize_with(num_procs, Vec::new);
         scratch.outputs.resize_with(num_procs, Vec::new);
         // Interval 1: force computation, slab by slab.
-        {
-            let this = &*self;
-            let tasks: Vec<_> = shards
-                .shards_mut()
-                .iter_mut()
-                .zip(scratch.cells.iter())
-                .zip(scratch.reads.iter_mut())
-                .zip(scratch.outputs.iter_mut())
-                .map(|(((shard, cells), reads), outputs)| (shard, cells, reads, outputs))
-                .collect();
-            tasks.into_par_iter().for_each(|(shard, cells, reads, outputs)| {
-                outputs.clear();
-                for &c in cells {
-                    for &m in &this.grid.members[c as usize] {
-                        reads.clear();
-                        let r = this.force_on_molecule(m as usize, Some(reads));
-                        shard.read(m as usize);
-                        for &other in reads.iter() {
-                            shard.read(other as usize);
-                        }
-                        shard.write(m as usize);
-                        outputs.push((m, r));
-                    }
+        let work = scratch.cells.iter().zip(&mut scratch.outputs);
+        shards.run_interval(sink, work, |shard, (cells, outputs)| {
+            outputs.clear();
+            for &c in cells {
+                for &m in &self.grid.members[c as usize] {
+                    shard.read(m as usize);
+                    let r = self.force_on_molecule(m as usize, |o| shard.read(o as usize));
+                    shard.write(m as usize);
+                    outputs.push((m, r));
                 }
-            });
-        }
-        shards.drain_interval(sink);
+            }
+        });
         // Interval 2: integration — the owner of each molecule's cell writes it.
-        {
-            let this = &*self;
-            let tasks: Vec<_> = shards.shards_mut().iter_mut().zip(scratch.cells.iter()).collect();
-            tasks.into_par_iter().for_each(|(shard, cells)| {
-                for &c in cells {
-                    for &m in &this.grid.members[c as usize] {
-                        shard.write(m as usize);
-                    }
+        shards.run_interval(sink, &scratch.cells, |shard, cells| {
+            for &c in cells {
+                for &m in &self.grid.members[c as usize] {
+                    shard.write(m as usize);
                 }
-            });
-        }
-        shards.drain_interval(sink);
+            }
+        });
         // Scatter the per-processor forces (the cells partition the molecules, so
         // every molecule is written exactly once) and integrate.
         scratch.forces.clear();
@@ -362,21 +331,16 @@ impl WaterSpatial {
     }
 
     /// Run `steps` traced time steps, streaming the accesses into `sink` without
-    /// materializing a trace.  Generation is sharded: each virtual processor scans its
-    /// slab as a rayon task into a per-processor buffer, drained into `sink` in
-    /// deterministic processor order — every downstream counter is bit-identical to
-    /// looping [`WaterSpatial::step_traced`] over the same sink.
+    /// materializing a trace.  Generation is sharded: every interval runs through
+    /// [`ShardSet::run_interval`], one task per virtual processor, so every downstream
+    /// counter is bit-identical to looping [`WaterSpatial::step_traced`] over the same
+    /// sink.
     pub fn stream_steps<S: TraceSink>(&mut self, steps: usize, sink: &mut S) {
         let mut shards = ShardSet::new(sink.num_procs());
         let mut scratch = ShardScratch::default();
         for _ in 0..steps {
             self.step_traced_sharded(&mut shards, &mut scratch, sink);
         }
-    }
-
-    /// Total potential energy (diagnostic).
-    pub fn total_potential(&self) -> f64 {
-        self.molecules.iter().map(|m| m.potential).sum()
     }
 }
 
@@ -412,7 +376,7 @@ mod tests {
                     expected[k] += f[k];
                 }
             }
-            let (got, _) = sim.force_on_molecule(m, None);
+            let (got, _) = sim.force_on_molecule(m, |_| {});
             for k in 0..3 {
                 assert!(
                     (got[k] - expected[k]).abs() < 1e-9,

@@ -307,63 +307,43 @@ impl BarnesHut {
     /// One sharded traced iteration: the same computation and per-processor access
     /// streams as [`BarnesHut::step_traced`] (the executable spec this path is pinned
     /// to), but each virtual processor's chunk — tree traversal, force evaluation and
-    /// access recording — runs as a rayon task into its own [`smtrace::Shard`], with
-    /// all scratch buffers reused across iterations.
+    /// access recording — fills its own shard through [`ShardSet::run_interval`],
+    /// with all scratch buffers reused across iterations.
     fn step_traced_sharded<S: TraceSink>(
         &mut self,
         shards: &mut ShardSet,
         scratch: &mut ShardScratch,
         sink: &mut S,
     ) {
-        let num_procs = shards.num_procs();
-        assert_eq!(sink.num_procs(), num_procs, "sink must match the processor count");
-        // Interval 1: sequential tree build — processor 0 reads every body (there is
-        // no concurrent work to shard, so shard 0 fills alone).
+        // Interval 1: sequential tree build — processor 0 reads every body.
         let tree = self.build_tree();
-        let shard = shards.shard_mut(0);
-        for i in 0..self.bodies.len() {
-            shard.read(i);
-        }
-        shards.drain_interval(sink);
+        shards
+            .run_interval(sink, [self.bodies.len()], |shard, n| (0..n).for_each(|i| shard.read(i)));
 
-        // Interval 2: force evaluation — one task per virtual processor, each filling
-        // its own shard in the exact order the serial loop emits.
-        self.partition_into(&tree, num_procs, &mut scratch.order, &mut scratch.parts);
-        scratch.results.resize_with(num_procs, Vec::new);
-        {
-            let this = &*self;
-            let tree = &tree;
-            let tasks: Vec<_> = shards
-                .shards_mut()
-                .iter_mut()
-                .zip(&scratch.parts)
-                .zip(&mut scratch.results)
-                .collect();
-            tasks.into_par_iter().for_each(|((shard, chunk), results)| {
-                results.clear();
-                for &i in chunk {
-                    shard.read(i as usize);
-                    let r = this.force(tree, i, |j| shard.read(j as usize));
-                    shard.write(i as usize);
-                    results.push(r);
-                }
-            });
-        }
-        shards.drain_interval(sink);
+        // Interval 2: force evaluation — each processor fills its shard in the exact
+        // order the serial loop emits.
+        self.partition_into(&tree, shards.num_procs(), &mut scratch.order, &mut scratch.parts);
+        scratch.results.resize_with(shards.num_procs(), Vec::new);
+        let work = scratch.parts.iter().zip(&mut scratch.results);
+        shards.run_interval(sink, work, |shard, (chunk, results)| {
+            results.clear();
+            for &i in chunk {
+                shard.read(i as usize);
+                let r = self.force(&tree, i, |j| shard.read(j as usize));
+                shard.write(i as usize);
+                results.push(r);
+            }
+        });
         for results in &scratch.results {
             self.apply_forces(results);
         }
 
         // Interval 3: update — each processor writes (and advances) its own bodies.
-        {
-            let tasks: Vec<_> = shards.shards_mut().iter_mut().zip(scratch.parts.iter()).collect();
-            tasks.into_par_iter().for_each(|(shard, chunk)| {
-                for &i in chunk {
-                    shard.write(i as usize);
-                }
-            });
-        }
-        shards.drain_interval(sink);
+        shards.run_interval(sink, &scratch.parts, |shard, chunk| {
+            for &i in chunk {
+                shard.write(i as usize);
+            }
+        });
         for chunk in &scratch.parts {
             self.integrate_bodies(chunk);
         }
@@ -378,10 +358,10 @@ impl BarnesHut {
     }
 
     /// Run `iterations` traced iterations, streaming the accesses into `sink` without
-    /// materializing a trace.  Generation is sharded: each virtual processor's chunk
-    /// runs as a rayon task into a per-processor buffer, and the buffers are drained
-    /// into `sink` in deterministic processor order — every downstream counter is
-    /// bit-identical to looping [`BarnesHut::step_traced`] over the same sink.
+    /// materializing a trace.  Generation is sharded: every interval runs through
+    /// [`ShardSet::run_interval`], one task per virtual processor, so every downstream
+    /// counter is bit-identical to looping [`BarnesHut::step_traced`] over the same
+    /// sink.
     pub fn stream_iterations<S: TraceSink>(&mut self, iterations: usize, sink: &mut S) {
         let mut shards = ShardSet::new(sink.num_procs());
         let mut scratch = ShardScratch::default();

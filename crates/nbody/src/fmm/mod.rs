@@ -506,13 +506,14 @@ impl Fmm {
 
     /// One sharded traced iteration: the same intervals and per-processor access
     /// streams as [`Fmm::step_traced`] (the executable spec this path is pinned to),
-    /// but each virtual processor records its own accesses as a rayon task into its own
-    /// [`smtrace::Shard`].  The expansion passes stay sequential (they are cheap
-    /// relative to P2P and shared by all processors), exactly like the sequential tree
-    /// build.  Evaluation runs in two parallel phases: phase 1 computes the near-field
-    /// partial sums once per pair of neighbouring leaves ([`Fmm::pair_partials`]),
-    /// phase 2 does L2P and intra-leaf P2P for each owned body, adds its partial sums in
-    /// neighbour order and emits its reads and write straight into the shard.
+    /// but each virtual processor records its own accesses into its own shard through
+    /// [`ShardSet::run_interval`].  The expansion passes stay sequential (they are
+    /// cheap relative to P2P and shared by all processors), exactly like the
+    /// sequential tree build.  Evaluation runs in two parallel phases: phase 1 computes
+    /// the near-field partial sums once per pair of neighbouring leaves
+    /// ([`Fmm::pair_partials`]), phase 2 does L2P and intra-leaf P2P for each owned
+    /// body, adds its partial sums in neighbour order and emits its reads and write
+    /// straight into the shard.
     fn step_traced_sharded<S: TraceSink>(
         &mut self,
         shards: &mut ShardSet,
@@ -520,31 +521,21 @@ impl Fmm {
         sink: &mut S,
     ) {
         let num_procs = shards.num_procs();
-        assert_eq!(sink.num_procs(), num_procs, "sink must match the processor count");
         let tree = self.build_tree();
-        // Interval 1: sequential tree build — shard 0 fills alone.
-        let shard = shards.shard_mut(0);
-        for i in 0..self.bodies.len() {
-            shard.read(i);
-        }
-        shards.drain_interval(sink);
+        // Interval 1: sequential tree build — processor 0 reads every body.
+        shards
+            .run_interval(sink, [self.bodies.len()], |shard, n| (0..n).for_each(|i| shard.read(i)));
 
         self.partition_into(&tree, num_procs, &mut scratch.partition);
         scratch.leaf_out.resize_with(num_procs, Vec::new);
         // Interval 2: upward pass — P2M reads each leaf's bodies (by the leaf's owner).
-        {
-            let tree = &tree;
-            let tasks: Vec<_> =
-                shards.shards_mut().iter_mut().zip(scratch.partition.leaves.iter()).collect();
-            tasks.into_par_iter().for_each(|(shard, leaves)| {
-                for &c in leaves {
-                    for &b in &tree.leaf_bodies[c as usize] {
-                        shard.read(b as usize);
-                    }
+        shards.run_interval(sink, &scratch.partition.leaves, |shard, leaves| {
+            for &c in leaves {
+                for &b in &tree.leaf_bodies[c as usize] {
+                    shard.read(b as usize);
                 }
-            });
-        }
-        shards.drain_interval(sink);
+            }
+        });
 
         // Shared far-field machinery, then per-processor near-field evaluation.
         let leaf_level = tree.leaf_level();
@@ -554,84 +545,62 @@ impl Fmm {
         let partition = &scratch.partition;
         let partials = &mut scratch.partials;
         partials.layout(&tree, partition);
-        {
-            let this = &*self;
-            let tree = &tree;
-            let mut rest = &mut partials.sums[..];
-            let mut tasks = Vec::with_capacity(num_procs);
-            for (leaves, span) in partition.leaves.iter().zip(partials.bounds.windows(2)) {
-                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(span[1] - span[0]);
-                rest = tail;
-                tasks.push((leaves, mine));
-            }
-            tasks.into_par_iter().for_each(|(leaves, out)| this.pair_partials(tree, leaves, out));
+        let mut rest = &mut partials.sums[..];
+        let mut tasks = Vec::with_capacity(num_procs);
+        for (leaves, span) in partition.leaves.iter().zip(partials.bounds.windows(2)) {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(span[1] - span[0]);
+            rest = tail;
+            tasks.push((leaves, mine));
         }
+        tasks.into_par_iter().for_each(|(leaves, out)| self.pair_partials(&tree, leaves, out));
 
         // Interval 3, phase 2: each owner evaluates and records its own bodies.
         scratch.results.resize(self.bodies.len(), (Vec3::ZERO, 0.0));
-        {
-            let this = &*self;
-            let tree = &tree;
-            let locals = &locals;
-            let partials = &*partials;
-            let mut rest = &mut scratch.results[..];
-            let mut tasks = Vec::with_capacity(num_procs);
-            for ((shard, leaves), leaf_out) in shards
-                .shards_mut()
-                .iter_mut()
-                .zip(partition.leaves.iter())
-                .zip(scratch.leaf_out.iter_mut())
-            {
-                let len = leaves.iter().map(|&c| tree.leaf_bodies[c as usize].len()).sum();
-                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
-                rest = tail;
-                tasks.push((shard, leaves, leaf_out, mine));
-            }
-            tasks.into_par_iter().for_each(|(shard, leaves, leaf_out, mut results)| {
-                for &c in leaves {
-                    let leaf_bodies = &tree.leaf_bodies[c as usize];
-                    let neighbors = QuadTree::neighbors(leaf_level, c);
-                    this.eval_leaf_intra(leaf_bodies, &locals[c as usize], leaf_out, None);
-                    for (idx, &bi) in leaf_bodies.iter().enumerate() {
-                        shard.read(bi as usize);
-                        for &bj in leaf_bodies {
-                            if bj != bi {
-                                shard.read(bj as usize);
-                            }
+        let partials = &*partials;
+        let mut rest = &mut scratch.results[..];
+        let work = partition.leaves.iter().zip(&mut scratch.leaf_out).map(|(leaves, leaf_out)| {
+            let len = leaves.iter().map(|&c| tree.leaf_bodies[c as usize].len()).sum();
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            (leaves, leaf_out, mine)
+        });
+        shards.run_interval(sink, work, |shard, (leaves, leaf_out, mut results)| {
+            for &c in leaves {
+                let leaf_bodies = &tree.leaf_bodies[c as usize];
+                let neighbors = QuadTree::neighbors(leaf_level, c);
+                self.eval_leaf_intra(leaf_bodies, &locals[c as usize], leaf_out, None);
+                for (idx, &bi) in leaf_bodies.iter().enumerate() {
+                    shard.read(bi as usize);
+                    for &bj in leaf_bodies {
+                        if bj != bi {
+                            shard.read(bj as usize);
                         }
-                        let out = &mut leaf_out[idx];
-                        for (k, &n) in neighbors.iter().enumerate() {
-                            for &bj in &tree.leaf_bodies[n as usize] {
-                                shard.read(bj as usize);
-                            }
-                            let (acc, pot) = partials.get(c, k, idx);
-                            out.0 += Vec3::new(acc.re, acc.im, 0.0);
-                            out.1 += pot;
-                        }
-                        shard.write(bi as usize);
                     }
-                    let (mine, tail) = std::mem::take(&mut results).split_at_mut(leaf_bodies.len());
-                    mine.copy_from_slice(leaf_out);
-                    results = tail;
+                    let out = &mut leaf_out[idx];
+                    for (k, &n) in neighbors.iter().enumerate() {
+                        for &bj in &tree.leaf_bodies[n as usize] {
+                            shard.read(bj as usize);
+                        }
+                        let (acc, pot) = partials.get(c, k, idx);
+                        out.0 += Vec3::new(acc.re, acc.im, 0.0);
+                        out.1 += pot;
+                    }
+                    shard.write(bi as usize);
                 }
-            });
-        }
-        shards.drain_interval(sink);
+                let (mine, tail) = std::mem::take(&mut results).split_at_mut(leaf_bodies.len());
+                mine.copy_from_slice(leaf_out);
+                results = tail;
+            }
+        });
 
         // Interval 4: update — each owner writes its bodies.
-        {
-            let tree = &tree;
-            let tasks: Vec<_> =
-                shards.shards_mut().iter_mut().zip(scratch.partition.leaves.iter()).collect();
-            tasks.into_par_iter().for_each(|(shard, leaves)| {
-                for &c in leaves {
-                    for &b in &tree.leaf_bodies[c as usize] {
-                        shard.write(b as usize);
-                    }
+        shards.run_interval(sink, &scratch.partition.leaves, |shard, leaves| {
+            for &c in leaves {
+                for &b in &tree.leaf_bodies[c as usize] {
+                    shard.write(b as usize);
                 }
-            });
-        }
-        shards.drain_interval(sink);
+            }
+        });
 
         // Integrate, exactly as the serial spec does (every body is in exactly one
         // owned leaf, and `results` follows the processors' leaves in order).
@@ -652,10 +621,9 @@ impl Fmm {
     }
 
     /// Run `iterations` traced iterations, streaming the accesses into `sink` without
-    /// materializing a trace.  Generation is sharded: each virtual processor's leaves
-    /// are evaluated by a rayon task into a per-processor buffer, drained into `sink`
-    /// in deterministic processor order — every downstream counter is bit-identical to
-    /// looping [`Fmm::step_traced`] over the same sink.
+    /// materializing a trace.  Generation is sharded: every interval runs through
+    /// [`ShardSet::run_interval`], one task per virtual processor, so every downstream
+    /// counter is bit-identical to looping [`Fmm::step_traced`] over the same sink.
     pub fn stream_iterations<S: TraceSink>(&mut self, iterations: usize, sink: &mut S) {
         let mut shards = ShardSet::new(sink.num_procs());
         let mut scratch = ShardScratch::default();

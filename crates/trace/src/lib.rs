@@ -20,10 +20,11 @@
 //! * [`TraceSink`] — the streaming consumer contract: a sink takes a run one closed
 //!   barrier-to-barrier interval at a time, every processor's accesses in program
 //!   order, so a simulator can replay a run without a materialized trace;
-//! * [`ShardSet`] — the one producer side of that contract: per-virtual-processor
-//!   append-only buffers that rayon tasks fill concurrently, each interval drained
-//!   into any sink as one call so every downstream counter stays bit-identical to
-//!   the serial traced paths;
+//! * [`ShardSet`] — the one producer side of that contract:
+//!   [`ShardSet::run_interval`] runs one interval as a rayon task per virtual
+//!   processor, each filling its own append-only buffer, and closes it into any sink
+//!   as one call, so every downstream counter stays bit-identical to the serial
+//!   traced paths;
 //! * [`TraceBuilder`] / [`ProgramTrace`] — the materializing sink: per-processor,
 //!   per-interval access streams, each interval closed by a barrier, kept for
 //!   analyses that re-read the trace under several layouts;

@@ -1,28 +1,18 @@
 //! Sharded parallel trace generation: per-virtual-processor access buffers filled by
 //! concurrent tasks, drained deterministically into any [`TraceSink`].
 //!
-//! The applications' traced paths walk `P` virtual processors whose per-processor work
-//! is embarrassingly parallel.  A [`ShardSet`] runs that work in parallel without
-//! changing a single downstream counter:
-//!
-//! * each virtual processor gets a [`Shard`] — an append-only buffer of packed
-//!   4-byte [`Access`]es — that a rayon task fills independently while it runs that
-//!   processor's chunk of the computation (a sequential phase, such as a tree build,
-//!   fills shard 0 alone);
-//! * [`ShardSet::drain_interval`] then hands every shard's accesses to the sink as
-//!   one closed synchronization interval, `streams[p]` being shard `p`'s buffer.
-//!
-//! The drain is the only way the applications reach a sink.  Determinism argument:
-//! a sink sees each processor's accesses in that processor's program order and never
-//! an interleaving across processors, so a task that appends its processor's accesses
-//! in the same order the serial loop would have recorded them produces a
-//! bit-identical trace, and the drain delivers exactly what
-//! [`crate::ProgramTrace::replay_into`] delivers for it.  The equivalence is pinned
-//! by the proptest suite in `crates/bench/tests`.
+//! The applications' traced paths are barrier-separated SPMD phases over `P` virtual
+//! processors.  [`ShardSet::run_interval`] runs one such phase: processor `p`'s work
+//! item becomes one rayon task that fills that processor's [`Shard`] (an append-only
+//! buffer of packed 4-byte [`Access`]es), and the interval is then closed into the
+//! sink.  It is the only way the applications produce an interval; the determinism
+//! argument is on that method.
 //!
 //! Buffers are cleared, never dropped, by the drain, so steady-state generation
-//! allocates nothing but the drain's `P`-entry slice table once the first interval
-//! has sized the shards.
+//! allocates nothing but the per-interval task and slice tables once the first
+//! interval has sized the shards.
+
+use rayon::prelude::*;
 
 use crate::access::Access;
 use crate::sink::TraceSink;
@@ -50,11 +40,9 @@ impl Shard {
 
 /// A set of per-virtual-processor [`Shard`]s for one synchronization interval.
 ///
-/// The intended cycle, once per interval: hand `shards_mut()` (or the individual
-/// `shard_mut`s) to rayon tasks that fill them concurrently, then call
-/// [`ShardSet::drain_interval`] to deliver the interval to a sink and reset the
-/// buffers.  The set is sized once for the run's virtual-processor count and reused
-/// across intervals and iterations.
+/// The set is sized once for the run's virtual-processor count and reused across
+/// intervals and iterations: [`ShardSet::run_interval`] fills and closes one interval
+/// per call.
 #[derive(Debug, Clone)]
 pub struct ShardSet {
     shards: Vec<Shard>,
@@ -75,15 +63,40 @@ impl ShardSet {
         self.shards.len()
     }
 
-    /// Mutable access to one processor's shard.
-    pub fn shard_mut(&mut self, proc: usize) -> &mut Shard {
-        &mut self.shards[proc]
+    /// Run one barrier-closed interval: `fill(shard_p, item_p)` for the `p`-th item of
+    /// `work`, each as one rayon task, then [`ShardSet::drain_interval`] into `sink`.
+    /// Shards past the last item stay empty (a sequential phase, such as a tree build,
+    /// passes one item and fills shard 0 alone).
+    ///
+    /// Determinism: a sink sees each processor's accesses in that processor's program
+    /// order and never an interleaving across processors, so a `fill` that appends
+    /// processor `p`'s accesses in the order the serial loop would have recorded them
+    /// produces a bit-identical trace whatever the worker count, and the drain
+    /// delivers exactly what [`crate::ProgramTrace::replay_into`] delivers for it.  The
+    /// equivalence is pinned by the proptest suite in `crates/bench/tests`.
+    ///
+    /// # Panics
+    /// Panics if `work` has more items than processors, if the sink disagrees on the
+    /// processor count, or with the first panic of a `fill` task (after its sibling
+    /// tasks finish; nothing is delivered and the shards are not cleared).
+    pub fn run_interval<S, I, F>(&mut self, sink: &mut S, work: I, fill: F)
+    where
+        S: TraceSink + ?Sized,
+        I: IntoIterator,
+        I::Item: Send,
+        F: Fn(&mut Shard, I::Item) + Sync,
+    {
+        let mut work = work.into_iter();
+        let tasks: Vec<_> = self.shards.iter_mut().zip(work.by_ref()).collect();
+        assert!(work.next().is_none(), "more work items than processors");
+        tasks.into_par_iter().for_each(|(shard, item)| fill(shard, item));
+        self.drain_interval(sink);
     }
 
-    /// All shards, for fan-out to per-processor tasks (`par_iter_mut` + `zip` with the
-    /// per-processor work lists).
-    pub fn shards_mut(&mut self) -> &mut [Shard] {
-        &mut self.shards
+    /// Mutable access to one processor's shard, for tests that fill an interval by
+    /// hand before [`ShardSet::drain_interval`].
+    pub fn shard_mut(&mut self, proc: usize) -> &mut Shard {
+        &mut self.shards[proc]
     }
 
     /// Close the interval: hand every shard's accesses to `sink` as one
@@ -161,6 +174,67 @@ mod tests {
         assert_eq!(trace.intervals[0].accesses, vec![vec![Access::write(3)], vec![]]);
         assert_eq!(trace.intervals[1].accesses, vec![vec![], vec![Access::read(4)]]);
         assert_eq!(trace.intervals[2].total_accesses(), 0);
+    }
+
+    /// Each driver call's intervals, as the sink received them (`TraceBuilder` keeps
+    /// one `IntervalTrace` per `interval` call, empty ones included).
+    fn intervals(builder: TraceBuilder) -> Vec<Vec<Vec<Access>>> {
+        builder.finish().intervals.into_iter().map(|i| i.accesses).collect()
+    }
+
+    #[test]
+    fn run_interval_lands_item_p_in_shard_p_in_order() {
+        let mut shards = ShardSet::new(3);
+        let mut builder = TraceBuilder::new(layout(), 3);
+        let work: Vec<Vec<usize>> = vec![vec![4, 1, 4], vec![], vec![7, 2]];
+        for threads in [1, 2, 8] {
+            rayon::with_num_threads(threads, || {
+                shards.run_interval(&mut builder, &work, |shard, objects| {
+                    for &o in objects {
+                        shard.read(o);
+                    }
+                    shard.write(objects.len());
+                });
+            });
+        }
+        let expected = vec![
+            vec![Access::read(4), Access::read(1), Access::read(4), Access::write(3)],
+            vec![Access::write(0)],
+            vec![Access::read(7), Access::read(2), Access::write(2)],
+        ];
+        assert_eq!(intervals(builder), vec![expected; 3]);
+    }
+
+    #[test]
+    fn run_interval_delivers_shards_past_the_last_item_empty() {
+        let mut shards = ShardSet::new(4);
+        let mut builder = TraceBuilder::new(layout(), 4);
+        shards.run_interval(&mut builder, [()], |shard, ()| shard.read(9));
+        shards.run_interval(&mut builder, 0..2, |shard, p| shard.write(p));
+        assert_eq!(
+            intervals(builder),
+            vec![
+                vec![vec![Access::read(9)], vec![], vec![], vec![]],
+                vec![vec![Access::write(0)], vec![Access::write(1)], vec![], vec![]],
+            ]
+        );
+    }
+
+    #[test]
+    fn run_interval_closes_exactly_one_interval_even_without_accesses() {
+        let mut shards = ShardSet::new(2);
+        let mut builder = TraceBuilder::new(layout(), 2);
+        shards.run_interval(&mut builder, std::iter::empty::<()>(), |_, ()| {});
+        shards.run_interval(&mut builder, [(), ()], |_, ()| {});
+        assert_eq!(intervals(builder), vec![vec![vec![], vec![]]; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more work items than processors")]
+    fn run_interval_with_more_items_than_processors_panics() {
+        let mut shards = ShardSet::new(2);
+        let mut builder = TraceBuilder::new(layout(), 2);
+        shards.run_interval(&mut builder, 0..3, |shard, p| shard.read(p));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! a cache simulator interval-by-interval, or reduce straight to page histories —
 //! without the intermediate allocation.
 //!
-//! The applications reach a sink only through [`crate::ShardSet::drain_interval`];
-//! a materialized trace reaches one through [`crate::ProgramTrace::replay_into`].
+//! The applications reach a sink only through [`crate::ShardSet::run_interval`]; a
+//! materialized trace reaches one through [`crate::ProgramTrace::replay_into`].
 
 use crate::access::Access;
 

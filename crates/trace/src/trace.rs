@@ -46,7 +46,7 @@ impl ProgramTrace {
 
     /// Replay this materialized trace into a [`TraceSink`]: one
     /// [`TraceSink::interval`] call per interval, in program order, exactly what the
-    /// run's [`crate::ShardSet::drain_interval`]s delivered.
+    /// run's [`crate::ShardSet::run_interval`]s delivered.
     ///
     /// Feeding a `TraceBuilder` therefore reconstructs an equal trace, and feeding a
     /// streaming reducer (a simulator sink or a page-history sink) yields exactly the

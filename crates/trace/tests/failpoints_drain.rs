@@ -1,15 +1,16 @@
 //! Fault injection at the generation funnel's registered site (`trace/drain`): a
 //! delayed drain still delivers every event, and a panicking drain unwinds before
-//! any event moves, so the next drain delivers the interval whole.
+//! any event moves, so the next drain delivers the interval whole — whether the
+//! drain is called directly or closes a [`ShardSet::run_interval`].
 //!
 //! Compiled only under `--features failpoints`.
 #![cfg(feature = "failpoints")]
 
 use std::sync::{Mutex, MutexGuard};
 
-use smtrace::{ObjectLayout, ShardSet, TraceBuilder};
+use smtrace::{Access, ObjectLayout, ShardSet, TraceBuilder};
 
-/// Both tests configure the one global `trace/drain` point, so they must not
+/// The tests all configure the one global `trace/drain` point, so they must not
 /// interleave: a guard dropped by one would deconfigure the other's spec.
 fn serialize() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -50,4 +51,26 @@ fn drain_failpoint_panic_unwinds_cleanly_through_the_sink() {
     // the second drain delivers everything.
     shards.drain_interval(&mut builder);
     assert_eq!(builder.finish().total_accesses(), 1);
+}
+
+#[test]
+fn drain_failpoint_panic_propagates_out_of_run_interval() {
+    let _serial = serialize();
+    let _guard = failpoint::configure_guard("trace/drain", "1*panic(drain died)").unwrap();
+    let mut shards = ShardSet::new(2);
+    let mut builder = TraceBuilder::new(layout(), 2);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        shards.run_interval(&mut builder, [3, 4], |shard, object| shard.write(object))
+    }))
+    .expect_err("configured drain panic must unwind out of run_interval");
+    let msg = payload.downcast_ref::<String>().expect("string payload");
+    assert!(msg.contains("trace/drain"), "got {msg}");
+    // The filled interval was kept whole: a plain drain delivers it, and run_interval
+    // runs the next interval as usual.
+    shards.drain_interval(&mut builder);
+    shards.run_interval(&mut builder, [5], |shard, object| shard.read(object));
+    let trace = builder.finish();
+    assert_eq!(trace.intervals.len(), 2);
+    assert_eq!(trace.intervals[0].accesses, vec![vec![Access::write(3)], vec![Access::write(4)]]);
+    assert_eq!(trace.intervals[1].accesses, vec![vec![Access::read(5)], vec![]]);
 }

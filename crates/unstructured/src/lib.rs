@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use rayon::prelude::*;
 use reorder::{compute_reordering, Method, Reordering};
 use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 use workloads::UnstructuredMesh;
@@ -248,8 +247,8 @@ impl Unstructured {
 
     /// One sharded traced sweep: the same intervals and per-processor access streams
     /// as [`Unstructured::sweep_traced`] (the executable spec this path is pinned to),
-    /// but each virtual processor's edge chunk, face chunk and node block run as rayon
-    /// tasks into per-processor [`smtrace::Shard`]s.  The per-edge fluxes and per-face
+    /// but each virtual processor's edge chunk, face chunk and node block fill its own
+    /// shard through [`ShardSet::run_interval`].  The per-edge fluxes and per-face
     /// means are computed inside the tasks (node values are read-only during a sweep)
     /// and the deltas are *accumulated* serially in global edge/face order, so the
     /// solution stays bit-identical to [`Unstructured::sweep_sequential`].
@@ -260,89 +259,60 @@ impl Unstructured {
         sink: &mut S,
     ) {
         let num_procs = shards.num_procs();
-        assert_eq!(sink.num_procs(), num_procs, "sink must match the processor count");
         let n = self.nodes.len();
-        // Block partitions of every loop: a 1-processor trace concatenates a P-processor one.
+        // Block partitions of every loop: a 1-processor trace concatenates a P-processor
+        // one.  With fewer edges or faces than processors the later shards stay empty.
         // Interval 1: edge loop.
         let edges_per_proc = self.edges.len().div_ceil(num_procs).max(1);
         let num_edge_chunks = self.edges.chunks(edges_per_proc).len();
         scratch.fluxes.resize_with(num_edge_chunks, Vec::new);
-        {
-            let this = &*self;
-            let tasks: Vec<_> = shards
-                .shards_mut()
-                .iter_mut()
-                .zip(this.edges.chunks(edges_per_proc))
-                .zip(scratch.fluxes.iter_mut())
-                .map(|((shard, chunk), fluxes)| (shard, chunk, fluxes))
-                .collect();
-            tasks.into_par_iter().for_each(|(shard, chunk, fluxes)| {
-                fluxes.clear();
-                for &(a, b) in chunk {
-                    shard.read(a as usize);
-                    shard.read(b as usize);
-                    shard.write(a as usize);
-                    shard.write(b as usize);
-                    let (a, b) = (a as usize, b as usize);
-                    fluxes.push(
-                        this.params.edge_coeff
-                            * this.edge_weight(a, b)
-                            * (this.nodes[b].value - this.nodes[a].value),
-                    );
-                }
-            });
-        }
-        shards.drain_interval(sink);
+        let work = self.edges.chunks(edges_per_proc).zip(&mut scratch.fluxes);
+        shards.run_interval(sink, work, |shard, (chunk, fluxes)| {
+            fluxes.clear();
+            for &(a, b) in chunk {
+                shard.read(a as usize);
+                shard.read(b as usize);
+                shard.write(a as usize);
+                shard.write(b as usize);
+                let (a, b) = (a as usize, b as usize);
+                fluxes.push(
+                    self.params.edge_coeff
+                        * self.edge_weight(a, b)
+                        * (self.nodes[b].value - self.nodes[a].value),
+                );
+            }
+        });
         // Interval 2: face loop.
         let faces_per_proc = self.faces.len().div_ceil(num_procs).max(1);
         let num_face_chunks = self.faces.chunks(faces_per_proc).len();
         scratch.means.resize_with(num_face_chunks, Vec::new);
-        {
-            let this = &*self;
-            let tasks: Vec<_> = shards
-                .shards_mut()
-                .iter_mut()
-                .zip(this.faces.chunks(faces_per_proc))
-                .zip(scratch.means.iter_mut())
-                .map(|((shard, chunk), means)| (shard, chunk, means))
-                .collect();
-            tasks.into_par_iter().for_each(|(shard, chunk, means)| {
-                means.clear();
-                for f in chunk {
-                    for &v in f {
-                        shard.read(v as usize);
-                    }
-                    for &v in f {
-                        shard.write(v as usize);
-                    }
-                    means.push(
-                        (this.nodes[f[0] as usize].value
-                            + this.nodes[f[1] as usize].value
-                            + this.nodes[f[2] as usize].value)
-                            / 3.0,
-                    );
+        let work = self.faces.chunks(faces_per_proc).zip(&mut scratch.means);
+        shards.run_interval(sink, work, |shard, (chunk, means)| {
+            means.clear();
+            for f in chunk {
+                for &v in f {
+                    shard.read(v as usize);
                 }
-            });
-        }
-        shards.drain_interval(sink);
+                for &v in f {
+                    shard.write(v as usize);
+                }
+                means.push(
+                    (self.nodes[f[0] as usize].value
+                        + self.nodes[f[1] as usize].value
+                        + self.nodes[f[2] as usize].value)
+                        / 3.0,
+                );
+            }
+        });
         // Interval 3: node loop (contiguous owner blocks).
-        {
-            let tasks: Vec<_> = shards
-                .shards_mut()
-                .iter_mut()
-                .enumerate()
-                .map(|(p, shard)| {
-                    (shard, (p * n).div_ceil(num_procs)..((p + 1) * n).div_ceil(num_procs))
-                })
-                .collect();
-            tasks.into_par_iter().for_each(|(shard, range)| {
-                for i in range {
-                    shard.read(i);
-                    shard.write(i);
-                }
-            });
-        }
-        shards.drain_interval(sink);
+        let blocks =
+            (0..num_procs).map(|p| (p * n).div_ceil(num_procs)..((p + 1) * n).div_ceil(num_procs));
+        shards.run_interval(sink, blocks, |shard, block| {
+            for i in block {
+                shard.read(i);
+                shard.write(i);
+            }
+        });
         // Accumulate the precomputed fluxes and face corrections in global order —
         // the same order (and therefore the same floating-point result) as
         // `compute_deltas` — and relax.
@@ -376,10 +346,10 @@ impl Unstructured {
     }
 
     /// Run `sweeps` traced sweeps, streaming the accesses into `sink` without
-    /// materializing a trace.  Generation is sharded: each virtual processor's chunk
-    /// runs as a rayon task into a per-processor buffer, drained into `sink` in
-    /// deterministic processor order — every downstream counter is bit-identical to
-    /// looping [`Unstructured::sweep_traced`] over the same sink.
+    /// materializing a trace.  Generation is sharded: every interval runs through
+    /// [`ShardSet::run_interval`], one task per virtual processor, so every downstream
+    /// counter is bit-identical to looping [`Unstructured::sweep_traced`] over the same
+    /// sink.
     pub fn stream_sweeps<S: TraceSink>(&mut self, sweeps: usize, sink: &mut S) {
         let mut shards = ShardSet::new(sink.num_procs());
         let mut scratch = ShardScratch::default();
