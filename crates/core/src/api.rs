@@ -18,8 +18,8 @@
 
 use crate::keys::{pack_keys, Method};
 use crate::permute::Permutation;
-use crate::quantize::{BoundingBox, Quantizer, DEFAULT_BITS_PER_DIM};
-use crate::radix::PARALLEL_THRESHOLD;
+use crate::quantize::{BoundingBox, Quantizer};
+use crate::radix::{rank_radix, PARALLEL_THRESHOLD};
 use crate::MAX_DIMS;
 
 /// Coordinate accessor type used by the slice-free entry point
@@ -74,11 +74,11 @@ impl std::ops::Deref for Reordering {
 ///
 /// This is the most general entry point; the convenience wrappers below use it.
 ///
-/// The pipeline makes exactly **one** pass through the user's coordinate accessor: a
-/// fused sweep caches every coordinate in a flat buffer while tracking the per-dimension
-/// min/max for the bounding box.  Key construction (quantize + encode, narrowed to
-/// `u64` keys when `dims * bits <= 64`) and the LSD radix ranking then run over that
-/// buffer — in parallel chunks on rayon worker threads once `n` reaches
+/// The pipeline makes exactly **one** pass through the user's coordinate accessor:
+/// [`Quantizer::fit`] reads every coordinate once for the bounding box, and the
+/// accessor wrapper it is handed caches each value in a flat buffer.  Key
+/// construction (quantize + encode into `u64` keys) and the LSD radix ranking then run
+/// over that buffer — in parallel chunks on rayon worker threads once `n` reaches
 /// [`PARALLEL_THRESHOLD`].  The resulting permutation is byte-identical to a serial
 /// comparison sort of the [`crate::keys::key_for_cells`] keys, the oracle the proptest
 /// suite checks every dimension and method against.
@@ -92,30 +92,17 @@ where
 {
     assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
     assert!(n > 0, "cannot reorder zero objects");
-    // Fused sweep: cache the coordinates and compute the bounding box in one pass, so
-    // the (possibly expensive) accessor closure runs once per coordinate instead of
-    // twice and the encode phase can be chunked across threads.
+    // One accessor call per coordinate: the bounding-box sweep also fills the cache the
+    // encode phase chunks across threads.
     let mut coords = Vec::with_capacity(n * dims);
-    let mut min = vec![f64::INFINITY; dims];
-    let mut max = vec![f64::NEG_INFINITY; dims];
-    for i in 0..n {
-        for d in 0..dims {
-            let c = coord(i, d);
-            assert!(c.is_finite(), "coordinate ({i}, {d}) = {c} is not finite");
-            coords.push(c);
-            if c < min[d] {
-                min[d] = c;
-            }
-            if c > max[d] {
-                max[d] = c;
-            }
-        }
-    }
-    let bits = DEFAULT_BITS_PER_DIM.min(128 / dims as u32).min(32);
-    let quantizer = Quantizer::new(BoundingBox { min, max }, bits);
+    let quantizer = Quantizer::fit(n, dims, |i, d| {
+        let c = coord(i, d);
+        coords.push(c);
+        c
+    });
     let parallel = n >= PARALLEL_THRESHOLD && rayon::current_num_threads() > 1;
     let keys = pack_keys(method, dims, &quantizer, &coords, parallel);
-    let permutation = keys.rank(parallel);
+    let permutation = rank_radix(&keys, parallel);
     Reordering { method, permutation, quantizer }
 }
 
@@ -303,6 +290,12 @@ mod tests {
         let a = compute_reordering_from_points(Method::Hilbert, &pts);
         let b = compute_reordering(Method::Hilbert, pts.len(), 2, |i, d| pts[i][d]);
         assert_eq!(a.ranks(), b.ranks());
+    }
+
+    #[test]
+    #[should_panic(expected = "dims must be in 1..=3, got 4")]
+    fn four_dimensions_are_rejected() {
+        compute_reordering(Method::Hilbert, 4, 4, |i, d| (i + d) as f64);
     }
 
     #[test]

@@ -10,20 +10,20 @@
 //! compact "transpose" form popularised by Skilling): coordinates are first converted
 //! to a *transposed* Hilbert representation in place, and the transposed bits are then
 //! interleaved into a single integer index.  Both directions (`encode` / `decode`) are
-//! provided; the decoder is used by the test-suite to prove bijectivity and by the
-//! Figure-3 illustration binary to walk the curve in order.
+//! provided; the decoder is used by the test-suite to prove bijectivity and to walk the
+//! curve in order.
 
-use crate::MAX_DIMS;
+use crate::{check_cells, check_grid, MAX_DIMS};
 
 /// Encode a point on a `dims`-dimensional grid with `bits` bits per coordinate into its
 /// Hilbert-curve index.
 ///
 /// * `coords[d]` must be `< 2^bits` for every dimension.
-/// * `dims * bits` must be ≤ 128 so the index fits in a `u128`.
+/// * `dims * bits` must be ≤ 64 so the index fits in a `u64`.
 ///
 /// # Panics
 /// Panics if `dims` is 0 or greater than [`MAX_DIMS`], if `bits` is 0 or `dims * bits`
-/// exceeds 128, or if any coordinate is out of range.
+/// exceeds 64, or if any coordinate is out of range.
 ///
 /// # Examples
 /// ```
@@ -34,47 +34,13 @@ use crate::MAX_DIMS;
 /// assert_eq!(hilbert_encode(&[1, 1], 1), 2);
 /// assert_eq!(hilbert_encode(&[1, 0], 1), 3);
 /// ```
-pub fn hilbert_encode(coords: &[u32], bits: u32) -> u128 {
-    let x = transposed(coords, bits);
-    interleave_transpose(&x[..coords.len()], bits)
-}
-
-/// Narrow-key variant of [`hilbert_encode`] used by the radix-sort pipeline when
-/// `dims * bits <= 64`: identical curve, but the transposed bits are interleaved in
-/// `u64` arithmetic so the subsequent radix sort works on half-width keys.
-///
-/// # Panics
-/// Same conditions as [`hilbert_encode`] except the width bound is `dims * bits <= 64`.
-pub fn hilbert_encode_u64(coords: &[u32], bits: u32) -> u64 {
-    assert!(
-        coords.len() as u32 * bits <= 64,
-        "dims * bits must be <= 64 for the narrow encoding (got {} * {bits})",
-        coords.len()
-    );
-    let x = transposed(coords, bits);
-    let mut index: u64 = 0;
-    for b in (0..bits).rev() {
-        for xi in &x[..coords.len()] {
-            index = (index << 1) | u64::from((xi >> b) & 1);
-        }
-    }
-    index
-}
-
-/// Validate the inputs and run Skilling's `AxestoTranspose`, returning the transposed
-/// representation; shared by the wide and narrow encoders.
-fn transposed(coords: &[u32], bits: u32) -> [u32; MAX_DIMS] {
-    validate(coords.len(), bits);
-    for (d, &c) in coords.iter().enumerate() {
-        assert!(
-            bits == 32 || u64::from(c) < (1u64 << bits),
-            "coordinate {c} in dimension {d} does not fit in {bits} bits"
-        );
-    }
+pub fn hilbert_encode(coords: &[u32], bits: u32) -> u64 {
+    check_cells(coords, bits);
     let mut x: [u32; MAX_DIMS] = [0; MAX_DIMS];
-    x[..coords.len()].copy_from_slice(coords);
-    axes_to_transpose(&mut x[..coords.len()], bits);
-    x
+    let x = &mut x[..coords.len()];
+    x.copy_from_slice(coords);
+    axes_to_transpose(x, bits);
+    interleave_transpose(x, bits)
 }
 
 /// Decode a Hilbert-curve index back into grid coordinates.
@@ -85,26 +51,17 @@ fn transposed(coords: &[u32], bits: u32) -> [u32; MAX_DIMS] {
 /// # Panics
 /// Panics under the same conditions as [`hilbert_encode`], or if `index` is not
 /// representable on the requested grid.
-pub fn hilbert_decode(index: u128, dims: usize, bits: u32) -> Vec<u32> {
-    validate(dims, bits);
+pub fn hilbert_decode(index: u64, dims: usize, bits: u32) -> Vec<u32> {
+    check_grid(dims, bits);
     let total_bits = dims as u32 * bits;
     assert!(
-        total_bits == 128 || index < (1u128 << total_bits),
+        total_bits == 64 || index < (1u64 << total_bits),
         "index {index} does not fit on a {dims}-dimensional grid with {bits} bits per axis"
     );
     let mut x: [u32; MAX_DIMS] = [0; MAX_DIMS];
     deinterleave_transpose(index, &mut x[..dims], bits);
     transpose_to_axes(&mut x[..dims], bits);
     x[..dims].to_vec()
-}
-
-fn validate(dims: usize, bits: u32) {
-    assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
-    assert!((1..=32).contains(&bits), "bits must be in 1..=32, got {bits}");
-    assert!(
-        dims as u32 * bits <= 128,
-        "dims * bits must be <= 128 so the Hilbert index fits in u128 (got {dims} * {bits})"
-    );
 }
 
 /// Convert ordinary axis coordinates into the transposed Hilbert representation
@@ -181,18 +138,18 @@ fn transpose_to_axes(x: &mut [u32], bits: u32) {
 /// significant, `bits - 1`, downwards) of axis `i` becomes bit
 /// `(b * dims) + (dims - 1 - i)` of the result, i.e. axis 0 contributes the most
 /// significant bit of each group, matching the conventional Hilbert index.
-fn interleave_transpose(x: &[u32], bits: u32) -> u128 {
-    let mut index: u128 = 0;
+fn interleave_transpose(x: &[u32], bits: u32) -> u64 {
+    let mut index: u64 = 0;
     for b in (0..bits).rev() {
         for &xi in x {
-            index = (index << 1) | u128::from((xi >> b) & 1);
+            index = (index << 1) | u64::from((xi >> b) & 1);
         }
     }
     index
 }
 
 /// Inverse of [`interleave_transpose`].
-fn deinterleave_transpose(index: u128, x: &mut [u32], bits: u32) {
+fn deinterleave_transpose(index: u64, x: &mut [u32], bits: u32) {
     let dims = x.len();
     for xi in x.iter_mut() {
         *xi = 0;
@@ -205,16 +162,6 @@ fn deinterleave_transpose(index: u128, x: &mut [u32], bits: u32) {
         let level = bits - 1 - (pos / dims) as u32;
         x[axis] |= (bit as u32) << level;
     }
-}
-
-/// Walk the full Hilbert curve on a small grid, returning the coordinates of every cell
-/// in curve order.  Intended for illustration and testing (Figure 3 of the paper);
-/// the total number of cells `2^(dims*bits)` must fit in memory.
-pub fn hilbert_walk(dims: usize, bits: u32) -> Vec<Vec<u32>> {
-    validate(dims, bits);
-    let cells = 1u128 << (dims as u32 * bits);
-    assert!(cells <= 1 << 24, "hilbert_walk is meant for small illustrative grids");
-    (0..cells).map(|i| hilbert_decode(i, dims, bits)).collect()
 }
 
 #[cfg(test)]
@@ -253,11 +200,15 @@ mod tests {
         }
     }
 
+    /// Every cell of the `dims`-dimensional grid with `bits` bits per axis, in curve
+    /// order.
+    fn walk(dims: usize, bits: u32) -> Vec<Vec<u32>> {
+        (0..1u64 << (dims as u32 * bits)).map(|i| hilbert_decode(i, dims, bits)).collect()
+    }
+
     #[test]
     fn successive_curve_points_are_face_adjacent_2d() {
-        let bits = 3;
-        let walk = hilbert_walk(2, bits);
-        for w in walk.windows(2) {
+        for w in walk(2, 3).windows(2) {
             let manhattan: u32 = w[0].iter().zip(&w[1]).map(|(&a, &b)| a.abs_diff(b)).sum();
             assert_eq!(manhattan, 1, "consecutive Hilbert cells must be adjacent: {w:?}");
         }
@@ -265,9 +216,7 @@ mod tests {
 
     #[test]
     fn successive_curve_points_are_face_adjacent_3d() {
-        let bits = 2;
-        let walk = hilbert_walk(3, bits);
-        for w in walk.windows(2) {
+        for w in walk(3, 2).windows(2) {
             let manhattan: u32 = w[0].iter().zip(&w[1]).map(|(&a, &b)| a.abs_diff(b)).sum();
             assert_eq!(manhattan, 1, "consecutive Hilbert cells must be adjacent: {w:?}");
         }
@@ -276,7 +225,7 @@ mod tests {
     #[test]
     fn indices_cover_the_full_range_without_gaps() {
         let bits = 2;
-        let mut indices: Vec<u128> = Vec::new();
+        let mut indices: Vec<u64> = Vec::new();
         for x in 0..4u32 {
             for y in 0..4u32 {
                 for z in 0..4u32 {
@@ -286,45 +235,30 @@ mod tests {
         }
         indices.sort_unstable();
         for (i, idx) in indices.iter().enumerate() {
-            assert_eq!(*idx, i as u128);
+            assert_eq!(*idx, i as u64);
         }
     }
 
     #[test]
     fn one_dimensional_curve_is_identity() {
         for v in 0..64u32 {
-            assert_eq!(hilbert_encode(&[v], 6), u128::from(v));
-            assert_eq!(hilbert_decode(u128::from(v), 1, 6), vec![v]);
+            assert_eq!(hilbert_encode(&[v], 6), u64::from(v));
+            assert_eq!(hilbert_decode(u64::from(v), 1, 6), vec![v]);
         }
     }
 
     #[test]
     fn high_bit_counts_do_not_overflow() {
-        // 3 dimensions x 32 bits = 96 bits of index.
-        let c = [u32::MAX, 0, u32::MAX / 2];
+        // 2 dimensions x 32 bits = every bit of the u64 index.
+        let c = [u32::MAX, u32::MAX / 2];
         let idx = hilbert_encode(&c, 32);
-        assert_eq!(hilbert_decode(idx, 3, 32), c.to_vec());
-    }
-
-    #[test]
-    fn narrow_encoding_matches_wide_encoding() {
-        for x in 0..16u32 {
-            for y in 0..16u32 {
-                for z in (0..16u32).step_by(3) {
-                    let wide = hilbert_encode(&[x, y, z], 4);
-                    assert_eq!(u128::from(hilbert_encode_u64(&[x, y, z], 4)), wide);
-                }
-            }
-        }
-        // Full 64-bit occupancy: 2 dims x 32 bits.
-        let c = [u32::MAX, 12345];
-        assert_eq!(u128::from(hilbert_encode_u64(&c, 32)), hilbert_encode(&c, 32));
+        assert_eq!(hilbert_decode(idx, 2, 32), c.to_vec());
     }
 
     #[test]
     #[should_panic(expected = "dims * bits must be <= 64")]
-    fn narrow_encoding_rejects_wide_keys() {
-        hilbert_encode_u64(&[0, 0, 0], 22);
+    fn encoding_rejects_wide_keys() {
+        hilbert_encode(&[0, 0, 0], 22);
     }
 
     #[test]

@@ -7,12 +7,10 @@
 
 use rayon::prelude::*;
 
-use crate::hilbert::{hilbert_encode, hilbert_encode_u64};
-use crate::morton::{morton_encode, morton_encode_u64};
-use crate::permute::Permutation;
+use crate::hilbert::hilbert_encode;
+use crate::morton::morton_encode;
 use crate::quantize::Quantizer;
-use crate::radix::rank_radix;
-use crate::rowcol::{column_key, column_key_u64, row_key, row_key_u64};
+use crate::rowcol::{column_key, row_key};
 use crate::MAX_DIMS;
 
 /// The data-reordering methods provided by the library.
@@ -60,7 +58,11 @@ impl std::fmt::Display for Method {
 }
 
 /// Compute the key of a single quantized grid point under `method`.
-pub fn key_for_cells(method: Method, cells: &[u32], bits: u32) -> u128 {
+///
+/// # Panics
+/// Panics if `cells.len()` is outside `1..=`[`MAX_DIMS`], if `bits` is outside `1..=32`
+/// or `cells.len() * bits > 64`, or if a cell does not fit in `bits` bits.
+pub fn key_for_cells(method: Method, cells: &[u32], bits: u32) -> u64 {
     match method {
         Method::Hilbert => hilbert_encode(cells, bits),
         Method::Morton => morton_encode(cells, bits),
@@ -69,118 +71,35 @@ pub fn key_for_cells(method: Method, cells: &[u32], bits: u32) -> u128 {
     }
 }
 
-/// Compute the narrow (`u64`) key of a single quantized grid point under `method`;
-/// bit-identical to the low half of [`key_for_cells`], valid when
-/// `cells.len() * bits <= 64`.
-pub fn key_for_cells_u64(method: Method, cells: &[u32], bits: u32) -> u64 {
-    match method {
-        Method::Hilbert => hilbert_encode_u64(cells, bits),
-        Method::Morton => morton_encode_u64(cells, bits),
-        Method::Column => column_key_u64(cells, bits),
-        Method::Row => row_key_u64(cells, bits),
-    }
-}
-
-/// Densely packed per-object sort keys, at the width the ordering actually needs.
-///
-/// Produced by [`pack_keys`] from a cached coordinate buffer and consumed by
-/// [`PackedKeys::rank`], which runs the parallel LSD radix sort; together they form
-/// the allocation-lean fast path behind [`crate::compute_reordering`].
-#[derive(Debug, Clone)]
-pub enum PackedKeys {
-    /// Narrow keys (`dims * bits <= 64`): half the bytes to sort, half the worst-case
-    /// radix passes.
-    U64(Vec<u64>),
-    /// Full-width keys for high-dimensional or high-resolution orderings.
-    U128(Vec<u128>),
-}
-
-impl PackedKeys {
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        match self {
-            PackedKeys::U64(k) => k.len(),
-            PackedKeys::U128(k) => k.len(),
-        }
-    }
-
-    /// Whether there are no keys.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Width of the key representation in bits (64 or 128).
-    pub fn width_bits(&self) -> u32 {
-        match self {
-            PackedKeys::U64(_) => 64,
-            PackedKeys::U128(_) => 128,
-        }
-    }
-
-    /// Rank the keys into a [`Permutation`] with the LSD radix sort (objects ordered
-    /// by ascending key, ties broken by object index); `parallel` selects worker
-    /// threads for the histogram/scatter phases without changing the result.
-    pub fn rank(&self, parallel: bool) -> Permutation {
-        match self {
-            PackedKeys::U64(k) => rank_radix(k, parallel),
-            PackedKeys::U128(k) => rank_radix(k, parallel),
-        }
-    }
-}
-
-/// Build one packed sort key per object from a flat row-major coordinate buffer
+/// Build one sort key per object from a flat row-major coordinate buffer
 /// (`coords[i * dims + d]` is coordinate `d` of object `i`), quantizing with
-/// `quantizer` and encoding under `method`.
+/// `quantizer` and encoding under `method`; [`crate::rank_radix`] ranks the result.
 ///
 /// With `parallel` set, the buffer is processed in contiguous chunks on rayon worker
-/// threads; the produced keys are identical either way.  Keys are `u64` whenever
-/// `dims * bits <= 64` (the common 2-D/3-D case) and `u128` otherwise.
+/// threads; the produced keys are identical either way.
 ///
 /// # Panics
-/// Panics if `dims` is out of range or `coords.len()` is not a multiple of `dims`.
+/// Panics if `dims` is out of range, if `coords.len()` is not a multiple of `dims`, or
+/// if `dims * quantizer.bits() > 64`.
 pub fn pack_keys(
     method: Method,
     dims: usize,
     quantizer: &Quantizer,
     coords: &[f64],
     parallel: bool,
-) -> PackedKeys {
+) -> Vec<u64> {
     assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
     assert_eq!(coords.len() % dims, 0, "coordinate buffer length must be a multiple of dims");
     let bits = quantizer.bits();
-    if dims as u32 * bits <= 64 {
-        PackedKeys::U64(encode_rows(dims, quantizer, coords, parallel, |cells| {
-            key_for_cells_u64(method, cells, bits)
-        }))
-    } else {
-        PackedKeys::U128(encode_rows(dims, quantizer, coords, parallel, |cells| {
-            key_for_cells(method, cells, bits)
-        }))
-    }
-}
-
-/// Quantize + encode every coordinate row into `K` keys, chunked over worker threads
-/// when `parallel` is set.
-fn encode_rows<K, F>(
-    dims: usize,
-    quantizer: &Quantizer,
-    coords: &[f64],
-    parallel: bool,
-    encode: F,
-) -> Vec<K>
-where
-    K: Copy + Default + Send,
-    F: Fn(&[u32]) -> K + Sync,
-{
     let n = coords.len() / dims;
-    let encode_chunk = |rows: &[f64], out: &mut [K]| {
+    let encode_chunk = |rows: &[f64], out: &mut [u64]| {
         let mut cells = [0u32; MAX_DIMS];
         for (slot, row) in out.iter_mut().zip(rows.chunks_exact(dims)) {
             quantizer.cells_row(row, &mut cells[..dims]);
-            *slot = encode(&cells[..dims]);
+            *slot = key_for_cells(method, &cells[..dims], bits);
         }
     };
-    let mut out = vec![K::default(); n];
+    let mut out = vec![0; n];
     if parallel && n > 1 && rayon::current_num_threads() > 1 {
         let rows_per_chunk = n.div_ceil(rayon::current_num_threads());
         out.par_chunks_mut(rows_per_chunk)
@@ -201,13 +120,10 @@ mod tests {
         Quantizer::new(BoundingBox { min: vec![0.0; dims], max: vec![1.0; dims] }, bits)
     }
 
-    /// The packed keys of `pts` under `method`, widened to `u128`, in object order.
-    fn keys<const D: usize>(method: Method, q: &Quantizer, pts: &[[f64; D]]) -> Vec<u128> {
+    /// The packed keys of `pts` under `method`, in object order.
+    fn keys<const D: usize>(method: Method, q: &Quantizer, pts: &[[f64; D]]) -> Vec<u64> {
         let coords: Vec<f64> = pts.iter().flatten().copied().collect();
-        match pack_keys(method, D, q, &coords, false) {
-            PackedKeys::U64(k) => k.into_iter().map(u128::from).collect(),
-            PackedKeys::U128(k) => k,
-        }
+        pack_keys(method, D, q, &coords, false)
     }
 
     #[test]

@@ -67,14 +67,35 @@ pub use api::{
     column_reorder, compute_reordering, compute_reordering_from_points, hilbert_reorder,
     morton_reorder, reorder_by_method, row_reorder, CoordFn, Reordering,
 };
-pub use keys::{pack_keys, Method, PackedKeys};
+pub use keys::{pack_keys, Method};
 pub use permute::{PermutableColumn, Permutation};
 pub use quantize::{BoundingBox, Quantizer, DEFAULT_BITS_PER_DIM};
-pub use radix::{rank_radix, RadixKey, PARALLEL_THRESHOLD};
+pub use radix::{rank_radix, PARALLEL_THRESHOLD};
 
 /// Maximum number of spatial dimensions supported by the key generators.
 ///
-/// The paper only needs 2-D (FMM) and 3-D (all other benchmarks); we support up to
-/// 6 dimensions so that phase-space orderings remain possible, while keeping every
-/// sort key inside a single `u128`.
-pub const MAX_DIMS: usize = 6;
+/// The paper only needs 2-D (FMM) and 3-D (all other benchmarks) coordinates; at
+/// [`DEFAULT_BITS_PER_DIM`] bits per axis every such key fits in one `u64`.
+pub const MAX_DIMS: usize = 3;
+
+/// Check the grid shape every key codec shares: `1..=MAX_DIMS` dimensions, `1..=32`
+/// bits per axis, and a key of at most 64 bits.
+fn check_grid(dims: usize, bits: u32) {
+    assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
+    assert!((1..=32).contains(&bits), "bits must be in 1..=32, got {bits}");
+    assert!(
+        dims as u32 * bits <= 64,
+        "dims * bits must be <= 64 so the key fits in u64 (got {dims} * {bits})"
+    );
+}
+
+/// [`check_grid`] for a grid point, plus every coordinate being below `2^bits`.
+fn check_cells(cells: &[u32], bits: u32) {
+    check_grid(cells.len(), bits);
+    for (d, &c) in cells.iter().enumerate() {
+        assert!(
+            bits == 32 || c < (1u32 << bits),
+            "coordinate {c} in dimension {d} does not fit in {bits} bits"
+        );
+    }
+}

@@ -6,15 +6,15 @@
 //! space-filling-curve family; Morton is provided both as a baseline and because the
 //! difference between the two is one of the ablations reproduced in `EXPERIMENTS.md`.
 
-use crate::MAX_DIMS;
+use crate::{check_cells, check_grid};
 
 /// Encode a `dims`-dimensional grid point into its Morton (Z-order) index by bit
 /// interleaving.  Bit `b` of dimension `d` is placed at position `b * dims + d` of the
 /// result, so dimension 0 provides the least significant bit of each group.
 ///
 /// # Panics
-/// Panics if `dims` is 0 or exceeds [`MAX_DIMS`], if `bits` is 0 or `dims * bits > 128`,
-/// or if a coordinate does not fit in `bits` bits.
+/// Panics if `dims` is 0 or exceeds [`crate::MAX_DIMS`], if `bits` is 0 or
+/// `dims * bits > 64`, or if a coordinate does not fit in `bits` bits.
 ///
 /// # Examples
 /// ```
@@ -25,43 +25,11 @@ use crate::MAX_DIMS;
 /// assert_eq!(morton_encode(&[0, 1], 1), 2);
 /// assert_eq!(morton_encode(&[1, 1], 1), 3);
 /// ```
-pub fn morton_encode(coords: &[u32], bits: u32) -> u128 {
+pub fn morton_encode(coords: &[u32], bits: u32) -> u64 {
+    check_cells(coords, bits);
     let dims = coords.len();
-    assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
-    assert!((1..=32).contains(&bits), "bits must be in 1..=32, got {bits}");
-    assert!(dims as u32 * bits <= 128, "dims * bits must be <= 128");
-    let mut index: u128 = 0;
-    for (d, &c) in coords.iter().enumerate() {
-        assert!(
-            bits == 32 || u64::from(c) < (1u64 << bits),
-            "coordinate {c} in dimension {d} does not fit in {bits} bits"
-        );
-        for b in 0..bits {
-            let bit = u128::from((c >> b) & 1);
-            index |= bit << (b as usize * dims + d);
-        }
-    }
-    index
-}
-
-/// Narrow-key variant of [`morton_encode`] used by the radix-sort pipeline when
-/// `dims * bits <= 64`: same bit layout, but interleaved in `u64` arithmetic, which
-/// roughly halves the per-bit cost and lets the subsequent radix sort move 12-byte
-/// pairs instead of 20-byte ones.
-///
-/// # Panics
-/// Same conditions as [`morton_encode`] except the width bound is `dims * bits <= 64`.
-pub fn morton_encode_u64(coords: &[u32], bits: u32) -> u64 {
-    let dims = coords.len();
-    assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
-    assert!((1..=32).contains(&bits), "bits must be in 1..=32, got {bits}");
-    assert!(dims as u32 * bits <= 64, "dims * bits must be <= 64 for the narrow encoding");
     let mut index: u64 = 0;
     for (d, &c) in coords.iter().enumerate() {
-        assert!(
-            bits == 32 || u64::from(c) < (1u64 << bits),
-            "coordinate {c} in dimension {d} does not fit in {bits} bits"
-        );
         for b in 0..bits {
             let bit = u64::from((c >> b) & 1);
             index |= bit << (b as usize * dims + d);
@@ -71,10 +39,8 @@ pub fn morton_encode_u64(coords: &[u32], bits: u32) -> u64 {
 }
 
 /// Decode a Morton index back into grid coordinates; the inverse of [`morton_encode`].
-pub fn morton_decode(index: u128, dims: usize, bits: u32) -> Vec<u32> {
-    assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
-    assert!((1..=32).contains(&bits), "bits must be in 1..=32, got {bits}");
-    assert!(dims as u32 * bits <= 128, "dims * bits must be <= 128");
+pub fn morton_decode(index: u64, dims: usize, bits: u32) -> Vec<u32> {
+    check_grid(dims, bits);
     let mut coords = vec![0u32; dims];
     for d in 0..dims {
         for b in 0..bits {
@@ -83,14 +49,6 @@ pub fn morton_decode(index: u128, dims: usize, bits: u32) -> Vec<u32> {
         }
     }
     coords
-}
-
-/// Walk the full Morton curve on a small grid, returning the coordinates of every cell
-/// in curve order (used by the Figure-3 illustration).
-pub fn morton_walk(dims: usize, bits: u32) -> Vec<Vec<u32>> {
-    let cells = 1u128 << (dims as u32 * bits);
-    assert!(cells <= 1 << 24, "morton_walk is meant for small illustrative grids");
-    (0..cells).map(|i| morton_decode(i, dims, bits)).collect()
 }
 
 #[cfg(test)]
@@ -145,33 +103,21 @@ mod tests {
     #[test]
     fn one_dimensional_morton_is_identity() {
         for v in 0..128u32 {
-            assert_eq!(morton_encode(&[v], 7), u128::from(v));
+            assert_eq!(morton_encode(&[v], 7), u64::from(v));
         }
     }
 
     #[test]
     fn full_width_encoding_roundtrips() {
-        let c = [u32::MAX, 12345, 0, u32::MAX - 1];
+        let c = [u32::MAX, 12345];
         let idx = morton_encode(&c, 32);
-        assert_eq!(morton_decode(idx, 4, 32), c.to_vec());
-    }
-
-    #[test]
-    fn narrow_encoding_matches_wide_encoding() {
-        for x in (0..1024u32).step_by(37) {
-            for y in (0..1024u32).step_by(53) {
-                for z in (0..1024u32).step_by(71) {
-                    let wide = morton_encode(&[x, y, z], 10);
-                    assert_eq!(u128::from(morton_encode_u64(&[x, y, z], 10)), wide);
-                }
-            }
-        }
+        assert_eq!(morton_decode(idx, 2, 32), c.to_vec());
     }
 
     #[test]
     #[should_panic(expected = "dims * bits must be <= 64")]
-    fn narrow_encoding_rejects_wide_keys() {
-        morton_encode_u64(&[0, 0, 0], 32);
+    fn encoding_rejects_wide_keys() {
+        morton_encode(&[0, 0, 0], 32);
     }
 
     #[test]

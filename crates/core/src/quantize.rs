@@ -12,11 +12,11 @@
 
 /// Default number of bits per dimension used when quantizing coordinates.
 ///
-/// 21 bits × 3 dimensions = 63 bits, which comfortably fits the `u128` sort key while
-/// giving a 2-million-cell resolution along each axis.
+/// 21 bits × 3 dimensions = 63 bits, which fits the `u64` sort key while giving a
+/// 2-million-cell resolution along each axis.
 pub const DEFAULT_BITS_PER_DIM: u32 = 21;
 
-/// Axis-aligned bounding box of a point set in up to [`crate::MAX_DIMS`] dimensions.
+/// Axis-aligned bounding box of a point set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundingBox {
     /// Minimum coordinate along each dimension.
@@ -103,15 +103,17 @@ impl Quantizer {
         Quantizer { bbox, bits, scale }
     }
 
-    /// Convenience constructor: compute the bounding box of the point set and build a
-    /// quantizer with [`DEFAULT_BITS_PER_DIM`] bits (capped so `dims * bits <= 128`).
+    /// Compute the bounding box of the point set (one `coord(i, d)` call per
+    /// coordinate) and build a quantizer with [`DEFAULT_BITS_PER_DIM`] bits, the
+    /// resolution every reordering uses.
+    ///
+    /// # Panics
+    /// Panics under the same conditions as [`BoundingBox::from_coords`].
     pub fn fit<F>(n: usize, dims: usize, coord: F) -> Self
     where
         F: FnMut(usize, usize) -> f64,
     {
-        let bits = DEFAULT_BITS_PER_DIM.min(128 / dims as u32).min(32);
-        let bbox = BoundingBox::from_coords(n, dims, coord);
-        Quantizer::new(bbox, bits)
+        Quantizer::new(BoundingBox::from_coords(n, dims, coord), DEFAULT_BITS_PER_DIM)
     }
 
     /// The resolution in bits per dimension.
@@ -212,14 +214,6 @@ mod tests {
         assert_eq!(q.cell(0, 3.0), 0);
         assert_eq!(q.cell(0, 2.9), 0);
         assert!(q.cell(1, 0.7) > 0);
-    }
-
-    #[test]
-    fn fit_caps_bits_by_dimension() {
-        let pts: Vec<[f64; 6]> = (0..10).map(|i| [i as f64; 6]).collect();
-        let q = Quantizer::fit(pts.len(), 6, |i, d| pts[i][d]);
-        assert!(q.bits() * 6 <= 128);
-        assert!(q.bits() >= 1);
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Parallel LSD radix-sort ranking: the one way the library turns sort keys into a
-//! [`crate::permute::Permutation`] ([`crate::PackedKeys::rank`] calls it).
+//! Parallel LSD radix-sort ranking: the one way the library turns the `u64` sort keys
+//! of [`crate::pack_keys`] into a [`crate::permute::Permutation`].
 //!
 //! The paper argues that reordering pays for itself because the sort-and-permute phase
 //! is cheap next to the locality it buys; follow-up work (Asudeh et al., PAPERS.md)
 //! shows the reordering *cost* is what decides whether reordering wins end-to-end.
 //! Ranking sort keys is the dominant term of that cost, so instead of a comparison
-//! sort over `(u128, usize)` tuples this module runs a least-significant-digit radix
-//! sort over packed `(key, u32)` pairs:
+//! sort over `(u64, usize)` tuples this module runs a least-significant-digit radix
+//! sort over packed `(u64, u32)` pairs:
 //!
 //! 1. the maximum key is found with a chunked map-reduce, so only the *occupied* key
-//!    bytes get a pass (3-D keys at 21 bits/dim need 8 passes, not 16);
+//!    bytes get a pass (3-D keys at 21 bits/dim need all 8, 2-D keys 6);
 //! 2. each pass computes one 256-bin digit histogram per chunk in parallel, takes a
 //!    serial exclusive prefix scan over the chunk × digit matrix (65 µs of work), and
 //!    scatters pairs in parallel — every (chunk, digit) run owns a disjoint
@@ -35,52 +35,6 @@ const NUM_BINS: usize = 1 << DIGIT_BITS;
 /// worker count above 1).  The radix algorithm itself is the same either way.
 pub const PARALLEL_THRESHOLD: usize = 8 * 1024;
 
-/// An unsigned integer type usable as a radix-sort key (`u64` or `u128`).
-///
-/// The pipeline narrows keys to `u64` whenever `dims * bits_per_dim <= 64` — the
-/// common 2-D/3-D case — which halves both the pair size the scatter moves and the
-/// worst-case number of passes.
-pub trait RadixKey: Copy + Ord + Send + Sync {
-    /// The zero key.
-    const ZERO: Self;
-    /// Width of the key type in bits.
-    const BITS: u32;
-    /// The 8-bit digit at `shift` (`shift` is a multiple of `DIGIT_BITS`).
-    fn digit(self, shift: u32) -> usize;
-    /// Number of significant (non-leading-zero) bits.
-    fn significant_bits(self) -> u32;
-}
-
-impl RadixKey for u64 {
-    const ZERO: Self = 0;
-    const BITS: u32 = 64;
-
-    #[inline]
-    fn digit(self, shift: u32) -> usize {
-        ((self >> shift) & 0xff) as usize
-    }
-
-    #[inline]
-    fn significant_bits(self) -> u32 {
-        Self::BITS - self.leading_zeros()
-    }
-}
-
-impl RadixKey for u128 {
-    const ZERO: Self = 0;
-    const BITS: u32 = 128;
-
-    #[inline]
-    fn digit(self, shift: u32) -> usize {
-        ((self >> shift) & 0xff) as usize
-    }
-
-    #[inline]
-    fn significant_bits(self) -> u32 {
-        Self::BITS - self.leading_zeros()
-    }
-}
-
 /// Rank `keys` positionally: object `i` has key `keys[i]`, objects are ordered by
 /// ascending key with ties broken by object index, and the result maps each object to
 /// its rank (exactly like a comparison sort over `(key, object)` tuples).
@@ -90,13 +44,13 @@ impl RadixKey for u128 {
 ///
 /// # Panics
 /// Panics if `keys.len()` exceeds `u32::MAX` (pairs store the object index in 32 bits).
-pub fn rank_radix<K: RadixKey>(keys: &[K], parallel: bool) -> Permutation {
+pub fn rank_radix(keys: &[u64], parallel: bool) -> Permutation {
     let n = keys.len();
     assert!(n <= u32::MAX as usize, "radix ranking supports at most 2^32 - 1 objects");
     if n <= 1 {
         return Permutation::identity(n);
     }
-    let mut pairs: Vec<(K, u32)> = keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
+    let mut pairs: Vec<Pair> = keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
     radix_sort_pairs(&mut pairs, parallel);
     // The two directions of the permutation are independent fills over the sorted
     // pairs; build them on separate workers when the caller asked for parallelism.
@@ -115,7 +69,7 @@ pub fn rank_radix<K: RadixKey>(keys: &[K], parallel: bool) -> Permutation {
 }
 
 /// Stable LSD radix sort of `(key, object)` pairs by key.
-fn radix_sort_pairs<K: RadixKey>(pairs: &mut Vec<(K, u32)>, parallel: bool) {
+fn radix_sort_pairs(pairs: &mut Vec<Pair>, parallel: bool) {
     let n = pairs.len();
     if n <= 1 {
         return;
@@ -128,16 +82,17 @@ fn radix_sort_pairs<K: RadixKey>(pairs: &mut Vec<(K, u32)>, parallel: bool) {
         use rayon::prelude::*;
         pairs
             .par_chunks(chunk_len)
-            .map(|c| c.iter().map(|&(k, _)| k).max().unwrap_or(K::ZERO))
-            .reduce(|| K::ZERO, K::max)
+            .map(|c| c.iter().map(|&(k, _)| k).max().unwrap_or(0))
+            .reduce(|| 0, u64::max)
     } else {
-        pairs.iter().map(|&(k, _)| k).max().unwrap_or(K::ZERO)
+        pairs.iter().map(|&(k, _)| k).max().unwrap_or(0)
     };
-    let passes = max_key.significant_bits().div_ceil(DIGIT_BITS).max(1);
+    let significant_bits = u64::BITS - max_key.leading_zeros();
+    let passes = significant_bits.div_ceil(DIGIT_BITS).max(1);
 
     // The single auxiliary allocation: one scratch pair buffer, ping-ponged with the
     // input so every pass scatters from one buffer into the other.
-    let mut scratch: Vec<(K, u32)> = vec![(K::ZERO, 0); n];
+    let mut scratch: Vec<Pair> = vec![(0, 0); n];
     for pass in 0..passes {
         scatter_pass(pairs, &mut scratch, pass * DIGIT_BITS, chunk_len, parallel);
         std::mem::swap(pairs, &mut scratch);
@@ -145,24 +100,24 @@ fn radix_sort_pairs<K: RadixKey>(pairs: &mut Vec<(K, u32)>, parallel: bool) {
 }
 
 /// A sort item: the key plus the object index it ranks.
-type Pair<K> = (K, u32);
+type Pair = (u64, u32);
 /// One chunk's disjoint destination regions, indexed by digit.
-type Regions<'a, K> = Vec<&'a mut [Pair<K>]>;
+type Regions<'a> = Vec<&'a mut [Pair]>;
 
 /// One stable counting-scatter pass: per-chunk digit histograms (parallel), an
 /// exclusive prefix scan over the chunk × digit matrix (serial, tiny), and a parallel
 /// scatter in which each chunk writes into its own pre-carved disjoint regions.
-fn scatter_pass<K: RadixKey>(
-    src: &[(K, u32)],
-    dst: &mut [(K, u32)],
-    shift: u32,
-    chunk_len: usize,
-    parallel: bool,
-) {
-    let histogram = |chunk: &[(K, u32)]| {
+/// The 8-bit digit of `key` at `shift` (`shift` is a multiple of `DIGIT_BITS`).
+#[inline]
+fn digit(key: u64, shift: u32) -> usize {
+    ((key >> shift) & 0xff) as usize
+}
+
+fn scatter_pass(src: &[Pair], dst: &mut [Pair], shift: u32, chunk_len: usize, parallel: bool) {
+    let histogram = |chunk: &[Pair]| {
         let mut hist = [0usize; NUM_BINS];
         for &(k, _) in chunk {
-            hist[k.digit(shift)] += 1;
+            hist[digit(k, shift)] += 1;
         }
         hist
     };
@@ -178,7 +133,7 @@ fn scatter_pass<K: RadixKey>(
     // indexed by digit.  `split_at_mut` proves disjointness to the borrow checker, so
     // the scatter below can run on worker threads without locks or unsafe code.
     let num_chunks = hists.len();
-    let mut regions: Vec<Regions<'_, K>> =
+    let mut regions: Vec<Regions<'_>> =
         (0..num_chunks).map(|_| Vec::with_capacity(NUM_BINS)).collect();
     let mut rest = dst;
     for digit in 0..NUM_BINS {
@@ -189,15 +144,15 @@ fn scatter_pass<K: RadixKey>(
         }
     }
 
-    let scatter = |(chunk, mut regions): (&[Pair<K>], Regions<'_, K>)| {
+    let scatter = |(chunk, mut regions): (&[Pair], Regions<'_>)| {
         let mut cursors = [0usize; NUM_BINS];
         for &(k, i) in chunk {
-            let digit = k.digit(shift);
-            regions[digit][cursors[digit]] = (k, i);
-            cursors[digit] += 1;
+            let bin = digit(k, shift);
+            regions[bin][cursors[bin]] = (k, i);
+            cursors[bin] += 1;
         }
     };
-    let work: Vec<(&[Pair<K>], Regions<'_, K>)> = src.chunks(chunk_len).zip(regions).collect();
+    let work: Vec<(&[Pair], Regions<'_>)> = src.chunks(chunk_len).zip(regions).collect();
     if parallel {
         use rayon::prelude::*;
         work.into_par_iter().for_each(scatter);
@@ -218,7 +173,7 @@ mod tests {
 
     #[test]
     fn tiny_and_empty_inputs() {
-        assert!(rank_radix::<u64>(&[], false).is_empty());
+        assert!(rank_radix(&[], false).is_empty());
         assert!(rank_radix(&[42u64], true).is_identity());
         let p = rank_radix(&[9u64, 3], false);
         assert_eq!(p.sources(), &[1, 0]);
@@ -226,19 +181,11 @@ mod tests {
 
     #[test]
     fn high_bits_are_sorted_too() {
-        // Keys that differ only above bit 64 exercise the u128 pass count.
-        let keys: Vec<u128> = (0..300u32).map(|i| u128::from(299 - i) << 100).collect();
+        // Keys that differ only in the top byte still get all 8 passes.
+        let keys: Vec<u64> = (0..300u64).map(|i| (299 - i) << 55).collect();
         let p = rank_radix(&keys, true);
         for i in 0..keys.len() {
             assert_eq!(p.rank_of(i), keys.len() - 1 - i);
         }
-    }
-
-    #[test]
-    fn significant_bits_counts() {
-        assert_eq!(0u64.significant_bits(), 0);
-        assert_eq!(1u64.significant_bits(), 1);
-        assert_eq!(u64::MAX.significant_bits(), 64);
-        assert_eq!((1u128 << 127).significant_bits(), 128);
     }
 }

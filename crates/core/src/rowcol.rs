@@ -11,15 +11,15 @@
 //! list then live on a small number of pages owned by at most two neighbouring
 //! processors (Section 3.4 and Figure 6 of the paper).
 
-use crate::MAX_DIMS;
+use crate::{check_cells, check_grid};
 
 /// Build the column-ordering key: coordinate bits are concatenated with dimension 0
 /// (x) most significant and the last dimension least significant, i.e. objects are
 /// sorted primarily by x, then y, then z.
 ///
 /// # Panics
-/// Panics if `dims` is 0 or exceeds [`MAX_DIMS`], if `bits` is 0 or `dims * bits > 128`,
-/// or if a coordinate does not fit in `bits` bits.
+/// Panics if `dims` is 0 or exceeds [`crate::MAX_DIMS`], if `bits` is 0 or
+/// `dims * bits > 64`, or if a coordinate does not fit in `bits` bits.
 ///
 /// # Examples
 /// ```
@@ -27,7 +27,7 @@ use crate::MAX_DIMS;
 /// // With 2 bits per axis the key of (x=1, y=2, z=3) is 0b01_10_11.
 /// assert_eq!(column_key(&[1, 2, 3], 2), 0b01_10_11);
 /// ```
-pub fn column_key(coords: &[u32], bits: u32) -> u128 {
+pub fn column_key(coords: &[u32], bits: u32) -> u64 {
     concat_key(coords, bits, false)
 }
 
@@ -35,88 +35,50 @@ pub fn column_key(coords: &[u32], bits: u32) -> u128 {
 /// dimension most significant and dimension 0 (x) least significant, i.e. objects are
 /// sorted primarily by z, then y, then x.
 ///
+/// # Panics
+/// Same conditions as [`column_key`].
+///
 /// # Examples
 /// ```
 /// use reorder::rowcol::row_key;
 /// // With 2 bits per axis the key of (x=1, y=2, z=3) is 0b11_10_01.
 /// assert_eq!(row_key(&[1, 2, 3], 2), 0b11_10_01);
 /// ```
-pub fn row_key(coords: &[u32], bits: u32) -> u128 {
+pub fn row_key(coords: &[u32], bits: u32) -> u64 {
     concat_key(coords, bits, true)
 }
 
-/// Narrow-key variant of [`column_key`] used by the radix-sort pipeline when
-/// `dims * bits <= 64`: same bit layout, concatenated in `u64` arithmetic.
-///
-/// # Panics
-/// Same conditions as [`column_key`] except the width bound is `dims * bits <= 64`.
-pub fn column_key_u64(coords: &[u32], bits: u32) -> u64 {
-    concat_key_u64(coords, bits, false)
-}
-
-/// Narrow-key variant of [`row_key`]; see [`column_key_u64`].
-pub fn row_key_u64(coords: &[u32], bits: u32) -> u64 {
-    concat_key_u64(coords, bits, true)
-}
-
-fn concat_key_u64(coords: &[u32], bits: u32, reverse: bool) -> u64 {
+fn concat_key(coords: &[u32], bits: u32, reverse: bool) -> u64 {
+    check_cells(coords, bits);
     let dims = coords.len();
-    assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
-    assert!((1..=32).contains(&bits), "bits must be in 1..=32, got {bits}");
-    assert!(dims as u32 * bits <= 64, "dims * bits must be <= 64 for the narrow encoding");
     let mut key: u64 = 0;
     // Branchless dimension order (no boxed iterator: this runs once per object on the
-    // narrow-key hot path).
+    // key-construction hot path).
     for i in 0..dims {
         let d = if reverse { dims - 1 - i } else { i };
-        let c = coords[d];
-        assert!(
-            bits == 32 || u64::from(c) < (1u64 << bits),
-            "coordinate {c} in dimension {d} does not fit in {bits} bits"
-        );
-        key = (key << bits) | u64::from(c);
-    }
-    key
-}
-
-fn concat_key(coords: &[u32], bits: u32, reverse: bool) -> u128 {
-    let dims = coords.len();
-    assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}, got {dims}");
-    assert!((1..=32).contains(&bits), "bits must be in 1..=32, got {bits}");
-    assert!(dims as u32 * bits <= 128, "dims * bits must be <= 128");
-    let mut key: u128 = 0;
-    for i in 0..dims {
-        let d = if reverse { dims - 1 - i } else { i };
-        let c = coords[d];
-        assert!(
-            bits == 32 || u64::from(c) < (1u64 << bits),
-            "coordinate {c} in dimension {d} does not fit in {bits} bits"
-        );
-        key = (key << bits) | u128::from(c);
+        key = (key << bits) | u64::from(coords[d]);
     }
     key
 }
 
 /// Decode a column key back into coordinates (inverse of [`column_key`]).
-pub fn column_decode(key: u128, dims: usize, bits: u32) -> Vec<u32> {
+pub fn column_decode(key: u64, dims: usize, bits: u32) -> Vec<u32> {
     decode(key, dims, bits, false)
 }
 
 /// Decode a row key back into coordinates (inverse of [`row_key`]).
-pub fn row_decode(key: u128, dims: usize, bits: u32) -> Vec<u32> {
+pub fn row_decode(key: u64, dims: usize, bits: u32) -> Vec<u32> {
     decode(key, dims, bits, true)
 }
 
-fn decode(key: u128, dims: usize, bits: u32, reverse: bool) -> Vec<u32> {
-    assert!((1..=MAX_DIMS).contains(&dims));
-    assert!((1..=32).contains(&bits) && dims as u32 * bits <= 128);
-    let mask: u128 = if bits == 128 { u128::MAX } else { (1u128 << bits) - 1 };
+fn decode(key: u64, dims: usize, bits: u32, reverse: bool) -> Vec<u32> {
+    check_grid(dims, bits);
+    let mask = (1u64 << bits) - 1;
     let mut coords = vec![0u32; dims];
     let mut k = key;
     // The last dimension pushed by the encoder occupies the least significant bits.
-    let order: Box<dyn Iterator<Item = usize>> =
-        if reverse { Box::new(0..dims) } else { Box::new((0..dims).rev()) };
-    for d in order {
+    for i in 0..dims {
+        let d = if reverse { i } else { dims - 1 - i };
         coords[d] = (k & mask) as u32;
         k >>= bits;
     }
@@ -167,7 +129,7 @@ mod tests {
 
     #[test]
     fn keys_are_unique_on_the_grid() {
-        let mut keys: Vec<u128> = Vec::new();
+        let mut keys: Vec<u64> = Vec::new();
         for x in 0..8u32 {
             for y in 0..8u32 {
                 for z in 0..8u32 {
@@ -184,7 +146,7 @@ mod tests {
     fn row_and_column_agree_in_one_dimension() {
         for v in 0..32u32 {
             assert_eq!(row_key(&[v], 5), column_key(&[v], 5));
-            assert_eq!(row_key(&[v], 5), u128::from(v));
+            assert_eq!(row_key(&[v], 5), u64::from(v));
         }
     }
 
@@ -199,22 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn narrow_encodings_match_wide_encodings() {
-        for x in (0..1024u32).step_by(97) {
-            for y in (0..1024u32).step_by(61) {
-                for z in (0..1024u32).step_by(43) {
-                    let c = [x, y, z];
-                    assert_eq!(u128::from(column_key_u64(&c, 10)), column_key(&c, 10));
-                    assert_eq!(u128::from(row_key_u64(&c, 10)), row_key(&c, 10));
-                }
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "dims * bits must be <= 64")]
-    fn narrow_encoding_rejects_wide_keys() {
-        column_key_u64(&[0, 0, 0], 25);
+    fn encoding_rejects_wide_keys() {
+        column_key(&[0, 0, 0], 25);
     }
 
     #[test]

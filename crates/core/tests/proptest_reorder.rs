@@ -9,12 +9,14 @@ use reorder::keys::key_for_cells;
 use reorder::morton::{morton_decode, morton_encode};
 use reorder::permute::Permutation;
 use reorder::rowcol::{column_decode, column_key, row_decode, row_key};
-use reorder::{compute_reordering, pack_keys, rank_radix, reorder_by_method, Method, MAX_DIMS};
+use reorder::{
+    compute_reordering, rank_radix, reorder_by_method, Method, MAX_DIMS, PARALLEL_THRESHOLD,
+};
 
 /// The oracle for every radix ranking: a serial comparison sort over `(key, object)`
 /// tuples, where object `i` has key `keys[i]`, so objects rank by ascending key with
 /// ties broken by object index.
-fn comparison_ranking(keys: &[u128]) -> Permutation {
+fn comparison_ranking(keys: &[u64]) -> Permutation {
     let mut order: Vec<usize> = (0..keys.len()).collect();
     order.sort_by_key(|&i| (keys[i], i));
     let mut rank = vec![usize::MAX; keys.len()];
@@ -24,14 +26,34 @@ fn comparison_ranking(keys: &[u128]) -> Permutation {
     Permutation::from_rank(rank)
 }
 
-/// `keys` widened to `u64`, the narrowest key type the radix ranking takes.
+/// `keys` widened to `u64`, the key type the radix ranking takes.
 fn widened(keys: &[u32]) -> Vec<u64> {
     keys.iter().map(|&k| u64::from(k)).collect()
 }
 
-/// Moduli for the narrow-key proptest: all-equal keys, heavy duplication, one and
-/// three occupied key bytes, and the full 64-bit range.
+/// Moduli for the ranking proptest: all-equal keys, heavy duplication, one and three
+/// occupied key bytes, and the full 64-bit range.
 const MODULI: [u64; 6] = [1, 2, 31, 255, 1 << 20, u64::MAX];
+
+/// The comparison-sort ranking of the `key_for_cells` keys of `coords` (flat,
+/// row-major), quantized the way `r` was.
+fn oracle_ranking(
+    r: &reorder::Reordering,
+    method: Method,
+    dims: usize,
+    coords: &[f64],
+) -> Permutation {
+    let quantizer = r.quantizer();
+    let keys: Vec<u64> = coords
+        .chunks_exact(dims)
+        .map(|row| {
+            let cells: Vec<u32> =
+                row.iter().enumerate().map(|(d, &c)| quantizer.cell(d, c)).collect();
+            key_for_cells(method, &cells, quantizer.bits())
+        })
+        .collect();
+    comparison_ranking(&keys)
+}
 
 fn coords_strategy(dims: usize, bits: u32) -> impl Strategy<Value = Vec<u32>> {
     let max = if bits == 32 { u32::MAX } else { (1u32 << bits) - 1 };
@@ -51,12 +73,6 @@ proptest! {
     fn hilbert_roundtrips_3d(c in coords_strategy(3, 21)) {
         let idx = hilbert_encode(&c, 21);
         prop_assert_eq!(hilbert_decode(idx, 3, 21), c);
-    }
-
-    #[test]
-    fn hilbert_roundtrips_4d(c in coords_strategy(4, 10)) {
-        let idx = hilbert_encode(&c, 10);
-        prop_assert_eq!(hilbert_decode(idx, 4, 10), c);
     }
 
     #[test]
@@ -83,7 +99,7 @@ proptest! {
     }
 
     #[test]
-    fn hilbert_neighbors_in_index_are_neighbors_in_space(idx in 0u128..(1u128 << 15) - 1) {
+    fn hilbert_neighbors_in_index_are_neighbors_in_space(idx in 0u64..(1u64 << 15) - 1) {
         // Consecutive Hilbert indices always decode to face-adjacent grid cells
         // (Manhattan distance exactly 1) — the locality property the paper relies on.
         let a = hilbert_decode(idx, 3, 5);
@@ -181,25 +197,8 @@ proptest! {
         parallel in any::<bool>(),
     ) {
         // Small moduli guarantee duplicate keys; the stable radix rank must still match
-        // the (key, object) comparison sort for both key widths, serial and parallel.
+        // the (key, object) comparison sort, serial and parallel.
         let keys: Vec<u64> = raw.iter().map(|&k| k % MODULI[modulus_pick]).collect();
-        let wide: Vec<u128> = keys.iter().map(|&k| u128::from(k)).collect();
-        let comparison = comparison_ranking(&wide);
-        let narrow = rank_radix(&keys, parallel);
-        prop_assert_eq!(narrow.ranks(), comparison.ranks());
-        let wide_rank = rank_radix(&wide, parallel);
-        prop_assert_eq!(wide_rank.ranks(), comparison.ranks());
-    }
-
-    #[test]
-    fn radix_ranking_matches_comparison_on_full_width_keys(
-        raw in prop::collection::vec((any::<u128>(), 0u8..3), 1..200),
-        parallel in any::<bool>(),
-    ) {
-        // Mix full-width keys with small duplicated ones, so the u128 ranking must
-        // still break ties by object index.
-        let keys: Vec<u128> =
-            raw.iter().map(|&(k, pick)| if pick == 0 { k % 4 } else { k }).collect();
         prop_assert_eq!(rank_radix(&keys, parallel).ranks(), comparison_ranking(&keys).ranks());
     }
 
@@ -234,26 +233,12 @@ proptest! {
         n in 1usize..300,
         grid in prop::collection::vec(0u32..64, 300 * MAX_DIMS),
     ) {
-        // Coordinates on a coarse grid, so ties are common.  The pipeline picks u64
-        // keys when `dims * bits <= 64` and u128 keys otherwise (dims >= 4 at 21 bits
-        // per dimension); either way its ranks must equal the comparison sort of the
-        // full-width `key_for_cells` keys.
+        // Coordinates on a coarse grid, so ties are common; the ranks must equal the
+        // comparison sort of the `key_for_cells` keys.
         let coords: Vec<f64> = grid[..n * dims].iter().map(|&g| f64::from(g) * 0.37 - 3.0).collect();
         for method in Method::ALL {
             let r = compute_reordering(method, n, dims, |i, d| coords[i * dims + d]);
-            let quantizer = r.quantizer();
-            let bits = quantizer.bits();
-            let packed = pack_keys(method, dims, quantizer, &coords, false);
-            let narrow = dims as u32 * bits <= 64;
-            prop_assert_eq!(packed.width_bits(), if narrow { 64 } else { 128 });
-            let keys: Vec<u128> = (0..n)
-                .map(|i| {
-                    let cells: Vec<u32> =
-                        (0..dims).map(|d| quantizer.cell(d, coords[i * dims + d])).collect();
-                    key_for_cells(method, &cells, bits)
-                })
-                .collect();
-            prop_assert_eq!(r.ranks(), comparison_ranking(&keys).ranks());
+            prop_assert_eq!(r.ranks(), oracle_ranking(&r, method, dims, &coords).ranks());
         }
     }
 
@@ -267,6 +252,31 @@ proptest! {
             let r = compute_reordering(method, n, 3, |_, _| value);
             prop_assert_eq!(r.len(), n);
             prop_assert!(r.is_identity());
+        }
+    }
+}
+
+#[test]
+fn compute_reordering_matches_the_comparison_oracle_on_the_parallel_path() {
+    // Just above the threshold, so the keys and the ranking run in chunks on worker
+    // threads (3 workers split the rows unevenly); 1 worker runs the serial path.
+    let n = PARALLEL_THRESHOLD + 37;
+    for dims in 1..=MAX_DIMS {
+        // A coarse pseudo-random grid, so ties are common.
+        let coords: Vec<f64> = (0..n * dims)
+            .map(|k| ((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as f64 * 0.37)
+            .collect();
+        for method in Method::ALL {
+            for workers in [1, 3] {
+                let r = rayon::with_num_threads(workers, || {
+                    compute_reordering(method, n, dims, |i, d| coords[i * dims + d])
+                });
+                assert_eq!(
+                    r.ranks(),
+                    oracle_ranking(&r, method, dims, &coords).ranks(),
+                    "{method}, {dims} dims, {workers} workers"
+                );
+            }
         }
     }
 }
